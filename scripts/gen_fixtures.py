@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Regenerate the frozen oracle values in tests/fixtures.json.
 
-Each fixture is produced by an implementation path that is independent of
-the code under test: head outputs come from a naive direct evaluation (no
-log-sum-exp machinery), bound values from 60-digit mpmath arithmetic, and
-the sequence-pipeline error from a straight grid run recorded once.
+Head outputs come from a naive direct evaluation (no log-sum-exp
+machinery) and bound values from 60-digit mpmath arithmetic, both
+independent of the code under test.  The full-mode sequence-pipeline error
+is different: it is recorded from the library's own stack on a grid, so it
+is a regression pin, not an independent oracle.
 
 Run from the repository root:  python3 scripts/gen_fixtures.py
 """
@@ -77,6 +78,8 @@ def mp_covering(m, delta):
 
 
 def seq2seq_full_mode_error():
+    """Regression pin: worst full-mode stack error on an 8x8 input grid,
+    measured with the library itself."""
     def seq_mean(elements):
         return np.tile(elements.mean(axis=0), (elements.shape[0], 1))
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .sphere import as_unit_vector
+from .sphere import as_unit_vector, check_finite_unit
 
 __all__ = [
     "ControlPoints",
@@ -31,6 +31,7 @@ __all__ = [
     "core_head_log",
     "split_head",
     "split_head_batch",
+    "log_prefix_mass",
     "classical_head",
     "lift",
     "project",
@@ -65,11 +66,11 @@ class ControlPoints:
             raise DimensionMismatch("p_alpha width must be m+1")
         if pb.shape != pa.shape:
             raise DimensionMismatch("p_beta must match p_alpha's shape")
-        if not self.lam > 0:
-            raise DomainError("lam must be positive")
-        norms = np.linalg.norm(pa, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-9:
-            raise DomainError("p_alpha rows must be unit vectors")
+        if not 0 < self.lam < math.inf:
+            raise DomainError("lam must be positive and finite")
+        check_finite_unit(pa)
+        if not np.all(np.isfinite(pb)):
+            raise DomainError("p_beta must be finite")
         pa.setflags(write=False)
         pb.setflags(write=False)
         object.__setattr__(self, "p_alpha", pa)
@@ -118,8 +119,10 @@ class PrefixTokens:
         t = np.asarray(self.tokens, dtype=np.float64)
         if t.ndim != 2 or t.shape[0] < 1 or t.shape[1] != self.d:
             raise DimensionMismatch("tokens must be a nonempty (N, d) array")
-        if not self.M < 0:
-            raise DomainError("suppression constant M must be negative")
+        if not np.all(np.isfinite(t)):
+            raise DomainError("tokens must be finite")
+        if not -math.inf < self.M < 0:
+            raise DomainError("suppression constant M must be negative and finite")
         t.setflags(write=False)
         object.__setattr__(self, "tokens", t)
 
@@ -177,16 +180,33 @@ class TransformerStack:
 # ---------------------------------------------------------------------------
 
 
-def _logits(cp: ControlPoints, x: np.ndarray) -> np.ndarray:
-    return cp.lam * (cp.p_alpha @ x)
+def _softmax_weights(logits: np.ndarray):
+    """Shift each row of an (n, K) logit array by its max and exponentiate,
+    in place; returns (weights, rowmax).  Every head is a view of this one
+    softmax: row i's attention weights are weights[i] / weights[i].sum(),
+    and rowmax[i] + ln weights[i].sum() is its log normalizer."""
+    rowmax = logits.max(axis=1)
+    logits -= rowmax[:, None]
+    np.exp(logits, out=logits)
+    return logits, rowmax
+
+
+def _batch_logits(cp: ControlPoints, points) -> np.ndarray:
+    """lam <x, p_alpha_k> for an (n, m+1) batch of unit vectors."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != cp.m + 1:
+        raise DimensionMismatch("points must have shape (n, m+1)")
+    logits = check_finite_unit(pts) @ cp.p_alpha.T
+    logits *= cp.lam
+    return logits
 
 
 def core_head(cp: ControlPoints, x) -> np.ndarray:
     """Bare kernel sum  sum_k exp(lam <x, p_alpha_k>) p_beta_k.
 
-    Computed through the sign-split log accumulation, so intermediate terms
-    never overflow; the returned linear value itself saturates to +-inf
-    once it exceeds the double range (use core_head_log then).
+    Computed as a max-shifted sum, so intermediate terms never overflow;
+    the returned linear value itself saturates to +-inf once it exceeds the
+    double range (use core_head_log then).
     """
     signs, logmag = core_head_log(cp, x)
     with np.errstate(over="ignore"):
@@ -195,50 +215,37 @@ def core_head(cp: ControlPoints, x) -> np.ndarray:
 
 def core_head_log(cp: ControlPoints, x):
     """(sign, ln|value|) per component of the core head output."""
-    xv = as_unit_vector(x)
-    if xv.size != cp.m + 1:
-        raise DimensionMismatch("input dimension does not match control points")
-    logits = _logits(cp, xv)
-    peak = float(np.max(logits))
-    w = np.exp(logits - peak)
-    pos = w @ np.where(cp.p_beta > 0, cp.p_beta, 0.0)
-    neg = w @ np.where(cp.p_beta < 0, -cp.p_beta, 0.0)
-    diff = pos - neg
-    signs = np.sign(diff)
+    w, peak = _softmax_weights(_batch_logits(cp, as_unit_vector(x)[None, :]))
+    total = w[0] @ cp.p_beta
     with np.errstate(divide="ignore"):
-        logmag = np.where(diff != 0.0, np.log(np.abs(diff)) + peak, -np.inf)
-    return signs, logmag
+        return np.sign(total), np.where(total != 0.0, np.log(np.abs(total)) + peak[0], -np.inf)
 
 
 def split_head(cp: ControlPoints, x) -> np.ndarray:
     """Softmax-weighted value average with logits lam <x, p_alpha_k>."""
-    xv = as_unit_vector(x)
-    if xv.size != cp.m + 1:
-        raise DimensionMismatch("input dimension does not match control points")
-    logits = _logits(cp, xv)
-    w = np.exp(logits - np.max(logits))
-    w /= w.sum()
-    return w @ cp.p_beta
+    return split_head_batch(cp, as_unit_vector(x)[None, :])[0]
 
 
 def split_head_batch(cp: ControlPoints, points: np.ndarray) -> np.ndarray:
     """split_head over an (n, m+1) batch of unit vectors; returns (n, m+1)."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != cp.m + 1:
-        raise DimensionMismatch("points must have shape (n, m+1)")
-    logits = cp.lam * (pts @ cp.p_alpha.T)
-    logits -= logits.max(axis=1, keepdims=True)
-    w = np.exp(logits)
+    w, _ = _softmax_weights(_batch_logits(cp, points))
     w /= w.sum(axis=1, keepdims=True)
     return w @ cp.p_beta
+
+
+def log_prefix_mass(cp: ControlPoints, points: np.ndarray) -> np.ndarray:
+    """ln sum_k exp(lam <x, p_alpha_k>), the log softmax denominator, for
+    each row of an (n, m+1) batch of unit vectors."""
+    w, peak = _softmax_weights(_batch_logits(cp, points))
+    return peak + np.log(w.sum(axis=1))
 
 
 def classical_head(inputs, prefix: PrefixTokens, params: AttentionHeadParams):
     """Dense attention head over prefix tokens and input positions.
 
     Position k attends over all N prefix tokens and all T input positions
-    with logits x_k^T H c and values W_V c; the softmax is evaluated with a
-    max shift.  Returns the list of per-position outputs.
+    with logits x_k^T H c and values W_V c.  Returns the list of
+    per-position outputs.
     """
     X = np.asarray(inputs, dtype=np.float64)
     if X.ndim == 1:
@@ -246,12 +253,9 @@ def classical_head(inputs, prefix: PrefixTokens, params: AttentionHeadParams):
     if X.shape[1] != params.d or prefix.d != params.d:
         raise DimensionMismatch("inputs, prefix, and params disagree on d")
     cands = np.vstack([prefix.tokens, X])
-    logits = X @ params.H @ cands.T  # (T, N + T)
-    values = cands @ params.W_V.T  # (N + T, d)
-    logits -= logits.max(axis=1, keepdims=True)
-    w = np.exp(logits)
+    w, _ = _softmax_weights(X @ params.H @ cands.T)  # (T, N + T)
     w /= w.sum(axis=1, keepdims=True)
-    out = w @ values
+    out = w @ (cands @ params.W_V.T)
     return [out[i] for i in range(out.shape[0])]
 
 
@@ -336,12 +340,9 @@ def suppression_gap(cp: ControlPoints, x, M: float, t_inputs: int = 1) -> float:
     gap is T e^M / (S + T e^M).  Evaluated in log domain because at working
     suppression levels the gap sits far below float subtraction resolution.
     """
-    xv = as_unit_vector(x)
-    logits = _logits(cp, xv)
     extra = M + math.log(t_inputs)
-    peak = max(float(np.max(logits)), extra)
-    denom = float(np.sum(np.exp(logits - peak))) + math.exp(extra - peak)
-    return math.exp(extra - peak - math.log(denom))
+    log_mass = float(log_prefix_mass(cp, as_unit_vector(x)[None, :])[0])
+    return math.exp(extra - np.logaddexp(log_mass, extra))
 
 
 def default_suppression(lam: float, n_points: int, extra: float = 30.0) -> float:
@@ -376,15 +377,21 @@ def _apply_mlp(X: np.ndarray, stages, activation: str) -> np.ndarray:
     return X
 
 
-def transformer_eval(stack: TransformerStack, inputs) -> list:
-    """Run inputs through alternating attention heads and element-wise MLPs."""
+def transformer_eval(stack: TransformerStack, inputs, record: list | None = None) -> list:
+    """Run inputs through alternating attention heads and element-wise MLPs.
+
+    When a record list is given, one {"attention", "after_mlp"} dict of
+    (T, d) state arrays is appended to it per layer.
+    """
     X = np.asarray(inputs, dtype=np.float64)
     if X.ndim == 1:
         X = X[None, :]
     for layer in stack.layers:
-        X = np.stack(classical_head(X, layer.prefix, layer.params))
+        X = attention = np.stack(classical_head(X, layer.prefix, layer.params))
         if layer.mlp:
             X = _apply_mlp(X, layer.mlp, stack.activation)
+        if record is not None:
+            record.append({"attention": attention, "after_mlp": X})
     return [X[i] for i in range(X.shape[0])]
 
 
@@ -398,7 +405,14 @@ def _enc_mat(a: np.ndarray):
 
 
 def _dec_mat(rows) -> np.ndarray:
-    return np.array([[float(v) for v in row] for row in rows], dtype=np.float64)
+    """A finite 2-D array from artifact rows of decimal strings."""
+    try:
+        a = np.array([[float(v) for v in row] for row in rows], dtype=np.float64)
+    except (TypeError, ValueError):
+        raise DomainError("artifact matrix has ragged rows or non-numeric entries") from None
+    if a.ndim != 2 or not np.all(np.isfinite(a)):
+        raise DomainError("artifact matrices must be 2-D and finite")
+    return a
 
 
 def export_prefix_artifact(
@@ -431,6 +445,7 @@ def import_prefix_artifact(text: str):
     W = _dec_mat(payload["W_V"])
     if tokens.shape[1] != d or H.shape != (d, d) or W.shape != (d, d):
         raise DomainError("artifact dimensions are inconsistent")
-    prefix = PrefixTokens(d=d, tokens=tokens, M=float(payload["M"]), augmented=bool(payload["augmented"]))
+    M, lam = _dec_mat([[payload["M"], payload["lambda"]]])[0].tolist()
+    prefix = PrefixTokens(d=d, tokens=tokens, M=M, augmented=bool(payload["augmented"]))
     params = AttentionHeadParams(d=d, H=H, W_V=W)
-    return prefix, params, int(payload["m"]), float(payload["lambda"])
+    return prefix, params, int(payload["m"]), lam

@@ -124,6 +124,24 @@ def phi(m: int) -> float:
     return _phi_formula(m)
 
 
+def _length_bound(
+    lam: float, epsilon: float, spec: SmoothnessSpec, m: int, ln_vector_factor: float
+) -> PrefixLengthBound:
+    """ln N = ln Phi(m) + 2(m+1)(ln 3pi + ln_vector_factor + ln(L + lam f_sup)
+    + ln c_{m+1}(lam) + lam - ln eps); ln_vector_factor is 0.5 ln(m+1) for the
+    normalized head and 0 otherwise."""
+    ln_n = math.log(_phi_formula(m)) + 2.0 * (m + 1) * (
+        math.log(3.0 * math.pi)
+        + ln_vector_factor
+        + math.log(spec.L + lam * spec.f_sup)
+        + vmf_log_normalizer(m, lam)
+        + lam
+        - math.log(epsilon)
+    )
+    n = math.exp(ln_n) if ln_n <= 709.0 else math.inf
+    return PrefixLengthBound(n=n, log10_n=ln_n / _LN10)
+
+
 def prefix_length_bound(
     lam: float, epsilon: float, spec: SmoothnessSpec, m: int, strict: bool = True
 ) -> PrefixLengthBound:
@@ -138,16 +156,7 @@ def prefix_length_bound(
     if not lam > 0:
         raise DomainError(f"prefix_length_bound requires lambda > 0, got {lam}")
     _check_dimension(m, strict)
-    log_c = vmf_log_normalizer(m, lam)
-    ln_n = math.log(_phi_formula(m)) + 2.0 * (m + 1) * (
-        math.log(3.0 * math.pi)
-        + math.log(spec.L + lam * spec.f_sup)
-        + log_c
-        + lam
-        - math.log(epsilon)
-    )
-    n = math.exp(ln_n) if ln_n <= 709.0 else math.inf
-    return PrefixLengthBound(n=n, log10_n=ln_n / _LN10)
+    return _length_bound(lam, epsilon, spec, m, 0.0)
 
 
 def covering_bounds(m: int, delta: float) -> tuple[float, float]:
@@ -183,14 +192,4 @@ def normalized_head_parameters(
     lam = lambda_for_accuracy(sigma, spec, m, strict=strict)
     if not math.isfinite(lam):
         return lam, PrefixLengthBound(n=math.inf, log10_n=math.inf)
-    log_c = vmf_log_normalizer(m, lam)
-    ln_n = math.log(_phi_formula(m)) + 2.0 * (m + 1) * (
-        math.log(3.0 * math.pi)
-        + 0.5 * math.log(m + 1.0)
-        + math.log(spec.L + lam * spec.f_sup)
-        + log_c
-        + lam
-        - math.log(epsilon)
-    )
-    n = math.exp(ln_n) if ln_n <= 709.0 else math.inf
-    return lam, PrefixLengthBound(n=n, log10_n=ln_n / _LN10)
+    return lam, _length_bound(lam, epsilon, spec, m, 0.5 * math.log(m + 1.0))

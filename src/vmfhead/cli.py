@@ -28,11 +28,11 @@ from .seq2seq import (
     aggregate_R,
     build_seq2seq_transformer,
     reference_seq2seq,
+    sequence_mean,
 )
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
 SWEEP_COLUMNS = ["name", "m", "lambda", "N", "sup_error", "mean_error", "samples", "seed"]
@@ -68,10 +68,6 @@ def thread_count() -> int:
         return 1
 
 
-def _build_target(name: str, m: int) -> pfx.TargetFunction:
-    return pfx.make_target(name, m)
-
-
 def _cmd_approximate(args) -> int:
     cfg = _load_config(args.config)
     name = _cfg_value(args, cfg, "target")
@@ -83,7 +79,7 @@ def _cmd_approximate(args) -> int:
     n_points = int(_cfg_value(args, cfg, "n", 1024))
     samples = int(_cfg_value(args, cfg, "samples", 2048))
     seed = int(_cfg_value(args, cfg, "seed", 0))
-    target = _build_target(name, m)
+    target = pfx.make_target(name, m)
     report, cp = pfx.run_approximation(target, n_points, lam, samples, _stage_seed(seed, 1), workers=thread_count())
     report = dataclasses.replace(report, seed=seed)
     if args.out_csv:
@@ -129,7 +125,7 @@ def _cmd_sweep(args) -> int:
         ns = [int(v) for v in args.ns.split(",")]
     samples = int(_cfg_value(args, cfg, "samples", 1024))
     seed = int(_cfg_value(args, cfg, "seed", 0))
-    target = _build_target(name, m)
+    target = pfx.make_target(name, m)
     rows = []
     for lam in sorted(float(v) for v in lams):
         for n_points in sorted(int(v) for v in ns):
@@ -171,13 +167,7 @@ def _cmd_seq2seq_demo(args) -> int:
     cfg = DigitConfig(digits=args.digits)
     t_len, m = args.t, args.m
 
-    def seq_mean(elements):
-        return np.tile(elements.mean(axis=0), (elements.shape[0], 1))
-
-    def seq_identity(elements):
-        return elements.copy()
-
-    fns = {"sequence-mean": seq_mean, "identity": seq_identity}
+    fns = {"sequence-mean": sequence_mean, "identity": np.copy}
     if args.f not in fns:
         print(f"error: unknown sequence function {args.f!r}", file=sys.stderr)
         return EXIT_CONFIG
@@ -209,7 +199,7 @@ def _cmd_export_prefix(args) -> int:
     m = int(_cfg_value(args, cfg, "m", 2))
     lam = float(_cfg_value(args, cfg, "lam", 32.0))
     n_points = int(_cfg_value(args, cfg, "n", 256))
-    target = _build_target(name, m)
+    target = pfx.make_target(name, m)
     cp = pfx.synthesize_prefix(target, n_points, lam)
     M = att.default_suppression(lam, n_points)
     prefix = att.assemble_prefix_tokens(cp, M, augmented=args.augmented)
@@ -234,7 +224,7 @@ def _cmd_import_prefix(args) -> int:
         "tokens": prefix.n_tokens,
     }
     if args.eval_target:
-        target = _build_target(args.eval_target, m)
+        target = pfx.make_target(args.eval_target, m)
         seed = _stage_seed(args.seed, 1)
 
         def approx(pts):
@@ -340,26 +330,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (VmfheadError, ValueError, OSError, json.JSONDecodeError) as exc:
-        kind = EXIT_NUMERIC if isinstance(exc, VmfheadError) else EXIT_CONFIG
-        # Domain/config-style problems are usage errors; the rest count as
-        # numeric failures.
-        from .errors import (
-            DegenerateInput,
-            DimensionMismatch,
-            DomainError,
-            EncodingError,
-            InstanceTooLarge,
-            PrecisionBudgetExceeded,
-        )
-
-        if isinstance(
-            exc,
-            (DomainError, DimensionMismatch, DegenerateInput, EncodingError, PrecisionBudgetExceeded, InstanceTooLarge),
-        ):
-            kind = EXIT_CONFIG
+    except (VmfheadError, ValueError, OSError) as exc:
+        # Package errors carry their own exit code; bad files and values
+        # (json.JSONDecodeError is a ValueError) are config errors.
         print(f"error: {exc}", file=sys.stderr)
-        return kind
+        return getattr(exc, "exit_code", EXIT_CONFIG)
 
 
 if __name__ == "__main__":

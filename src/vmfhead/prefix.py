@@ -24,6 +24,8 @@ from .attention import (
     assemble_prefix_tokens,
     build_universal_head,
     default_suppression,
+    log_prefix_mass,
+    split_head_batch,
 )
 from .bounds import SmoothnessSpec
 from .errors import DimensionMismatch, DomainError, InstanceTooLarge
@@ -308,10 +310,7 @@ def verify_denominator_constancy(cp: ControlPoints, n_samples: int, seed: int) -
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
     pts = uniform_sphere_sample(cp.m, n_samples, seed)
-    logits = cp.lam * (pts @ cp.p_alpha.T)
-    peak = logits.max(axis=1, keepdims=True)
-    log_sum = peak.ravel() + np.log(np.exp(logits - peak).sum(axis=1))
-    log_stat = vmf_log_normalizer(cp.m, cp.lam) - math.log(cp.n_points) + log_sum
+    log_stat = vmf_log_normalizer(cp.m, cp.lam) - math.log(cp.n_points) + log_prefix_mass(cp, pts)
     return float(np.max(np.abs(1.0 - np.exp(log_stat))))
 
 
@@ -333,8 +332,6 @@ def run_approximation(
     f: TargetFunction, n_points: int, lam: float, n_samples: int, seed: int, workers: int = 1
 ) -> tuple[ApproximationReport, ControlPoints]:
     """Synthesize, estimate errors, and wrap the result in a report."""
-    from .attention import split_head_batch
-
     t0 = time.perf_counter()
     cp = synthesize_prefix(f, n_points, lam, seed)
     sup, mean = sup_error_estimate(f, lambda pts: split_head_batch(cp, pts), n_samples, seed, workers=workers)

@@ -11,6 +11,7 @@ from .encoding import (
     aggregate_R,
     decode_sequence,
     reference_seq2seq,
+    sequence_mean,
 )
 from .assembly import build_seq2seq_transformer, Seq2SeqStack
 
@@ -25,6 +26,7 @@ __all__ = [
     "aggregate_R",
     "decode_sequence",
     "reference_seq2seq",
+    "sequence_mean",
     "build_seq2seq_transformer",
     "Seq2SeqStack",
 ]

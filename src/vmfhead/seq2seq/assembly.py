@@ -48,6 +48,15 @@ from .encoding import (
 __all__ = ["Seq2SeqStack", "build_seq2seq_transformer"]
 
 _GAP = 900.0  # logit margin that underflows exp() entirely in doubles
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _summation_error_bound(q: int) -> float:
+    """First-order bound on |VAL - R| after the summation layer over q
+    positions (R < 1), in roundings: 4 per encoded value, 4 for the value
+    scale, 2q + 4 for the shared softmax weight (its denominator has 2q
+    terms), q for the weighted sum and 1 for the decoder's rescale."""
+    return (3 * q + 13) * _UNIT_ROUNDOFF
 
 
 @dataclass(frozen=True)
@@ -232,6 +241,22 @@ def _stage_sphere_lookup(lay: _Layout, knots: int = 2048):
 # ---------------------------------------------------------------------------
 
 
+def _carry_state(lay: _Layout, w: np.ndarray) -> np.ndarray:
+    """W_V entries copying the state's sphere slot, one-hot, constant and value."""
+    for i in [*range(lay.z.start, lay.z.stop), *range(lay.oh.start, lay.oh.stop), lay.c1, lay.val]:
+        w[i, i] = 1.0
+    return w
+
+
+def _restore_payload(lay: _Layout, w: np.ndarray) -> np.ndarray:
+    """W_V entries adding a token's scalar, one-hot payload and constant payload."""
+    w[lay.val, lay.vb] = 1.0
+    for k in range(lay.q):
+        w[lay.oh.start + k, lay.pay.start + k] = 1.0
+    w[lay.c1, lay.pc] = 1.0
+    return w
+
+
 def _passthrough_params(lay: _Layout) -> AttentionHeadParams:
     """Every position attends to itself bit-exactly (diagonal one-hot logit
     dominates; the mandatory token and all other logits underflow)."""
@@ -240,13 +265,7 @@ def _passthrough_params(lay: _Layout) -> AttentionHeadParams:
     for k in range(lay.q):
         idx = lay.oh.start + k
         h[idx, idx] = _GAP
-    w = np.zeros((d, d))
-    for sl in (lay.z, lay.oh):
-        for i in range(sl.start, sl.stop):
-            w[i, i] = 1.0
-    w[lay.c1, lay.c1] = 1.0
-    w[lay.val, lay.val] = 1.0
-    return AttentionHeadParams(d=d, H=h, W_V=w)
+    return AttentionHeadParams(d=d, H=h, W_V=_carry_state(lay, np.zeros((d, d))))
 
 
 def _dummy_prefix(lay: _Layout) -> PrefixTokens:
@@ -263,27 +282,7 @@ def _encoder_layer_params(lay: _Layout, lam: float) -> AttentionHeadParams:
     for k in range(lay.q):
         h[lay.oh.start + k, lay.tag.start + k] = g1
     h[lay.c1, lay.c1] = -(lam + _GAP)
-    w = np.zeros((d, d))
-    w[lay.val, lay.vb] = 1.0
-    for k in range(lay.q):
-        w[lay.oh.start + k, lay.pay.start + k] = 1.0
-    w[lay.c1, lay.pc] = 1.0
-    return AttentionHeadParams(d=d, H=h, W_V=w)
-
-
-def _encoder_layer_tokens(lay: _Layout, anchors: np.ndarray, values: np.ndarray, lam: float) -> PrefixTokens:
-    """One bank of (anchor, value) tokens per virtual position, tagged and
-    carrying that position's restoration payload."""
-    n = anchors.shape[0]
-    tokens = np.zeros((lay.q * n, lay.d))
-    for q0 in range(lay.q):
-        rows = slice(q0 * n, (q0 + 1) * n)
-        tokens[rows, lay.ka] = lam * anchors
-        tokens[rows, lay.vb] = values
-        tokens[rows, lay.tag.start + q0] = 1.0
-        tokens[rows, lay.pay.start + q0] = 1.0
-        tokens[rows, lay.pc] = 1.0
-    return PrefixTokens(d=lay.d, tokens=tokens, M=-(lam + _GAP), augmented=False)
+    return AttentionHeadParams(d=d, H=h, W_V=_restore_payload(lay, np.zeros((d, d))))
 
 
 def _summation_layer(lay: _Layout, gamma: float = 4.0):
@@ -323,24 +322,14 @@ def _decoder_layer_params(lay: _Layout, lam: float, elem_positions: list[int]) -
         idx = lay.oh.start + k
         h[idx, idx] = -theta if k in elem_positions else theta
         h[idx, lay.tag.start + k] = g3
-    w = np.zeros((d, d))
-    for sl in (lay.z, lay.oh):
-        for i in range(sl.start, sl.stop):
-            w[i, i] = 1.0
-    w[lay.c1, lay.c1] = 1.0
-    w[lay.val, lay.val] = 1.0
-    w[lay.val, lay.vb] = 1.0
-    for k in range(lay.q):
-        w[lay.oh.start + k, lay.pay.start + k] = 1.0
-    w[lay.c1, lay.pc] = 1.0
-    return AttentionHeadParams(d=d, H=h, W_V=w)
+    return AttentionHeadParams(d=d, H=h, W_V=_restore_payload(lay, _carry_state(lay, np.zeros((d, d)))))
 
 
-def _decoder_layer_tokens(
-    lay: _Layout, anchors: np.ndarray, value_bank: dict[int, np.ndarray], lam: float
-) -> PrefixTokens:
-    """Token groups per virtual position of the layer's element; values are
-    the per-coordinate decoder outputs at the anchors."""
+def _kernel_tokens(lay: _Layout, anchors: np.ndarray, value_bank: dict[int, np.ndarray], lam: float) -> PrefixTokens:
+    """One bank of (anchor, value) tokens per virtual position in value_bank,
+    tagged and carrying that position's restoration payload (encoder: every
+    position with the digit-map values; decoder: the element's positions
+    with their coordinate's decoder outputs)."""
     n = anchors.shape[0]
     qs = sorted(value_bank)
     tokens = np.zeros((len(qs) * n, lay.d))
@@ -435,18 +424,9 @@ class Seq2SeqStack:
     def stage_trace(self, s: SequenceSample) -> dict:
         """Per-stage intermediate values (encoder inputs, post-layer states)."""
         states = self.encode_inputs(s)
-        trace = {"encoded": states.copy(), "layers": []}
-        X = states
-        from ..attention import _apply_mlp, classical_head
-
-        for layer in self.transformer.layers:
-            X = np.stack(classical_head(X, layer.prefix, layer.params))
-            attn = X.copy()
-            if layer.mlp:
-                X = _apply_mlp(X, layer.mlp, self.transformer.activation)
-            trace["layers"].append({"attention": attn, "after_mlp": X.copy()})
-        trace["outputs"] = self.readout([X[i] for i in range(X.shape[0])])
-        return trace
+        layers = []
+        outputs = transformer_eval(self.transformer, states, record=layers)
+        return {"encoded": states, "layers": layers, "outputs": self.readout(outputs)}
 
 
 def _circle_targets(t_len: int, m: int, cfg: DigitConfig, f):
@@ -516,8 +496,13 @@ def build_seq2seq_transformer(
     lay = _Layout(q=width)
     if mode == "full" and (t_len > 3 or m > 1 or cfg.digits > 3):
         raise InstanceTooLarge("full mode is capped to T <= 3, m <= 1, digits <= 3")
-    if mode == "hybrid" and 3 ** (width * cfg.digits) >= 2**52:
-        raise InstanceTooLarge("hybrid mode needs the aggregate to fit the float budget")
+    if mode == "hybrid" and _summation_error_bound(width) >= 0.5 * 3.0 ** -(width * cfg.digits):
+        # The decoder rounds the aggregate to the nearest ternary mantissa,
+        # so the summation error must stay under half a digit gap.
+        raise InstanceTooLarge(
+            f"hybrid mode: {width * cfg.digits} ternary digits leave a half digit gap below "
+            "the summation layer's rounding error"
+        )
 
     gamma = 4.0
     layers = []
@@ -549,7 +534,7 @@ def build_seq2seq_transformer(
         layers.append(
             TransformerLayer(
                 params=_encoder_layer_params(lay, lam),
-                prefix=_encoder_layer_tokens(lay, anchors, psi_values, lam),
+                prefix=_kernel_tokens(lay, anchors, dict.fromkeys(range(width), psi_values), lam),
                 mlp=tuple(_stage_scale_by_position(lay, contraction) + _stage_scale_by_position(lay, positional)),
             )
         )
@@ -570,7 +555,7 @@ def build_seq2seq_transformer(
             layers.append(
                 TransformerLayer(
                     params=_decoder_layer_params(lay, lam, elem_positions),
-                    prefix=_decoder_layer_tokens(lay, anchors, value_bank, lam),
+                    prefix=_kernel_tokens(lay, anchors, value_bank, lam),
                     mlp=(),
                 )
             )

@@ -34,6 +34,7 @@ __all__ = [
     "aggregate_R",
     "decode_sequence",
     "reference_seq2seq",
+    "sequence_mean",
     "float_budget_digits",
 ]
 
@@ -64,7 +65,7 @@ class SequenceSample:
         e = np.asarray(self.elements, dtype=np.float64)
         if e.shape != (self.t_len, self.m + 1):
             raise DomainError("elements must have shape (T, m+1)")
-        if np.any(e < 0.0) or np.any(e > 1.0):
+        if not np.all((e >= 0.0) & (e <= 1.0)):
             raise DomainError("coordinates must lie in [0, 1]")
         e.setflags(write=False)
         object.__setattr__(self, "elements", e)
@@ -249,6 +250,12 @@ def decode_sequence(r, t_len: int, m: int, cfg: DigitConfig) -> SequenceSample:
             x = (x + (1 if d == 2 else 0)) / 2.0
         coords[q0] = x
     return SequenceSample(t_len=t_len, m=m, elements=coords.reshape(t_len, m + 1))
+
+
+def sequence_mean(elements: np.ndarray) -> np.ndarray:
+    """The demonstration sequence function: every position gets the mean
+    element of the sequence."""
+    return np.tile(elements.mean(axis=0), (elements.shape[0], 1))
 
 
 def reference_seq2seq(f, s: SequenceSample, cfg: DigitConfig) -> list[np.ndarray]:

@@ -21,6 +21,7 @@ from .specialfn import log_gamma, reg_inc_beta
 
 __all__ = [
     "SpherePoint",
+    "check_finite_unit",
     "PartitionCell",
     "Partition",
     "project_to_sphere",
@@ -37,6 +38,19 @@ __all__ = [
 _UNIT_TOL = 1e-12
 
 
+def check_finite_unit(points: np.ndarray) -> np.ndarray:
+    """Refuse a point, or a batch with coordinates on the last axis, unless
+    every point is finite with unit norm (a NaN or inf norm fails the
+    tolerance comparison); returns the array unchanged."""
+    if points.ndim == 1:
+        dev = abs(np.linalg.norm(points) - 1.0)
+    else:
+        dev = np.max(np.abs(np.linalg.norm(points, axis=-1) - 1.0), initial=0.0)
+    if not dev <= _UNIT_TOL:
+        raise DegenerateInput("points must be finite unit vectors")
+    return points
+
+
 @dataclass(frozen=True)
 class SpherePoint:
     """A unit vector in R^(m+1); the domain element of every target function."""
@@ -47,8 +61,7 @@ class SpherePoint:
         c = np.asarray(self.coords, dtype=np.float64)
         if c.ndim != 1 or c.size < 2:
             raise DimensionMismatch("a sphere point needs at least 2 coordinates")
-        if abs(np.linalg.norm(c) - 1.0) > _UNIT_TOL:
-            raise DegenerateInput(f"not a unit vector: |v| = {np.linalg.norm(c)!r}")
+        check_finite_unit(c)
         c.setflags(write=False)
         object.__setattr__(self, "coords", c)
 
@@ -64,9 +77,7 @@ def as_unit_vector(x) -> np.ndarray:
     c = np.asarray(x, dtype=np.float64)
     if c.ndim != 1 or c.size < 2:
         raise DimensionMismatch("expected a single vector of length >= 2")
-    if abs(np.linalg.norm(c) - 1.0) > _UNIT_TOL:
-        raise DegenerateInput("vector does not have unit norm")
-    return c
+    return check_finite_unit(c)
 
 
 def project_to_sphere(v) -> SpherePoint:

@@ -29,6 +29,7 @@ from .seq2seq import (
     decode_sequence,
     psi_encode,
     reference_seq2seq,
+    sequence_mean,
 )
 
 __all__ = ["CheckResult", "run_suite", "SUITE_NAMES"]
@@ -389,10 +390,6 @@ def _prefix_checks(results):
 # ---------------------------------------------------------------------------
 
 
-def _seq_mean(elements: np.ndarray) -> np.ndarray:
-    return np.tile(elements.mean(axis=0), (elements.shape[0], 1))
-
-
 def _seq2seq_checks(results):
     def psi_monotone():
         cfg = DigitConfig(digits=10)
@@ -416,14 +413,14 @@ def _seq2seq_checks(results):
     def layer_count():
         cfg = DigitConfig(digits=2)
         for t_len in (1, 2, 3):
-            stack = build_seq2seq_transformer(_seq_mean, t_len, 1, cfg, mode="hybrid")
+            stack = build_seq2seq_transformer(sequence_mean, t_len, 1, cfg, mode="hybrid")
             if stack.attention_layer_count != t_len + 2:
                 return False, f"T={t_len}: {stack.attention_layer_count} layers"
         return True, "attention layer count is T+2"
 
     def summation_exact():
         cfg = DigitConfig(digits=4)
-        stack = build_seq2seq_transformer(_seq_mean, 2, 1, cfg, mode="hybrid")
+        stack = build_seq2seq_transformer(sequence_mean, 2, 1, cfg, mode="hybrid")
         rng = np.random.default_rng(32)
         worst = 0.0
         for _ in range(10):
@@ -436,13 +433,13 @@ def _seq2seq_checks(results):
 
     def hybrid_equals_reference():
         cfg = DigitConfig(digits=4)
-        stack = build_seq2seq_transformer(_seq_mean, 2, 1, cfg, mode="hybrid")
+        stack = build_seq2seq_transformer(sequence_mean, 2, 1, cfg, mode="hybrid")
         rng = np.random.default_rng(33)
         worst = 0.0
         for _ in range(20):
             s = SequenceSample(2, 1, rng.random((2, 2)))
             out = stack.evaluate(s)
-            ref = np.stack(reference_seq2seq(_seq_mean, s, cfg))
+            ref = np.stack(reference_seq2seq(sequence_mean, s, cfg))
             worst = max(worst, float(np.max(np.abs(out - ref))))
         return worst <= 1e-9, f"max |stack - reference| = {worst:.3e}"
 
@@ -453,8 +450,8 @@ def _seq2seq_checks(results):
         for _ in range(20):
             e = rng.random((3, 2))
             s = SequenceSample(3, 1, e)
-            ref = np.stack(reference_seq2seq(_seq_mean, s, cfg))
-            exact = _seq_mean(e)
+            ref = np.stack(reference_seq2seq(sequence_mean, s, cfg))
+            exact = sequence_mean(e)
             # the mean is 1-Lipschitz in the max norm; truncation moves each
             # coordinate by less than 2^-digits
             bound = math.sqrt(2) * 2.0**-cfg.digits

@@ -189,6 +189,30 @@ class TestArtifactCommands:
         assert "schema" in err
 
 
+class TestExitCodes:
+    def test_numerical_failure_exits_3(self, capsys, monkeypatch):
+        from vmfhead.errors import NumericalFailure
+
+        def fail(args):
+            raise NumericalFailure("did not converge")
+
+        monkeypatch.setattr(cli, "_cmd_bounds", fail)
+        code, _, err = run_cli(capsys, ["bounds"])
+        assert code == 3
+        assert "did not converge" in err
+
+    def test_usage_errors_exit_2(self, capsys, monkeypatch):
+        from vmfhead import errors
+
+        for exc in (errors.DomainError, errors.DegenerateInput, errors.DimensionMismatch, errors.EncodingError,
+                    errors.PrecisionBudgetExceeded, errors.InstanceTooLarge, ValueError):
+            def fail(args, exc=exc):
+                raise exc("bad input")
+
+            monkeypatch.setattr(cli, "_cmd_bounds", fail)
+            assert run_cli(capsys, ["bounds"])[0] == 2
+
+
 class TestThreadEnv:
     def test_thread_count_parsing(self, monkeypatch):
         monkeypatch.setenv("VMFHEAD_THREADS", "4")

@@ -1,0 +1,80 @@
+"""One input contract: NaN, infinite, non-unit and ragged inputs are refused
+with a typed error at every entry point."""
+
+import json
+
+import numpy as np
+import pytest
+
+from vmfhead import attention as att
+from vmfhead.errors import DomainError
+from vmfhead.seq2seq import SequenceSample
+from vmfhead.sphere import SpherePoint, as_unit_vector, equal_area_partition
+
+NAN_POINT = np.array([np.nan, 0.0, 1.0])
+ANCHORS = equal_area_partition(2, 8).centers()
+VALUES = np.ones((8, 3))
+
+
+def control_points(p_alpha=ANCHORS, p_beta=VALUES, lam=4.0):
+    return att.ControlPoints(m=2, lam=lam, p_alpha=p_alpha, p_beta=p_beta)
+
+
+def artifact(**changes):
+    cp = control_points()
+    prefix = att.assemble_prefix_tokens(cp, -20.0)
+    payload = json.loads(att.export_prefix_artifact(prefix, att.build_universal_head(2, -20.0), 2, 4.0))
+    for key, edit in changes.items():
+        payload[key] = edit(payload[key])
+    return json.dumps(payload)
+
+
+def with_entry(value):
+    def edit(rows):
+        rows[0][0] = value
+        return rows
+
+    return edit
+
+
+CASES = {
+    "sphere point NaN": lambda: SpherePoint(NAN_POINT),
+    "sphere point inf": lambda: SpherePoint(np.array([np.inf, 0.0, 0.0])),
+    "unit vector NaN": lambda: as_unit_vector(NAN_POINT),
+    "anchor NaN": lambda: control_points(p_alpha=np.vstack([ANCHORS[:-1], NAN_POINT])),
+    "anchor non-unit": lambda: control_points(p_alpha=2.0 * ANCHORS),
+    "value NaN": lambda: control_points(p_beta=np.where(np.eye(8, 3) > 0, np.nan, 1.0)),
+    "value inf": lambda: control_points(p_beta=np.full((8, 3), np.inf)),
+    "lambda inf": lambda: control_points(lam=np.inf),
+    "lambda NaN": lambda: control_points(lam=np.nan),
+    "batch row NaN": lambda: att.split_head_batch(control_points(), np.vstack([ANCHORS[:2], NAN_POINT])),
+    "batch row non-unit": lambda: att.split_head_batch(control_points(), 1.5 * ANCHORS[:3]),
+    "scalar input NaN": lambda: att.split_head(control_points(), NAN_POINT),
+    "prefix token NaN": lambda: att.PrefixTokens(d=2, tokens=np.array([[np.nan, 0.0]]), M=-1.0, augmented=False),
+    "prefix token inf": lambda: att.PrefixTokens(d=2, tokens=np.array([[0.0, -np.inf]]), M=-1.0, augmented=False),
+    "suppression -inf": lambda: att.PrefixTokens(d=2, tokens=np.zeros((1, 2)), M=-np.inf, augmented=False),
+    "artifact token nan": lambda: att.import_prefix_artifact(artifact(tokens=with_entry("nan"))),
+    "artifact token -inf": lambda: att.import_prefix_artifact(artifact(tokens=with_entry("-inf"))),
+    "artifact H nan": lambda: att.import_prefix_artifact(artifact(H=with_entry("nan"))),
+    "artifact M -inf": lambda: att.import_prefix_artifact(artifact(M=lambda _: "-inf")),
+    "artifact lambda nan": lambda: att.import_prefix_artifact(artifact(**{"lambda": lambda _: "nan"})),
+    "artifact ragged tokens": lambda: att.import_prefix_artifact(artifact(tokens=lambda rows: [rows[0], rows[1][:-1]])),
+    "artifact ragged W_V": lambda: att.import_prefix_artifact(artifact(W_V=lambda rows: rows[:-1] + [rows[-1][:2]])),
+    "artifact entry not a number": lambda: att.import_prefix_artifact(artifact(tokens=with_entry("abc"))),
+    "sequence NaN": lambda: SequenceSample(2, 1, np.array([[0.5, np.nan], [0.1, 0.2]])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_rejected_with_domain_error(case):
+    with pytest.raises(DomainError):
+        CASES[case]()
+
+
+def test_valid_inputs_still_accepted():
+    """Control case: the unedited inputs behind every rejection above pass."""
+    cp = control_points()
+    assert np.all(np.isfinite(att.split_head_batch(cp, ANCHORS)))
+    prefix, params, m, lam = att.import_prefix_artifact(artifact())
+    assert (prefix.n_tokens, m, lam) == (8, 2, 4.0)
+    SequenceSample(1, 0, np.array([[0.0]]))

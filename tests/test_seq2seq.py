@@ -226,3 +226,38 @@ class TestStackAssembly:
         stack = build_seq2seq_transformer(seq_mean, 2, 1, cfg, mode="hybrid")
         with pytest.raises(DomainError):
             stack.encode_inputs(SequenceSample(3, 1, np.zeros((3, 2))))
+
+
+class TestStageTraceAndDigitCap:
+    def test_stage_trace_is_evaluate(self):
+        cfg = DigitConfig(digits=4)
+        stack = build_seq2seq_transformer(seq_mean, 3, 1, cfg, mode="hybrid")
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            s = SequenceSample(3, 1, rng.random((3, 2)))
+            trace = stack.stage_trace(s)
+            np.testing.assert_array_equal(trace["outputs"], stack.evaluate(s))
+            assert len(trace["layers"]) == 3 + 2
+            for rec in trace["layers"]:
+                assert rec["attention"].shape == rec["after_mlp"].shape == (6, stack.layout.d)
+            np.testing.assert_array_equal(trace["encoded"], stack.encode_inputs(s))
+
+    @pytest.mark.parametrize("t_len, digits", [(2, 16), (8, 4)])
+    def test_hybrid_refuses_digits_past_summation_error(self, t_len, digits):
+        # 32 ternary digits: the half digit gap 3^-32/2 is below the
+        # summation layer's rounding error, and evaluation used to decode a
+        # ternary digit 1 on some inputs.
+        with pytest.raises(InstanceTooLarge):
+            build_seq2seq_transformer(seq_mean, t_len, 0, DigitConfig(digits=digits), mode="hybrid")
+
+    def test_hybrid_admits_thirty_digits_at_two_positions(self):
+        cfg = DigitConfig(digits=15)
+        stack = build_seq2seq_transformer(seq_mean, 2, 0, cfg, mode="hybrid")
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            s = SequenceSample(2, 0, rng.random((2, 1)))
+            np.testing.assert_array_equal(stack.evaluate(s), np.stack(reference_seq2seq(seq_mean, s, cfg)))
+
+    def test_benchmark_hybrid_shape_admitted(self):
+        stack = build_seq2seq_transformer(seq_mean, 8, 0, DigitConfig(digits=3), mode="hybrid")
+        assert stack.attention_layer_count == 10
