@@ -35,14 +35,15 @@ from ..attention import (
     TransformerStack,
     transformer_eval,
 )
-from ..bounds import SmoothnessSpec
 from ..errors import DomainError, InstanceTooLarge
-from ..prefix import TargetFunction, synthesize_prefix
+from ..sphere import equal_area_partition
 from .encoding import (
     DigitConfig,
     SequenceSample,
+    apply_sequence_function,
     decode_sequence,
     psi_strided,
+    strided_bits_to_coords,
 )
 
 __all__ = ["Seq2SeqStack", "build_seq2seq_transformer"]
@@ -142,14 +143,7 @@ def _relaxed_decode(u: float, t_len: int, m: int, cfg: DigitConfig) -> np.ndarra
     """(T, m+1) coordinates decoded from an arbitrary scalar; on valid
     aggregates this agrees with the exact decoder."""
     width = t_len * (m + 1)
-    bits = _relaxed_bits(u, width * cfg.digits)
-    coords = np.zeros(width)
-    for q0 in range(width):
-        x = 0.0
-        for j in range(cfg.digits - 1, -1, -1):
-            x = (x + bits[q0 + j * width]) / 2.0
-        coords[q0] = x
-    return coords.reshape(t_len, m + 1)
+    return strided_bits_to_coords(_relaxed_bits(u, width * cfg.digits), width).reshape(t_len, m + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +362,7 @@ def _decoder_oracle(lay: _Layout, f, i0: int, t_len: int, m: int, cfg: DigitConf
             return state
         out = state.copy()
         decoded = decode_sequence(float(state[lay.val]), t_len, m, cfg)
-        y = np.asarray(f(decoded.elements), dtype=np.float64)
-        out[lay.val] = y[i0, q0 % (m + 1)]
+        out[lay.val] = apply_sequence_function(f, decoded.elements)[i0, q0 % (m + 1)]
         return out
 
     return OracleStage(fn=fn, label=f"decoder-{i0}")
@@ -429,48 +422,6 @@ class Seq2SeqStack:
         return {"encoded": states, "layers": layers, "outputs": self.readout(outputs)}
 
 
-def _circle_targets(t_len: int, m: int, cfg: DigitConfig, f):
-    """Scalar targets on S^1: the strided digit encoder and, per flat
-    coordinate, the decoder output as a function of the aggregate."""
-    width = t_len * (m + 1)
-
-    def psi_scalar(u: float) -> float:
-        return float(psi_strided(u, cfg, width))
-
-    def make_batch(fn):
-        def ev(pts):
-            out = np.zeros((pts.shape[0], 2))
-            for i in range(pts.shape[0]):
-                out[i, 0] = fn(_chart_u(pts[i]))
-            return out
-
-        return ev
-
-    spec = SmoothnessSpec(L=1.0, C_H=1.0, C_R=1.0, f_sup=1.0)
-    psi_target = TargetFunction(m=1, name="digit-encoder", eval_batch=make_batch(psi_scalar), smoothness=spec, sup_estimated=True)
-
-    def decoder_scalar(q0: int):
-        i0, p0 = divmod(q0, m + 1)
-
-        def fn(u: float) -> float:
-            y = np.asarray(f(_relaxed_decode(u, t_len, m, cfg)), dtype=np.float64)
-            return float(y[i0, p0])
-
-        return fn
-
-    decoder_targets = {
-        q0: TargetFunction(
-            m=1,
-            name=f"decoder-{q0}",
-            eval_batch=make_batch(decoder_scalar(q0)),
-            smoothness=spec,
-            sup_estimated=True,
-        )
-        for q0 in range(width)
-    }
-    return psi_target, decoder_targets
-
-
 def build_seq2seq_transformer(
     f,
     t_len: int,
@@ -527,10 +478,17 @@ def build_seq2seq_transformer(
                 )
             )
     else:
-        psi_target, decoder_targets = _circle_targets(t_len, m, cfg, f)
-        psi_cp = synthesize_prefix(psi_target, n_points, lam)
-        anchors = psi_cp.p_alpha
-        psi_values = psi_cp.p_beta[:, 0]
+        if n_points < 1:
+            raise DomainError("n_points must be >= 1")
+        if not 0 < lam < math.inf:
+            raise DomainError("lam must be positive and finite")
+        # One partition of S^1 serves every head: its centers are the anchors,
+        # and each anchor's chart value is decoded once, with f evaluated once.
+        anchors = equal_area_partition(1, n_points).centers()
+        chart = [_chart_u(z) for z in anchors]
+        psi_values = np.array([float(psi_strided(u, cfg, width)) for u in chart])
+        outputs = np.array([apply_sequence_function(f, _relaxed_decode(u, t_len, m, cfg)) for u in chart])
+        decoder_values = outputs.reshape(n_points, width)
         layers.append(
             TransformerLayer(
                 params=_encoder_layer_params(lay, lam),
@@ -548,10 +506,7 @@ def build_seq2seq_transformer(
         )
         for i0 in range(t_len):
             elem_positions = [i0 * (m + 1) + p0 for p0 in range(m + 1)]
-            value_bank = {}
-            for q0 in elem_positions:
-                cp = synthesize_prefix(decoder_targets[q0], n_points, lam)
-                value_bank[q0] = cp.p_beta[:, 0]
+            value_bank = {q0: decoder_values[:, q0] for q0 in elem_positions}
             layers.append(
                 TransformerLayer(
                     params=_decoder_layer_params(lay, lam, elem_positions),

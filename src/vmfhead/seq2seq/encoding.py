@@ -33,6 +33,8 @@ __all__ = [
     "psi_strided",
     "aggregate_R",
     "decode_sequence",
+    "strided_bits_to_coords",
+    "apply_sequence_function",
     "reference_seq2seq",
     "sequence_mean",
     "float_budget_digits",
@@ -240,16 +242,33 @@ def decode_sequence(r, t_len: int, m: int, cfg: DigitConfig) -> SequenceSample:
         digits.reverse()
     if len(digits) != total:
         raise EncodingError("digit stream length does not match the declared shape")
+    if 1 in digits:
+        raise EncodingError("ternary digit 1 found; not a Cantor encoding")
+    coords = strided_bits_to_coords([1 if d == 2 else 0 for d in digits], width)
+    return SequenceSample(t_len=t_len, m=m, elements=coords.reshape(t_len, m + 1))
+
+
+def strided_bits_to_coords(bits, width: int) -> np.ndarray:
+    """(width,) coordinates from a strided bit stream: coordinate q reads
+    bits q, q + width, q + 2 width, ... as its binary expansion, most
+    significant first."""
+    digits = len(bits) // width
     coords = np.zeros(width)
     for q0 in range(width):
         x = 0.0
-        for j in range(cfg.digits - 1, -1, -1):
-            d = digits[q0 + j * width]
-            if d == 1:
-                raise EncodingError("ternary digit 1 found; not a Cantor encoding")
-            x = (x + (1 if d == 2 else 0)) / 2.0
+        for j in range(digits - 1, -1, -1):
+            x = (x + bits[q0 + j * width]) / 2.0
         coords[q0] = x
-    return SequenceSample(t_len=t_len, m=m, elements=coords.reshape(t_len, m + 1))
+    return coords
+
+
+def apply_sequence_function(f, elements: np.ndarray) -> np.ndarray:
+    """f(elements) as a float array, refused unless it has the (T, m+1)
+    shape of its input."""
+    out = np.asarray(f(elements), dtype=np.float64)
+    if out.shape != elements.shape:
+        raise DomainError("sequence function returned a wrongly shaped output")
+    return out
 
 
 def sequence_mean(elements: np.ndarray) -> np.ndarray:
@@ -267,7 +286,5 @@ def reference_seq2seq(f, s: SequenceSample, cfg: DigitConfig) -> list[np.ndarray
     """
     r = aggregate_R(s, cfg)
     truncated = decode_sequence(r, s.t_len, s.m, cfg)
-    out = np.asarray(f(truncated.elements), dtype=np.float64)
-    if out.shape != (s.t_len, s.m + 1):
-        raise DomainError("sequence function returned a wrongly shaped output")
+    out = apply_sequence_function(f, truncated.elements)
     return [out[i] for i in range(s.t_len)]

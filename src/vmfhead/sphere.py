@@ -22,7 +22,6 @@ from .specialfn import log_gamma, reg_inc_beta
 __all__ = [
     "SpherePoint",
     "check_finite_unit",
-    "PartitionCell",
     "Partition",
     "project_to_sphere",
     "geodesic_distance",
@@ -158,54 +157,60 @@ def cap_colatitude(m: int, area: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartitionCell:
-    center: SpherePoint
-    measure: float
-    radius_bound: float
+_RADIUS_CAP = math.pi * (1.0 - 1e-12)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Decomposition of S^m into cells with centers, measures, radius bounds.
+    """Decomposition of S^m into N cells, held as three read-only arrays:
+    centers (N, m+1), measures (N,) and geodesic radius bounds (N,).
 
     measures_estimated is False for the zonal scheme (cells are equal by
-    construction) and True for the random-Voronoi fallback, whose measures
-    are Monte-Carlo estimates.
+    construction, located by the scheme's band structure) and True for the
+    random-Voronoi fallback, whose measures are Monte-Carlo estimates and
+    whose cells are located by nearest center.
     """
 
     m: int
-    cells: tuple
+    _centers: np.ndarray = field(repr=False)
+    _measures: np.ndarray = field(repr=False)
+    _radii: np.ndarray = field(repr=False)
     measures_estimated: bool = False
-    _locator: object = field(default=None, repr=False, compare=False)
+    _locator: object = field(default=None, repr=False)
+
+    def __post_init__(self):
+        for a in (self._centers, self._measures, self._radii):
+            a.setflags(write=False)
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return self._centers.shape[0]
 
     def centers(self) -> np.ndarray:
-        return np.array([c.center.coords for c in self.cells])
+        return self._centers
 
     def measures(self) -> np.ndarray:
-        return np.array([c.measure for c in self.cells])
+        return self._measures
+
+    def radii(self) -> np.ndarray:
+        return self._radii
 
     def locate(self, x) -> int:
-        """Index of the cell containing a point."""
+        """Index of the cell containing a point: one row of locate_batch."""
         xv = as_unit_vector(x)
         if xv.size != self.m + 1:
             raise DimensionMismatch("point dimension does not match partition")
-        if self._locator is not None:
-            return self._locator.locate(xv)
-        return int(np.argmax(self.centers() @ xv))
+        return int(self.locate_batch(xv[None])[0])
 
-    def locate_batch(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized cell lookup for an (n, m+1) array of unit vectors."""
+    def locate_batch(self, points) -> np.ndarray:
+        """Cell indices for an (n, m+1) array of unit vectors."""
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.m + 1:
             raise DimensionMismatch("points must have shape (n, m+1)")
+        check_finite_unit(pts)
         if self._locator is not None:
             return self._locator.locate_batch(pts)
-        return np.argmax(pts @ self.centers().T, axis=1)
+        return np.argmax(pts @ self._centers.T, axis=1)
 
     def to_json(self) -> str:
         payload = {
@@ -213,67 +218,46 @@ class Partition:
             "measures_estimated": self.measures_estimated,
             "cells": [
                 {
-                    "center": [repr(float(v)) for v in c.center.coords],
-                    "measure": repr(float(c.measure)),
-                    "radius_bound": repr(float(c.radius_bound)),
+                    "center": [repr(float(v)) for v in c],
+                    "measure": repr(float(w)),
+                    "radius_bound": repr(float(r)),
                 }
-                for c in self.cells
+                for c, w, r in zip(self._centers, self._measures, self._radii)
             ],
         }
         return json.dumps(payload)
 
     @staticmethod
     def from_json(text: str) -> "Partition":
+        """Inverse of to_json.  A zonal payload is rebuilt as
+        equal_area_partition(m, N), so the copy keeps the zonal locator, and
+        is refused unless its arrays equal the rebuilt ones bit for bit."""
         payload = json.loads(text)
-        cells = tuple(
-            PartitionCell(
-                center=SpherePoint(np.array([float(v) for v in c["center"]])),
-                measure=float(c["measure"]),
-                radius_bound=float(c["radius_bound"]),
-            )
-            for c in payload["cells"]
-        )
-        return Partition(m=int(payload["m"]), cells=cells, measures_estimated=bool(payload["measures_estimated"]))
-
-
-class _ZonalRegion:
-    """Nested colatitude-interval description of one zonal cell.
-
-    For m >= 2 a region is a colatitude band [a, b] (about the last axis)
-    crossed with a region of S^(m-1); for m = 1 it is an arc [a, b) in
-    angle.  Every level also records its center direction and a geodesic
-    radius bound.
-    """
-
-    __slots__ = ("a", "b", "sub", "center", "radius")
-
-    def __init__(self, a, b, sub, center, radius):
-        self.a = a
-        self.b = b
-        self.sub = sub
-        self.center = center
-        self.radius = radius
+        m = int(payload["m"])
+        cells = payload["cells"]
+        centers = np.array([[float(v) for v in c["center"]] for c in cells])
+        measures = np.array([float(c["measure"]) for c in cells])
+        radii = np.array([float(c["radius_bound"]) for c in cells])
+        if bool(payload["measures_estimated"]):
+            if centers.ndim != 2 or centers.shape[1] != m + 1:
+                raise DimensionMismatch("partition centers must have shape (N, m+1)")
+            return Partition(m, check_finite_unit(centers), measures, radii, measures_estimated=True)
+        part = equal_area_partition(m, len(cells))
+        if not all(
+            a.shape == b.shape and a.tobytes() == b.tobytes()
+            for a, b in ((centers, part.centers()), (measures, part.measures()), (radii, part.radii()))
+        ):
+            raise DomainError("zonal partition payload differs from equal_area_partition(m, N)")
+        return part
 
 
 class _ZonalLocator:
-    def __init__(self, m, regions, boundaries, groups):
-        self.m = m
-        self.regions = regions
+    """Band lookup by colatitude about the last axis, then a sub-locator
+    on S^(m-1) inside each collar."""
+
+    def __init__(self, boundaries, groups):
         self.boundaries = boundaries  # colatitude boundaries incl. 0 and pi
         self.groups = groups  # list of (first_index, count, sub-locator or None)
-
-    def locate(self, xv: np.ndarray) -> int:
-        theta = math.acos(min(1.0, max(-1.0, float(xv[-1]))))
-        band = int(np.searchsorted(self.boundaries, theta, side="right")) - 1
-        band = min(max(band, 0), len(self.groups) - 1)
-        first, count, sub = self.groups[band]
-        if sub is None or count == 1:
-            return first
-        horiz = xv[:-1]
-        n = np.linalg.norm(horiz)
-        if n == 0.0:
-            return first
-        return first + sub.locate(horiz / n)
 
     def locate_batch(self, pts: np.ndarray) -> np.ndarray:
         theta = np.arccos(np.clip(pts[:, -1], -1.0, 1.0))
@@ -297,56 +281,37 @@ class _ArcLocator:
     def __init__(self, n):
         self.n = n
 
-    def locate(self, xv: np.ndarray) -> int:
-        phi = math.atan2(float(xv[1]), float(xv[0])) % (2.0 * math.pi)
-        return min(int(phi / (2.0 * math.pi / self.n)), self.n - 1)
-
     def locate_batch(self, pts: np.ndarray) -> np.ndarray:
         phi = np.arctan2(pts[:, 1], pts[:, 0]) % (2.0 * math.pi)
         return np.minimum((phi / (2.0 * math.pi / self.n)).astype(np.int64), self.n - 1)
 
 
 def _partition_circle(n: int):
-    """n equal arcs of the circle; returns (regions, locator)."""
+    """n equal arcs of the circle; returns (centers, radii, locator)."""
     width = 2.0 * math.pi / n
-    regions = []
-    for k in range(n):
-        a = k * width
-        mid = a + width / 2.0
-        center = np.array([math.cos(mid), math.sin(mid)])
-        regions.append(_ZonalRegion(a, a + width, None, center, min(width / 2.0, math.pi)))
-    return regions, _ArcLocator(n)
-
-
-def _embed_center(direction: np.ndarray, theta: float) -> np.ndarray:
-    out = np.empty(direction.size + 1)
-    out[:-1] = math.sin(theta) * direction
-    out[-1] = math.cos(theta)
-    return out
+    centers = np.array([[math.cos(mid), math.sin(mid)] for mid in (k * width + width / 2.0 for k in range(n))])
+    return centers, np.full(n, min(width / 2.0, math.pi)), _ArcLocator(n)
 
 
 def _partition_recursive(m: int, n: int):
     """Equal-measure zonal partition of S^m into n cells.
 
-    Returns (regions, locator); all cells have measure w_m / n exactly by
-    construction (colatitude boundaries are refit from cumulative cell
-    counts, and the within-collar split recurses on S^(m-1)).
+    Returns (centers, radii, locator): unnormalized cell center directions
+    (n, m+1), geodesic radius bounds (n,), and the band locator.  All cells
+    have measure w_m / n exactly by construction (colatitude boundaries are
+    refit from cumulative cell counts, and the within-collar split recurses
+    on S^(m-1)).
     """
     if m == 1:
         return _partition_circle(n)
     w = surface_area(m)
-    pole_n = np.zeros(m + 1)
-    pole_n[-1] = 1.0
+    pole = np.zeros((1, m + 1))
+    pole[0, -1] = 1.0
     if n == 1:
-        region = _ZonalRegion(0.0, math.pi, None, pole_n.copy(), math.pi)
-        return [region], _ZonalLocator(m, [region], np.array([0.0, math.pi]), [(0, 1, None)])
+        return pole, np.array([math.pi]), _ZonalLocator(np.array([0.0, math.pi]), [(0, 1, None)])
     if n == 2:
-        south = -pole_n
-        regions = [
-            _ZonalRegion(0.0, math.pi / 2.0, None, pole_n.copy(), math.pi / 2.0),
-            _ZonalRegion(math.pi / 2.0, math.pi, None, south, math.pi / 2.0),
-        ]
-        return regions, _ZonalLocator(m, regions, np.array([0.0, math.pi / 2.0, math.pi]), [(0, 1, None), (1, 1, None)])
+        locator = _ZonalLocator(np.array([0.0, math.pi / 2.0, math.pi]), [(0, 1, None), (1, 1, None)])
+        return np.vstack([pole, -pole]), np.full(2, math.pi / 2.0), locator
 
     v_r = w / n
     theta_c = cap_colatitude(m, v_r)
@@ -380,26 +345,26 @@ def _partition_recursive(m: int, n: int):
     boundaries.append(south_colat)
     boundaries.append(math.pi)
 
-    regions = [_ZonalRegion(0.0, theta_c, None, pole_n.copy(), theta_c)]
+    centers = [pole]
+    radii = [np.array([theta_c])]
     groups = [(0, 1, None)]
     index = 1
     for j, cj in enumerate(counts):
         a, b = boundaries[1 + j], boundaries[2 + j]
-        sub_regions, sub_locator = _partition_recursive(m - 1, cj)
+        sub_centers, sub_radii, sub_locator = _partition_recursive(m - 1, cj)
         theta_mid = 0.5 * (a + b)
         sin_max = 1.0 if a <= math.pi / 2.0 <= b else max(math.sin(a), math.sin(b))
-        half_band = 0.5 * (b - a)
-        for sr in sub_regions:
-            center = _embed_center(sr.center, theta_mid)
-            radius = min(half_band + sin_max * sr.radius, math.pi)
-            regions.append(_ZonalRegion(a, b, sr, center, radius))
+        collar = np.empty((cj, m + 1))
+        collar[:, :-1] = math.sin(theta_mid) * sub_centers
+        collar[:, -1] = math.cos(theta_mid)
+        centers.append(collar)
+        radii.append(np.minimum(0.5 * (b - a) + sin_max * sub_radii, math.pi))
         groups.append((index, cj, sub_locator))
         index += cj
-    regions.append(_ZonalRegion(south_colat, math.pi, None, -pole_n, math.pi - south_colat))
+    centers.append(-pole)
+    radii.append(np.array([math.pi - south_colat]))
     groups.append((index, 1, None))
-
-    locator = _ZonalLocator(m, regions, np.array(boundaries), groups)
-    return regions, locator
+    return np.vstack(centers), np.concatenate(radii), _ZonalLocator(np.array(boundaries), groups)
 
 
 def equal_area_partition(m: int, n: int, seed: int = 0, method: str = "zonal") -> Partition:
@@ -417,16 +382,12 @@ def equal_area_partition(m: int, n: int, seed: int = 0, method: str = "zonal") -
         raise DomainError(f"equal_area_partition requires N >= 1, got {n}")
     w = surface_area(m)
     if method == "zonal":
-        regions, locator = _partition_recursive(m, n)
-        cells = tuple(
-            PartitionCell(
-                center=project_to_sphere(r.center),
-                measure=w / n,
-                radius_bound=min(r.radius, math.pi * (1.0 - 1e-12)),
-            )
-            for r in regions
-        )
-        return Partition(m=m, cells=cells, measures_estimated=False, _locator=locator)
+        directions, radii, locator = _partition_recursive(m, n)
+        # Row-wise sqrt(<c, c>) as a stacked matmul rounds like np.linalg.norm of
+        # a single row; norm(axis=1) and einsum differ from it by an ulp.
+        norms = np.sqrt((directions[:, None, :] @ directions[:, :, None])[:, 0, 0])
+        centers = directions / norms[:, None]
+        return Partition(m, centers, np.full(n, w / n), np.minimum(radii, _RADIUS_CAP), False, locator)
     if method == "random-voronoi":
         centers = uniform_sphere_sample(m, n, seed)
         probe = uniform_sphere_sample(m, max(200 * n, 20000), seed + 1)
@@ -437,15 +398,8 @@ def equal_area_partition(m: int, n: int, seed: int = 0, method: str = "zonal") -
         gram = np.clip(centers @ centers.T, -1.0, 1.0)
         np.fill_diagonal(gram, -1.0)
         radii = np.arccos(np.max(gram, axis=1)) if n > 1 else np.array([math.pi])
-        cells = tuple(
-            PartitionCell(
-                center=SpherePoint(centers[i]),
-                measure=w * counts[i] / probe.shape[0],
-                radius_bound=min(float(radii[i]), math.pi * (1.0 - 1e-12)),
-            )
-            for i in range(n)
-        )
-        return Partition(m=m, cells=cells, measures_estimated=True)
+        measures = w * counts / probe.shape[0]
+        return Partition(m, centers, measures, np.minimum(radii, _RADIUS_CAP), measures_estimated=True)
     raise DomainError(f"unknown partition method: {method}")
 
 

@@ -118,7 +118,7 @@ class TestCoveringBounds:
         """N caps at the partition's radius bound cover the sphere, so N
         must dominate the covering lower bound at that radius."""
         part = equal_area_partition(8, 512)
-        r_max = max(c.radius_bound for c in part.cells)
+        r_max = float(np.max(part.radii()))
         delta = min(1.0 - 1e-9, 1.0 - math.cos(r_max))
         lo, _ = covering_bounds(8, delta) if delta < 1 else (2.0, None)
         assert lo <= part.n_cells

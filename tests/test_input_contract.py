@@ -62,6 +62,8 @@ CASES = {
     "artifact ragged W_V": lambda: att.import_prefix_artifact(artifact(W_V=lambda rows: rows[:-1] + [rows[-1][:2]])),
     "artifact entry not a number": lambda: att.import_prefix_artifact(artifact(tokens=with_entry("abc"))),
     "sequence NaN": lambda: SequenceSample(2, 1, np.array([[0.5, np.nan], [0.1, 0.2]])),
+    "partition locate_batch NaN row": lambda: equal_area_partition(2, 8).locate_batch(np.vstack([ANCHORS[:2], NAN_POINT])),
+    "partition locate_batch non-unit row": lambda: equal_area_partition(2, 8).locate_batch(np.array([[0.0, 0.0, 3.0]])),
 }
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vmfhead.errors import DomainError, EncodingError, InstanceTooLarge, PrecisionBudgetExceeded
+from vmfhead.sphere import equal_area_partition
 from vmfhead.seq2seq import (
     DigitConfig,
     RAggregate,
@@ -261,3 +262,41 @@ class TestStageTraceAndDigitCap:
     def test_benchmark_hybrid_shape_admitted(self):
         stack = build_seq2seq_transformer(seq_mean, 8, 0, DigitConfig(digits=3), mode="hybrid")
         assert stack.attention_layer_count == 10
+
+
+def seq_wrong_width(elements):
+    return np.zeros((elements.shape[0], elements.shape[1] + 1))
+
+
+class TestFullModeBuild:
+    @pytest.mark.parametrize(
+        "f, n_points, lam",
+        [
+            (seq_mean, 64, 0.0),
+            (seq_mean, 64, math.inf),
+            (seq_mean, 64, math.nan),
+            (seq_mean, 0, 2.0e5),
+            (seq_wrong_width, 64, 2.0e5),
+            (lambda e: e[0], 64, 2.0e5),
+            (lambda e: 0.5, 64, 2.0e5),
+        ],
+        ids=["lam 0", "lam inf", "lam NaN", "n_points 0", "output too wide", "output one row", "output scalar"],
+    )
+    def test_refusals(self, f, n_points, lam):
+        with pytest.raises(DomainError):
+            build_seq2seq_transformer(f, 2, 1, DigitConfig(digits=2), n_points=n_points, lam=lam, mode="full")
+
+    def test_one_partition_and_one_f_call_per_anchor(self, monkeypatch):
+        import vmfhead.seq2seq.assembly as asm
+
+        partitions = []
+        monkeypatch.setattr(asm, "equal_area_partition", lambda *a: partitions.append(a) or equal_area_partition(*a))
+        calls = []
+
+        def counted_mean(elements):
+            calls.append(elements.shape)
+            return seq_mean(elements)
+
+        build_seq2seq_transformer(counted_mean, 3, 1, DigitConfig(digits=2), n_points=64, mode="full")
+        assert partitions == [(1, 64)]
+        assert calls == [(3, 2)] * 64

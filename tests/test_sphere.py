@@ -1,10 +1,13 @@
 """Sphere geometry: points, caps, partitions, sampling, chart maps."""
 
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vmfhead.errors import DegenerateInput, DimensionMismatch, DomainError, PoleSingularity
 from vmfhead.sphere import (
@@ -79,13 +82,13 @@ class TestEqualAreaPartition:
     def test_single_cell(self):
         p = equal_area_partition(2, 1)
         assert p.n_cells == 1
-        np.testing.assert_allclose(p.cells[0].measure, surface_area(2), rtol=1e-14)
+        np.testing.assert_allclose(p.measures()[0], surface_area(2), rtol=1e-14)
 
     def test_two_hemispheres(self):
         p = equal_area_partition(2, 2)
         assert p.n_cells == 2
-        for c in p.cells:
-            np.testing.assert_allclose(c.measure, 2 * math.pi, rtol=1e-14)
+        for w in p.measures():
+            np.testing.assert_allclose(w, 2 * math.pi, rtol=1e-14)
 
     def test_measures_and_radii(self):
         for m, n in ((1, 17), (2, 100), (3, 64), (4, 128), (8, 512)):
@@ -94,13 +97,13 @@ class TestEqualAreaPartition:
             measures = p.measures()
             np.testing.assert_allclose(measures.sum(), surface_area(m), rtol=1e-6)
             np.testing.assert_allclose(measures, surface_area(m) / n, rtol=1e-9)
-            assert all(c.radius_bound < math.pi for c in p.cells)
+            assert all(r < math.pi for r in p.radii())
 
     def test_centers_inside_cells(self):
         for m, n in ((2, 100), (3, 50), (4, 128)):
             p = equal_area_partition(m, n)
-            for i, c in enumerate(p.cells):
-                assert p.locate(c.center) == i
+            for i, c in enumerate(p.centers()):
+                assert p.locate(c) == i
 
     def test_monte_carlo_measures(self):
         """Cell membership counts over 1e6 uniform points match the equal
@@ -128,11 +131,92 @@ class TestEqualAreaPartition:
         p = equal_area_partition(2, 12)
         q = Partition.from_json(p.to_json())
         assert q.m == p.m and q.n_cells == p.n_cells
-        for a, b in zip(p.cells, q.cells):
-            assert np.array_equal(a.center.coords, b.center.coords)
-            assert a.measure == b.measure and a.radius_bound == b.radius_bound
+        for a, b in zip((p.centers(), p.measures(), p.radii()), (q.centers(), q.measures(), q.radii())):
+            assert np.array_equal(a, b)
+        pts = uniform_sphere_sample(2, 10**4, seed=6)
+        assert np.array_equal(q.locate_batch(pts), p.locate_batch(pts))
         payload = json.loads(p.to_json())
         assert set(payload) == {"m", "measures_estimated", "cells"}
+
+    def test_json_edited_zonal_payload_refused(self):
+        def center_one_ulp_off(payload):
+            c = payload["cells"][3]["center"]
+            c[0] = repr(float(np.nextafter(float(c[0]), 2.0)))
+
+        text = equal_area_partition(2, 12).to_json()
+        for edit in (
+            center_one_ulp_off,
+            lambda payload: payload["cells"][0].update(radius_bound="3.0"),
+            lambda payload: payload.update(m=3),
+        ):
+            payload = json.loads(text)
+            edit(payload)
+            with pytest.raises(DomainError):
+                Partition.from_json(json.dumps(payload))
+
+    def test_json_round_trip_estimated(self):
+        p = equal_area_partition(2, 24, seed=3, method="random-voronoi")
+        q = Partition.from_json(p.to_json())
+        assert q.measures_estimated
+        for a, b in zip((p.centers(), p.measures(), p.radii()), (q.centers(), q.measures(), q.radii())):
+            assert np.array_equal(a, b)
+        pts = uniform_sphere_sample(2, 1000, seed=8)
+        assert np.array_equal(q.locate_batch(pts), p.locate_batch(pts))
+
+    def test_arrays_read_only_and_identity_equality(self):
+        p = equal_area_partition(2, 8)
+        assert p.centers() is p.centers()
+        for a in (p.centers(), p.measures(), p.radii()):
+            assert not a.flags.writeable
+        assert p == p
+        assert p != equal_area_partition(2, 8)
+
+
+@functools.lru_cache(maxsize=None)
+def _partition(m, n):
+    return equal_area_partition(m, n)
+
+
+@st.composite
+def _partition_and_point(draw):
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 300))
+    raw = draw(
+        st.lists(st.floats(-1.0, 1.0), min_size=m + 1, max_size=m + 1).filter(lambda v: np.linalg.norm(v) > 1e-3)
+    )
+    return m, n, np.array(raw) / np.linalg.norm(raw)
+
+
+_SIZES = st.tuples(st.integers(1, 4), st.integers(1, 300))
+_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+class TestPartitionProperties:
+    @_PROPERTY
+    @given(_partition_and_point())
+    def test_locate_is_a_row_of_locate_batch(self, case):
+        m, n, x = case
+        p = _partition(m, n)
+        assert p.locate(x) == p.locate_batch(x[None])[0]
+
+    @_PROPERTY
+    @given(_SIZES)
+    def test_centers_locate_to_their_own_cell(self, size):
+        p = _partition(*size)
+        assert np.array_equal(p.locate_batch(p.centers()), np.arange(p.n_cells))
+
+    @_PROPERTY
+    @given(_SIZES)
+    def test_measures_sum_to_surface_area(self, size):
+        m, n = size
+        p = _partition(m, n)
+        assert p.n_cells == n
+        np.testing.assert_allclose(p.measures().sum(), surface_area(m), rtol=1e-12)
+
+    @_PROPERTY
+    @given(_SIZES)
+    def test_radii_below_pi(self, size):
+        assert np.all(_partition(*size).radii() < math.pi)
 
 
 class TestUniformSampling:
