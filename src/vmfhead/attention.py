@@ -164,10 +164,10 @@ class TransformerLayer:
 
 @dataclass(frozen=True)
 class TransformerStack:
-    """Alternating attention heads and element-wise MLP stages."""
+    """Alternating attention heads and element-wise MLP stages; an MLP
+    applies ReLU between consecutive affine maps."""
 
     layers: tuple
-    activation: str = "relu"
     meta: dict = field(default_factory=dict)
 
     @property
@@ -355,14 +355,7 @@ def default_suppression(lam: float, n_points: int, extra: float = 30.0) -> float
 # Transformer stacks
 # ---------------------------------------------------------------------------
 
-_ACTIVATIONS = {
-    "relu": lambda x: np.maximum(x, 0.0),
-    "identity": lambda x: x,
-}
-
-
-def _apply_mlp(X: np.ndarray, stages, activation: str) -> np.ndarray:
-    act = _ACTIVATIONS[activation]
+def _apply_mlp(X: np.ndarray, stages) -> np.ndarray:
     prev_affine = False
     for stage in stages:
         if isinstance(stage, OracleStage):
@@ -371,7 +364,7 @@ def _apply_mlp(X: np.ndarray, stages, activation: str) -> np.ndarray:
             continue
         A, b = stage
         if prev_affine:
-            X = act(X)
+            X = np.maximum(X, 0.0)
         X = X @ np.asarray(A).T + np.asarray(b)
         prev_affine = True
     return X
@@ -389,7 +382,7 @@ def transformer_eval(stack: TransformerStack, inputs, record: list | None = None
     for layer in stack.layers:
         X = attention = np.stack(classical_head(X, layer.prefix, layer.params))
         if layer.mlp:
-            X = _apply_mlp(X, layer.mlp, stack.activation)
+            X = _apply_mlp(X, layer.mlp)
         if record is not None:
             record.append({"attention": attention, "after_mlp": X})
     return [X[i] for i in range(X.shape[0])]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, OverflowWarning, PermissiveModeWarning
 from .kernel import vmf_log_normalizer
-from .specialfn import reg_inc_beta
+from .sphere import cap_area, surface_area
 
 __all__ = [
     "SmoothnessSpec",
@@ -162,16 +162,15 @@ def prefix_length_bound(
 def covering_bounds(m: int, delta: float) -> tuple[float, float]:
     """(lower, upper) bounds on the cap covering number of S^m at depth delta.
 
-    lower = 2 / I_{delta(2-delta)}(m/2, 1/2) (area comparison), and
+    lower = w_m / (area of a cap of depth delta) (area comparison), and
     upper = Phi(m) / (delta(2-delta))^((m+1)/2) (ball-covering transfer).
     """
     if m < 8:
         raise DomainError(f"covering_bounds requires m >= 8, got {m}")
     if not (0.0 < delta < 1.0):
         raise DomainError(f"covering_bounds requires delta in (0, 1), got {delta}")
-    s2 = delta * (2.0 - delta)
-    lower = 2.0 / reg_inc_beta(s2, m / 2.0, 0.5)
-    upper = phi(m) / s2 ** ((m + 1) / 2.0)
+    lower = surface_area(m) / cap_area(m, delta)
+    upper = phi(m) / (delta * (2.0 - delta)) ** ((m + 1) / 2.0)
     return lower, upper
 
 

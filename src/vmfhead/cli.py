@@ -59,15 +59,6 @@ def _stage_seed(seed: int, stage: int) -> int:
     return int(np.random.SeedSequence([seed, stage]).generate_state(1)[0])
 
 
-def thread_count() -> int:
-    """Worker count for data-parallel evaluation batches."""
-    raw = os.environ.get("VMFHEAD_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _cmd_approximate(args) -> int:
     cfg = _load_config(args.config)
     name = _cfg_value(args, cfg, "target")
@@ -80,7 +71,7 @@ def _cmd_approximate(args) -> int:
     samples = int(_cfg_value(args, cfg, "samples", 2048))
     seed = int(_cfg_value(args, cfg, "seed", 0))
     target = pfx.make_target(name, m)
-    report, cp = pfx.run_approximation(target, n_points, lam, samples, _stage_seed(seed, 1), workers=thread_count())
+    report, cp = pfx.run_approximation(target, n_points, lam, samples, _stage_seed(seed, 1))
     report = dataclasses.replace(report, seed=seed)
     if args.out_csv:
         new = not os.path.exists(args.out_csv)
@@ -129,7 +120,7 @@ def _cmd_sweep(args) -> int:
     rows = []
     for lam in sorted(float(v) for v in lams):
         for n_points in sorted(int(v) for v in ns):
-            report, _ = pfx.run_approximation(target, n_points, lam, samples, _stage_seed(seed, 1), workers=thread_count())
+            report, _ = pfx.run_approximation(target, n_points, lam, samples, _stage_seed(seed, 1))
             report = dataclasses.replace(report, seed=seed)
             rows.append(pfx.report_csv_row(report, include_wall_time=False))
     out = sys.stdout if args.out is None else open(args.out, "w", newline="", encoding="utf-8")
@@ -248,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "CSV schemas: sweep rows are (name, m, lambda, N, sup_error, mean_error, "
             "samples, seed) sorted by (lambda, N); approximate appends "
-            "(..., wall_time_ms); bounds rows are (epsilon, lambda, log10_N). "
-            "Set VMFHEAD_THREADS to control evaluation parallelism."
+            "(..., wall_time_ms); bounds rows are (epsilon, lambda, log10_N)."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -204,14 +204,14 @@ def make_target(name: str, m: int, **kwargs) -> TargetFunction:
 # ---------------------------------------------------------------------------
 
 
-def synthesize_prefix(f: TargetFunction, n_points: int, lam: float, seed: int = 0) -> ControlPoints:
+def synthesize_prefix(f: TargetFunction, n_points: int, lam: float) -> ControlPoints:
     """Split-head control points: anchors at equal-area cell centers,
     values = target at the anchors."""
     if n_points < 1:
         raise DomainError("n_points must be >= 1")
     if not lam > 0:
         raise DomainError("lam must be positive")
-    part = equal_area_partition(f.m, n_points, seed)
+    part = equal_area_partition(f.m, n_points)
     centers = part.centers()
     return ControlPoints(m=f.m, lam=float(lam), p_alpha=centers, p_beta=f(centers))
 
@@ -269,7 +269,7 @@ def synthesize_for_accuracy(
     return synthesize_prefix(f, int(math.ceil(plan["n"])), plan["lambda"])
 
 
-def sup_error_estimate(f: TargetFunction, approx, n_samples: int, seed: int, workers: int = 1):
+def sup_error_estimate(f: TargetFunction, approx, n_samples: int, seed: int):
     """(sup, mean) of ||f(x) - approx(x)||_2 over uniform samples.
 
     approx takes an (n, m+1) batch and returns an (n, m+1) batch.  The
@@ -277,27 +277,14 @@ def sup_error_estimate(f: TargetFunction, approx, n_samples: int, seed: int, wor
     so the sup estimate can only grow with more samples.  Both values are
     lower bounds on the true sup norm.
 
-    Evaluation always runs over a fixed chunking of the sample batch;
-    workers > 1 maps the chunks onto a thread pool, and the merged result
-    is identical for every worker count.
+    The batch is evaluated in 16 chunks, so the intermediate arrays (a
+    head's logits among them) hold a sixteenth of it at a time.
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
     pts = uniform_sphere_sample(f.m, n_samples, seed)
-    n_chunks = min(16, n_samples)
-    chunks = np.array_split(pts, n_chunks)
-
-    def chunk_errors(chunk):
-        return np.linalg.norm(f(chunk) - np.atleast_2d(approx(chunk)), axis=1)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(chunk_errors, chunks))
-    else:
-        parts = [chunk_errors(c) for c in chunks]
-    errs = np.concatenate(parts)
+    chunks = np.array_split(pts, min(16, n_samples))
+    errs = np.concatenate([np.linalg.norm(f(c) - np.atleast_2d(approx(c)), axis=1) for c in chunks])
     return float(errs.max()), float(errs.mean())
 
 
@@ -329,12 +316,12 @@ def element_wise_extend(cp: ControlPoints, M: float | None = None):
 
 
 def run_approximation(
-    f: TargetFunction, n_points: int, lam: float, n_samples: int, seed: int, workers: int = 1
+    f: TargetFunction, n_points: int, lam: float, n_samples: int, seed: int
 ) -> tuple[ApproximationReport, ControlPoints]:
     """Synthesize, estimate errors, and wrap the result in a report."""
     t0 = time.perf_counter()
-    cp = synthesize_prefix(f, n_points, lam, seed)
-    sup, mean = sup_error_estimate(f, lambda pts: split_head_batch(cp, pts), n_samples, seed, workers=workers)
+    cp = synthesize_prefix(f, n_points, lam)
+    sup, mean = sup_error_estimate(f, lambda pts: split_head_batch(cp, pts), n_samples, seed)
     wall = (time.perf_counter() - t0) * 1000.0
     report = ApproximationReport(
         name=f.name,

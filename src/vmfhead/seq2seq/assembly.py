@@ -517,7 +517,6 @@ def build_seq2seq_transformer(
 
     transformer = TransformerStack(
         layers=tuple(layers),
-        activation="relu",
         meta={"t_len": t_len, "m": m, "digits": cfg.digits, "mode": mode},
     )
     return Seq2SeqStack(transformer=transformer, t_len=t_len, m=m, cfg=cfg, mode=mode, layout=lay)

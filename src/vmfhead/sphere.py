@@ -111,45 +111,70 @@ def surface_area(m: int) -> float:
     return math.exp(math.log(2.0) + h * math.log(math.pi) - log_gamma(h))
 
 
-def cap_area(m: int, delta: float) -> float:
-    """Area of the cap {y : <y, pole> >= 1 - delta} for delta in (0, 1].
+def _cap_measure(m: int, s2: float, c: float) -> float:
+    """Area of the cap of colatitude phi on S^m from s2 = sin^2 phi and
+    c = cos phi: w_m/2 * I_{s2}(m/2, 1/2) near a pole, and the same value as
+    w_m/2 * (1 - I_{c^2}(1/2, m/2)) near the equator, where sin^2 is flat."""
+    w = surface_area(m)
+    if s2 < 0.5:
+        half = 0.5 * w * reg_inc_beta(s2, m / 2.0, 0.5)
+    else:
+        half = 0.5 * w * (1.0 - reg_inc_beta(c * c, 0.5, m / 2.0))
+    return half if c >= 0.0 else w - half
 
-    With colatitude phi = arccos(1 - delta) the area is
-    w_m/2 * I_{sin^2 phi}(m/2, 1/2), and sin^2 phi = delta(2 - delta).
-    """
+
+def cap_area(m: int, delta: float) -> float:
+    """Area of the cap {y : <y, pole> >= 1 - delta} for delta in (0, 1]:
+    colatitude phi = arccos(1 - delta), so sin^2 phi = delta(2 - delta)."""
     if m < 1:
         raise DomainError(f"cap_area requires m >= 1, got {m}")
     if not (0.0 < delta <= 1.0):
         raise DomainError(f"cap_area requires delta in (0, 1], got {delta}")
-    s2 = delta * (2.0 - delta)
-    return 0.5 * surface_area(m) * reg_inc_beta(min(s2, 1.0), m / 2.0, 0.5)
+    return _cap_measure(m, delta * (2.0 - delta), 1.0 - delta)
 
 
 def _colat_area(m: int, theta: float) -> float:
     """Area of the colatitude cap [0, theta] about the pole, theta in [0, pi]."""
-    if theta <= 0.0:
-        return 0.0
-    if theta >= math.pi:
-        return surface_area(m)
-    w = surface_area(m)
-    s2 = math.sin(theta) ** 2
-    half = 0.5 * w * reg_inc_beta(min(s2, 1.0), m / 2.0, 0.5)
-    return half if theta <= math.pi / 2.0 else w - half
+    return _cap_measure(m, math.sin(theta) ** 2, math.cos(theta))
 
 
 def cap_colatitude(m: int, area: float) -> float:
-    """Inverse of the colatitude-cap area, by bisection on [0, pi]."""
+    """Inverse of the colatitude-cap area on [0, pi].
+
+    Newton's method with the closed-form derivative w_(m-1) sin^(m-1) theta
+    (2 on the circle), keeping a bracket [lo, hi] around the root and taking
+    a bisection step whenever an iterate would leave it.  It stops after a
+    Newton step below 1e-9 of theta: convergence is quadratic there, so the
+    error left is of the order of that step squared.
+    """
     w = surface_area(m)
     if not (0.0 <= area <= w * (1.0 + 1e-12)):
         raise DomainError(f"cap area {area} outside [0, {w}]")
-    lo, hi = 0.0, math.pi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _colat_area(m, mid) < area:
-            lo = mid
+    if area <= 0.0:
+        return 0.0
+    if area >= w:
+        return math.pi
+    slope = 2.0 if m == 1 else surface_area(m - 1)
+    lo, hi, theta = 0.0, math.pi, 0.5 * math.pi
+    for _ in range(100):
+        err = _colat_area(m, theta) - area
+        if err == 0.0:
+            return theta
+        if err < 0.0:
+            lo = theta
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = theta
+        d = slope * math.sin(theta) ** (m - 1)
+        new = theta - err / d if d > 0.0 else lo
+        if lo < new < hi:
+            if abs(new - theta) <= 1e-9 * new:
+                return new
+        else:
+            new = 0.5 * (lo + hi)
+        if new == theta:
+            return theta
+        theta = new
+    return theta
 
 
 # ---------------------------------------------------------------------------
@@ -163,20 +188,15 @@ _RADIUS_CAP = math.pi * (1.0 - 1e-12)
 @dataclass(frozen=True, eq=False)
 class Partition:
     """Decomposition of S^m into N cells, held as three read-only arrays:
-    centers (N, m+1), measures (N,) and geodesic radius bounds (N,).
-
-    measures_estimated is False for the zonal scheme (cells are equal by
-    construction, located by the scheme's band structure) and True for the
-    random-Voronoi fallback, whose measures are Monte-Carlo estimates and
-    whose cells are located by nearest center.
+    centers (N, m+1), measures (N,) and geodesic radius bounds (N,), plus
+    the zonal scheme's band locator.
     """
 
     m: int
     _centers: np.ndarray = field(repr=False)
     _measures: np.ndarray = field(repr=False)
     _radii: np.ndarray = field(repr=False)
-    measures_estimated: bool = False
-    _locator: object = field(default=None, repr=False)
+    _locator: object = field(repr=False)
 
     def __post_init__(self):
         for a in (self._centers, self._measures, self._radii):
@@ -207,15 +227,11 @@ class Partition:
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.m + 1:
             raise DimensionMismatch("points must have shape (n, m+1)")
-        check_finite_unit(pts)
-        if self._locator is not None:
-            return self._locator.locate_batch(pts)
-        return np.argmax(pts @ self._centers.T, axis=1)
+        return self._locator.locate_batch(check_finite_unit(pts))
 
     def to_json(self) -> str:
         payload = {
             "m": self.m,
-            "measures_estimated": self.measures_estimated,
             "cells": [
                 {
                     "center": [repr(float(v)) for v in c],
@@ -229,19 +245,18 @@ class Partition:
 
     @staticmethod
     def from_json(text: str) -> "Partition":
-        """Inverse of to_json.  A zonal payload is rebuilt as
+        """Inverse of to_json.  The payload is rebuilt as
         equal_area_partition(m, N), so the copy keeps the zonal locator, and
         is refused unless its arrays equal the rebuilt ones bit for bit."""
-        payload = json.loads(text)
-        m = int(payload["m"])
-        cells = payload["cells"]
-        centers = np.array([[float(v) for v in c["center"]] for c in cells])
-        measures = np.array([float(c["measure"]) for c in cells])
-        radii = np.array([float(c["radius_bound"]) for c in cells])
-        if bool(payload["measures_estimated"]):
-            if centers.ndim != 2 or centers.shape[1] != m + 1:
-                raise DimensionMismatch("partition centers must have shape (N, m+1)")
-            return Partition(m, check_finite_unit(centers), measures, radii, measures_estimated=True)
+        try:
+            payload = json.loads(text)
+            m = int(payload["m"])
+            cells = payload["cells"]
+            centers = np.array([[float(v) for v in c["center"]] for c in cells], dtype=np.float64)
+            measures = np.array([float(c["measure"]) for c in cells])
+            radii = np.array([float(c["radius_bound"]) for c in cells])
+        except (KeyError, TypeError, ValueError):
+            raise DomainError("partition payload has missing keys, ragged rows or non-numeric entries") from None
         part = equal_area_partition(m, len(cells))
         if not all(
             a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -318,15 +333,16 @@ def _partition_recursive(m: int, n: int):
     delta_i = v_r ** (1.0 / m)
     n_collars = max(1, round((math.pi - 2.0 * theta_c) / delta_i))
 
-    # Ideal cell counts per collar, rounded with a running remainder so the
-    # total is exact.
+    # Ideal cell counts per collar, rounded half up with a running remainder
+    # so the total is exact; the 1e-9 allowance keeps exact ties (such as two
+    # collars of 30.5 cells) from being split by rounding noise in the areas.
     ideal_bounds = [theta_c + i * (math.pi - 2.0 * theta_c) / n_collars for i in range(n_collars + 1)]
     counts = []
     remainder = 0.0
     budget = n - 2
     for i in range(n_collars):
         ideal = (_colat_area(m, ideal_bounds[i + 1]) - _colat_area(m, ideal_bounds[i])) / v_r
-        ni = int(round(ideal + remainder))
+        ni = math.floor(ideal + remainder + 0.5 + 1e-9)
         ni = min(max(ni, 0), budget - sum(counts))
         remainder += ideal - ni
         counts.append(ni)
@@ -367,40 +383,19 @@ def _partition_recursive(m: int, n: int):
     return np.vstack(centers), np.concatenate(radii), _ZonalLocator(np.array(boundaries), groups)
 
 
-def equal_area_partition(m: int, n: int, seed: int = 0, method: str = "zonal") -> Partition:
-    """Partition S^m into n cells.
-
-    method="zonal" (default) gives exactly equal measures and per-cell
-    geodesic radius bounds; the construction is deterministic and ignores
-    the seed.  method="random-voronoi" draws n uniform centers and
-    estimates Voronoi-cell measures by Monte Carlo; those measures are
-    flagged as estimates.
-    """
+def equal_area_partition(m: int, n: int) -> Partition:
+    """Partition S^m into n cells of exactly equal measure w_m / n, with
+    per-cell geodesic radius bounds; the construction is deterministic."""
     if m < 1:
         raise DomainError(f"equal_area_partition requires m >= 1, got {m}")
     if n < 1:
         raise DomainError(f"equal_area_partition requires N >= 1, got {n}")
-    w = surface_area(m)
-    if method == "zonal":
-        directions, radii, locator = _partition_recursive(m, n)
-        # Row-wise sqrt(<c, c>) as a stacked matmul rounds like np.linalg.norm of
-        # a single row; norm(axis=1) and einsum differ from it by an ulp.
-        norms = np.sqrt((directions[:, None, :] @ directions[:, :, None])[:, 0, 0])
-        centers = directions / norms[:, None]
-        return Partition(m, centers, np.full(n, w / n), np.minimum(radii, _RADIUS_CAP), False, locator)
-    if method == "random-voronoi":
-        centers = uniform_sphere_sample(m, n, seed)
-        probe = uniform_sphere_sample(m, max(200 * n, 20000), seed + 1)
-        owner = np.argmax(probe @ centers.T, axis=1)
-        counts = np.bincount(owner, minlength=n)
-        # Nearest-neighbor radius is a crude in-cell bound; Voronoi cells
-        # of uniform centers are contained well within it in practice.
-        gram = np.clip(centers @ centers.T, -1.0, 1.0)
-        np.fill_diagonal(gram, -1.0)
-        radii = np.arccos(np.max(gram, axis=1)) if n > 1 else np.array([math.pi])
-        measures = w * counts / probe.shape[0]
-        return Partition(m, centers, measures, np.minimum(radii, _RADIUS_CAP), measures_estimated=True)
-    raise DomainError(f"unknown partition method: {method}")
+    directions, radii, locator = _partition_recursive(m, n)
+    # Row-wise sqrt(<c, c>) as a stacked matmul rounds like np.linalg.norm of
+    # a single row; norm(axis=1) and einsum differ from it by an ulp.
+    norms = np.sqrt((directions[:, None, :] @ directions[:, :, None])[:, 0, 0])
+    centers = directions / norms[:, None]
+    return Partition(m, centers, np.full(n, surface_area(m) / n), np.minimum(radii, _RADIUS_CAP), locator)
 
 
 def uniform_sphere_sample(m: int, count: int, seed: int) -> np.ndarray:

@@ -211,11 +211,3 @@ class TestExitCodes:
 
             monkeypatch.setattr(cli, "_cmd_bounds", fail)
             assert run_cli(capsys, ["bounds"])[0] == 2
-
-
-class TestThreadEnv:
-    def test_thread_count_parsing(self, monkeypatch):
-        monkeypatch.setenv("VMFHEAD_THREADS", "4")
-        assert cli.thread_count() == 4
-        monkeypatch.setenv("VMFHEAD_THREADS", "junk")
-        assert cli.thread_count() == 1

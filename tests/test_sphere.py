@@ -4,6 +4,7 @@ import functools
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from vmfhead.sphere import (
     Partition,
     SpherePoint,
     cap_area,
+    cap_colatitude,
     equal_area_partition,
     geodesic_distance,
     project_to_sphere,
@@ -77,6 +79,30 @@ class TestAreas:
         with pytest.raises(DomainError):
             cap_area(2, 1.5)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 8])
+    def test_cap_area_against_mpmath(self, m):
+        with mp.workdps(40):
+            half = mp.pi ** (mp.mpf(m + 1) / 2) / mp.gamma(mp.mpf(m + 1) / 2)
+            for delta in (1e-12, 1e-6, 0.3, 1.0 - 1e-12, 1.0):
+                d = mp.mpf(delta)
+                ref = half * mp.betainc(mp.mpf(m) / 2, 0.5, 0, d * (2 - d), regularized=True)
+                assert abs(cap_area(m, delta) / ref - 1) <= 1e-13
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8])
+    def test_cap_colatitude_inverts_the_area(self, m):
+        """The cap at cap_colatitude(m, k w_m/N) has area k w_m/N, measured as
+        w_(m-1) times the integral of sin^(m-1) by mpmath quadrature."""
+        n = 4096
+        w = surface_area(m)
+        with mp.workdps(40):
+            w_m = 2 * mp.pi ** (mp.mpf(m + 1) / 2) / mp.gamma(mp.mpf(m + 1) / 2)
+            w_rim = 2 * mp.pi ** (mp.mpf(m) / 2) / mp.gamma(mp.mpf(m) / 2)
+            for k in (1, n // 4, n // 2, 3 * n // 4, n - 1):
+                theta = mp.mpf(cap_colatitude(m, k * w / n))
+                area = w_rim * mp.quad(lambda t: mp.sin(t) ** (m - 1), [0, theta])
+                assert abs(area / (k * w_m / n) - 1) <= 1e-13
+        assert abs(cap_colatitude(m, w / 2) - math.pi / 2) <= 1e-15
+
 
 class TestEqualAreaPartition:
     def test_single_cell(self):
@@ -116,11 +142,6 @@ class TestEqualAreaPartition:
         sigma = math.sqrt(10**6 * (1 / n) * (1 - 1 / n))
         assert np.max(np.abs(counts - expected)) <= 3.0 * sigma
 
-    def test_random_voronoi_flagged(self):
-        p = equal_area_partition(2, 24, seed=3, method="random-voronoi")
-        assert p.measures_estimated
-        np.testing.assert_allclose(p.measures().sum(), surface_area(2), rtol=0.05)
-
     def test_domain(self):
         with pytest.raises(DomainError):
             equal_area_partition(2, 0)
@@ -136,32 +157,36 @@ class TestEqualAreaPartition:
         pts = uniform_sphere_sample(2, 10**4, seed=6)
         assert np.array_equal(q.locate_batch(pts), p.locate_batch(pts))
         payload = json.loads(p.to_json())
-        assert set(payload) == {"m", "measures_estimated", "cells"}
+        assert set(payload) == {"m", "cells"}
 
     def test_json_edited_zonal_payload_refused(self):
         def center_one_ulp_off(payload):
             c = payload["cells"][3]["center"]
             c[0] = repr(float(np.nextafter(float(c[0]), 2.0)))
 
+        def random_voronoi(payload):
+            """A payload in the form once written for a random-Voronoi
+            partition: uniform centers and estimated measures."""
+            payload["measures_estimated"] = True
+            for cell, c in zip(payload["cells"], uniform_sphere_sample(2, 12, seed=3)):
+                cell["center"] = [repr(float(v)) for v in c]
+                cell["measure"] = repr(float(cell["measure"]) * 1.01)
+
         text = equal_area_partition(2, 12).to_json()
         for edit in (
             center_one_ulp_off,
             lambda payload: payload["cells"][0].update(radius_bound="3.0"),
             lambda payload: payload.update(m=3),
+            random_voronoi,
+            lambda payload: payload["cells"][2]["center"].__setitem__(0, "np.float64(-0.88)"),
+            lambda payload: payload["cells"][5]["center"].pop(),
+            lambda payload: payload.pop("m"),
+            lambda payload: payload.pop("cells"),
         ):
             payload = json.loads(text)
             edit(payload)
             with pytest.raises(DomainError):
                 Partition.from_json(json.dumps(payload))
-
-    def test_json_round_trip_estimated(self):
-        p = equal_area_partition(2, 24, seed=3, method="random-voronoi")
-        q = Partition.from_json(p.to_json())
-        assert q.measures_estimated
-        for a, b in zip((p.centers(), p.measures(), p.radii()), (q.centers(), q.measures(), q.radii())):
-            assert np.array_equal(a, b)
-        pts = uniform_sphere_sample(2, 1000, seed=8)
-        assert np.array_equal(q.locate_batch(pts), p.locate_batch(pts))
 
     def test_arrays_read_only_and_identity_equality(self):
         p = equal_area_partition(2, 8)
@@ -179,7 +204,7 @@ def _partition(m, n):
 
 @st.composite
 def _partition_and_point(draw):
-    m = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 8))
     n = draw(st.integers(1, 300))
     raw = draw(
         st.lists(st.floats(-1.0, 1.0), min_size=m + 1, max_size=m + 1).filter(lambda v: np.linalg.norm(v) > 1e-3)
@@ -187,7 +212,7 @@ def _partition_and_point(draw):
     return m, n, np.array(raw) / np.linalg.norm(raw)
 
 
-_SIZES = st.tuples(st.integers(1, 4), st.integers(1, 300))
+_SIZES = st.tuples(st.integers(1, 8), st.integers(1, 300))
 _PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
 
