@@ -7,6 +7,8 @@ W_V matrices).  A block-structured "universal" head embeds the sphere, the
 attention keys, and the values into orthogonal subspaces of a 3(m+1)
 (optionally +1) dimensional space so that the classical head reproduces the
 split head exactly as the input-input suppression constant M goes to -inf.
+A head with a sharp kernel skips the anchors whose share of its softmax is
+certified to be below one rounding unit (_head_softmax).
 """
 
 from __future__ import annotations
@@ -14,11 +16,20 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .sphere import as_unit_vector, check_finite_unit
+from .sphere import (
+    as_unit_vector,
+    cap_area,
+    cap_colatitude,
+    check_finite_unit,
+    equal_area_partition,
+    surface_area,
+)
 
 __all__ = [
     "ControlPoints",
@@ -80,9 +91,12 @@ class ControlPoints:
     def n_points(self) -> int:
         return self.p_alpha.shape[0]
 
-    @property
-    def items(self):
-        return list(zip(self.p_alpha, self.p_beta))
+    @cached_property
+    def _blocks(self) -> "_BlockIndex | None":
+        """The pruning index of the anchors, or None where pruning cannot
+        pay; built on first use and held by this object alone, so it goes
+        when the object does."""
+        return _block_index(self)
 
 
 @dataclass(frozen=True)
@@ -180,25 +194,165 @@ class TransformerStack:
 # ---------------------------------------------------------------------------
 
 
-def _softmax_weights(logits: np.ndarray):
+# A shifted logit below this floor is raised to it before exp.  e^-700 is
+# still a normal double, so exp never takes its slow subnormal path, and a
+# raised term weighs under e^-700 of a row sum that is at least 1: all of
+# them together move the sum far below one rounding unit.
+_LOGIT_FLOOR = -700.0
+
+# Angular slack added to every block radius.  It covers the rounding of the
+# arccos calls behind the pruning bounds (at most about 1e-7 rad, near 0
+# and pi), so the bounds hold for the computed angles.
+_ANGLE_SLACK = 1e-6
+
+# Anchors per block of the pruning index.
+_BLOCK_SIZE = 64
+
+# Cost of pruned evaluation in units of one dense logit and exp: a kept
+# anchor costs about _GATHER_COST (gathering its anchor and value rows
+# dominates), and each query group a fixed _GROUP_COST of numpy calls
+# (measured with numpy 2.4 on x86-64); see _pruning_pays.
+_GATHER_COST = 3
+_GROUP_COST = 8192
+
+
+def _pruning_pays(kept, n_points: int):
+    """Whether evaluating `kept` anchors pruned, per query, beats a dense
+    evaluation of all n_points (scalar or elementwise)."""
+    return _GATHER_COST * kept + _GROUP_COST < n_points
+
+
+def _softmax_weights(logits: np.ndarray, span: float = math.inf):
     """Shift each row of an (n, K) logit array by its max and exponentiate,
     in place; returns (weights, rowmax).  Every head is a view of this one
     softmax: row i's attention weights are weights[i] / weights[i].sum(),
-    and rowmax[i] + ln weights[i].sum() is its log normalizer."""
+    and rowmax[i] + ln weights[i].sum() is its log normalizer.
+
+    span bounds each row's max minus min; the shifted logits are floored at
+    _LOGIT_FLOOR unless span shows that none can fall below it.
+    """
     rowmax = logits.max(axis=1)
     logits -= rowmax[:, None]
+    if span > -_LOGIT_FLOOR:
+        np.maximum(logits, _LOGIT_FLOOR, out=logits)
     np.exp(logits, out=logits)
     return logits, rowmax
 
 
-def _batch_logits(cp: ControlPoints, points) -> np.ndarray:
-    """lam <x, p_alpha_k> for an (n, m+1) batch of unit vectors."""
+class _BlockIndex(NamedTuple):
+    """Anchors grouped by the cells of a coarse zonal partition: block b
+    holds the anchors order[offsets[b]:offsets[b+1]], all within radii[b]
+    of the unit vector centers[b]."""
+
+    order: np.ndarray
+    offsets: np.ndarray
+    centers: np.ndarray
+    radii: np.ndarray
+
+
+def _prune_margin(n_points: int) -> float:
+    """tau_N = 53 ln 2 + ln N: anchors whose logits all sit more than tau_N
+    below the row max carry under 2^-53 of the row sum together."""
+    return 53.0 * math.log(2.0) + math.log(n_points)
+
+
+def _block_index(cp: ControlPoints) -> _BlockIndex | None:
+    """Blocks of about _BLOCK_SIZE anchors from the cells of
+    equal_area_partition(m, N/64), a cell no anchor falls in giving no block.
+
+    None where pruning cannot pay.  Where lam <= tau_N the anchors that can
+    matter cover at least a hemisphere.  Above it, a query keeps about the
+    cap 1 - <x, p> <= tau_N / lam widened by two block radii (estimated as
+    the radius of a cap of one block's area), and the share of N
+    equal-measure anchors in that cap must be small enough to beat a dense
+    evaluation.
+    """
+    n, w = cp.n_points, surface_area(cp.m)
+    n_blocks = max(1, round(n / _BLOCK_SIZE))
+    tau = _prune_margin(n)
+    if not cp.lam > tau:
+        return None
+    reach = math.acos(1.0 - tau / cp.lam) + 2.0 * cap_colatitude(cp.m, w / n_blocks)
+    if not reach < 0.5 * math.pi:
+        return None
+    if not _pruning_pays(n * cap_area(cp.m, 1.0 - math.cos(reach)) / w, n):
+        return None
+    part = equal_area_partition(cp.m, n_blocks)
+    cell = part.locate_batch(cp.p_alpha)
+    order = np.argsort(cell, kind="stable")
+    used, starts = np.unique(cell[order], return_index=True)
+    dots = np.einsum("ij,ij->i", cp.p_alpha, part.centers()[cell])
+    angle = np.arccos(np.clip(dots, -1.0, 1.0))
+    radii = np.maximum.reduceat(angle[order], starts) + _ANGLE_SLACK
+    return _BlockIndex(order, np.append(starts, n), part.centers()[used], radii)
+
+
+def _softmax_rows(pts: np.ndarray, lam: float, anchors: np.ndarray, values: np.ndarray):
+    """(weighted value mean, row sum, row max) of the softmax with logits
+    lam <x, anchor_k> over the given anchors and their values."""
+    logits = pts @ anchors.T
+    logits *= lam
+    w, rowmax = _softmax_weights(logits, 2.0 * lam)
+    rowsum = w.sum(axis=1)
+    w /= rowsum[:, None]
+    return w @ values, rowsum, rowmax
+
+
+def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The integers of [starts[i], ends[i]) for every i, concatenated."""
+    lengths = ends - starts
+    shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return np.arange(lengths.sum()) + shift
+
+
+def _head_softmax(cp: ControlPoints, points) -> tuple:
+    """(weighted value mean, row sum, row max) of the softmax head at an
+    (n, m+1) batch of unit vectors: the one kernel behind every
+    ControlPoints head.
+
+    A head without a block index (_block_index) evaluates every anchor.
+    With one, each query gets a lower bound L on its row max from the
+    blocks, and only blocks whose best possible logit reaches L - tau_N
+    (_prune_margin) are evaluated, so the dropped terms sum to under 2^-53
+    of the row sum.  Queries are evaluated in groups that share their
+    nearest block, each group over the union of the blocks its queries
+    keep; a query that keeps too many anchors for pruning to pay
+    (_pruning_pays) joins one dense batch instead.
+    """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != cp.m + 1:
         raise DimensionMismatch("points must have shape (n, m+1)")
-    logits = check_finite_unit(pts) @ cp.p_alpha.T
-    logits *= cp.lam
-    return logits
+    check_finite_unit(pts)
+    blocks = cp._blocks
+    if blocks is None:
+        return _softmax_rows(pts, cp.lam, cp.p_alpha, cp.p_beta)
+    tau = _prune_margin(cp.n_points)
+    theta = np.arccos(np.clip(pts @ blocks.centers.T, -1.0, 1.0))
+    # Every anchor of block b lies within theta_b + r_b of x, so
+    # L = lam cos(min_b (theta_b + r_b)) is at most the row max; no anchor
+    # of b comes closer than theta_b - r_b, so b can reach L - tau only if
+    # theta_b - r_b <= arccos(L / lam - tau / lam).
+    nearest_far = np.minimum((theta + blocks.radii).min(axis=1), math.pi)
+    reach = np.arccos(np.clip(np.cos(nearest_far) - tau / cp.lam, -1.0, 1.0))
+    keep = theta - blocks.radii <= reach[:, None]
+    pruned = _pruning_pays(keep @ np.diff(blocks.offsets), cp.n_points)
+
+    n = pts.shape[0]
+    mean, rowsum, rowmax = np.empty((n, cp.m + 1)), np.empty(n), np.empty(n)
+    dense = np.flatnonzero(~pruned)
+    if dense.size:
+        mean[dense], rowsum[dense], rowmax[dense] = _softmax_rows(pts[dense], cp.lam, cp.p_alpha, cp.p_beta)
+    nearest = theta.argmin(axis=1)
+    by_block = np.flatnonzero(pruned)[np.argsort(nearest[pruned], kind="stable")]
+    for rows in np.split(by_block, np.flatnonzero(np.diff(nearest[by_block])) + 1):
+        if not rows.size:
+            continue
+        used = np.flatnonzero(keep[rows].any(axis=0))
+        k = blocks.order[_ranges(blocks.offsets[used], blocks.offsets[used + 1])]
+        mean[rows], rowsum[rows], rowmax[rows] = _softmax_rows(
+            pts[rows], cp.lam, np.take(cp.p_alpha, k, axis=0), np.take(cp.p_beta, k, axis=0)
+        )
+    return mean, rowsum, rowmax
 
 
 def core_head(cp: ControlPoints, x) -> np.ndarray:
@@ -215,10 +369,9 @@ def core_head(cp: ControlPoints, x) -> np.ndarray:
 
 def core_head_log(cp: ControlPoints, x):
     """(sign, ln|value|) per component of the core head output."""
-    w, peak = _softmax_weights(_batch_logits(cp, as_unit_vector(x)[None, :]))
-    total = w[0] @ cp.p_beta
+    mean, rowsum, rowmax = _head_softmax(cp, as_unit_vector(x)[None, :])
     with np.errstate(divide="ignore"):
-        return np.sign(total), np.where(total != 0.0, np.log(np.abs(total)) + peak[0], -np.inf)
+        return np.sign(mean[0]), np.log(np.abs(mean[0])) + (math.log(rowsum[0]) + rowmax[0])
 
 
 def split_head(cp: ControlPoints, x) -> np.ndarray:
@@ -228,16 +381,14 @@ def split_head(cp: ControlPoints, x) -> np.ndarray:
 
 def split_head_batch(cp: ControlPoints, points: np.ndarray) -> np.ndarray:
     """split_head over an (n, m+1) batch of unit vectors; returns (n, m+1)."""
-    w, _ = _softmax_weights(_batch_logits(cp, points))
-    w /= w.sum(axis=1, keepdims=True)
-    return w @ cp.p_beta
+    return _head_softmax(cp, points)[0]
 
 
 def log_prefix_mass(cp: ControlPoints, points: np.ndarray) -> np.ndarray:
     """ln sum_k exp(lam <x, p_alpha_k>), the log softmax denominator, for
     each row of an (n, m+1) batch of unit vectors."""
-    w, peak = _softmax_weights(_batch_logits(cp, points))
-    return peak + np.log(w.sum(axis=1))
+    _, rowsum, rowmax = _head_softmax(cp, points)
+    return rowmax + np.log(rowsum)
 
 
 def classical_head(inputs, prefix: PrefixTokens, params: AttentionHeadParams):
@@ -340,6 +491,10 @@ def suppression_gap(cp: ControlPoints, x, M: float, t_inputs: int = 1) -> float:
     gap is T e^M / (S + T e^M).  Evaluated in log domain because at working
     suppression levels the gap sits far below float subtraction resolution.
     """
+    if not -math.inf < M < 0:
+        raise DomainError("suppression constant M must be negative and finite")
+    if not t_inputs >= 1:
+        raise DomainError("t_inputs must be at least 1")
     extra = M + math.log(t_inputs)
     log_mass = float(log_prefix_mass(cp, as_unit_vector(x)[None, :])[0])
     return math.exp(extra - np.logaddexp(log_mass, extra))

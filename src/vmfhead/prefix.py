@@ -277,8 +277,10 @@ def sup_error_estimate(f: TargetFunction, approx, n_samples: int, seed: int):
     so the sup estimate can only grow with more samples.  Both values are
     lower bounds on the true sup norm.
 
-    The batch is evaluated in 16 chunks, so the intermediate arrays (a
-    head's logits among them) hold a sixteenth of it at a time.
+    The batch is evaluated in at most 16 chunks, so the intermediate arrays
+    hold a sixteenth of it at a time: a dense head's logits are one chunk by
+    all N anchors, and a pruned head's (attention._head_softmax) are one
+    query group of a chunk by the anchors that group keeps.
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")

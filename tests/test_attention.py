@@ -1,10 +1,14 @@
 """Attention heads: core/split/classical identities and the universal head."""
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vmfhead import attention as att
 from vmfhead.errors import DimensionMismatch, DomainError
@@ -27,10 +31,6 @@ class TestControlPoints:
             att.ControlPoints(m=2, lam=1.0, p_alpha=np.ones((2, 3)), p_beta=np.zeros((2, 3)))
         with pytest.raises(DimensionMismatch):
             att.ControlPoints(m=2, lam=1.0, p_alpha=np.eye(3)[:2], p_beta=np.zeros((2, 4)))
-
-    def test_items(self):
-        cp = random_cp(2, 4, 1.0, 0)
-        assert len(cp.items) == 4
 
 
 class TestCoreHead:
@@ -90,6 +90,81 @@ class TestSplitHead:
         batch = att.split_head_batch(cp, pts)
         for i, x in enumerate(pts):
             np.testing.assert_allclose(batch[i], att.split_head(cp, x), rtol=1e-12)
+
+
+def plain_softmax(anchors, values, lam, points):
+    """Row-by-row max-shifted softmax over every anchor, without pruning or
+    a floor: (weighted value means, log normalizers)."""
+    means = np.empty((points.shape[0], values.shape[1]))
+    log_mass = np.empty(points.shape[0])
+    for i, x in enumerate(points):
+        logits = lam * (anchors @ x)
+        w = np.exp(logits - logits.max())
+        means[i] = (w @ values) / w.sum()
+        log_mass[i] = logits.max() + math.log(w.sum())
+    return means, log_mass
+
+
+def smooth_cp(m, anchors, lam):
+    """Values that vary smoothly with their anchors, as a synthesized prefix
+    has: near-tied anchors then carry near-equal values.  (With unrelated
+    values the output's sensitivity to a one-ulp change of a logit, about
+    lam * 1e-16 times their spread, would decide a 1e-12 comparison at
+    lam = 1e5, whatever the evaluation order.)"""
+    return att.ControlPoints(m=m, lam=lam, p_alpha=anchors, p_beta=anchors[:, ::-1] + 0.5)
+
+
+@st.composite
+def _head_case(draw):
+    """(m, N, lam, anchors from partition centers?, seed): half the cases are
+    sharp heads on many anchors, where pruning acts; the others span lam
+    from 1 to 1e5 on fewer anchors, where the head stays dense."""
+    m = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        n, log10_lam = draw(st.sampled_from([12000, 20000, 30000])), draw(st.floats(3.0, 5.0))
+    else:
+        n, log10_lam = draw(st.sampled_from([1, 40, 3000, 12000])), draw(st.floats(0.0, 5.0))
+    return m, n, 10.0**log10_lam, draw(st.booleans()), draw(st.integers(0, 2**16))
+
+
+class TestPrunedHead:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_head_case())
+    @example((2, 20000, 3000.0, True, 1))
+    @example((1, 12000, 1e5, False, 2))
+    def test_matches_plain_softmax(self, case):
+        """split_head_batch and log_prefix_mass agree with a plain softmax to
+        1e-12 on both sides of the dense/pruned switch, at random queries,
+        at anchors and at their antipodes."""
+        m, n, lam, centers, seed = case
+        anchors = equal_area_partition(m, n).centers() if centers else uniform_sphere_sample(m, n, seed)
+        cp = smooth_cp(m, anchors, lam)
+        picks = np.random.default_rng(seed).choice(n, 4)
+        pts = np.vstack([uniform_sphere_sample(m, 12, seed + 1), anchors[picks], -anchors[picks]])
+        means, log_mass = plain_softmax(cp.p_alpha, cp.p_beta, cp.lam, pts)
+        np.testing.assert_allclose(att.split_head_batch(cp, pts), means, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(att.log_prefix_mass(cp, pts), log_mass, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n, lam, pruned", [(16384, 2000.0, True), (4096, 8.0, False)])
+    def test_anchor_order_irrelevant(self, n, lam, pruned):
+        cp = smooth_cp(2, equal_area_partition(2, n).centers(), lam)
+        perm = np.random.default_rng(41).permutation(n)
+        shuffled = att.ControlPoints(m=2, lam=lam, p_alpha=cp.p_alpha[perm], p_beta=cp.p_beta[perm])
+        pts = uniform_sphere_sample(2, 200, seed=42)
+        np.testing.assert_allclose(
+            att.split_head_batch(shuffled, pts), att.split_head_batch(cp, pts), rtol=0, atol=1e-13
+        )
+        np.testing.assert_allclose(att.log_prefix_mass(shuffled, pts), att.log_prefix_mass(cp, pts), rtol=1e-13)
+        assert (cp._blocks is not None) == (shuffled._blocks is not None) == pruned
+
+    def test_index_dies_with_its_control_points(self):
+        cp = smooth_cp(2, equal_area_partition(2, 16384).centers(), 2000.0)
+        att.split_head_batch(cp, uniform_sphere_sample(2, 64, seed=43))
+        assert cp._blocks is not None
+        ref = weakref.ref(cp)
+        del cp
+        gc.collect()
+        assert ref() is None
 
 
 class TestLiftProject:

@@ -62,6 +62,11 @@ CASES = {
     "artifact ragged W_V": lambda: att.import_prefix_artifact(artifact(W_V=lambda rows: rows[:-1] + [rows[-1][:2]])),
     "artifact entry not a number": lambda: att.import_prefix_artifact(artifact(tokens=with_entry("abc"))),
     "sequence NaN": lambda: SequenceSample(2, 1, np.array([[0.5, np.nan], [0.1, 0.2]])),
+    "suppression_gap no inputs": lambda: att.suppression_gap(control_points(), ANCHORS[0], -20.0, t_inputs=0),
+    "suppression_gap M NaN": lambda: att.suppression_gap(control_points(), ANCHORS[0], np.nan),
+    "suppression_gap M zero": lambda: att.suppression_gap(control_points(), ANCHORS[0], 0.0),
+    "suppression_gap M positive": lambda: att.suppression_gap(control_points(), ANCHORS[0], 3.0),
+    "suppression_gap M -inf": lambda: att.suppression_gap(control_points(), ANCHORS[0], -np.inf),
     "partition locate_batch NaN row": lambda: equal_area_partition(2, 8).locate_batch(np.vstack([ANCHORS[:2], NAN_POINT])),
     "partition locate_batch non-unit row": lambda: equal_area_partition(2, 8).locate_batch(np.array([[0.0, 0.0, 3.0]])),
 }
@@ -77,6 +82,7 @@ def test_valid_inputs_still_accepted():
     """Control case: the unedited inputs behind every rejection above pass."""
     cp = control_points()
     assert np.all(np.isfinite(att.split_head_batch(cp, ANCHORS)))
+    assert 0.0 < att.suppression_gap(cp, ANCHORS[0], -20.0, t_inputs=2) < 1.0
     prefix, params, m, lam = att.import_prefix_artifact(artifact())
     assert (prefix.n_tokens, m, lam) == (8, 2, 4.0)
     SequenceSample(1, 0, np.array([[0.0]]))
