@@ -147,7 +147,8 @@ class PrefixTokens:
 
 @dataclass(frozen=True)
 class OracleStage:
-    """Exact per-position stage injected in place of an MLP (hybrid builds)."""
+    """Exact stage injected in place of an MLP (hybrid builds): fn maps the
+    (T, d) state array to a new one, each row on its own."""
 
     fn: object
     label: str = "oracle"
@@ -395,7 +396,7 @@ def classical_head(inputs, prefix: PrefixTokens, params: AttentionHeadParams):
     """Dense attention head over prefix tokens and input positions.
 
     Position k attends over all N prefix tokens and all T input positions
-    with logits x_k^T H c and values W_V c.  Returns the list of
+    with logits x_k^T H c and values W_V c.  Returns the (T, d) array of
     per-position outputs.
     """
     X = np.asarray(inputs, dtype=np.float64)
@@ -406,8 +407,7 @@ def classical_head(inputs, prefix: PrefixTokens, params: AttentionHeadParams):
     cands = np.vstack([prefix.tokens, X])
     w, _ = _softmax_weights(X @ params.H @ cands.T)  # (T, N + T)
     w /= w.sum(axis=1, keepdims=True)
-    out = w @ (cands @ params.W_V.T)
-    return [out[i] for i in range(out.shape[0])]
+    return w @ (cands @ params.W_V.T)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +514,7 @@ def _apply_mlp(X: np.ndarray, stages) -> np.ndarray:
     prev_affine = False
     for stage in stages:
         if isinstance(stage, OracleStage):
-            X = np.stack([np.asarray(stage.fn(x), dtype=np.float64) for x in X])
+            X = np.asarray(stage.fn(X), dtype=np.float64)
             prev_affine = False
             continue
         A, b = stage
@@ -525,8 +525,9 @@ def _apply_mlp(X: np.ndarray, stages) -> np.ndarray:
     return X
 
 
-def transformer_eval(stack: TransformerStack, inputs, record: list | None = None) -> list:
-    """Run inputs through alternating attention heads and element-wise MLPs.
+def transformer_eval(stack: TransformerStack, inputs, record: list | None = None) -> np.ndarray:
+    """Run inputs through alternating attention heads and element-wise MLPs
+    and return the (T, d) array of final states.
 
     When a record list is given, one {"attention", "after_mlp"} dict of
     (T, d) state arrays is appended to it per layer.
@@ -535,12 +536,12 @@ def transformer_eval(stack: TransformerStack, inputs, record: list | None = None
     if X.ndim == 1:
         X = X[None, :]
     for layer in stack.layers:
-        X = attention = np.stack(classical_head(X, layer.prefix, layer.params))
+        X = attention = classical_head(X, layer.prefix, layer.params)
         if layer.mlp:
             X = _apply_mlp(X, layer.mlp)
         if record is not None:
             record.append({"attention": attention, "after_mlp": X})
-    return [X[i] for i in range(X.shape[0])]
+    return X
 
 
 # ---------------------------------------------------------------------------

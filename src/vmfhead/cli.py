@@ -35,7 +35,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VERIFY = 4
 
-SWEEP_COLUMNS = ["name", "m", "lambda", "N", "sup_error", "mean_error", "samples", "seed"]
+SWEEP_COLUMNS = pfx.REPORT_COLUMNS[:-1]
 
 
 def _load_config(path: str | None) -> dict:
@@ -57,6 +57,17 @@ def _cfg_value(args, cfg: dict, key: str, default=None):
 
 def _stage_seed(seed: int, stage: int) -> int:
     return int(np.random.SeedSequence([seed, stage]).generate_state(1)[0])
+
+
+def _write_prefix_artifact(path: str, cp, augmented: bool) -> att.PrefixTokens:
+    """Write the control points as prefix tokens for the universal head at
+    the default suppression; returns the tokens."""
+    M = att.default_suppression(cp.lam, cp.n_points)
+    prefix = att.assemble_prefix_tokens(cp, M, augmented=augmented)
+    params = att.build_universal_head(cp.m, M, augmented=augmented)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(att.export_prefix_artifact(prefix, params, cp.m, cp.lam))
+    return prefix
 
 
 def _cmd_approximate(args) -> int:
@@ -81,11 +92,7 @@ def _cmd_approximate(args) -> int:
                 writer.writerow(pfx.REPORT_COLUMNS)
             writer.writerow(pfx.report_csv_row(report))
     if args.out_prefix:
-        M = att.default_suppression(lam, n_points)
-        prefix = att.assemble_prefix_tokens(cp, M, augmented=args.augmented)
-        params = att.build_universal_head(m, M, augmented=args.augmented)
-        with open(args.out_prefix, "w", encoding="utf-8") as fh:
-            fh.write(att.export_prefix_artifact(prefix, params, m, lam))
+        _write_prefix_artifact(args.out_prefix, cp, args.augmented)
     payload = {
         "name": report.name,
         "m": report.m,
@@ -117,20 +124,17 @@ def _cmd_sweep(args) -> int:
     samples = int(_cfg_value(args, cfg, "samples", 1024))
     seed = int(_cfg_value(args, cfg, "seed", 0))
     target = pfx.make_target(name, m)
-    rows = []
+    reports = []
     for lam in sorted(float(v) for v in lams):
         for n_points in sorted(int(v) for v in ns):
             report, _ = pfx.run_approximation(target, n_points, lam, samples, _stage_seed(seed, 1))
-            report = dataclasses.replace(report, seed=seed)
-            rows.append(pfx.report_csv_row(report, include_wall_time=False))
-    out = sys.stdout if args.out is None else open(args.out, "w", newline="", encoding="utf-8")
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
-        writer.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+            reports.append(dataclasses.replace(report, seed=seed))
+    text = pfx.reports_to_csv(reports, include_wall_time=False)
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
     return EXIT_OK
 
 
@@ -191,12 +195,7 @@ def _cmd_export_prefix(args) -> int:
     lam = float(_cfg_value(args, cfg, "lam", 32.0))
     n_points = int(_cfg_value(args, cfg, "n", 256))
     target = pfx.make_target(name, m)
-    cp = pfx.synthesize_prefix(target, n_points, lam)
-    M = att.default_suppression(lam, n_points)
-    prefix = att.assemble_prefix_tokens(cp, M, augmented=args.augmented)
-    params = att.build_universal_head(m, M, augmented=args.augmented)
-    with open(args.path, "w", encoding="utf-8") as fh:
-        fh.write(att.export_prefix_artifact(prefix, params, m, lam))
+    prefix = _write_prefix_artifact(args.path, pfx.synthesize_prefix(target, n_points, lam), args.augmented)
     print(json.dumps({"path": args.path, "d": prefix.d, "tokens": prefix.n_tokens}))
     return EXIT_OK
 

@@ -7,7 +7,6 @@ from .encoding import (
     psi_encode,
     psi_decode,
     psi_strided,
-    binary_digits,
     aggregate_R,
     decode_sequence,
     reference_seq2seq,
@@ -22,7 +21,6 @@ __all__ = [
     "psi_encode",
     "psi_decode",
     "psi_strided",
-    "binary_digits",
     "aggregate_R",
     "decode_sequence",
     "reference_seq2seq",

@@ -43,7 +43,7 @@ from .encoding import (
     apply_sequence_function,
     decode_sequence,
     psi_strided,
-    strided_bits_to_coords,
+    relaxed_decode,
 )
 
 __all__ = ["Seq2SeqStack", "build_seq2seq_transformer"]
@@ -107,43 +107,16 @@ class _Layout:
         return 7 + 3 * self.q
 
 
-def _inv_stereographic_2d(u: float) -> np.ndarray:
+def _inv_stereographic_2d(u: np.ndarray) -> np.ndarray:
+    """(n, 2) circle points of the scalars u under the inverse stereographic map."""
     s = u * u
-    return np.array([2.0 * u / (s + 1.0), (s - 1.0) / (s + 1.0)])
+    return np.stack([2.0 * u / (s + 1.0), (s - 1.0) / (s + 1.0)], axis=-1)
 
 
-def _chart_u(z: np.ndarray) -> float:
-    """Inverse of the circle embedding, clamped to [0, 1]."""
-    w = 1.0 - z[1]
-    if w < 1e-12:
-        return 1.0
-    return min(max(z[0] / w, 0.0), 1.0)
-
-
-def _relaxed_bits(u: float, total: int) -> list[int]:
-    """Bit stream of an arbitrary scalar in [0, 1] read as ternary digits.
-
-    The scalar is rounded to the nearest integer mantissa first, so every
-    exact aggregate value sits in the interior of its decoding plateau
-    (otherwise values with an all-zero digit tail would be jump points,
-    decoding differently from one side).  Digits are mapped 2 -> 1, else 0;
-    the in-between digit 1 only occurs off the valid aggregate set.
-    """
-    base = 3**total
-    mantissa = min(max(int(round(min(max(u, 0.0), 1.0) * base)), 0), base - 1)
-    bits = []
-    for _ in range(total):
-        mantissa, d = divmod(mantissa, 3)
-        bits.append(1 if d == 2 else 0)
-    bits.reverse()
-    return bits
-
-
-def _relaxed_decode(u: float, t_len: int, m: int, cfg: DigitConfig) -> np.ndarray:
-    """(T, m+1) coordinates decoded from an arbitrary scalar; on valid
-    aggregates this agrees with the exact decoder."""
-    width = t_len * (m + 1)
-    return strided_bits_to_coords(_relaxed_bits(u, width * cfg.digits), width).reshape(t_len, m + 1)
+def _chart_u(z: np.ndarray) -> np.ndarray:
+    """Inverse of the circle embedding for (n, 2) points, clamped to [0, 1]."""
+    w = 1.0 - z[:, 1]
+    return np.where(w < 1e-12, 1.0, np.clip(z[:, 0] / np.maximum(w, 1e-12), 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -163,18 +136,15 @@ def _stage_scale_by_position(lay: _Layout, factors: np.ndarray):
     hidden = 2 * q + 1
     a1 = np.zeros((hidden, d))
     b1 = np.zeros(hidden)
-    for k in range(q):
-        a1[k, lay.val] = 1.0
-        a1[k, lay.oh.start + k] = 1.0
-        b1[k] = -1.0
-    for k in range(q):
-        a1[q + k, lay.oh.start + k] = 1.0
+    a1[:q, lay.val] = 1.0
+    a1[:q, lay.oh] = np.eye(q)
+    b1[:q] = -1.0
+    a1[q : 2 * q, lay.oh] = np.eye(q)
     a1[2 * q, lay.c1] = 1.0
     a2 = np.zeros((d, hidden))
     b2 = np.zeros(d)
-    for k in range(q):
-        a2[lay.val, k] = factors[k]
-        a2[lay.oh.start + k, q + k] = 1.0
+    a2[lay.val, :q] = factors
+    a2[lay.oh, q : 2 * q] = np.eye(q)
     a2[lay.c1, 2 * q] = 1.0
     return [(a1, b1), (a2, b2)]
 
@@ -186,10 +156,8 @@ def _stage_affine_recover(lay: _Layout, gamma: float):
     a = np.zeros((d, d))
     b = np.zeros(d)
     scale = 1.0 / math.expm1(gamma)
-    for k in range(lay.q):
-        idx = lay.oh.start + k
-        a[idx, idx] = scale
-        b[idx] = -scale
+    a[lay.oh, lay.oh] = scale * np.eye(lay.q)
+    b[lay.oh] = -scale
     a[lay.val, lay.val] = 1.0
     a[lay.c1, lay.c1] = 1.0
     return [(a, b)]
@@ -204,15 +172,13 @@ def _stage_sphere_lookup(lay: _Layout, knots: int = 2048):
     """
     q, d = lay.q, lay.d
     ts = np.linspace(0.0, 1.0, knots + 1)
-    comps = np.array([_inv_stereographic_2d(t) for t in ts])  # (knots+1, 2)
+    comps = _inv_stereographic_2d(ts)  # (knots+1, 2)
     hidden = knots + q + 2
     a1 = np.zeros((hidden, d))
     b1 = np.zeros(hidden)
-    for k in range(knots):
-        a1[k, lay.val] = 1.0
-        b1[k] = -ts[k]
-    for k in range(q):
-        a1[knots + k, lay.oh.start + k] = 1.0
+    a1[:knots, lay.val] = 1.0
+    b1[:knots] = -ts[:knots]
+    a1[knots : knots + q, lay.oh] = np.eye(q)
     a1[knots + q, lay.c1] = 1.0
     a1[knots + q + 1, lay.val] = 1.0
     a2 = np.zeros((d, hidden))
@@ -223,8 +189,7 @@ def _stage_sphere_lookup(lay: _Layout, knots: int = 2048):
         w = np.concatenate([[slopes[0]], np.diff(slopes)])
         a2[lay.z.start + c, :knots] = w
         b2[lay.z.start + c] = vals[0]
-    for k in range(q):
-        a2[lay.oh.start + k, knots + k] = 1.0
+    a2[lay.oh, knots : knots + q] = np.eye(q)
     a2[lay.c1, knots + q] = 1.0
     a2[lay.val, knots + q + 1] = 1.0
     return [(a1, b1), (a2, b2)]
@@ -245,8 +210,7 @@ def _carry_state(lay: _Layout, w: np.ndarray) -> np.ndarray:
 def _restore_payload(lay: _Layout, w: np.ndarray) -> np.ndarray:
     """W_V entries adding a token's scalar, one-hot payload and constant payload."""
     w[lay.val, lay.vb] = 1.0
-    for k in range(lay.q):
-        w[lay.oh.start + k, lay.pay.start + k] = 1.0
+    w[lay.oh, lay.pay] = np.eye(lay.q)
     w[lay.c1, lay.pc] = 1.0
     return w
 
@@ -256,9 +220,7 @@ def _passthrough_params(lay: _Layout) -> AttentionHeadParams:
     dominates; the mandatory token and all other logits underflow)."""
     d = lay.d
     h = np.zeros((d, d))
-    for k in range(lay.q):
-        idx = lay.oh.start + k
-        h[idx, idx] = _GAP
+    h[lay.oh, lay.oh] = _GAP * np.eye(lay.q)
     return AttentionHeadParams(d=d, H=h, W_V=_carry_state(lay, np.zeros((d, d))))
 
 
@@ -272,9 +234,7 @@ def _encoder_layer_params(lay: _Layout, lam: float) -> AttentionHeadParams:
     d = lay.d
     h = np.zeros((d, d))
     h[lay.z, lay.ka] = np.eye(2)
-    g1 = 2.0 * lam + _GAP
-    for k in range(lay.q):
-        h[lay.oh.start + k, lay.tag.start + k] = g1
+    h[lay.oh, lay.tag] = (2.0 * lam + _GAP) * np.eye(lay.q)
     h[lay.c1, lay.c1] = -(lam + _GAP)
     return AttentionHeadParams(d=d, H=h, W_V=_restore_payload(lay, np.zeros((d, d))))
 
@@ -287,19 +247,16 @@ def _summation_layer(lay: _Layout, gamma: float = 4.0):
     d = lay.d
     z_total = math.exp(gamma) + 2.0 * lay.q - 1.0
     h = np.zeros((d, d))
-    for k in range(lay.q):
-        h[lay.oh.start + k, lay.tag.start + k] = gamma
+    h[lay.oh, lay.tag] = gamma * np.eye(lay.q)
     w = np.zeros((d, d))
     w[lay.val, lay.val] = z_total
-    for k in range(lay.q):
-        w[lay.oh.start + k, lay.pay.start + k] = z_total
+    w[lay.oh, lay.pay] = z_total * np.eye(lay.q)
     w[lay.c1, lay.pc] = z_total / (math.exp(gamma) + lay.q - 1.0)
     params = AttentionHeadParams(d=d, H=h, W_V=w)
     tokens = np.zeros((lay.q, d))
-    for q0 in range(lay.q):
-        tokens[q0, lay.tag.start + q0] = 1.0
-        tokens[q0, lay.pay.start + q0] = 1.0
-        tokens[q0, lay.pc] = 1.0
+    tokens[:, lay.tag] = np.eye(lay.q)
+    tokens[:, lay.pay] = np.eye(lay.q)
+    tokens[:, lay.pc] = 1.0
     prefix = PrefixTokens(d=d, tokens=tokens, M=-_GAP, augmented=False)
     return params, prefix
 
@@ -309,13 +266,12 @@ def _decoder_layer_params(lay: _Layout, lam: float, elem_positions: list[int]) -
     groups; every other position self-attends and passes through."""
     d = lay.d
     theta = lam + _GAP
-    g3 = theta + lam + _GAP
+    self_logit = np.full(lay.q, theta)
+    self_logit[elem_positions] = -theta
     h = np.zeros((d, d))
     h[lay.z, lay.ka] = np.eye(2)
-    for k in range(lay.q):
-        idx = lay.oh.start + k
-        h[idx, idx] = -theta if k in elem_positions else theta
-        h[idx, lay.tag.start + k] = g3
+    h[lay.oh, lay.oh] = np.diag(self_logit)
+    h[lay.oh, lay.tag] = (theta + lam + _GAP) * np.eye(lay.q)
     return AttentionHeadParams(d=d, H=h, W_V=_restore_payload(lay, _carry_state(lay, np.zeros((d, d)))))
 
 
@@ -342,27 +298,30 @@ def _kernel_tokens(lay: _Layout, anchors: np.ndarray, value_bank: dict[int, np.n
 # ---------------------------------------------------------------------------
 
 
+def _positions(lay: _Layout, states: np.ndarray) -> list[int]:
+    """Each state's virtual position, read from its own one-hot."""
+    return np.argmax(states[:, lay.oh], axis=1).tolist()
+
+
 def _psi_oracle(lay: _Layout, t_len: int, m: int, cfg: DigitConfig):
     width = t_len * (m + 1)
 
-    def fn(state):
-        out = state.copy()
-        q0 = int(np.argmax(state[lay.oh]))
-        psi_val = float(psi_strided(float(state[lay.val]), cfg, width))
-        out[lay.val] = 3.0 ** (-q0) * psi_val
+    def fn(states):
+        out = states.copy()
+        for row, q0 in zip(out, _positions(lay, states)):
+            row[lay.val] = 3.0 ** (-q0) * float(psi_strided(float(row[lay.val]), cfg, width))
         return out
 
     return OracleStage(fn=fn, label="digit-encoder")
 
 
 def _decoder_oracle(lay: _Layout, f, i0: int, t_len: int, m: int, cfg: DigitConfig):
-    def fn(state):
-        q0 = int(np.argmax(state[lay.oh]))
-        if q0 // (m + 1) != i0:
-            return state
-        out = state.copy()
-        decoded = decode_sequence(float(state[lay.val]), t_len, m, cfg)
-        out[lay.val] = apply_sequence_function(f, decoded.elements)[i0, q0 % (m + 1)]
+    def fn(states):
+        out = states.copy()
+        for row, q0 in zip(out, _positions(lay, states)):
+            if q0 // (m + 1) == i0:
+                decoded = decode_sequence(float(row[lay.val]), t_len, m, cfg)
+                row[lay.val] = apply_sequence_function(f, decoded.elements)[i0, q0 % (m + 1)]
         return out
 
     return OracleStage(fn=fn, label=f"decoder-{i0}")
@@ -394,22 +353,19 @@ class Seq2SeqStack:
         if (s.t_len, s.m) != (self.t_len, self.m):
             raise DomainError("sample shape does not match the built stack")
         lay = self.layout
-        flat = s.flat()
         states = np.zeros((lay.q, lay.d))
-        for q0 in range(lay.q):
-            if self.mode == "full":
-                states[q0, lay.z] = _inv_stereographic_2d(float(flat[q0]))
-            else:
-                states[q0, lay.val] = flat[q0]
-            states[q0, lay.oh.start + q0] = 1.0
-            states[q0, lay.c1] = 1.0
+        if self.mode == "full":
+            states[:, lay.z] = _inv_stereographic_2d(s.flat())
+        else:
+            states[:, lay.val] = s.flat()
+        states[:, lay.oh] = np.eye(lay.q)
+        states[:, lay.c1] = 1.0
         return states
 
-    def readout(self, outputs) -> np.ndarray:
-        """Per-position scalar values -> (T, m+1) output array."""
-        lay = self.layout
-        vals = np.array([out[lay.val] for out in outputs])
-        return vals.reshape(self.t_len, self.m + 1)
+    def readout(self, outputs: np.ndarray) -> np.ndarray:
+        """(Q, d) final states -> (T, m+1) output array (a copy, so the
+        states can be freed)."""
+        return outputs[:, self.layout.val].reshape(self.t_len, self.m + 1).copy()
 
     def evaluate(self, s: SequenceSample) -> np.ndarray:
         return self.readout(transformer_eval(self.transformer, self.encode_inputs(s)))
@@ -485,9 +441,9 @@ def build_seq2seq_transformer(
         # One partition of S^1 serves every head: its centers are the anchors,
         # and each anchor's chart value is decoded once, with f evaluated once.
         anchors = equal_area_partition(1, n_points).centers()
-        chart = [_chart_u(z) for z in anchors]
+        chart = _chart_u(anchors)
         psi_values = np.array([float(psi_strided(u, cfg, width)) for u in chart])
-        outputs = np.array([apply_sequence_function(f, _relaxed_decode(u, t_len, m, cfg)) for u in chart])
+        outputs = np.array([apply_sequence_function(f, relaxed_decode(u, t_len, m, cfg)) for u in chart])
         decoder_values = outputs.reshape(n_points, width)
         layers.append(
             TransformerLayer(

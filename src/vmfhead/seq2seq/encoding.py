@@ -8,14 +8,20 @@ A sequence of T elements with m+1 coordinates each is aggregated as
 
 where psi spreads the digits of coordinate q with stride d = T(m+1); the
 flat coordinate q then owns exactly the ternary positions congruent to q
-mod d, so the aggregation is injective and exactly invertible.  All digit
-arithmetic is exact (Python integers); the float view of R is faithful only
-while 3^(total digits) fits under 2^52, and conversions are guarded.
+mod d, so the aggregation is injective and exactly invertible.
+
+One exact codec does every encode and decode.  A coordinate's digits are
+the bit string of floor(x 2^digits) (scaling by a power of two is exact);
+the ternary digits are those bits with 1 -> 2, interleaved across
+coordinates, and read as an integer with int(s, 3).  Decoding turns an
+integer mantissa back into its ternary string, and coordinate q is the bit
+string at positions q, q + d, ... over 2^digits.  The float view of R is
+faithful only while 3^(total digits) fits under 2^52, and conversions from
+a float are guarded.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,17 +33,15 @@ __all__ = [
     "DigitConfig",
     "SequenceSample",
     "RAggregate",
-    "binary_digits",
     "psi_encode",
     "psi_decode",
     "psi_strided",
     "aggregate_R",
     "decode_sequence",
-    "strided_bits_to_coords",
+    "relaxed_decode",
     "apply_sequence_function",
     "reference_seq2seq",
     "sequence_mean",
-    "float_budget_digits",
 ]
 
 _MAX_DIGITS = 40
@@ -78,42 +82,62 @@ class SequenceSample:
 
 @dataclass(frozen=True)
 class RAggregate:
-    """Exact aggregation result: ternary digits plus the rounded float view."""
+    """Exact aggregation result: the ternary digit string plus the rounded
+    float view."""
 
     t_len: int
     m: int
     digits: int
-    ternary: tuple
+    ternary: str
     value: float
 
     def __float__(self) -> float:
         return self.value
 
     def ternary_string(self) -> str:
-        return "".join(str(d) for d in self.ternary)
+        return self.ternary
 
 
-def binary_digits(x: float, digits: int) -> list[int]:
+def _bits(x: float, digits: int) -> str:
     """First binary digits of x in [0, 1], terminating expansion at ties.
 
-    x = 1 is truncated to an all-ones digit string (the largest value the
-    budget can hold).  Doubling is exact for floats, so the digits are the
-    true binary expansion of the input.
+    Scaling by 2^digits is exact, so the digits are the true binary
+    expansion of the input; x = 1 is truncated to all ones (the largest
+    value the budget can hold).
     """
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"psi domain is [0, 1], got {x}")
-    if x == 1.0:
-        return [1] * digits
+    scale = 2**digits
+    return format(min(int(x * scale), scale - 1), f"0{digits}b")
+
+
+def _ternary(num: int, total: int) -> str:
+    """The `total` ternary digits of the mantissa num, most significant first."""
     out = []
-    frac = x
-    for _ in range(digits):
-        frac *= 2.0
-        if frac >= 1.0:
-            out.append(1)
-            frac -= 1.0
-        else:
-            out.append(0)
-    return out
+    for _ in range(total):
+        num, d = divmod(num, 3)
+        out.append("012"[d])
+    if num != 0:
+        raise EncodingError("value out of range for the digit budget")
+    return "".join(reversed(out))
+
+
+def _coords(ternary: str, width: int) -> np.ndarray:
+    """(width,) coordinates of a strided digit string: coordinate q reads
+    digits q, q + width, q + 2 width, ... as its binary expansion, most
+    significant first, with ternary 2 as bit 1 and anything else as 0."""
+    bits = ternary.replace("1", "0").replace("2", "1")
+    scale = 2 ** (len(ternary) // width)
+    return np.array([int(bits[q::width], 2) / scale for q in range(width)])
+
+
+def _check_float_budget(total: int) -> None:
+    """The float view of `total` ternary digits is faithful only while
+    3^total < 2^52."""
+    if 3**total >= 2**52:
+        raise PrecisionBudgetExceeded(
+            f"{total} ternary digits cannot round-trip through a double; use the exact digit form"
+        )
 
 
 def psi_encode(x: float, cfg: DigitConfig) -> float:
@@ -122,11 +146,7 @@ def psi_encode(x: float, cfg: DigitConfig) -> float:
     Monotone non-decreasing in x; dyadic rationals take their terminating
     expansion, so psi(1/2) = 2/3.
     """
-    bits = binary_digits(float(x), cfg.digits)
-    num = 0
-    for b in bits:
-        num = num * 3 + 2 * b
-    return float(Fraction(num, 3**cfg.digits))
+    return float(psi_strided(x, cfg, 1))
 
 
 def psi_decode(c: float, cfg: DigitConfig) -> float:
@@ -134,26 +154,19 @@ def psi_decode(c: float, cfg: DigitConfig) -> float:
 
     Recovers x to precision 2^(-digits); a ternary digit equal to 1 means
     the value is not in the truncated Cantor set and raises EncodingError.
+    The float value holds the digits only while 3^digits < 2^52.
     """
     if not (0.0 <= c <= 1.0):
         raise EncodingError(f"Cantor values live in [0, 1], got {c}")
+    _check_float_budget(cfg.digits)
     scaled = c * 3.0**cfg.digits
     num = round(scaled)
     if abs(scaled - num) > 1e-6 * max(1.0, abs(scaled)):
         raise EncodingError("value is not a truncated Cantor encoding")
-    bits = []
-    for _ in range(cfg.digits):
-        num, digit = divmod(num, 3)
-        if digit == 1:
-            raise EncodingError("ternary digit 1 found; not a Cantor encoding")
-        bits.append(1 if digit == 2 else 0)
-    if num != 0:
-        raise EncodingError("value out of range for the digit budget")
-    bits.reverse()
-    x = 0.0
-    for b in reversed(bits):
-        x = (x + b) / 2.0
-    return x
+    ternary = _ternary(num, cfg.digits)
+    if "1" in ternary:
+        raise EncodingError("ternary digit 1 found; not a Cantor encoding")
+    return float(_coords(ternary, 1)[0])
 
 
 def psi_strided(x: float, cfg: DigitConfig, stride: int) -> Fraction:
@@ -164,27 +177,8 @@ def psi_strided(x: float, cfg: DigitConfig, stride: int) -> Fraction:
     """
     if stride < 1:
         raise DomainError("stride must be >= 1")
-    bits = binary_digits(float(x), cfg.digits)
-    total = 1 + (cfg.digits - 1) * stride
-    num = 0
-    for j, b in enumerate(bits):
-        pos = 1 + j * stride
-        num += 2 * b * 3 ** (total - pos)
-    return Fraction(num, 3**total)
-
-
-def float_budget_digits(t_len: int, m: int, cfg: DigitConfig) -> int:
-    """Total ternary digits of the aggregate; the float view is faithful
-    only while 3^total < 2^52."""
-    return t_len * (m + 1) * cfg.digits
-
-
-def _check_float_budget(t_len: int, m: int, cfg: DigitConfig) -> None:
-    if 3 ** float_budget_digits(t_len, m, cfg) >= 2**52:
-        raise PrecisionBudgetExceeded(
-            f"T(m+1)digits = {float_budget_digits(t_len, m, cfg)} ternary digits "
-            "cannot round-trip through a double; use the exact digit form"
-        )
+    ternary = ("0" * (stride - 1)).join(_bits(float(x), cfg.digits).replace("1", "2"))
+    return Fraction(int(ternary, 3), 3 ** len(ternary))
 
 
 def aggregate_R(s: SequenceSample, cfg: DigitConfig) -> RAggregate:
@@ -195,23 +189,15 @@ def aggregate_R(s: SequenceSample, cfg: DigitConfig) -> RAggregate:
     3 * 3^(-(i-1)(m+1)) * 3^(-p) of the aggregation shift each stride-width
     encoding into its own residue class, so digits never collide.
     """
-    width = s.t_len * (s.m + 1)
-    total = width * cfg.digits
+    total = s.t_len * (s.m + 1) * cfg.digits
     if total > 4096:
         raise PrecisionBudgetExceeded(
             f"{total} ternary digits exceed the supported packing budget"
         )
-    digits = [0] * total
-    flat = s.flat()
-    for q0 in range(width):
-        bits = binary_digits(float(flat[q0]), cfg.digits)
-        for j, b in enumerate(bits):
-            digits[q0 + j * width] = 2 * b
-    num = 0
-    for d in digits:
-        num = num * 3 + d
-    value = float(Fraction(num, 3**total))
-    return RAggregate(t_len=s.t_len, m=s.m, digits=cfg.digits, ternary=tuple(digits), value=value)
+    columns = [_bits(float(x), cfg.digits) for x in s.flat()]
+    ternary = "".join(map("".join, zip(*columns))).replace("1", "2")
+    value = int(ternary, 3) / 3**total
+    return RAggregate(t_len=s.t_len, m=s.m, digits=cfg.digits, ternary=ternary, value=value)
 
 
 def decode_sequence(r, t_len: int, m: int, cfg: DigitConfig) -> SequenceSample:
@@ -226,40 +212,35 @@ def decode_sequence(r, t_len: int, m: int, cfg: DigitConfig) -> SequenceSample:
     if isinstance(r, RAggregate):
         if (r.t_len, r.m, r.digits) != (t_len, m, cfg.digits):
             raise EncodingError("aggregate shape does not match the declared (T, m, digits)")
-        digits = list(r.ternary)
+        ternary = r.ternary
     else:
         r = float(r)
         if not (0.0 <= r <= 1.0):
             raise EncodingError(f"aggregate values live in [0, 1], got {r}")
-        _check_float_budget(t_len, m, cfg)
-        num = round(r * 3**total)
-        digits = []
-        for _ in range(total):
-            num, d = divmod(num, 3)
-            digits.append(d)
-        if num != 0:
-            raise EncodingError("value out of range for the digit budget")
-        digits.reverse()
-    if len(digits) != total:
+        _check_float_budget(total)
+        ternary = _ternary(round(r * 3**total), total)
+    if len(ternary) != total:
         raise EncodingError("digit stream length does not match the declared shape")
-    if 1 in digits:
+    if "1" in ternary:
         raise EncodingError("ternary digit 1 found; not a Cantor encoding")
-    coords = strided_bits_to_coords([1 if d == 2 else 0 for d in digits], width)
-    return SequenceSample(t_len=t_len, m=m, elements=coords.reshape(t_len, m + 1))
+    return SequenceSample(t_len=t_len, m=m, elements=_coords(ternary, width).reshape(t_len, m + 1))
 
 
-def strided_bits_to_coords(bits, width: int) -> np.ndarray:
-    """(width,) coordinates from a strided bit stream: coordinate q reads
-    bits q, q + width, q + 2 width, ... as its binary expansion, most
-    significant first."""
-    digits = len(bits) // width
-    coords = np.zeros(width)
-    for q0 in range(width):
-        x = 0.0
-        for j in range(digits - 1, -1, -1):
-            x = (x + bits[q0 + j * width]) / 2.0
-        coords[q0] = x
-    return coords
+def relaxed_decode(u: float, t_len: int, m: int, cfg: DigitConfig) -> np.ndarray:
+    """(T, m+1) coordinates decoded from an arbitrary scalar in [0, 1].
+
+    The scalar is rounded to the nearest integer mantissa first, so every
+    exact aggregate value sits in the interior of its decoding plateau
+    (otherwise values with an all-zero digit tail would be jump points,
+    decoding differently from one side).  Digits are read 2 -> 1, else 0;
+    the in-between digit 1 only occurs off the valid aggregate set.  On
+    valid aggregates this agrees with decode_sequence.
+    """
+    width = t_len * (m + 1)
+    total = width * cfg.digits
+    base = 3**total
+    mantissa = min(round(min(max(float(u), 0.0), 1.0) * base), base - 1)
+    return _coords(_ternary(mantissa, total), width).reshape(t_len, m + 1)
 
 
 def apply_sequence_function(f, elements: np.ndarray) -> np.ndarray:

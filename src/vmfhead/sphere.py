@@ -10,6 +10,7 @@ recursive partition of S^(m-1) inside each collar.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -103,6 +104,7 @@ def geodesic_distance(x, y) -> float:
     return float(math.acos(min(1.0, max(-1.0, float(np.dot(xv, yv))))))
 
 
+@functools.cache
 def surface_area(m: int) -> float:
     """Total surface measure of S^m: 2 pi^((m+1)/2) / Gamma((m+1)/2)."""
     if m < 1:

@@ -1,9 +1,13 @@
 """Sequence pipeline: digit maps, aggregation, and the T+2-layer stack."""
 
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vmfhead.errors import DomainError, EncodingError, InstanceTooLarge, PrecisionBudgetExceeded
 from vmfhead.sphere import equal_area_partition
@@ -60,6 +64,19 @@ class TestPsi:
         cfg = DigitConfig(digits=4)
         with pytest.raises(EncodingError):
             psi_decode(1.0 / 3.0 + 1.0 / 81.0, cfg)
+
+    def test_decode_float_budget(self):
+        # 3^32 < 2^52 <= 3^33: 32 digits round-trip through the float, and 33
+        # or more are refused, where decoding used to return a wrong value or
+        # report a ternary digit 1.
+        cfg = DigitConfig(digits=32)
+        for x in np.random.default_rng(14).random(200):
+            assert psi_decode(psi_encode(float(x), cfg), cfg) == math.floor(x * 2**32) / 2**32
+        for digits in (33, 36, 40):
+            cfg = DigitConfig(digits=digits)
+            for x in (0.0, 0.3, 0.7):
+                with pytest.raises(PrecisionBudgetExceeded):
+                    psi_decode(psi_encode(x, cfg), cfg)
 
     def test_domain(self):
         cfg = DigitConfig(digits=4)
@@ -139,6 +156,55 @@ class TestAggregation:
                         psi_strided(e[i, p], cfg, width)
                     )
             np.testing.assert_allclose(aggregate_R(s, cfg).value, direct, rtol=1e-12)
+
+
+def _oracle_aggregate(elements, digits: int) -> Fraction:
+    """sum over coordinates q and digits j of 2 b 3^-(1 + q + j width), with
+    b bit j of floor(x 2^digits) (x = 1 keeps all ones)."""
+    flat = [float(x) for x in np.ravel(elements)]
+    width, total = len(flat), len(flat) * digits
+    num = 0
+    for q, x in enumerate(flat):
+        n = min(math.floor(x * 2**digits), 2**digits - 1)
+        for j in range(digits):
+            b = (n >> (digits - 1 - j)) & 1
+            num += 2 * b * 3 ** (total - 1 - q - j * width)
+    return Fraction(num, 3**total)
+
+
+@st.composite
+def _sequences(draw):
+    digits = draw(st.integers(1, 40))
+    t_len = draw(st.integers(1, 100))
+    m = draw(st.integers(0, max(0, min(5, 4096 // (digits * t_len) - 1))))
+    t_len = min(t_len, 4096 // (digits * (m + 1)))
+    flat = draw(st.lists(st.floats(0.0, 1.0), min_size=t_len * (m + 1), max_size=t_len * (m + 1)))
+    return SequenceSample(t_len, m, np.reshape(flat, (t_len, m + 1))), DigitConfig(digits)
+
+
+class TestAggregateProperty:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_sequences(), st.data())
+    def test_round_trip(self, case, data):
+        s, cfg = case
+        total = s.t_len * (s.m + 1) * cfg.digits
+        r = aggregate_R(s, cfg)
+        oracle = _oracle_aggregate(s.elements, cfg.digits)
+        assert r.value == float(oracle)
+        assert len(r.ternary_string()) == total
+        assert Fraction(int(r.ternary_string(), 3), 3**total) == oracle
+        scale = 2**cfg.digits
+        truncated = np.minimum(np.floor(s.elements * scale), scale - 1) / scale
+        assert np.array_equal(decode_sequence(r, s.t_len, s.m, cfg).elements, truncated)
+        if 3**total < 2**52:
+            assert np.array_equal(decode_sequence(r.value, s.t_len, s.m, cfg).elements, truncated)
+        k = data.draw(st.integers(0, total - 1))
+        broken = r.ternary[:k] + "1" + r.ternary[k + 1 :]
+        with pytest.raises(EncodingError):
+            decode_sequence(dataclasses.replace(r, ternary=broken), s.t_len, s.m, cfg)
+        if 3**total < 2**52:
+            with pytest.raises(EncodingError):
+                decode_sequence(int(broken, 3) / 3**total, s.t_len, s.m, cfg)
 
 
 class TestReference:
