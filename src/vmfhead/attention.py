@@ -156,6 +156,12 @@ class OracleStage:
 
 @dataclass(frozen=True)
 class TransformerLayer:
+    """One prefixed attention head followed by its MLP stages.
+
+    The prefix is fixed while inputs vary, so the value rows of its tokens
+    are a constant of the layer (_prefix_values).
+    """
+
     params: AttentionHeadParams
     prefix: PrefixTokens
     mlp: tuple = ()
@@ -175,6 +181,15 @@ class TransformerLayer:
             width = a.shape[0]
         if width != self.params.d:
             raise DimensionMismatch("MLP must end back at the head dimension")
+
+    @cached_property
+    def _prefix_values(self) -> np.ndarray:
+        """The read-only (N, d) value rows tokens @ W_V^T of the prefix;
+        built on first use and held by this layer alone, so they go when
+        the layer does."""
+        rows = self.prefix.tokens @ self.params.W_V.T
+        rows.setflags(write=False)
+        return rows
 
 
 @dataclass(frozen=True)
@@ -392,22 +407,37 @@ def log_prefix_mass(cp: ControlPoints, points: np.ndarray) -> np.ndarray:
     return rowmax + np.log(rowsum)
 
 
+def _as_inputs(inputs) -> np.ndarray:
+    """A (T, d) float array of input states; one state may come as a vector."""
+    return np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+
+
+def _attend(X: np.ndarray, layer: TransformerLayer) -> np.ndarray:
+    """The (T, d) outputs of layer's head at the (T, d) inputs X: the one
+    kernel behind classical_head and transformer_eval.
+
+    Position k attends over the N prefix tokens and the T inputs, c ranging
+    over [tokens; X], with logits (x_k H) c and values W_V c.  The prefix
+    value rows come from the layer; only the inputs' rows are computed.
+    """
+    if X.shape[1] != layer.params.d:
+        raise DimensionMismatch("inputs, prefix, and params disagree on d")
+    XH = X @ layer.params.H
+    w, _ = _softmax_weights(np.concatenate([XH @ layer.prefix.tokens.T, XH @ X.T], axis=1))
+    w /= w.sum(axis=1, keepdims=True)
+    return w @ np.concatenate([layer._prefix_values, X @ layer.params.W_V.T])
+
+
 def classical_head(inputs, prefix: PrefixTokens, params: AttentionHeadParams):
     """Dense attention head over prefix tokens and input positions.
 
     Position k attends over all N prefix tokens and all T input positions
     with logits x_k^T H c and values W_V c.  Returns the (T, d) array of
-    per-position outputs.
+    per-position outputs.  A one-off call: it evaluates a transient
+    TransformerLayer, so the prefix value rows are computed anew each
+    time; repeated calls on one prefix should go through transformer_eval.
     """
-    X = np.asarray(inputs, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[None, :]
-    if X.shape[1] != params.d or prefix.d != params.d:
-        raise DimensionMismatch("inputs, prefix, and params disagree on d")
-    cands = np.vstack([prefix.tokens, X])
-    w, _ = _softmax_weights(X @ params.H @ cands.T)  # (T, N + T)
-    w /= w.sum(axis=1, keepdims=True)
-    return w @ (cands @ params.W_V.T)
+    return _attend(_as_inputs(inputs), TransformerLayer(params=params, prefix=prefix))
 
 
 # ---------------------------------------------------------------------------
@@ -529,14 +559,15 @@ def transformer_eval(stack: TransformerStack, inputs, record: list | None = None
     """Run inputs through alternating attention heads and element-wise MLPs
     and return the (T, d) array of final states.
 
-    When a record list is given, one {"attention", "after_mlp"} dict of
-    (T, d) state arrays is appended to it per layer.
+    Each head is the classical head of its layer, evaluated with the
+    layer's cached prefix value rows, so a stack computes those once
+    however many inputs it sees.  When a record list is given, one
+    {"attention", "after_mlp"} dict of (T, d) state arrays is appended to
+    it per layer.
     """
-    X = np.asarray(inputs, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[None, :]
+    X = _as_inputs(inputs)
     for layer in stack.layers:
-        X = attention = classical_head(X, layer.prefix, layer.params)
+        X = attention = _attend(X, layer)
         if layer.mlp:
             X = _apply_mlp(X, layer.mlp)
         if record is not None:
@@ -586,15 +617,20 @@ def export_prefix_artifact(
 def import_prefix_artifact(text: str):
     """Inverse of export_prefix_artifact; returns (prefix, params, m, lam)."""
     payload = json.loads(text)
-    if payload.get("schema") != "vmfhead-prefix-v1":
+    if not isinstance(payload, dict) or payload.get("schema") != "vmfhead-prefix-v1":
         raise DomainError("unrecognized prefix artifact schema")
-    d = int(payload["d"])
-    tokens = _dec_mat(payload["tokens"])
-    H = _dec_mat(payload["H"])
-    W = _dec_mat(payload["W_V"])
+    try:
+        d, m = int(payload["d"]), int(payload["m"])
+        rows = payload["tokens"], payload["H"], payload["W_V"], [[payload["M"], payload["lambda"]]]
+        augmented = bool(payload["augmented"])
+    except KeyError as exc:
+        raise DomainError(f"prefix artifact has no {exc.args[0]!r} entry") from None
+    except (TypeError, ValueError):
+        raise DomainError("prefix artifact d and m must be integers") from None
+    tokens, H, W, scalars = map(_dec_mat, rows)
     if tokens.shape[1] != d or H.shape != (d, d) or W.shape != (d, d):
         raise DomainError("artifact dimensions are inconsistent")
-    M, lam = _dec_mat([[payload["M"], payload["lambda"]]])[0].tolist()
-    prefix = PrefixTokens(d=d, tokens=tokens, M=M, augmented=bool(payload["augmented"]))
+    M, lam = scalars[0].tolist()
+    prefix = PrefixTokens(d=d, tokens=tokens, M=M, augmented=augmented)
     params = AttentionHeadParams(d=d, H=H, W_V=W)
-    return prefix, params, int(payload["m"]), lam
+    return prefix, params, m, lam

@@ -175,7 +175,7 @@ def _cmd_seq2seq_demo(args) -> int:
         s = SequenceSample(t_len, m, rng.random((t_len, m + 1)))
         trace = stack.stage_trace(s)
         r = aggregate_R(s, cfg)
-        writer.writerow([idx, "input", "-", " ".join(repr(v) for v in s.flat())])
+        writer.writerow([idx, "input", "-", " ".join(repr(float(v)) for v in s.flat())])
         psi_vals = trace["layers"][0]["after_mlp"][:, stack.layout.val]
         writer.writerow([idx, "digit-encoded", "-", " ".join(repr(float(v)) for v in psi_vals)])
         writer.writerow([idx, "aggregate-ternary", "-", r.ternary_string()])
@@ -217,12 +217,13 @@ def _cmd_import_prefix(args) -> int:
         target = pfx.make_target(args.eval_target, m)
         seed = _stage_seed(args.seed, 1)
 
+        # Each point is its own one-input sequence (inputs attend to each
+        # other); one layer keeps the prefix value rows across them.
+        head = att.TransformerStack(layers=(att.TransformerLayer(params=params, prefix=prefix),))
+
         def approx(pts):
-            outs = []
-            for x in pts:
-                out = att.classical_head([att.lift(x, prefix.augmented)], prefix, params)[0]
-                outs.append(att.project(out, m + 1))
-            return np.stack(outs)
+            outs = [att.transformer_eval(head, att.lift(x, prefix.augmented))[0] for x in pts]
+            return np.stack([att.project(out, m + 1) for out in outs])
 
         sup, mean = pfx.sup_error_estimate(target, approx, args.samples, seed)
         payload["sup_error"] = sup

@@ -22,6 +22,7 @@ embedding scalars into S^1 by the inverse stereographic map.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -315,16 +316,31 @@ def _psi_oracle(lay: _Layout, t_len: int, m: int, cfg: DigitConfig):
     return OracleStage(fn=fn, label="digit-encoder")
 
 
-def _decoder_oracle(lay: _Layout, f, i0: int, t_len: int, m: int, cfg: DigitConfig):
-    def fn(states):
-        out = states.copy()
-        for row, q0 in zip(out, _positions(lay, states)):
-            if q0 // (m + 1) == i0:
-                decoded = decode_sequence(float(row[lay.val]), t_len, m, cfg)
-                row[lay.val] = apply_sequence_function(f, decoded.elements)[i0, q0 % (m + 1)]
+def _decoder_oracles(lay: _Layout, f, t_len: int, m: int, cfg: DigitConfig) -> list[OracleStage]:
+    """The T decoder stages, element i0 writing row i0 of f(decoded).
+
+    Every decoder reads the same aggregate bit for bit (the pass-through
+    heads copy it), so the stages share one cache of the last aggregate's
+    decoded outputs: a sequence is decoded, and f applied, once.
+    """
+
+    @functools.lru_cache(maxsize=1)
+    def outputs(r: float) -> np.ndarray:
+        out = apply_sequence_function(f, decode_sequence(r, t_len, m, cfg).elements).view()
+        out.setflags(write=False)
         return out
 
-    return OracleStage(fn=fn, label=f"decoder-{i0}")
+    def oracle(i0: int) -> OracleStage:
+        def fn(states):
+            out = states.copy()
+            for row, q0 in zip(out, _positions(lay, states)):
+                if q0 // (m + 1) == i0:
+                    row[lay.val] = outputs(float(row[lay.val]))[i0, q0 % (m + 1)]
+            return out
+
+        return OracleStage(fn=fn, label=f"decoder-{i0}")
+
+    return [oracle(i0) for i0 in range(t_len)]
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +407,11 @@ def build_seq2seq_transformer(
 
     f maps a (T, m+1) coordinate array to a (T, m+1) output array.  In
     hybrid mode the digit encoder and the per-element decoders run as exact
-    oracle stages around real attention layers; in full mode they are
-    synthesized kernel prefixes over the circle (budget-driven N and
-    lambda), capped to small instances.
+    oracle stages around real attention layers; the T decoders share one
+    decode of the aggregate, so f is called once per evaluated sequence.
+    In full mode they are synthesized kernel prefixes over the circle
+    (budget-driven N and lambda), capped to small instances, and f is
+    called once per anchor at build time.
     """
     if t_len < 1 or m < 0:
         raise DomainError("t_len >= 1 and m >= 0 required")
@@ -425,14 +443,8 @@ def build_seq2seq_transformer(
         layers.append(
             TransformerLayer(params=sum_params, prefix=sum_prefix, mlp=tuple(_stage_affine_recover(lay, gamma)))
         )
-        for i0 in range(t_len):
-            layers.append(
-                TransformerLayer(
-                    params=_passthrough_params(lay),
-                    prefix=_dummy_prefix(lay),
-                    mlp=(_decoder_oracle(lay, f, i0, t_len, m, cfg),),
-                )
-            )
+        for decoder in _decoder_oracles(lay, f, t_len, m, cfg):
+            layers.append(TransformerLayer(params=_passthrough_params(lay), prefix=_dummy_prefix(lay), mlp=(decoder,)))
     else:
         if n_points < 1:
             raise DomainError("n_points must be >= 1")

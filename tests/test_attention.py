@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from vmfhead import attention as att
 from vmfhead.errors import DimensionMismatch, DomainError
+from vmfhead.seq2seq import DigitConfig, SequenceSample, build_seq2seq_transformer
 from vmfhead.sphere import equal_area_partition, uniform_sphere_sample
 
 
@@ -228,7 +229,35 @@ class TestUniversalHead:
             att.build_universal_head(2, 0.5)
 
 
+@st.composite
+def _suppression_case(draw):
+    """(m, N, lam, M, augmented, seed) with M = -lam - t: the input's mass
+    e^M stays below the prefix mass N e^-lam, so the gap stays under 1/2,
+    and t up to 10^3.5 takes it far below one rounding unit."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.sampled_from([1, 16, 200, 3000]))
+    lam = 10.0 ** draw(st.floats(-1.0, 2.5))
+    M = -lam - 10.0 ** draw(st.floats(-2.0, 3.5))
+    return m, n, lam, M, draw(st.booleans()), draw(st.integers(0, 2**16))
+
+
 class TestClassicalHead:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_suppression_case())
+    def test_equals_split_head_times_suppression_gap(self, case):
+        """The projected classical head is split * (1 - gap) at every M, so
+        it tends to the split head as M -> -inf."""
+        m, n, lam, M, augmented, seed = case
+        anchors = uniform_sphere_sample(m, n, seed)
+        # values in [1, 3]: every output component is far from zero
+        cp = att.ControlPoints(m=m, lam=lam, p_alpha=anchors, p_beta=anchors[:, ::-1] + 2.0)
+        params = att.build_universal_head(m, M, augmented)
+        prefix = att.assemble_prefix_tokens(cp, M, augmented)
+        x = uniform_sphere_sample(m, 1, seed + 1)[0]
+        out = att.project(att.classical_head([att.lift(x, augmented)], prefix, params)[0], m + 1)
+        expected = att.split_head(cp, x) * (1.0 - att.suppression_gap(cp, x, M))
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=0)
+
     def test_prefix_permutation(self):
         m = 3
         cp = random_cp(m, 20, 8.0, seed=19)
@@ -314,6 +343,40 @@ class TestClassicalHead:
         assert np.all(np.isfinite(out))
 
 
+def _universal_stack():
+    m = 2
+    d = 3 * (m + 1) + 1
+    cp = random_cp(m, 10, 5.0, seed=35)
+    layer = att.TransformerLayer(
+        params=att.build_universal_head(m, -8.0, True),
+        prefix=att.assemble_prefix_tokens(cp, -8.0, True),
+        mlp=((np.eye(d), np.zeros(d)),),
+    )
+    X = np.array([att.lift(x, True) for x in uniform_sphere_sample(m, 2, seed=36)])
+    return att.TransformerStack(layers=(layer, layer)), X
+
+
+def _sequence_stack(mode, **kwargs):
+    stack = build_seq2seq_transformer(lambda e: e[::-1] ** 2, 2, 1, DigitConfig(digits=2), mode=mode, **kwargs)
+    s = SequenceSample(2, 1, np.random.default_rng(44).random((2, 2)))
+    return stack.transformer, stack.encode_inputs(s)
+
+
+def chain_of_heads(stack, X):
+    """The stack written out: each layer's public classical_head, then its
+    stages, with a ReLU between consecutive affine maps."""
+    for layer in stack.layers:
+        X = att.classical_head(X, layer.prefix, layer.params)
+        prev_affine = False
+        for stage in layer.mlp:
+            if isinstance(stage, att.OracleStage):
+                X, prev_affine = stage.fn(X), False
+                continue
+            X = (np.maximum(X, 0.0) if prev_affine else X) @ stage[0].T + stage[1]
+            prev_affine = True
+    return X
+
+
 class TestTransformerEval:
     def test_single_layer_equals_head(self):
         m = 2
@@ -340,6 +403,35 @@ class TestTransformerEval:
             [att.classical_head([x], prefix, params)[0]], prefix, params
         )[0]
         np.testing.assert_allclose(att.transformer_eval(stack, [x])[0], manual, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            _universal_stack,
+            lambda: _sequence_stack("hybrid"),
+            lambda: _sequence_stack("full", n_points=256, lam=2.0e4),
+        ],
+        ids=["universal", "hybrid", "full"],
+    )
+    def test_transformer_eval_is_chain_of_classical_heads(self, make):
+        stack, X = make()
+        out = att.transformer_eval(stack, X)
+        np.testing.assert_array_equal(out, chain_of_heads(stack, X))
+
+    def test_prefix_values_built_once_read_only_and_freed_with_layer(self):
+        stack, X = _universal_stack()
+        layer = stack.layers[0]
+        assert "_prefix_values" not in vars(layer)
+        att.transformer_eval(stack, X)
+        rows = vars(layer)["_prefix_values"]
+        att.transformer_eval(stack, X)
+        assert layer._prefix_values is rows
+        assert not rows.flags.writeable
+        np.testing.assert_array_equal(rows, layer.prefix.tokens @ layer.params.W_V.T)
+        refs = weakref.ref(layer), weakref.ref(rows)
+        del stack, layer, rows
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
 
 
 class TestArtifacts:

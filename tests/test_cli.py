@@ -153,6 +153,9 @@ class TestSeq2SeqDemo:
         assert lines[0] == "sample,stage,position,values"
         stages = {line.split(",")[1] for line in lines[1:]}
         assert {"input", "digit-encoded", "aggregate-ternary", "aggregate-value", "output", "reference"} <= stages
+        for line in lines[1:]:
+            for value in line.split(",")[3].split():
+                float(value)
 
 
 class TestArtifactCommands:
@@ -187,6 +190,20 @@ class TestArtifactCommands:
         code, _, err = run_cli(capsys, ["import-prefix", str(path)])
         assert code == 2
         assert "schema" in err
+
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda p: {k: v for k, v in p.items() if k != "tokens"}, lambda p: [p], lambda p: {**p, "d": "x"}],
+        ids=["missing key", "JSON array", "d not a number"],
+    )
+    def test_malformed_artifact_exit_code(self, capsys, tmp_path, edit):
+        path = tmp_path / "artifact.json"
+        run_cli(capsys, ["export-prefix", str(path), "--target", "identity", "--m", "2", "--lam", "4", "--n", "8"])
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        code, _, err = run_cli(capsys, ["import-prefix", str(path)])
+        assert code == 2
+        assert err.startswith("error: ")
 
 
 class TestExitCodes:

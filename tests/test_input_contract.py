@@ -29,6 +29,12 @@ def artifact(**changes):
     return json.dumps(payload)
 
 
+def without(key):
+    payload = json.loads(artifact())
+    del payload[key]
+    return json.dumps(payload)
+
+
 def with_entry(value):
     def edit(rows):
         rows[0][0] = value
@@ -61,6 +67,9 @@ CASES = {
     "artifact ragged tokens": lambda: att.import_prefix_artifact(artifact(tokens=lambda rows: [rows[0], rows[1][:-1]])),
     "artifact ragged W_V": lambda: att.import_prefix_artifact(artifact(W_V=lambda rows: rows[:-1] + [rows[-1][:2]])),
     "artifact entry not a number": lambda: att.import_prefix_artifact(artifact(tokens=with_entry("abc"))),
+    "artifact missing key": lambda: att.import_prefix_artifact(without("W_V")),
+    "artifact JSON array": lambda: att.import_prefix_artifact(json.dumps([artifact()])),
+    "artifact d not a number": lambda: att.import_prefix_artifact(artifact(d=lambda _: "x")),
     "sequence NaN": lambda: SequenceSample(2, 1, np.array([[0.5, np.nan], [0.1, 0.2]])),
     "suppression_gap no inputs": lambda: att.suppression_gap(control_points(), ANCHORS[0], -20.0, t_inputs=0),
     "suppression_gap M NaN": lambda: att.suppression_gap(control_points(), ANCHORS[0], np.nan),

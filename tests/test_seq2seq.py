@@ -366,3 +366,23 @@ class TestFullModeBuild:
         build_seq2seq_transformer(counted_mean, 3, 1, DigitConfig(digits=2), n_points=64, mode="full")
         assert partitions == [(1, 64)]
         assert calls == [(3, 2)] * 64
+
+
+class TestHybridDecodesOnce:
+    def test_one_f_call_per_sequence(self):
+        """The T decoder stages share one decode of the aggregate, so f runs
+        once per evaluated sequence, not once per element."""
+        calls = []
+
+        def counted_mean(elements):
+            calls.append(elements.shape)
+            return seq_mean(elements)
+
+        cfg = DigitConfig(digits=3)
+        stack = build_seq2seq_transformer(counted_mean, 4, 1, cfg, mode="hybrid")
+        rng = np.random.default_rng(14)
+        for i in range(3):
+            s = SequenceSample(4, 1, rng.random((4, 2)))
+            out = stack.evaluate(s)
+            assert calls == [(4, 2)] * (i + 1)
+            np.testing.assert_array_equal(out, np.stack(reference_seq2seq(seq_mean, s, cfg)))
