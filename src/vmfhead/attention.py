@@ -224,12 +224,21 @@ _ANGLE_SLACK = 1e-6
 # Anchors per block of the pruning index.
 _BLOCK_SIZE = 64
 
-# Cost of pruned evaluation in units of one dense logit and exp: a kept
-# anchor costs about _GATHER_COST (gathering its anchor and value rows
-# dominates), and each query group a fixed _GROUP_COST of numpy calls
-# (measured with numpy 2.4 on x86-64); see _pruning_pays.
-_GATHER_COST = 3
+# Cost of pruned evaluation in units of one tiled dense logit and exp: a
+# kept anchor costs about _GATHER_COST (gathering its anchor and value rows
+# dominates), and each query group a fixed _GROUP_COST of numpy calls.
+# Measured with numpy 2.4 on x86-64 over m in {1, 2, 3, 8}, N up to 65536
+# and lam from 1.5 to 2000 tau_N, at 64 and 256 queries per call with the
+# index build included: the pair with the least mean slowdown against the
+# faster path; see _pruning_pays.
+_GATHER_COST = 4
 _GROUP_COST = 8192
+
+# Bytes of float64 logits in one query tile of _softmax_rows: small enough
+# for a tile to stay in a core's L2 cache through the passes over it, large
+# enough that the per-tile numpy calls do not dominate (measured with
+# numpy 2.4 on x86-64 with 2 MiB of L2 per core).
+_TILE_BYTES = 3 << 18
 
 
 def _pruning_pays(kept, n_points: int):
@@ -303,15 +312,30 @@ def _block_index(cp: ControlPoints) -> _BlockIndex | None:
     return _BlockIndex(order, np.append(starts, n), part.centers()[used], radii)
 
 
-def _softmax_rows(pts: np.ndarray, lam: float, anchors: np.ndarray, values: np.ndarray):
-    """(weighted value mean, row sum, row max) of the softmax with logits
-    lam <x, anchor_k> over the given anchors and their values."""
-    logits = pts @ anchors.T
-    logits *= lam
-    w, rowmax = _softmax_weights(logits, 2.0 * lam)
-    rowsum = w.sum(axis=1)
-    w /= rowsum[:, None]
-    return w @ values, rowsum, rowmax
+def _softmax_rows(
+    pts: np.ndarray, rows: np.ndarray, lam: float, anchors: np.ndarray, values: np.ndarray, out: tuple
+) -> None:
+    """Write (weighted value mean, row sum, row max) of the softmax with
+    logits lam <x, anchor_k> over the given K anchors and their values, for
+    the queries pts[rows], into rows `rows` of out's three arrays: the one
+    tiled evaluator behind _head_softmax.
+
+    The queries are walked in tiles of max(2, _TILE_BYTES // 8K) rows, so
+    a tile's (rows, K) logits stay in cache through the passes over them
+    and no (n, K) array is ever built.  No tile is a single query: a lone
+    query is evaluated as two copies of itself and a one-query remainder
+    joins the tile before it, so a query's result never comes from numpy's
+    matrix-vector path, which rounds differently from its matrix product.
+    """
+    mean, rowsum, rowmax = out
+    if rows.size == 1:
+        rows = rows[[0, 0]]
+    bounds = [*range(0, rows.size - 1, max(2, _TILE_BYTES // (8 * anchors.shape[0]))), rows.size]
+    for start, stop in zip(bounds, bounds[1:]):
+        tile = rows[start:stop]
+        w, rowmax[tile] = _softmax_weights((lam * pts[tile]) @ anchors.T, 2.0 * lam)
+        rowsum[tile] = total = w.sum(axis=1)
+        mean[tile] = (w @ values) / total[:, None]
 
 
 def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -326,22 +350,28 @@ def _head_softmax(cp: ControlPoints, points) -> tuple:
     (n, m+1) batch of unit vectors: the one kernel behind every
     ControlPoints head.
 
-    A head without a block index (_block_index) evaluates every anchor.
-    With one, each query gets a lower bound L on its row max from the
-    blocks, and only blocks whose best possible logit reaches L - tau_N
-    (_prune_margin) are evaluated, so the dropped terms sum to under 2^-53
-    of the row sum.  Queries are evaluated in groups that share their
-    nearest block, each group over the union of the blocks its queries
-    keep; a query that keeps too many anchors for pruning to pay
-    (_pruning_pays) joins one dense batch instead.
+    Every evaluation goes through the tiled _softmax_rows, so memory stays
+    at one cache-sized tile of logits whatever n and N.  A head without a
+    block index (_block_index) evaluates every anchor.  With one, each
+    query gets a lower bound L on its row max from the blocks, and only
+    blocks whose best possible logit reaches L - tau_N (_prune_margin) are
+    evaluated, so the dropped terms sum to under 2^-53 of the row sum.
+    Queries are evaluated in groups that share their nearest block, each
+    group over the union of the blocks its queries keep; a lone query
+    joins the group after it (or, last, the one before), so no group is a
+    single row.  A query that keeps too many anchors for pruning to pay
+    (_pruning_pays) is evaluated densely instead.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != cp.m + 1:
         raise DimensionMismatch("points must have shape (n, m+1)")
     check_finite_unit(pts)
+    n = pts.shape[0]
+    out = np.empty((n, cp.m + 1)), np.empty(n), np.empty(n)
     blocks = cp._blocks
     if blocks is None:
-        return _softmax_rows(pts, cp.lam, cp.p_alpha, cp.p_beta)
+        _softmax_rows(pts, np.arange(n), cp.lam, cp.p_alpha, cp.p_beta, out)
+        return out
     tau = _prune_margin(cp.n_points)
     theta = np.arccos(np.clip(pts @ blocks.centers.T, -1.0, 1.0))
     # Every anchor of block b lies within theta_b + r_b of x, so
@@ -353,22 +383,22 @@ def _head_softmax(cp: ControlPoints, points) -> tuple:
     keep = theta - blocks.radii <= reach[:, None]
     pruned = _pruning_pays(keep @ np.diff(blocks.offsets), cp.n_points)
 
-    n = pts.shape[0]
-    mean, rowsum, rowmax = np.empty((n, cp.m + 1)), np.empty(n), np.empty(n)
     dense = np.flatnonzero(~pruned)
     if dense.size:
-        mean[dense], rowsum[dense], rowmax[dense] = _softmax_rows(pts[dense], cp.lam, cp.p_alpha, cp.p_beta)
+        _softmax_rows(pts, dense, cp.lam, cp.p_alpha, cp.p_beta, out)
     nearest = theta.argmin(axis=1)
     by_block = np.flatnonzero(pruned)[np.argsort(nearest[pruned], kind="stable")]
-    for rows in np.split(by_block, np.flatnonzero(np.diff(nearest[by_block])) + 1):
+    cuts = [0]
+    for cut in np.flatnonzero(np.diff(nearest[by_block])) + 1:
+        if cut - cuts[-1] > 1 and by_block.size - cut > 1:
+            cuts.append(cut)
+    for rows in np.split(by_block, cuts[1:]):
         if not rows.size:
             continue
         used = np.flatnonzero(keep[rows].any(axis=0))
         k = blocks.order[_ranges(blocks.offsets[used], blocks.offsets[used + 1])]
-        mean[rows], rowsum[rows], rowmax[rows] = _softmax_rows(
-            pts[rows], cp.lam, np.take(cp.p_alpha, k, axis=0), np.take(cp.p_beta, k, axis=0)
-        )
-    return mean, rowsum, rowmax
+        _softmax_rows(pts, rows, cp.lam, np.take(cp.p_alpha, k, axis=0), np.take(cp.p_beta, k, axis=0), out)
+    return out
 
 
 def core_head(cp: ControlPoints, x) -> np.ndarray:
@@ -625,7 +655,7 @@ def import_prefix_artifact(text: str):
         augmented = bool(payload["augmented"])
     except KeyError as exc:
         raise DomainError(f"prefix artifact has no {exc.args[0]!r} entry") from None
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DomainError("prefix artifact d and m must be integers") from None
     tokens, H, W, scalars = map(_dec_mat, rows)
     if tokens.shape[1] != d or H.shape != (d, d) or W.shape != (d, d):

@@ -277,10 +277,10 @@ def sup_error_estimate(f: TargetFunction, approx, n_samples: int, seed: int):
     so the sup estimate can only grow with more samples.  Both values are
     lower bounds on the true sup norm.
 
-    The batch is evaluated in at most 16 chunks, so the intermediate arrays
-    hold a sixteenth of it at a time: a dense head's logits are one chunk by
-    all N anchors, and a pruned head's (attention._head_softmax) are one
-    query group of a chunk by the anchors that group keeps.
+    The batch is evaluated in at most 16 chunks, so the targets and outputs
+    held at a time are a sixteenth of it.  A ControlPoints head's logits
+    (attention._head_softmax) never span a chunk: they are one cache-sized
+    tile of queries by the anchors evaluated, all N or a pruned group's.
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")

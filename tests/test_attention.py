@@ -3,12 +3,14 @@
 import gc
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vmfhead import attention as att
 from vmfhead.errors import DimensionMismatch, DomainError
@@ -91,6 +93,7 @@ class TestSplitHead:
         batch = att.split_head_batch(cp, pts)
         for i, x in enumerate(pts):
             np.testing.assert_allclose(batch[i], att.split_head(cp, x), rtol=1e-12)
+        assert att.split_head_batch(cp, pts[:0]).shape == (0, 3)
 
 
 def plain_softmax(anchors, values, lam, points):
@@ -129,7 +132,7 @@ def _head_case(draw):
 
 
 class TestPrunedHead:
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(_head_case())
     @example((2, 20000, 3000.0, True, 1))
     @example((1, 12000, 1e5, False, 2))
@@ -145,6 +148,46 @@ class TestPrunedHead:
         means, log_mass = plain_softmax(cp.p_alpha, cp.p_beta, cp.lam, pts)
         np.testing.assert_allclose(att.split_head_batch(cp, pts), means, rtol=0, atol=1e-12)
         np.testing.assert_allclose(att.log_prefix_mass(cp, pts), log_mass, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("m, n, lam, n_queries", [(2, 65536, 8.0, 21), (1, 30000, 4.0, 19)])
+    def test_tiled_matches_plain_softmax(self, m, n, lam, n_queries):
+        """A dense head over enough anchors for two- and three-row tiles,
+        with a one-query remainder that joins the tile before it."""
+        anchors = uniform_sphere_sample(m, n, seed=44)
+        cp = smooth_cp(m, anchors, lam)
+        assert cp._blocks is None
+        rows = max(2, att._TILE_BYTES // (8 * n))
+        assert rows <= 3 and n_queries % rows == 1
+        pts = np.vstack([uniform_sphere_sample(m, n_queries - 2, seed=45), anchors[:1], -anchors[:1]])
+        means, log_mass = plain_softmax(cp.p_alpha, cp.p_beta, cp.lam, pts)
+        np.testing.assert_allclose(att.split_head_batch(cp, pts), means, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(att.log_prefix_mass(cp, pts), log_mass, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n, lam, pruned", [(16384, 32.0, False), (65536, 2000.0, True)])
+    def test_lone_query_is_a_row_of_a_pair(self, n, lam, pruned):
+        """A query evaluated alone gives, bit for bit, what it gives as one
+        of two copies: no query goes through numpy's matrix-vector path,
+        which rounds differently from its matrix product."""
+        cp = smooth_cp(2, equal_area_partition(2, n).centers(), lam)
+        assert (cp._blocks is not None) == pruned
+        for x in uniform_sphere_sample(2, 20, seed=46):
+            pair = np.stack([x, x])
+            assert np.array_equal(att.split_head_batch(cp, x[None])[0], att.split_head_batch(cp, pair)[0])
+            assert att.log_prefix_mass(cp, x[None])[0] == att.log_prefix_mass(cp, pair)[0]
+
+    def test_dense_head_memory_is_one_tile(self):
+        """512 queries on 65536 anchors below tau_N: an (n, N) logit matrix
+        would take 256 MiB, two live two-row tiles take 2 MiB."""
+        cp = smooth_cp(2, uniform_sphere_sample(2, 65536, seed=47), 16.0)
+        pts = uniform_sphere_sample(2, 512, seed=48)
+        assert cp._blocks is None
+        tracemalloc.start()
+        try:
+            att.split_head_batch(cp, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("n, lam, pruned", [(16384, 2000.0, True), (4096, 8.0, False)])
     def test_anchor_order_irrelevant(self, n, lam, pruned):
@@ -242,7 +285,7 @@ def _suppression_case(draw):
 
 
 class TestClassicalHead:
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(_suppression_case())
     def test_equals_split_head_times_suppression_gap(self, case):
         """The projected classical head is split * (1 - gap) at every M, so
@@ -460,6 +503,68 @@ class TestArtifacts:
             att.import_prefix_artifact(json.dumps(payload))
         payload = json.loads(text)
         payload["d"] = 7
+        with pytest.raises(DomainError):
+            att.import_prefix_artifact(json.dumps(payload))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _artifact(draw):
+    """(prefix, params, m, lam) with arbitrary finite entries, subnormals
+    and signed zeros included."""
+    m, augmented = draw(st.integers(1, 3)), draw(st.booleans())
+    d = 3 * (m + 1) + augmented
+    tokens = draw(arrays(np.float64, (draw(st.integers(1, 4)), d), elements=_FINITE))
+    H, W = (draw(arrays(np.float64, (d, d), elements=_FINITE)) for _ in range(2))
+    M = draw(st.floats(max_value=-math.ulp(0.0), allow_infinity=False))
+    lam = draw(st.floats(min_value=math.ulp(0.0), allow_infinity=False))
+    prefix = att.PrefixTokens(d=d, tokens=tokens, M=M, augmented=augmented)
+    return prefix, att.AttentionHeadParams(d=d, H=H, W_V=W), m, lam
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+# Entries that no artifact written by export_prefix_artifact holds: strings
+# that parse to non-finite doubles or do not parse, and non-finite JSON
+# numbers where an integer belongs.
+_BAD_NUMBERS = ["nan", "-inf", "inf", "1e999", "np.float64(1.0)"]
+
+
+class TestArtifactProperties:
+    @settings(max_examples=40)
+    @given(_artifact())
+    def test_round_trip_is_bit_exact(self, case):
+        prefix, params, m, lam = case
+        text = att.export_prefix_artifact(prefix, params, m, lam)
+        prefix2, params2, m2, lam2 = att.import_prefix_artifact(text)
+        assert m2 == m and _bits(lam2) == _bits(lam) and _bits(prefix2.M) == _bits(prefix.M)
+        assert prefix2.augmented == prefix.augmented and prefix2.d == prefix.d
+        for got, want in ((prefix2.tokens, prefix.tokens), (params2.H, params.H), (params2.W_V, params.W_V)):
+            assert got.shape == want.shape and _bits(got) == _bits(want)
+
+    @settings(max_examples=60)
+    @given(_artifact(), st.data())
+    def test_adversarial_entries_raise_domain_error(self, case, data):
+        payload = json.loads(att.export_prefix_artifact(*case))
+        kind = data.draw(st.sampled_from(["entry", "scalar", "ragged", "empty", "integer"]))
+        if kind == "entry":
+            rows = payload[data.draw(st.sampled_from(["tokens", "H", "W_V"]))]
+            row = rows[data.draw(st.integers(0, len(rows) - 1))]
+            row[data.draw(st.integers(0, len(row) - 1))] = data.draw(st.sampled_from(_BAD_NUMBERS))
+        elif kind == "scalar":
+            payload[data.draw(st.sampled_from(["M", "lambda"]))] = data.draw(st.sampled_from(_BAD_NUMBERS))
+        elif kind == "ragged":
+            rows = payload[data.draw(st.sampled_from(["tokens", "H", "W_V"]))]
+            rows[data.draw(st.integers(0, len(rows) - 1))].pop()
+        elif kind == "empty":
+            payload["tokens"] = []
+        else:
+            key = data.draw(st.sampled_from(["d", "m"]))
+            payload[key] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
         with pytest.raises(DomainError):
             att.import_prefix_artifact(json.dumps(payload))
 

@@ -183,7 +183,7 @@ def _sequences(draw):
 
 
 class TestAggregateProperty:
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(_sequences(), st.data())
     def test_round_trip(self, case, data):
         s, cfg = case

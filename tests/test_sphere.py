@@ -213,7 +213,7 @@ def _partition_and_point(draw):
 
 
 _SIZES = st.tuples(st.integers(1, 8), st.integers(1, 300))
-_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+_PROPERTY = settings(max_examples=40)
 
 
 class TestPartitionProperties:
