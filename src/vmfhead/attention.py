@@ -98,6 +98,16 @@ class ControlPoints:
         when the object does."""
         return _block_index(self)
 
+    @cached_property
+    def _zero_shift(self) -> bool:
+        """Whether this head's softmax needs no max shift (_softmax_rows).
+        Its logits lam <x, p> lie in [-lam, lam], queries and anchors being
+        unit vectors, so with lam <= 350 every weight e^l is a normal double
+        and with lam + ln(N max(1, max |p_beta|)) <= 700 the row sum and the
+        weighted sums stay finite."""
+        scale = max(1.0, float(np.max(np.abs(self.p_beta))))
+        return self.lam <= _ZERO_SHIFT_LAM and self.lam + math.log(self.n_points * scale) <= 700.0
+
 
 @dataclass(frozen=True)
 class AttentionHeadParams:
@@ -215,6 +225,12 @@ class TransformerStack:
 # raised term weighs under e^-700 of a row sum that is at least 1: all of
 # them together move the sum far below one rounding unit.
 _LOGIT_FLOOR = -700.0
+_FLOOR_WEIGHT = float(np.exp(_LOGIT_FLOOR))
+
+# Largest concentration at which a ControlPoints head may skip the max
+# shift (ControlPoints._zero_shift): its weights are then at least e^-350,
+# so even their products with values down to 1e-156 stay normal.
+_ZERO_SHIFT_LAM = 350.0
 
 # Angular slack added to every block radius.  It covers the rounding of the
 # arccos calls behind the pruning bounds (at most about 1e-7 rad, near 0
@@ -249,9 +265,10 @@ def _pruning_pays(kept, n_points: int):
 
 def _softmax_weights(logits: np.ndarray, span: float = math.inf):
     """Shift each row of an (n, K) logit array by its max and exponentiate,
-    in place; returns (weights, rowmax).  Every head is a view of this one
-    softmax: row i's attention weights are weights[i] / weights[i].sum(),
-    and rowmax[i] + ln weights[i].sum() is its log normalizer.
+    in place; returns (weights, rowmax).  The stack heads (_attend) and
+    the ControlPoints heads that need a shift (_softmax_rows) use it: row
+    i's attention weights are weights[i] / weights[i].sum(), and rowmax[i]
+    + ln weights[i].sum() is its log normalizer.
 
     span bounds each row's max minus min; the shifted logits are floored at
     _LOGIT_FLOOR unless span shows that none can fall below it.
@@ -312,30 +329,45 @@ def _block_index(cp: ControlPoints) -> _BlockIndex | None:
     return _BlockIndex(order, np.append(starts, n), part.centers()[used], radii)
 
 
-def _softmax_rows(
-    pts: np.ndarray, rows: np.ndarray, lam: float, anchors: np.ndarray, values: np.ndarray, out: tuple
-) -> None:
-    """Write (weighted value mean, row sum, row max) of the softmax with
-    logits lam <x, anchor_k> over the given K anchors and their values, for
-    the queries pts[rows], into rows `rows` of out's three arrays: the one
-    tiled evaluator behind _head_softmax.
+def _softmax_rows(cp: ControlPoints, pts: np.ndarray, rows: np.ndarray, out: tuple, kept=None) -> None:
+    """Write (weighted value mean, row sum, shift) of cp's softmax over the
+    anchors kept (all N where kept is None), for the queries pts[rows],
+    into rows `rows` of out's three arrays: the one tiled evaluator behind
+    _head_softmax.  The log normalizer of a row is shift + ln(row sum).
 
-    The queries are walked in tiles of max(2, _TILE_BYTES // 8K) rows, so
-    a tile's (rows, K) logits stay in cache through the passes over them
-    and no (n, K) array is ever built.  No tile is a single query: a lone
-    query is evaluated as two copies of itself and a one-query remainder
-    joins the tile before it, so a query's result never comes from numpy's
-    matrix-vector path, which rounds differently from its matrix product.
+    The queries are walked in tiles of max(2, _TILE_BYTES // 8K) rows for
+    K anchors, so a tile's (rows, K) logits stay in cache through the
+    passes over them and no (n, K) array is ever built.  A tile takes three
+    passes: the logits gemm, exp in place, and one gemm against
+    [values | 1], whose last column is the row sum.  Where cp._zero_shift
+    holds the shift is 0; otherwise each row is shifted by its max
+    (_softmax_weights), which costs two or three passes more.  No tile is
+    a single query: a lone query is evaluated as two copies of itself and
+    a one-query remainder joins the tile before it, so a query's result
+    never comes from numpy's matrix-vector path, which rounds differently
+    from its matrix product.
     """
-    mean, rowsum, rowmax = out
+    mean, rowsum, shift = out
+    anchors = cp.p_alpha if kept is None else np.take(cp.p_alpha, kept, axis=0)
+    k = cp.m + 1
+    # [values | 1], column-major: the value columns are copied in as long
+    # runs, and the gemm reads this layout no slower than a row-major one
+    values = np.empty((anchors.shape[0], k + 1), order="F")
+    values[:, k] = 1.0
+    values[:, :k] = cp.p_beta if kept is None else np.take(cp.p_beta, kept, axis=0)
     if rows.size == 1:
         rows = rows[[0, 0]]
     bounds = [*range(0, rows.size - 1, max(2, _TILE_BYTES // (8 * anchors.shape[0]))), rows.size]
     for start, stop in zip(bounds, bounds[1:]):
         tile = rows[start:stop]
-        w, rowmax[tile] = _softmax_weights((lam * pts[tile]) @ anchors.T, 2.0 * lam)
-        rowsum[tile] = total = w.sum(axis=1)
-        mean[tile] = (w @ values) / total[:, None]
+        logits = (cp.lam * pts[tile]) @ anchors.T
+        if cp._zero_shift:
+            w, shift[tile] = np.exp(logits, out=logits), 0.0
+        else:
+            w, shift[tile] = _softmax_weights(logits, 2.0 * cp.lam)
+        acc = w @ values
+        rowsum[tile] = acc[:, k]
+        mean[tile] = acc[:, :k] / acc[:, k:]
 
 
 def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -346,9 +378,9 @@ def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
 
 def _head_softmax(cp: ControlPoints, points) -> tuple:
-    """(weighted value mean, row sum, row max) of the softmax head at an
-    (n, m+1) batch of unit vectors: the one kernel behind every
-    ControlPoints head.
+    """(weighted value mean, row sum, shift) of the softmax head at an
+    (n, m+1) batch of unit vectors, the log normalizer being shift +
+    ln(row sum): the one kernel behind every ControlPoints head.
 
     Every evaluation goes through the tiled _softmax_rows, so memory stays
     at one cache-sized tile of logits whatever n and N.  A head without a
@@ -370,7 +402,7 @@ def _head_softmax(cp: ControlPoints, points) -> tuple:
     out = np.empty((n, cp.m + 1)), np.empty(n), np.empty(n)
     blocks = cp._blocks
     if blocks is None:
-        _softmax_rows(pts, np.arange(n), cp.lam, cp.p_alpha, cp.p_beta, out)
+        _softmax_rows(cp, pts, np.arange(n), out)
         return out
     tau = _prune_margin(cp.n_points)
     theta = np.arccos(np.clip(pts @ blocks.centers.T, -1.0, 1.0))
@@ -385,7 +417,7 @@ def _head_softmax(cp: ControlPoints, points) -> tuple:
 
     dense = np.flatnonzero(~pruned)
     if dense.size:
-        _softmax_rows(pts, dense, cp.lam, cp.p_alpha, cp.p_beta, out)
+        _softmax_rows(cp, pts, dense, out)
     nearest = theta.argmin(axis=1)
     by_block = np.flatnonzero(pruned)[np.argsort(nearest[pruned], kind="stable")]
     cuts = [0]
@@ -396,17 +428,16 @@ def _head_softmax(cp: ControlPoints, points) -> tuple:
         if not rows.size:
             continue
         used = np.flatnonzero(keep[rows].any(axis=0))
-        k = blocks.order[_ranges(blocks.offsets[used], blocks.offsets[used + 1])]
-        _softmax_rows(pts, rows, cp.lam, np.take(cp.p_alpha, k, axis=0), np.take(cp.p_beta, k, axis=0), out)
+        _softmax_rows(cp, pts, rows, out, blocks.order[_ranges(blocks.offsets[used], blocks.offsets[used + 1])])
     return out
 
 
 def core_head(cp: ControlPoints, x) -> np.ndarray:
     """Bare kernel sum  sum_k exp(lam <x, p_alpha_k>) p_beta_k.
 
-    Computed as a max-shifted sum, so intermediate terms never overflow;
-    the returned linear value itself saturates to +-inf once it exceeds the
-    double range (use core_head_log then).
+    Computed as a shifted sum (_head_softmax), so intermediate terms never
+    overflow; the returned linear value itself saturates to +-inf once it
+    exceeds the double range (use core_head_log then).
     """
     signs, logmag = core_head_log(cp, x)
     with np.errstate(over="ignore"):
@@ -415,9 +446,9 @@ def core_head(cp: ControlPoints, x) -> np.ndarray:
 
 def core_head_log(cp: ControlPoints, x):
     """(sign, ln|value|) per component of the core head output."""
-    mean, rowsum, rowmax = _head_softmax(cp, as_unit_vector(x)[None, :])
+    mean, rowsum, shift = _head_softmax(cp, as_unit_vector(x)[None, :])
     with np.errstate(divide="ignore"):
-        return np.sign(mean[0]), np.log(np.abs(mean[0])) + (math.log(rowsum[0]) + rowmax[0])
+        return np.sign(mean[0]), np.log(np.abs(mean[0])) + (math.log(rowsum[0]) + shift[0])
 
 
 def split_head(cp: ControlPoints, x) -> np.ndarray:
@@ -433,8 +464,8 @@ def split_head_batch(cp: ControlPoints, points: np.ndarray) -> np.ndarray:
 def log_prefix_mass(cp: ControlPoints, points: np.ndarray) -> np.ndarray:
     """ln sum_k exp(lam <x, p_alpha_k>), the log softmax denominator, for
     each row of an (n, m+1) batch of unit vectors."""
-    _, rowsum, rowmax = _head_softmax(cp, points)
-    return rowmax + np.log(rowsum)
+    _, rowsum, shift = _head_softmax(cp, points)
+    return shift + np.log(rowsum)
 
 
 def _as_inputs(inputs) -> np.ndarray:
@@ -449,11 +480,17 @@ def _attend(X: np.ndarray, layer: TransformerLayer) -> np.ndarray:
     Position k attends over the N prefix tokens and the T inputs, c ranging
     over [tokens; X], with logits (x_k H) c and values W_V c.  The prefix
     value rows come from the layer; only the inputs' rows are computed.
+
+    A term floored at _LOGIT_FLOOR weighs exactly 0: the floor's weight is
+    taken off every weight, which leaves each weight above 2^-955 (a
+    shifted logit above about -662) bit for bit as it was, so a head whose
+    other terms all sit below the floor passes its inputs through exactly.
     """
     if X.shape[1] != layer.params.d:
         raise DimensionMismatch("inputs, prefix, and params disagree on d")
     XH = X @ layer.params.H
     w, _ = _softmax_weights(np.concatenate([XH @ layer.prefix.tokens.T, XH @ X.T], axis=1))
+    w -= _FLOOR_WEIGHT
     w /= w.sum(axis=1, keepdims=True)
     return w @ np.concatenate([layer._prefix_values, X @ layer.params.W_V.T])
 

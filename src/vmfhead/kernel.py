@@ -10,6 +10,7 @@ Bessel functions of consecutive orders.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -86,6 +87,16 @@ def kernel_eval(kern: VmfKernel, t) -> np.ndarray | float:
     return np.exp(log_val) if isinstance(log_val, np.ndarray) else math.exp(min(log_val, 709.0)) if log_val < 709.0 else math.inf
 
 
+@functools.cache
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (nodes, weights) of the n-point Gauss-Legendre rule on
+    [-1, 1]; each rule is an O(n^3) eigenvalue solve, so it is built once."""
+    t, u = np.polynomial.legendre.leggauss(nodes)
+    t.setflags(write=False)
+    u.setflags(write=False)
+    return t, u
+
+
 def kernel_norm(m: int, lam: float, rtol: float = 1e-9) -> float:
     """Weighted L1 norm of the kernel on S^m, which equals 1 for every
     lambda > 0 and m > 1.
@@ -100,7 +111,7 @@ def kernel_norm(m: int, lam: float, rtol: float = 1e-9) -> float:
     prev = None
     nodes = 200
     while nodes <= 120_000:
-        t, u = np.polynomial.legendre.leggauss(nodes)
+        t, u = _gauss_legendre(nodes)
         with np.errstate(divide="ignore"):
             log_f = np.log(u) + log_c + lam * t + 0.5 * (m - 2) * np.log1p(-t * t)
         peak = np.max(log_f)

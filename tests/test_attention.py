@@ -6,6 +6,7 @@ import math
 import tracemalloc
 import weakref
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -118,6 +119,12 @@ def smooth_cp(m, anchors, lam):
     return att.ControlPoints(m=m, lam=lam, p_alpha=anchors, p_beta=anchors[:, ::-1] + 0.5)
 
 
+def positive_cp(anchors, lam, scale):
+    """S^2 control points whose values are positive, smooth in their
+    anchors and of size `scale`, so no component of a kernel sum cancels."""
+    return att.ControlPoints(m=2, lam=lam, p_alpha=anchors, p_beta=scale * (anchors[:, ::-1] + 2.0))
+
+
 @st.composite
 def _head_case(draw):
     """(m, N, lam, anchors from partition centers?, seed): half the cases are
@@ -162,6 +169,42 @@ class TestPrunedHead:
         means, log_mass = plain_softmax(cp.p_alpha, cp.p_beta, cp.lam, pts)
         np.testing.assert_allclose(att.split_head_batch(cp, pts), means, rtol=0, atol=1e-12)
         np.testing.assert_allclose(att.log_prefix_mass(cp, pts), log_mass, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "lam, scale, zero_shift",
+        [(349.9, 1.0, True), (350.1, 1.0, False), (349.0, 1e147, True), (349.0, 1e150, False), (349.0, 1e160, False)],
+    )
+    def test_zero_shift_matches_plain_softmax(self, lam, scale, zero_shift):
+        """Both sides of the zero-shift switch (ControlPoints._zero_shift):
+        lam around 350, and values so large that only the max shift is
+        certified (at 1e160 a zero shift would overflow the weighted sums).
+        A batch, a lone query and an empty batch agree with a plain softmax
+        to 1e-12 of the value scale."""
+        cp = positive_cp(equal_area_partition(2, 3000).centers(), lam, scale)
+        assert cp._blocks is None and cp._zero_shift == zero_shift
+        pts = np.vstack([uniform_sphere_sample(2, 9, seed=49), cp.p_alpha[:1], -cp.p_alpha[:1]])
+        means, log_mass = plain_softmax(cp.p_alpha, cp.p_beta, cp.lam, pts)
+        np.testing.assert_allclose(att.split_head_batch(cp, pts) / scale, means / scale, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(att.log_prefix_mass(cp, pts), log_mass, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(att.split_head_batch(cp, pts[:1]) / scale, means[:1] / scale, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(att.log_prefix_mass(cp, pts[:1]), log_mass[:1], rtol=1e-12, atol=1e-12)
+        assert att.split_head_batch(cp, pts[:0]).shape == (0, 3)
+        assert att.log_prefix_mass(cp, pts[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("lam, scale", [(349.9, 1.0), (350.1, 1.0), (349.0, 1e147), (349.0, 1e150)])
+    def test_log_mass_matches_mpmath_across_zero_shift(self, lam, scale):
+        """log_prefix_mass and core_head_log against a 30-digit log-sum-exp
+        of the same logits, on both sides of the zero-shift switch."""
+        cp = positive_cp(equal_area_partition(2, 3000).centers(), lam, scale)
+        for x in uniform_sphere_sample(2, 3, seed=50):
+            with mp.workdps(30):
+                terms = [mp.exp(mp.mpf(float(v))) for v in cp.lam * (cp.p_alpha @ x)]
+                log_mass = float(mp.log(mp.fsum(terms)))
+                log_core = [float(mp.log(mp.fsum(t * mp.mpf(float(b)) for t, b in zip(terms, col)))) for col in cp.p_beta.T]
+            assert att.log_prefix_mass(cp, x[None])[0] == pytest.approx(log_mass, rel=1e-12)
+            signs, logmag = att.core_head_log(cp, x)
+            assert np.all(signs == 1.0)
+            np.testing.assert_allclose(logmag, log_core, rtol=1e-12)
 
     @pytest.mark.parametrize("n, lam, pruned", [(16384, 32.0, False), (65536, 2000.0, True)])
     def test_lone_query_is_a_row_of_a_pair(self, n, lam, pruned):

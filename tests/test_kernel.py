@@ -48,6 +48,21 @@ class TestKernelNorm:
         with pytest.raises(DomainError):
             kernel_norm(1, 1.0)
 
+    def test_gauss_legendre_rules_built_once(self):
+        """The quadrature rules are cached read-only arrays, bitwise equal
+        to numpy's, and kernel_norm builds none twice."""
+        from vmfhead import kernel
+
+        for n in (200, 400):
+            rule = kernel._gauss_legendre(n)
+            assert kernel._gauss_legendre(n) is rule
+            assert all(np.array_equal(a, b) for a, b in zip(rule, np.polynomial.legendre.leggauss(n)))
+            assert not rule[0].flags.writeable and not rule[1].flags.writeable
+        first = kernel_norm(2, 7.0)
+        misses = kernel._gauss_legendre.cache_info().misses
+        assert kernel_norm(2, 7.0) == first
+        assert kernel._gauss_legendre.cache_info().misses == misses
+
 
 class TestEigenvalues:
     def test_k0_exact(self):

@@ -260,6 +260,20 @@ class TestStackAssembly:
             vals = trace["layers"][1]["attention"][:, stack.layout.val]
             assert float(np.max(np.abs(vals - aggregate_R(s, cfg).value))) <= 1e-12
 
+    def test_passthrough_layers_are_bit_exact(self):
+        """Every attention layer of a hybrid stack but the summation layer
+        passes its state through: its output equals X @ W_V^T bit for bit,
+        the terms below the softmax floor weighing exactly zero."""
+        stack = build_seq2seq_transformer(seq_mean, 8, 0, DigitConfig(digits=3), mode="hybrid")
+        rng = np.random.default_rng(10)
+        for _ in range(5):
+            trace = stack.stage_trace(SequenceSample(8, 0, rng.random((8, 1))))
+            states = [trace["encoded"]] + [rec["after_mlp"] for rec in trace["layers"]]
+            for i, layer in enumerate(stack.transformer.layers):
+                if i != 1:
+                    expected = states[i] @ layer.params.W_V.T
+                    assert np.array_equal(trace["layers"][i]["attention"], expected)
+
     def test_full_mode_fixture(self, fixtures):
         fx = fixtures["seq2seq_full_t2_m0_digits2"]
         cfg = DigitConfig(digits=2)
