@@ -8,7 +8,8 @@ attention keys, and the values into orthogonal subspaces of a 3(m+1)
 (optionally +1) dimensional space so that the classical head reproduces the
 split head exactly as the input-input suppression constant M goes to -inf.
 A head with a sharp kernel skips the anchors whose share of its softmax is
-certified to be below one rounding unit (_head_softmax).
+certified to be below one rounding unit (_head_softmax), and a stack head
+skips the prefix blocks certified to weigh exactly 0 (_kept_tokens).
 """
 
 from __future__ import annotations
@@ -169,7 +170,12 @@ class TransformerLayer:
     """One prefixed attention head followed by its MLP stages.
 
     The prefix is fixed while inputs vary, so the value rows of its tokens
-    are a constant of the layer (_prefix_values).
+    are a constant of the layer (_prefix_values), and so is an index of
+    its tokens in blocks of _TOKEN_BLOCK rows: each block's first token
+    (_block_firsts) and per-coordinate box (_token_blocks), by which a call
+    leaves out the blocks that would weigh exactly 0 (_kept_tokens).  The
+    tokens stay in place; a prefix of fewer than _MIN_BLOCKED_TOKENS
+    tokens has no index.
     """
 
     params: AttentionHeadParams
@@ -200,6 +206,22 @@ class TransformerLayer:
         rows = self.prefix.tokens @ self.params.W_V.T
         rows.setflags(write=False)
         return rows
+
+    @cached_property
+    def _block_firsts(self) -> np.ndarray:
+        """The read-only (d, B) first tokens of the B blocks of
+        _TOKEN_BLOCK prefix rows as columns (_kept_tokens), held by this
+        layer alone like _prefix_values."""
+        cols = np.ascontiguousarray(self.prefix.tokens[::_TOKEN_BLOCK].T)
+        cols.setflags(write=False)
+        return cols
+
+    @cached_property
+    def _token_blocks(self) -> np.ndarray:
+        """The read-only box index of the prefix tokens' blocks (_token_blocks),
+        built on the first call that can leave a block out (_kept_tokens)
+        and held by this layer alone like _prefix_values."""
+        return _token_blocks(self.prefix.tokens)
 
 
 @dataclass(frozen=True)
@@ -250,6 +272,15 @@ _BLOCK_SIZE = 64
 _GATHER_COST = 4
 _GROUP_COST = 8192
 
+# Prefix tokens per block of a stack head's token index (_token_blocks), a
+# power of two, and the fewest tokens a prefix must have to be split into
+# blocks at all (_kept_tokens); a shorter prefix is always evaluated whole.
+# Measured with numpy 2.4 on x86-64: a two-row call that keeps a few blocks
+# spends about 40 us on its bound and gathers, which a dense evaluation of
+# the same rows outgrows between 2048 and 4096 tokens (d = 14).
+_TOKEN_BLOCK = 16
+_MIN_BLOCKED_TOKENS = 4096
+
 # Bytes of float64 logits in one query tile of _softmax_rows: small enough
 # for a tile to stay in a core's L2 cache through the passes over it, large
 # enough that the per-tile numpy calls do not dominate (measured with
@@ -271,13 +302,22 @@ def _softmax_weights(logits: np.ndarray, span: float = math.inf):
     + ln weights[i].sum() is its log normalizer.
 
     span bounds each row's max minus min; the shifted logits are floored at
-    _LOGIT_FLOOR unless span shows that none can fall below it.
+    _LOGIT_FLOOR unless span shows that none can fall below it.  A floored
+    term weighs exactly 0: the floor's weight is taken off every weight,
+    which leaves each weight above 2^-955 (a shifted logit above about
+    -662) bit for bit as it was, so no floored weight reaches a weighted
+    sum, where its products with small values would be subnormal, and a
+    stack head whose other terms all sit below the floor passes its inputs
+    through exactly.
     """
     rowmax = logits.max(axis=1)
     logits -= rowmax[:, None]
     if span > -_LOGIT_FLOOR:
         np.maximum(logits, _LOGIT_FLOOR, out=logits)
-    np.exp(logits, out=logits)
+        np.exp(logits, out=logits)
+        logits -= _FLOOR_WEIGHT
+    else:
+        np.exp(logits, out=logits)
     return logits, rowmax
 
 
@@ -473,6 +513,93 @@ def _as_inputs(inputs) -> np.ndarray:
     return np.atleast_2d(np.asarray(inputs, dtype=np.float64))
 
 
+def _block_reduce(op, tokens: np.ndarray) -> np.ndarray:
+    """op (np.maximum or np.minimum) reduced over each block of
+    _TOKEN_BLOCK consecutive token rows, the last block possibly shorter.
+    The full blocks are reduced by pairwise halving, a few calls on large
+    slices, where a reduction over the middle axis of their (B, 16, d)
+    view takes one small step per row."""
+    full = tokens.shape[0] - tokens.shape[0] % _TOKEN_BLOCK
+    blocks = tokens[:full].reshape(-1, _TOKEN_BLOCK, tokens.shape[1])
+    while blocks.shape[1] > 1:
+        h = blocks.shape[1] // 2
+        blocks = op(blocks[:, :h], blocks[:, h:])
+    tail = [op.reduce(tokens[full:])[None]] if full < tokens.shape[0] else []
+    return np.concatenate([blocks[:, 0], *tail])
+
+
+def _token_blocks(tokens: np.ndarray) -> np.ndarray:
+    """The read-only (2d, B + 1) box index of an (N, d) token array in its
+    B blocks of _TOKEN_BLOCK consecutive rows (the last may be shorter):
+    column b < B holds block b's box center over its half-widths, and
+    column B holds zeros over scale, the largest |token[k]| per coordinate.
+    So [A, |A|] times it gives, per logit row A, every block's box bound
+    A . mid_b + |A| . half_b and then |A| . scale.  The tokens stay in
+    place: no sorted or padded copy is made."""
+    hi, lo = _block_reduce(np.maximum, tokens), _block_reduce(np.minimum, tokens)
+    d = tokens.shape[1]
+    index = np.zeros((2 * d, hi.shape[0] + 1))
+    index[:d, :-1] = ((hi + lo) * 0.5).T
+    index[d:, :-1] = ((hi - lo) * 0.5).T
+    index[d:, -1] = np.maximum(hi.max(axis=0), -lo.min(axis=0))
+    index.setflags(write=False)
+    return index
+
+
+def _kept_tokens(layer: TransformerLayer, XH: np.ndarray, inner: np.ndarray) -> np.ndarray | None:
+    """Rows of layer's prefix tokens that can carry weight at the inputs
+    whose logit rows are XH (token c's logit is XH c) and whose
+    input-input logits are inner; None where every token is kept.
+
+    With A a row of XH, every logit of block b is at most the box bound
+    U_b = A . mid_b + |A| . half_b (_token_blocks), and the row's max is at
+    least L = max(max_b A . r_b, max inner), r_b the first token of block
+    b: two true logits.  A block is left out where U_b < L - 700 - delta in
+    every row.  Its terms would then sit more than 700 below the row max,
+    where the softmax floors them to weight exactly 0 (_softmax_weights).
+    Leaving them out only drops exact zeros: the row max stays among the
+    kept terms, and the outputs differ from a dense evaluation only in the
+    summation order of the row sum and the weighted sum (and in any
+    rounding the logits product makes differently on fewer columns).
+
+    delta = (d + 1) 2^-50 (G + |L| + 700), G = |A| . scale, covers the
+    rounding, u = 2^-53 and gamma_n = n u / (1 - n u).  A computed dot
+    product of A with a token is within gamma_d G of the exact one, the
+    dense logits and A . r_b alike.  The computed box holds each token to
+    within 2 u scale, and U_b is one dot product of 2d terms, so the
+    computed U_b is at most (gamma_2d + 2 u) G below the largest exact
+    logit of block b.  Forming L - 700 - delta rounds by under
+    2.01 u (|L| + 700 + delta).  A left-out term's shifted logit in a dense
+    evaluation is then at most -700 + (4d + 2) u G (1 + O(u)) +
+    2.01 u (|L| + 700) - delta (1 - u) <= -700, which spends at most half
+    of delta.  A NaN or infinite bound leaves out nothing.
+
+    Blocks are left out only where at most half of them are kept: gathering
+    more kept rows costs more than the left-out terms save.  A block whose
+    A . r_b lies above L - 700 in some row is kept, so the first tokens
+    alone send most calls that cannot gain to the dense path before any
+    box is built; the boxes are built by the first call they do not.  A
+    prefix of fewer than _MIN_BLOCKED_TOKENS tokens is never split.
+    """
+    n = layer.prefix.n_tokens
+    if n < _MIN_BLOCKED_TOKENS or not XH.shape[0]:
+        return None
+    first = XH @ layer._block_firsts
+    row_max = np.concatenate([first, inner], axis=1).max(axis=1)
+    if row_max.max() - first.min() <= -_LOGIT_FLOOR:
+        return None  # every first token within 700 of every row max: a quick exit for wide heads
+    reach = row_max + _LOGIT_FLOOR
+    if 2 * np.count_nonzero((first > reach[:, None]).any(axis=0)) > first.shape[1]:
+        return None
+    bounds = np.concatenate([XH, np.abs(XH)], axis=1) @ layer._token_blocks
+    delta = (XH.shape[1] + 1) * 2.0**-50 * (bounds[:, -1] + np.abs(row_max) - _LOGIT_FLOOR)
+    kept = (~(bounds[:, :-1] < (reach - delta)[:, None]).all(axis=0)).nonzero()[0]
+    if 2 * kept.size > first.shape[1]:
+        return None
+    rows = (kept[:, None] * _TOKEN_BLOCK + np.arange(_TOKEN_BLOCK)).ravel()
+    return rows[rows < n]  # the last block may be shorter
+
+
 def _attend(X: np.ndarray, layer: TransformerLayer) -> np.ndarray:
     """The (T, d) outputs of layer's head at the (T, d) inputs X: the one
     kernel behind classical_head and transformer_eval.
@@ -480,19 +607,28 @@ def _attend(X: np.ndarray, layer: TransformerLayer) -> np.ndarray:
     Position k attends over the N prefix tokens and the T inputs, c ranging
     over [tokens; X], with logits (x_k H) c and values W_V c.  The prefix
     value rows come from the layer; only the inputs' rows are computed.
-
-    A term floored at _LOGIT_FLOOR weighs exactly 0: the floor's weight is
-    taken off every weight, which leaves each weight above 2^-955 (a
-    shifted logit above about -662) bit for bit as it was, so a head whose
-    other terms all sit below the floor passes its inputs through exactly.
+    Blocks of prefix tokens certified to weigh exactly 0 in every row are
+    left out (_kept_tokens), for any H: a full-mode head evaluates the few
+    blocks of one bank near its input, and a pass-through row none.  The
+    kept tokens and value rows are gathered; the layer's arrays stay as
+    they are.
     """
     if X.shape[1] != layer.params.d:
         raise DimensionMismatch("inputs, prefix, and params disagree on d")
     XH = X @ layer.params.H
-    w, _ = _softmax_weights(np.concatenate([XH @ layer.prefix.tokens.T, XH @ X.T], axis=1))
-    w -= _FLOOR_WEIGHT
+    inner = XH @ X.T
+    kept = _kept_tokens(layer, XH, inner)
+    # The cached rows are read inline, not held in a local: with glibc on
+    # x86-64 a local changed the heap's trimming around the ~1 MB per-call
+    # temporaries and cost a one-off N=16384 call about 40% in page faults.
+    w, _ = _softmax_weights(np.concatenate([XH @ _rows(layer.prefix.tokens, kept).T, inner], axis=1))
     w /= w.sum(axis=1, keepdims=True)
-    return w @ np.concatenate([layer._prefix_values, X @ layer.params.W_V.T])
+    return w @ np.concatenate([_rows(layer._prefix_values, kept), X @ layer.params.W_V.T])
+
+
+def _rows(a: np.ndarray, kept: np.ndarray | None) -> np.ndarray:
+    """a, or a copy of its rows kept where kept is not None."""
+    return a if kept is None else a.take(kept, axis=0)
 
 
 def classical_head(inputs, prefix: PrefixTokens, params: AttentionHeadParams):
@@ -501,7 +637,8 @@ def classical_head(inputs, prefix: PrefixTokens, params: AttentionHeadParams):
     Position k attends over all N prefix tokens and all T input positions
     with logits x_k^T H c and values W_V c.  Returns the (T, d) array of
     per-position outputs.  A one-off call: it evaluates a transient
-    TransformerLayer, so the prefix value rows are computed anew each
+    TransformerLayer, so the prefix value rows, and the token index where
+    the call can leave blocks out (_kept_tokens), are built anew each
     time; repeated calls on one prefix should go through transformer_eval.
     """
     return _attend(_as_inputs(inputs), TransformerLayer(params=params, prefix=prefix))

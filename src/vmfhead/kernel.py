@@ -97,25 +97,35 @@ def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return t, u
 
 
+# Largest Gauss-Legendre rule kernel_norm builds: leggauss(n) solves a dense
+# n x n eigenproblem, so a few thousand nodes is the practical limit.
+_MAX_NODES = 3200
+
+
 def kernel_norm(m: int, lam: float, rtol: float = 1e-9) -> float:
     """Weighted L1 norm of the kernel on S^m, which equals 1 for every
     lambda > 0 and m > 1.
 
-    Gauss-Legendre quadrature of (w_{m-1}/w_m) * int K(t) (1-t^2)^((m-2)/2) dt
-    evaluated in log domain, with node doubling until two refinements agree.
+    The weighted integral (w_{m-1}/w_m) int K(t) (1-t^2)^((m-2)/2) dt, taken
+    in the angle t = cos(theta):
+    (w_{m-1}/w_m) int_0^pi K(cos theta) sin^(m-1)(theta) dtheta, whose
+    integrand is smooth for every m (in t the weight has a half-integer
+    power at odd m, which Gauss-Legendre nodes converge to slowly).
+    Gauss-Legendre quadrature on [0, pi] in log domain, with node doubling
+    from 200 until two refinements agree; NumericalFailure past
+    _MAX_NODES nodes.
     """
     if m < 2:
         raise DomainError(f"kernel_norm requires m >= 2, got {m}")
-    log_c = vmf_log_normalizer(m, lam)
-    log_ratio = math.log(surface_area(m - 1)) - math.log(surface_area(m))
+    log_scale = vmf_log_normalizer(m, lam) + math.log(surface_area(m - 1)) - math.log(surface_area(m) / (0.5 * math.pi))
     prev = None
     nodes = 200
-    while nodes <= 120_000:
+    while nodes <= _MAX_NODES:
         t, u = _gauss_legendre(nodes)
-        with np.errstate(divide="ignore"):
-            log_f = np.log(u) + log_c + lam * t + 0.5 * (m - 2) * np.log1p(-t * t)
+        theta = 0.5 * math.pi * (t + 1.0)
+        log_f = np.log(u) + lam * np.cos(theta) + (m - 1) * np.log(np.sin(theta))
         peak = np.max(log_f)
-        val = math.exp(peak + math.log(np.sum(np.exp(log_f - peak))) + log_ratio)
+        val = math.exp(peak + math.log(np.sum(np.exp(log_f - peak))) + log_scale)
         if prev is not None and abs(val - prev) <= rtol * abs(val):
             return val
         prev = val

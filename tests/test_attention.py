@@ -514,10 +514,163 @@ class TestTransformerEval:
         assert layer._prefix_values is rows
         assert not rows.flags.writeable
         np.testing.assert_array_equal(rows, layer.prefix.tokens @ layer.params.W_V.T)
+        # ten tokens: too few to split into blocks, so no token index either
+        assert "_block_firsts" not in vars(layer) and "_token_blocks" not in vars(layer)
         refs = weakref.ref(layer), weakref.ref(rows)
         del stack, layer, rows
         gc.collect()
         assert [r() for r in refs] == [None, None]
+
+        # The full-mode encoder's 4 x 1024 tokens are split into blocks: the
+        # token index is built once, read-only, and freed with its layer,
+        # and the stack still equals its chain of one-off heads bit for bit.
+        stack, X = _sequence_stack("full", n_points=1024, lam=2.0e4)
+        layer = stack.layers[0]
+        assert layer.prefix.n_tokens >= att._MIN_BLOCKED_TOKENS
+        np.testing.assert_array_equal(att.transformer_eval(stack, X), chain_of_heads(stack, X))
+        firsts, boxes = vars(layer)["_block_firsts"], vars(layer)["_token_blocks"]
+        att.transformer_eval(stack, X)
+        assert layer._block_firsts is firsts and layer._token_blocks is boxes
+        assert not firsts.flags.writeable and not boxes.flags.writeable
+        tokens, d = layer.prefix.tokens, layer.prefix.d
+        np.testing.assert_array_equal(firsts, tokens[:: att._TOKEN_BLOCK].T)
+        blocks = [tokens[i : i + att._TOKEN_BLOCK] for i in range(0, len(tokens), att._TOKEN_BLOCK)]
+        hi, lo = np.array([b.max(axis=0) for b in blocks]), np.array([b.min(axis=0) for b in blocks])
+        np.testing.assert_array_equal(boxes[:d, :-1], ((hi + lo) * 0.5).T)
+        np.testing.assert_array_equal(boxes[d:, :-1], ((hi - lo) * 0.5).T)
+        np.testing.assert_array_equal(boxes[:, -1], np.concatenate([np.zeros(d), np.abs(tokens).max(axis=0)]))
+        refs = [weakref.ref(a) for a in (layer, firsts, boxes)]
+        del stack, layer, firsts, boxes
+        gc.collect()
+        assert all(r() is None for r in refs)
+
+
+def _curve_layer(n, d, spread, seed, self_logit=0.0):
+    """A layer of n tokens along a smooth closed curve of radius `spread`
+    (consecutive tokens lie close together, so a block of them has a small
+    box), with random H and W_V.  The last coordinate of every token is 0;
+    H's last diagonal entry is self_logit, so an input whose last
+    coordinate is 1 gets self_logit more on its own logit than on any
+    token's."""
+    rng = np.random.default_rng(seed)
+    t = np.sort(rng.random(n))[:, None]
+    tokens = np.zeros((n, d))
+    tokens[:, :-1] = spread * np.cos(2 * np.pi * rng.integers(1, 4, d - 1) * t + rng.random(d - 1) * 6.3)
+    tokens[:, :-1] += 1e-3 * rng.normal(size=(n, d - 1))
+    H = rng.normal(size=(d, d))
+    H[-1, -1] = self_logit
+    params = att.AttentionHeadParams(d=d, H=H, W_V=rng.normal(size=(d, d)))
+    return att.TransformerLayer(params=params, prefix=att.PrefixTokens(d=d, tokens=tokens, M=-1.0, augmented=False))
+
+
+def _dense_weights(X, layer):
+    """The (T, N + T) attention weights of layer's head at X written out
+    densely, a term whose shifted logit is at or below -700 weighing
+    exactly 0, and the (T, d) outputs."""
+    XH = X @ layer.params.H
+    logits = np.concatenate([XH @ layer.prefix.tokens.T, XH @ X.T], axis=1)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    w = np.where(shifted <= -700.0, 0.0, np.exp(np.maximum(shifted, -700.0)))
+    w /= w.sum(axis=1, keepdims=True)
+    return w, w @ (np.concatenate([layer.prefix.tokens, X]) @ layer.params.W_V.T)
+
+
+def _dense_kernel(X, layer):
+    """The head evaluated over every token, in the stack kernel's
+    arithmetic: max shift, the -700 floor, the floor's weight taken off,
+    and the normalized weights times [token values; input values]."""
+    XH = X @ layer.params.H
+    w = np.concatenate([XH @ layer.prefix.tokens.T, XH @ X.T], axis=1)
+    w -= w.max(axis=1, keepdims=True)
+    w = np.exp(np.maximum(w, -700.0)) - np.exp(-700.0)
+    w /= w.sum(axis=1, keepdims=True)
+    return w @ np.concatenate([layer.prefix.tokens @ layer.params.W_V.T, X @ layer.params.W_V.T])
+
+
+def _kept(X, layer):
+    XH = X @ layer.params.H
+    return att._kept_tokens(layer, XH, XH @ X.T)
+
+
+class TestTokenBlocks:
+    """Stack heads leave out prefix blocks certified to weigh exactly 0."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 2**31),
+        st.integers(1, 4),
+        st.sampled_from([2, 3, 5, 9]),
+        st.sampled_from([30.0, 300.0, 3.0e3, 3.0e5]),
+    )
+    @example(1, 2, 3, 3.0e3)
+    def test_left_out_tokens_weigh_zero(self, seed, t_inputs, d, spread):
+        """At random H, random inputs and tokens whose logits spread far
+        beyond the floor, with a ragged last block: every token left out
+        weighs exactly 0 in a dense evaluation, and the outputs agree with
+        it to 1e-14 of the value scale."""
+        n = att._MIN_BLOCKED_TOKENS + att._TOKEN_BLOCK * (seed % 40) + 1 + seed % (att._TOKEN_BLOCK - 1)
+        assert n % att._TOKEN_BLOCK
+        layer = _curve_layer(n, d, spread, seed)
+        X = np.random.default_rng(seed + 1).normal(size=(t_inputs, d))
+        w, dense = _dense_weights(X, layer)
+        kept = _kept(X, layer)
+        if kept is not None:
+            assert np.all(np.diff(kept) > 0) and kept[-1] < n
+            assert not np.any(np.delete(w, kept, axis=1)[:, :-t_inputs])
+        scale = np.abs(np.concatenate([layer.prefix.tokens, X]) @ layer.params.W_V.T).max()
+        np.testing.assert_allclose(att._attend(X, layer), dense, rtol=0, atol=1e-14 * scale)
+
+    def test_blocks_are_left_out(self):
+        """The property above is not vacuous: a sharp curve keeps a few
+        blocks of its 5001 tokens, the ragged last one among them when the
+        input points there."""
+        layer = _curve_layer(5001, 3, 3.0e3, seed=5)
+        X = np.random.default_rng(6).normal(size=(2, 3))
+        kept = _kept(X, layer)
+        assert kept is not None and 0 < kept.size < 5001 // 4
+        # the last token, pushed out to twice its radius, is the only one
+        # of the ragged last block and the row max at x H = token
+        tokens = layer.prefix.tokens.copy()
+        tokens[-1] *= 2.0
+        layer = att.TransformerLayer(params=layer.params, prefix=att.PrefixTokens(3, tokens, -1.0, False))
+        kept = _kept(tokens[-1:] @ np.linalg.inv(layer.params.H), layer)
+        assert kept is not None and kept[-1] == 5000 and kept.size % att._TOKEN_BLOCK == 5001 % att._TOKEN_BLOCK
+
+    def test_input_logit_row_max(self):
+        """A row whose max is its own input logit, as in a pass-through row
+        of a decoder layer: it keeps no token, its output is its own value
+        row bit for bit, and next to a row that keeps blocks it adds none."""
+        layer = _curve_layer(6000, 4, 3.0e3, seed=7, self_logit=1.0e6)
+        X = np.random.default_rng(8).normal(size=(2, 4))
+        X[:, -1] = [1.0, 0.0]
+        alone = _kept(X[:1], layer)
+        assert alone is not None and alone.size == 0
+        np.testing.assert_array_equal(att._attend(X[:1], layer), X[:1] @ layer.params.W_V.T)
+        kept = _kept(X, layer)
+        np.testing.assert_array_equal(kept, _kept(X[1:], layer))
+        w, dense = _dense_weights(X, layer)
+        assert not np.any(np.delete(w, kept, axis=1)[:, :-2])
+        scale = np.abs(np.concatenate([layer.prefix.tokens, X]) @ layer.params.W_V.T).max()
+        np.testing.assert_allclose(att._attend(X, layer), dense, rtol=0, atol=1e-14 * scale)
+
+    def test_every_block_kept(self):
+        """A head whose logits cannot spread 700 keeps every block: it is
+        evaluated whole, bit for bit as the dense kernel, and no box is
+        built."""
+        layer = _curve_layer(6000, 4, 3.0, seed=9)
+        X = np.random.default_rng(10).normal(size=(3, 4))
+        assert _kept(X, layer) is None
+        np.testing.assert_array_equal(att._attend(X, layer), _dense_kernel(X, layer))
+        assert "_token_blocks" not in vars(layer)
+
+    def test_no_index_below_threshold(self):
+        """A prefix shorter than _MIN_BLOCKED_TOKENS is never split, however
+        sharp: bit for bit the dense kernel, and no index is built."""
+        layer = _curve_layer(att._MIN_BLOCKED_TOKENS - 1, 4, 3.0e3, seed=11)
+        X = np.random.default_rng(12).normal(size=(2, 4))
+        assert _kept(X, layer) is None
+        np.testing.assert_array_equal(att._attend(X, layer), _dense_kernel(X, layer))
+        assert "_block_firsts" not in vars(layer) and "_token_blocks" not in vars(layer)
 
 
 class TestArtifacts:

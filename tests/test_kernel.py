@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from vmfhead.errors import DomainError
+from vmfhead.errors import DomainError, NumericalFailure
 from vmfhead.kernel import (
     VmfKernel,
     convolve_vmf,
@@ -43,6 +43,23 @@ class TestKernelNorm:
     @pytest.mark.parametrize("lam", [1.0, 10.0, 100.0])
     def test_unit_norm(self, m, lam):
         np.testing.assert_allclose(kernel_norm(m, lam), 1.0, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "m, lam", [(3, 1.0), (3, 7.0), (3, 100.0), (5, 10.0), (5, 1e4), (9, 100.0), (17, 1e6), (33, 0.5)]
+    )
+    def test_unit_norm_odd_m(self, m, lam):
+        """Odd m, where the weight (1 - t^2)^((m-2)/2) has a half-integer
+        power: the quadrature runs in the angle, so it converges within
+        the node cap."""
+        np.testing.assert_allclose(kernel_norm(m, lam), 1.0, atol=1e-6)
+
+    def test_node_cap_raises(self, monkeypatch):
+        """Past the largest rule it may build, kernel_norm refuses."""
+        from vmfhead import kernel
+
+        monkeypatch.setattr(kernel, "_MAX_NODES", 200)
+        with pytest.raises(NumericalFailure):
+            kernel_norm(3, 100.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
