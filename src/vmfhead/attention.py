@@ -1,15 +1,15 @@
 """Attention heads built from exponential kernels on the sphere.
 
-Three head flavors share the same control-point data: the core head (a bare
-kernel sum), the split head (softmax-normalized), and the classical head
-(one dense softmax over prefix tokens and input positions, with fixed H and
-W_V matrices).  A block-structured "universal" head embeds the sphere, the
-attention keys, and the values into orthogonal subspaces of a 3(m+1)
-(optionally +1) dimensional space so that the classical head reproduces the
-split head exactly as the input-input suppression constant M goes to -inf.
-A head with a sharp kernel skips the anchors whose share of its softmax is
-certified to be below one rounding unit (_head_softmax), and a stack head
-skips the prefix blocks certified to weigh exactly 0 (_kept_tokens).
+Three head flavors share the same control-point data and one softmax
+evaluator (_softmax): the core head (a bare kernel sum), the split head
+(softmax-normalized), and the classical head (a softmax over prefix tokens
+and inputs, with fixed H and W_V).  A block-structured "universal" head
+embeds the sphere, the attention keys, and the values into orthogonal
+subspaces of a 3(m+1) (optionally +1) dimensional space so that the classical
+head reproduces the split head exactly as the input-input suppression
+constant M goes to -inf.  A sharp head skips the anchors certified to carry
+under one rounding unit of its softmax (_head_softmax), and a stack head the
+prefix blocks certified to weigh exactly 0 (_kept_tokens).
 """
 
 from __future__ import annotations
@@ -200,10 +200,11 @@ class TransformerLayer:
 
     @cached_property
     def _prefix_values(self) -> np.ndarray:
-        """The read-only (N, d) value rows tokens @ W_V^T of the prefix;
-        built on first use and held by this layer alone, so they go when
-        the layer does."""
-        rows = self.prefix.tokens @ self.params.W_V.T
+        """The read-only (N, d + 1) value rows [tokens @ W_V^T | 1] of the
+        prefix (_softmax), built on first use and freed with the layer."""
+        rows = np.empty((self.prefix.n_tokens, self.params.d + 1))
+        np.matmul(self.prefix.tokens, self.params.W_V.T, out=rows[:, :-1])
+        rows[:, -1] = 1.0
         rows.setflags(write=False)
         return rows
 
@@ -294,31 +295,38 @@ def _pruning_pays(kept, n_points: int):
     return _GATHER_COST * kept + _GROUP_COST < n_points
 
 
-def _softmax_weights(logits: np.ndarray, span: float = math.inf):
-    """Shift each row of an (n, K) logit array by its max and exponentiate,
-    in place; returns (weights, rowmax).  The stack heads (_attend) and
-    the ControlPoints heads that need a shift (_softmax_rows) use it: row
-    i's attention weights are weights[i] / weights[i].sum(), and rowmax[i]
-    + ln weights[i].sum() is its log normalizer.
+def _softmax(logits: np.ndarray, values: np.ndarray, span: float | None = math.inf, tail=None) -> tuple:
+    """(weighted value mean, row sum, shift) of the softmax rows of an
+    (n, K) logit tile over (K, k + 1) value rows [v | 1]: the one evaluator
+    behind every head.  The logits become the weights e^(logits - shift) in
+    place, and one product with [v | 1] (tail, where given, holds the rows
+    of the last columns) gives the weighted sums and the row sum.
 
-    span bounds each row's max minus min; the shifted logits are floored at
-    _LOGIT_FLOOR unless span shows that none can fall below it.  A floored
-    term weighs exactly 0: the floor's weight is taken off every weight,
-    which leaves each weight above 2^-955 (a shifted logit above about
-    -662) bit for bit as it was, so no floored weight reaches a weighted
-    sum, where its products with small values would be subnormal, and a
-    stack head whose other terms all sit below the floor passes its inputs
-    through exactly.
+    span None means the caller certifies that no shift is needed
+    (ControlPoints._zero_shift).  Otherwise each row is shifted by its max;
+    span bounds each row's max minus min, and the shifted logits are floored
+    at _LOGIT_FLOOR unless span shows that none can fall below it.  A
+    floored term weighs exactly 0: the floor's weight is taken off every
+    weight, which leaves each weight above 2^-955 (a shifted logit above
+    about -662) bit for bit as it was, so no floored weight reaches the
+    product, where its products with small values would be subnormal, and
+    a stack head whose other terms all sit below the floor passes its
+    inputs through exactly.
     """
-    rowmax = logits.max(axis=1)
-    logits -= rowmax[:, None]
-    if span > -_LOGIT_FLOOR:
+    floored = span is not None and span > -_LOGIT_FLOOR
+    shift = 0.0 if span is None else logits.max(axis=1)
+    if span is not None:
+        logits -= shift[:, None]
+    if floored:
         np.maximum(logits, _LOGIT_FLOOR, out=logits)
-        np.exp(logits, out=logits)
+    np.exp(logits, out=logits)
+    if floored:
         logits -= _FLOOR_WEIGHT
-    else:
-        np.exp(logits, out=logits)
-    return logits, rowmax
+    k = values.shape[0]
+    acc = logits[:, :k] @ values
+    if tail is not None:
+        acc += logits[:, k:] @ tail
+    return acc[:, :-1] / acc[:, -1:], acc[:, -1], shift
 
 
 class _BlockIndex(NamedTuple):
@@ -377,11 +385,8 @@ def _softmax_rows(cp: ControlPoints, pts: np.ndarray, rows: np.ndarray, out: tup
 
     The queries are walked in tiles of max(2, _TILE_BYTES // 8K) rows for
     K anchors, so a tile's (rows, K) logits stay in cache through the
-    passes over them and no (n, K) array is ever built.  A tile takes three
-    passes: the logits gemm, exp in place, and one gemm against
-    [values | 1], whose last column is the row sum.  Where cp._zero_shift
-    holds the shift is 0; otherwise each row is shifted by its max
-    (_softmax_weights), which costs two or three passes more.  No tile is
+    passes over them (_softmax) and no (n, K) array is ever built; where
+    cp._zero_shift holds a tile takes three passes.  No tile is
     a single query: a lone query is evaluated as two copies of itself and
     a one-query remainder joins the tile before it, so a query's result
     never comes from numpy's matrix-vector path, which rounds differently
@@ -389,25 +394,18 @@ def _softmax_rows(cp: ControlPoints, pts: np.ndarray, rows: np.ndarray, out: tup
     """
     mean, rowsum, shift = out
     anchors = cp.p_alpha if kept is None else np.take(cp.p_alpha, kept, axis=0)
-    k = cp.m + 1
     # [values | 1], column-major: the value columns are copied in as long
     # runs, and the gemm reads this layout no slower than a row-major one
-    values = np.empty((anchors.shape[0], k + 1), order="F")
-    values[:, k] = 1.0
-    values[:, :k] = cp.p_beta if kept is None else np.take(cp.p_beta, kept, axis=0)
+    values = np.empty((anchors.shape[0], cp.m + 2), order="F")
+    values[:, -1] = 1.0
+    values[:, :-1] = cp.p_beta if kept is None else np.take(cp.p_beta, kept, axis=0)
     if rows.size == 1:
         rows = rows[[0, 0]]
     bounds = [*range(0, rows.size - 1, max(2, _TILE_BYTES // (8 * anchors.shape[0]))), rows.size]
     for start, stop in zip(bounds, bounds[1:]):
         tile = rows[start:stop]
         logits = (cp.lam * pts[tile]) @ anchors.T
-        if cp._zero_shift:
-            w, shift[tile] = np.exp(logits, out=logits), 0.0
-        else:
-            w, shift[tile] = _softmax_weights(logits, 2.0 * cp.lam)
-        acc = w @ values
-        rowsum[tile] = acc[:, k]
-        mean[tile] = acc[:, :k] / acc[:, k:]
+        mean[tile], rowsum[tile], shift[tile] = _softmax(logits, values, None if cp._zero_shift else 2.0 * cp.lam)
 
 
 def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -509,8 +507,13 @@ def log_prefix_mass(cp: ControlPoints, points: np.ndarray) -> np.ndarray:
 
 
 def _as_inputs(inputs) -> np.ndarray:
-    """A (T, d) float array of input states; one state may come as a vector."""
-    return np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    """A (T, d) array of finite input states, one state possibly a vector."""
+    X = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    if X.ndim != 2:
+        raise DimensionMismatch("inputs must be a (T, d) array or one state vector")
+    if not np.isfinite(X).all():
+        raise DomainError("input states must be finite")
+    return X
 
 
 def _block_reduce(op, tokens: np.ndarray) -> np.ndarray:
@@ -556,7 +559,7 @@ def _kept_tokens(layer: TransformerLayer, XH: np.ndarray, inner: np.ndarray) -> 
     least L = max(max_b A . r_b, max inner), r_b the first token of block
     b: two true logits.  A block is left out where U_b < L - 700 - delta in
     every row.  Its terms would then sit more than 700 below the row max,
-    where the softmax floors them to weight exactly 0 (_softmax_weights).
+    where the softmax floors them to weight exactly 0 (_softmax).
     Leaving them out only drops exact zeros: the row max stays among the
     kept terms, and the outputs differ from a dense evaluation only in the
     summation order of the row sum and the weighted sum (and in any
@@ -605,30 +608,34 @@ def _attend(X: np.ndarray, layer: TransformerLayer) -> np.ndarray:
     kernel behind classical_head and transformer_eval.
 
     Position k attends over the N prefix tokens and the T inputs, c ranging
-    over [tokens; X], with logits (x_k H) c and values W_V c.  The prefix
-    value rows come from the layer; only the inputs' rows are computed.
-    Blocks of prefix tokens certified to weigh exactly 0 in every row are
-    left out (_kept_tokens), for any H: a full-mode head evaluates the few
-    blocks of one bank near its input, and a pass-through row none.  The
-    kept tokens and value rows are gathered; the layer's arrays stay as
-    they are.
+    over [tokens; X], with logits (x_k H) c and value rows [W_V c | 1]
+    (_softmax).  The prefix value rows come from the layer: a prefix longer
+    than the inputs is a product of its own, so they are not copied, and a
+    shorter one is copied above the inputs' rows into one product.  Blocks
+    of prefix tokens certified to weigh exactly 0 in every row are left out
+    (_kept_tokens), for any H: a full-mode head evaluates the few blocks of
+    one bank near its input, and a pass-through row none.
     """
     if X.shape[1] != layer.params.d:
         raise DimensionMismatch("inputs, prefix, and params disagree on d")
-    XH = X @ layer.params.H
-    inner = XH @ X.T
+    # np.dot: the BLAS product of @ with less call overhead, felt by tiny heads
+    XH = np.dot(X, layer.params.H)
+    inner = np.dot(XH, X.T)
     kept = _kept_tokens(layer, XH, inner)
-    # The cached rows are read inline, not held in a local: with glibc on
-    # x86-64 a local changed the heap's trimming around the ~1 MB per-call
-    # temporaries and cost a one-off N=16384 call about 40% in page faults.
-    w, _ = _softmax_weights(np.concatenate([XH @ _rows(layer.prefix.tokens, kept).T, inner], axis=1))
-    w /= w.sum(axis=1, keepdims=True)
-    return w @ np.concatenate([_rows(layer._prefix_values, kept), X @ layer.params.W_V.T])
-
-
-def _rows(a: np.ndarray, kept: np.ndarray | None) -> np.ndarray:
-    """a, or a copy of its rows kept where kept is not None."""
-    return a if kept is None else a.take(kept, axis=0)
+    tokens, prefix_values = layer.prefix.tokens, layer._prefix_values
+    if kept is not None:
+        tokens, prefix_values = tokens.take(kept, axis=0), prefix_values.take(kept, axis=0)
+    n, t = tokens.shape[0], X.shape[0]
+    logits = np.empty((t, n + t))
+    np.matmul(XH, tokens.T, out=logits[:, :n])
+    logits[:, n:] = inner
+    copied = n if n <= t else 0
+    values = np.empty((copied + t, X.shape[1] + 1))
+    if copied:
+        values[:copied] = prefix_values
+    np.matmul(X, layer.params.W_V.T, out=values[copied:, :-1])
+    values[copied:, -1] = 1.0
+    return (_softmax(logits, values) if n <= t else _softmax(logits, prefix_values, tail=values))[0]
 
 
 def classical_head(inputs, prefix: PrefixTokens, params: AttentionHeadParams):
@@ -649,7 +656,7 @@ def classical_head(inputs, prefix: PrefixTokens, params: AttentionHeadParams):
 # ---------------------------------------------------------------------------
 
 
-def _blocks(d_aug: int, augmented: bool) -> int:
+def _block_width(d_aug: int, augmented: bool) -> int:
     base = d_aug - 1 if augmented else d_aug
     if base % 3 != 0 or base < 6:
         raise DimensionMismatch(f"embedding dimension {d_aug} is not 3(m+1)(+1)")
@@ -676,7 +683,7 @@ def project(y, block: int | None = None) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1:
         raise DimensionMismatch("project expects a single vector")
-    b = block if block is not None else _blocks(y.size, augmented=(y.size % 3 == 1))
+    b = block if block is not None else _block_width(y.size, augmented=(y.size % 3 == 1))
     return y[:b].copy()
 
 

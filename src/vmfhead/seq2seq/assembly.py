@@ -37,7 +37,7 @@ from ..attention import (
     transformer_eval,
 )
 from ..errors import DomainError, InstanceTooLarge
-from ..sphere import equal_area_partition
+from ..sphere import equal_area_partition, stereographic_batch, stereographic_inverse_batch
 from .encoding import (
     DigitConfig,
     SequenceSample,
@@ -56,8 +56,9 @@ _UNIT_ROUNDOFF = 2.0**-53
 def _summation_error_bound(q: int) -> float:
     """First-order bound on |VAL - R| after the summation layer over q
     positions (R < 1), in roundings: 4 per encoded value, 4 for the value
-    scale, 2q + 4 for the shared softmax weight (its denominator has 2q
-    terms), q for the weighted sum and 1 for the decoder's rescale."""
+    scale, 2 for the weight e^-gamma and its product with a value, q for
+    the weighted sum, 2q for the row sum of 2q terms, 1 for their quotient
+    and 1 for the decoder's rescale, with one to spare."""
     return (3 * q + 13) * _UNIT_ROUNDOFF
 
 
@@ -106,18 +107,6 @@ class _Layout:
     @property
     def val(self) -> int:  # state scalar value
         return 7 + 3 * self.q
-
-
-def _inv_stereographic_2d(u: np.ndarray) -> np.ndarray:
-    """(n, 2) circle points of the scalars u under the inverse stereographic map."""
-    s = u * u
-    return np.stack([2.0 * u / (s + 1.0), (s - 1.0) / (s + 1.0)], axis=-1)
-
-
-def _chart_u(z: np.ndarray) -> np.ndarray:
-    """Inverse of the circle embedding for (n, 2) points, clamped to [0, 1]."""
-    w = 1.0 - z[:, 1]
-    return np.where(w < 1e-12, 1.0, np.clip(z[:, 0] / np.maximum(w, 1e-12), 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +162,7 @@ def _stage_sphere_lookup(lay: _Layout, knots: int = 2048):
     """
     q, d = lay.q, lay.d
     ts = np.linspace(0.0, 1.0, knots + 1)
-    comps = _inv_stereographic_2d(ts)  # (knots+1, 2)
+    comps = stereographic_inverse_batch(ts[:, None])  # (knots+1, 2)
     hidden = knots + q + 2
     a1 = np.zeros((hidden, d))
     b1 = np.zeros(hidden)
@@ -371,7 +360,7 @@ class Seq2SeqStack:
         lay = self.layout
         states = np.zeros((lay.q, lay.d))
         if self.mode == "full":
-            states[:, lay.z] = _inv_stereographic_2d(s.flat())
+            states[:, lay.z] = stereographic_inverse_batch(s.flat()[:, None])
         else:
             states[:, lay.val] = s.flat()
         states[:, lay.oh] = np.eye(lay.q)
@@ -453,7 +442,7 @@ def build_seq2seq_transformer(
         # One partition of S^1 serves every head: its centers are the anchors,
         # and each anchor's chart value is decoded once, with f evaluated once.
         anchors = equal_area_partition(1, n_points).centers()
-        chart = _chart_u(anchors)
+        chart = np.where(1.0 - anchors[:, 1] < 1e-12, 1.0, np.clip(stereographic_batch(anchors)[:, 0], 0.0, 1.0))
         psi_values = np.array([float(psi_strided(u, cfg, width)) for u in chart])
         outputs = np.array([apply_sequence_function(f, relaxed_decode(u, t_len, m, cfg)) for u in chart])
         decoder_values = outputs.reshape(n_points, width)

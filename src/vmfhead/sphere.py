@@ -422,23 +422,26 @@ def uniform_sphere_sample(m: int, count: int, seed: int) -> np.ndarray:
     return g / norms
 
 
+def stereographic_batch(x: np.ndarray) -> np.ndarray:
+    """The projections x[:m] / (1 - x[m]) of the rows of an (n, m+1) array; a row at the pole gives inf or NaN."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return x[:, :-1] / (1.0 - x[:, -1:])
+
+
+def stereographic_inverse_batch(y: np.ndarray) -> np.ndarray:
+    """The rows (2y, |y|^2 - 1) / (|y|^2 + 1) on S^m of an (n, m) array."""
+    s = np.einsum("ij,ij->i", y, y)[:, None]
+    return np.concatenate([2.0 * y / (s + 1.0), (s - 1.0) / (s + 1.0)], axis=1)
+
+
 def stereographic(x) -> np.ndarray:
     """Stereographic projection (x_1..x_m) / (1 - x_{m+1}) from the pole."""
     xv = as_unit_vector(x)
     if xv[-1] >= 1.0 - 1e-15:
         raise PoleSingularity("stereographic projection undefined at the pole")
-    return xv[:-1] / (1.0 - xv[-1])
+    return stereographic_batch(xv[None])[0]
 
 
 def stereographic_inverse(y) -> SpherePoint:
-    """Inverse stereographic map R^m -> S^m.
-
-    y maps to (2y, |y|^2 - 1) / (|y|^2 + 1); the zero vector maps to the
-    south pole (0, ..., 0, -1).
-    """
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    s = float(np.dot(y, y))
-    out = np.empty(y.size + 1)
-    out[:-1] = 2.0 * y / (s + 1.0)
-    out[-1] = (s - 1.0) / (s + 1.0)
-    return project_to_sphere(out)
+    """Inverse stereographic map R^m -> S^m; 0 maps to the south pole (0, ..., 0, -1)."""
+    return project_to_sphere(stereographic_inverse_batch(np.atleast_1d(np.asarray(y, dtype=np.float64))[None])[0])

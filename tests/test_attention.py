@@ -513,7 +513,8 @@ class TestTransformerEval:
         att.transformer_eval(stack, X)
         assert layer._prefix_values is rows
         assert not rows.flags.writeable
-        np.testing.assert_array_equal(rows, layer.prefix.tokens @ layer.params.W_V.T)
+        np.testing.assert_array_equal(rows[:, :-1], layer.prefix.tokens @ layer.params.W_V.T)
+        np.testing.assert_array_equal(rows[:, -1], 1.0)
         # ten tokens: too few to split into blocks, so no token index either
         assert "_block_firsts" not in vars(layer) and "_token_blocks" not in vars(layer)
         refs = weakref.ref(layer), weakref.ref(rows)
@@ -577,14 +578,21 @@ def _dense_weights(X, layer):
 
 def _dense_kernel(X, layer):
     """The head evaluated over every token, in the stack kernel's
-    arithmetic: max shift, the -700 floor, the floor's weight taken off,
-    and the normalized weights times [token values; input values]."""
+    arithmetic for a prefix longer than the inputs: max shift, the -700
+    floor, the floor's weight taken off, the weights times the
+    [values | 1] rows of the tokens plus the weights times those of the
+    inputs, and one division by the last column."""
     XH = X @ layer.params.H
     w = np.concatenate([XH @ layer.prefix.tokens.T, XH @ X.T], axis=1)
     w -= w.max(axis=1, keepdims=True)
     w = np.exp(np.maximum(w, -700.0)) - np.exp(-700.0)
-    w /= w.sum(axis=1, keepdims=True)
-    return w @ np.concatenate([layer.prefix.tokens @ layer.params.W_V.T, X @ layer.params.W_V.T])
+
+    def rows(c):
+        return np.concatenate([c @ layer.params.W_V.T, np.ones((c.shape[0], 1))], axis=1)
+
+    n = layer.prefix.n_tokens
+    acc = w[:, :n] @ rows(layer.prefix.tokens) + w[:, n:] @ rows(X)
+    return acc[:, :-1] / acc[:, -1:]
 
 
 def _kept(X, layer):

@@ -7,13 +7,18 @@ import numpy as np
 import pytest
 
 from vmfhead import attention as att
-from vmfhead.errors import DomainError
+from vmfhead.errors import DimensionMismatch, DomainError
 from vmfhead.seq2seq import SequenceSample
 from vmfhead.sphere import SpherePoint, as_unit_vector, equal_area_partition
 
 NAN_POINT = np.array([np.nan, 0.0, 1.0])
 ANCHORS = equal_area_partition(2, 8).centers()
 VALUES = np.ones((8, 3))
+
+
+PREFIX = att.PrefixTokens(d=2, tokens=np.zeros((1, 2)), M=-1.0, augmented=False)
+PARAMS = att.AttentionHeadParams(d=2, H=np.eye(2), W_V=np.eye(2))
+STACK = att.TransformerStack(layers=(att.TransformerLayer(params=PARAMS, prefix=PREFIX),))
 
 
 def control_points(p_alpha=ANCHORS, p_beta=VALUES, lam=4.0):
@@ -78,6 +83,15 @@ CASES = {
     "suppression_gap M -inf": lambda: att.suppression_gap(control_points(), ANCHORS[0], -np.inf),
     "partition locate_batch NaN row": lambda: equal_area_partition(2, 8).locate_batch(np.vstack([ANCHORS[:2], NAN_POINT])),
     "partition locate_batch non-unit row": lambda: equal_area_partition(2, 8).locate_batch(np.array([[0.0, 0.0, 3.0]])),
+    "classical_head input NaN": lambda: att.classical_head([[np.nan, 0.0]], PREFIX, PARAMS),
+    "classical_head input inf": lambda: att.classical_head([[0.0, 1.0], [np.inf, 0.0]], PREFIX, PARAMS),
+    "transformer_eval input -inf": lambda: att.transformer_eval(STACK, [-np.inf, 0.0]),
+    "transformer_eval input NaN": lambda: att.transformer_eval(STACK, [[0.0, 1.0], [0.0, np.nan]]),
+}
+
+MISMATCH_CASES = {
+    "classical_head 3-D inputs": lambda: att.classical_head(np.zeros((1, 2, 2)), PREFIX, PARAMS),
+    "transformer_eval 3-D inputs": lambda: att.transformer_eval(STACK, np.zeros((3, 2, 2))),
 }
 
 
@@ -85,6 +99,12 @@ CASES = {
 def test_rejected_with_domain_error(case):
     with pytest.raises(DomainError):
         CASES[case]()
+
+
+@pytest.mark.parametrize("case", sorted(MISMATCH_CASES))
+def test_rejected_with_dimension_mismatch(case):
+    with pytest.raises(DimensionMismatch):
+        MISMATCH_CASES[case]()
 
 
 def test_valid_inputs_still_accepted():
@@ -95,3 +115,5 @@ def test_valid_inputs_still_accepted():
     prefix, params, m, lam = att.import_prefix_artifact(artifact())
     assert (prefix.n_tokens, m, lam) == (8, 2, 4.0)
     SequenceSample(1, 0, np.array([[0.0]]))
+    assert np.all(np.isfinite(att.classical_head([[0.0, 1.0], [1.0, 0.0]], PREFIX, PARAMS)))
+    assert np.all(np.isfinite(att.transformer_eval(STACK, [0.0, 1.0])))

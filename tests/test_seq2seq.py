@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vmfhead.attention import TransformerStack, transformer_eval
 from vmfhead.errors import DomainError, EncodingError, InstanceTooLarge, PrecisionBudgetExceeded
 from vmfhead.sphere import equal_area_partition
 from vmfhead.seq2seq import (
@@ -23,6 +24,7 @@ from vmfhead.seq2seq import (
     psi_strided,
     reference_seq2seq,
 )
+from vmfhead.seq2seq.assembly import _summation_error_bound
 
 
 def seq_mean(elements):
@@ -259,6 +261,33 @@ class TestStackAssembly:
             trace = stack.stage_trace(s)
             vals = trace["layers"][1]["attention"][:, stack.layout.val]
             assert float(np.max(np.abs(vals - aggregate_R(s, cfg).value))) <= 1e-12
+
+    def test_summation_error_within_its_bound(self):
+        """Every admitted hybrid shape with q = T(m+1) from 1 to 28: the
+        summation layer's |VAL - R|, measured exactly in units of 2^-53 on
+        seeded sequences, stays within _summation_error_bound(q), the bound
+        that decides which shapes hybrid mode admits."""
+        rng = np.random.default_rng(12)
+        shapes = 0
+        for q in range(1, 29):
+            for t_len in (t for t in range(1, q + 1) if q % t == 0):
+                m = q // t_len - 1
+                digits = 1
+                while digits <= 40 and _summation_error_bound(q) < 0.5 * 3.0 ** -(q * digits):
+                    cfg = DigitConfig(digits=digits)
+                    stack = build_seq2seq_transformer(seq_mean, t_len, m, cfg, mode="hybrid")
+                    head = TransformerStack(layers=stack.transformer.layers[:2])
+                    for _ in range(3):
+                        s = SequenceSample(t_len, m, rng.random((t_len, m + 1)))
+                        record = []
+                        transformer_eval(head, stack.encode_inputs(s), record=record)
+                        agg = aggregate_R(s, cfg)
+                        exact = Fraction(int(agg.ternary, 3), 3 ** len(agg.ternary))
+                        for val in record[1]["attention"][:, stack.layout.val]:
+                            assert abs(Fraction(float(val)) - exact) <= Fraction(_summation_error_bound(q))
+                    shapes += 1
+                    digits += 1
+        assert shapes > 100
 
     def test_passthrough_layers_are_bit_exact(self):
         """Every attention layer of a hybrid stack but the summation layer
