@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError
 from .sphere import (
+    Partition,
     as_unit_vector,
     cap_area,
     cap_colatitude,
@@ -231,7 +232,6 @@ class TransformerStack:
     applies ReLU between consecutive affine maps."""
 
     layers: tuple
-    meta: dict = field(default_factory=dict)
 
     @property
     def attention_layer_count(self) -> int:
@@ -282,16 +282,17 @@ _GROUP_COST = 8192
 _TOKEN_BLOCK = 16
 _MIN_BLOCKED_TOKENS = 4096
 
-# Bytes of float64 logits in one query tile of _softmax_rows: small enough
+# Bytes of float64 logits in one query tile of _softmax_rows, and of block
+# angles in one tile of a pruned head's setup (_head_softmax): small enough
 # for a tile to stay in a core's L2 cache through the passes over it, large
 # enough that the per-tile numpy calls do not dominate (measured with
 # numpy 2.4 on x86-64 with 2 MiB of L2 per core).
 _TILE_BYTES = 3 << 18
 
 
-def _pruning_pays(kept, n_points: int):
+def _pruning_pays(kept: float, n_points: int) -> bool:
     """Whether evaluating `kept` anchors pruned, per query, beats a dense
-    evaluation of all n_points (scalar or elementwise)."""
+    evaluation of all n_points."""
     return _GATHER_COST * kept + _GROUP_COST < n_points
 
 
@@ -330,10 +331,11 @@ def _softmax(logits: np.ndarray, values: np.ndarray, span: float | None = math.i
 
 
 class _BlockIndex(NamedTuple):
-    """Anchors grouped by the cells of a coarse zonal partition: block b
-    holds the anchors order[offsets[b]:offsets[b+1]], all within radii[b]
-    of the unit vector centers[b]."""
+    """Anchors grouped by the cells of a coarse zonal partition `part`:
+    block b holds the anchors order[offsets[b]:offsets[b+1]], all within
+    radii[b] of the unit vector centers[b]."""
 
+    part: Partition
     order: np.ndarray
     offsets: np.ndarray
     centers: np.ndarray
@@ -374,7 +376,7 @@ def _block_index(cp: ControlPoints) -> _BlockIndex | None:
     dots = np.einsum("ij,ij->i", cp.p_alpha, part.centers()[cell])
     angle = np.arccos(np.clip(dots, -1.0, 1.0))
     radii = np.maximum.reduceat(angle[order], starts) + _ANGLE_SLACK
-    return _BlockIndex(order, np.append(starts, n), part.centers()[used], radii)
+    return _BlockIndex(part, order, np.append(starts, n), part.centers()[used], radii)
 
 
 def _softmax_rows(cp: ControlPoints, pts: np.ndarray, rows: np.ndarray, out: tuple, kept=None) -> None:
@@ -401,11 +403,17 @@ def _softmax_rows(cp: ControlPoints, pts: np.ndarray, rows: np.ndarray, out: tup
     values[:, :-1] = cp.p_beta if kept is None else np.take(cp.p_beta, kept, axis=0)
     if rows.size == 1:
         rows = rows[[0, 0]]
-    bounds = [*range(0, rows.size - 1, max(2, _TILE_BYTES // (8 * anchors.shape[0]))), rows.size]
-    for start, stop in zip(bounds, bounds[1:]):
+    for start, stop in _tiles(rows.size, max(2, _TILE_BYTES // (8 * anchors.shape[0]))):
         tile = rows[start:stop]
         logits = (cp.lam * pts[tile]) @ anchors.T
         mean[tile], rowsum[tile], shift[tile] = _softmax(logits, values, None if cp._zero_shift else 2.0 * cp.lam)
+
+
+def _tiles(n: int, size: int):
+    """(start, stop) of the consecutive tiles of `size` rows that cover n
+    rows, a one-row remainder joining the tile before it."""
+    bounds = [0, *range(size, n - 1, size), n]
+    return zip(bounds, bounds[1:])
 
 
 def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -421,16 +429,17 @@ def _head_softmax(cp: ControlPoints, points) -> tuple:
     ln(row sum): the one kernel behind every ControlPoints head.
 
     Every evaluation goes through the tiled _softmax_rows, so memory stays
-    at one cache-sized tile of logits whatever n and N.  A head without a
-    block index (_block_index) evaluates every anchor.  With one, each
-    query gets a lower bound L on its row max from the blocks, and only
-    blocks whose best possible logit reaches L - tau_N (_prune_margin) are
-    evaluated, so the dropped terms sum to under 2^-53 of the row sum.
-    Queries are evaluated in groups that share their nearest block, each
-    group over the union of the blocks its queries keep; a lone query
-    joins the group after it (or, last, the one before), so no group is a
-    single row.  A query that keeps too many anchors for pruning to pay
-    (_pruning_pays) is evaluated densely instead.
+    at one cache-sized tile whatever n and N.  A head without a block index
+    (_block_index) evaluates every anchor.  With one, the queries are
+    sorted by their cell of the index's partition and walked in tiles of
+    max(2, _TILE_BYTES // 8B) rows for B blocks.  In a tile each query gets
+    a lower bound L on its row max from the blocks and keeps only blocks
+    whose best possible logit reaches L - tau_N (_prune_margin), so the
+    dropped terms sum to under 2^-53 of the row sum.  The tile's queries
+    are evaluated in groups that share their cell, each group over the
+    union of the blocks its queries keep, or densely where that union is
+    too large for pruning to pay (_pruning_pays); a lone query joins the
+    group after it (or, last, the one before), so no group is a single row.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != cp.m + 1:
@@ -439,34 +448,30 @@ def _head_softmax(cp: ControlPoints, points) -> tuple:
     n = pts.shape[0]
     out = np.empty((n, cp.m + 1)), np.empty(n), np.empty(n)
     blocks = cp._blocks
-    if blocks is None:
+    if blocks is None or not n:
         _softmax_rows(cp, pts, np.arange(n), out)
         return out
     tau = _prune_margin(cp.n_points)
-    theta = np.arccos(np.clip(pts @ blocks.centers.T, -1.0, 1.0))
-    # Every anchor of block b lies within theta_b + r_b of x, so
-    # L = lam cos(min_b (theta_b + r_b)) is at most the row max; no anchor
-    # of b comes closer than theta_b - r_b, so b can reach L - tau only if
-    # theta_b - r_b <= arccos(L / lam - tau / lam).
-    nearest_far = np.minimum((theta + blocks.radii).min(axis=1), math.pi)
-    reach = np.arccos(np.clip(np.cos(nearest_far) - tau / cp.lam, -1.0, 1.0))
-    keep = theta - blocks.radii <= reach[:, None]
-    pruned = _pruning_pays(keep @ np.diff(blocks.offsets), cp.n_points)
-
-    dense = np.flatnonzero(~pruned)
-    if dense.size:
-        _softmax_rows(cp, pts, dense, out)
-    nearest = theta.argmin(axis=1)
-    by_block = np.flatnonzero(pruned)[np.argsort(nearest[pruned], kind="stable")]
-    cuts = [0]
-    for cut in np.flatnonzero(np.diff(nearest[by_block])) + 1:
-        if cut - cuts[-1] > 1 and by_block.size - cut > 1:
-            cuts.append(cut)
-    for rows in np.split(by_block, cuts[1:]):
-        if not rows.size:
-            continue
-        used = np.flatnonzero(keep[rows].any(axis=0))
-        _softmax_rows(cp, pts, rows, out, blocks.order[_ranges(blocks.offsets[used], blocks.offsets[used + 1])])
+    cell = blocks.part.locate_batch(pts)
+    by_cell = np.argsort(cell, kind="stable")
+    for start, stop in _tiles(n, max(2, _TILE_BYTES // (8 * blocks.radii.size))):
+        tile = by_cell[start:stop]
+        theta = np.arccos(np.clip(pts[tile] @ blocks.centers.T, -1.0, 1.0))
+        # Every anchor of block b lies within theta_b + r_b of x, so
+        # L = lam cos(min_b (theta_b + r_b)) is at most the row max; no anchor
+        # of b comes closer than theta_b - r_b, so b can reach L - tau only if
+        # theta_b - r_b <= arccos(L / lam - tau / lam).
+        nearest_far = np.minimum((theta + blocks.radii).min(axis=1), math.pi)
+        reach = np.arccos(np.clip(np.cos(nearest_far) - tau / cp.lam, -1.0, 1.0))
+        keep = theta - blocks.radii <= reach[:, None]
+        cuts = [0]
+        for cut in np.flatnonzero(np.diff(cell[tile])) + 1:
+            if cut - cuts[-1] > 1 and tile.size - cut > 1:
+                cuts.append(cut)
+        for rows, group_keep in zip(np.split(tile, cuts[1:]), np.split(keep, cuts[1:])):
+            used = np.flatnonzero(group_keep.any(axis=0))
+            kept = blocks.order[_ranges(blocks.offsets[used], blocks.offsets[used + 1])]
+            _softmax_rows(cp, pts, rows, out, kept if _pruning_pays(kept.size, cp.n_points) else None)
     return out
 
 

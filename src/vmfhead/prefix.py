@@ -54,15 +54,13 @@ class TargetFunction:
     """Evaluable map S^m -> R^(m+1) with declared smoothness metadata.
 
     eval_batch takes an (n, m+1) array of unit vectors and returns an
-    (n, m+1) array.  smoothness carries (L, C_H, C_R, f_sup); sup_estimated
-    flags metadata that came from sampling rather than analysis.
+    (n, m+1) array.  smoothness carries (L, C_H, C_R, f_sup).
     """
 
     m: int
     name: str
     eval_batch: object
     smoothness: SmoothnessSpec
-    sup_estimated: bool = False
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -121,15 +119,15 @@ def report_csv_row(report: ApproximationReport, include_wall_time: bool = True) 
 # ---------------------------------------------------------------------------
 
 
-def _constant_target(m: int, value: float = 0.5) -> TargetFunction:
-    vec = np.full(m + 1, value)
+def _constant_target(m: int) -> TargetFunction:
+    vec = np.full(m + 1, 0.5)
 
     def ev(pts):
         return np.tile(vec, (pts.shape[0], 1))
 
     # A constant has zero modulus slope; L must stay positive, so declare a
     # negligible one.
-    spec = SmoothnessSpec(L=1e-9, C_H=max(abs(value), 1e-9), C_R=1.0, f_sup=abs(value))
+    spec = SmoothnessSpec(L=1e-9, C_H=0.5, C_R=1.0, f_sup=0.5)
     return TargetFunction(m=m, name="constant", eval_batch=ev, smoothness=spec)
 
 
@@ -141,8 +139,8 @@ def _identity_target(m: int) -> TargetFunction:
     return TargetFunction(m=m, name="identity", eval_batch=ev, smoothness=spec)
 
 
-def _linear_target(m: int, seed: int = 2024) -> TargetFunction:
-    a = uniform_sphere_sample(m, 1, seed)[0] * 1.5
+def _linear_target(m: int) -> TargetFunction:
+    a = uniform_sphere_sample(m, 1, 2024)[0] * 1.5
 
     def ev(pts):
         return np.outer(pts @ a, a)
@@ -153,8 +151,9 @@ def _linear_target(m: int, seed: int = 2024) -> TargetFunction:
     return TargetFunction(m=m, name="linear", eval_batch=ev, smoothness=spec)
 
 
-def _bump_target(m: int, sharpness: float = 6.0, seed: int = 77) -> TargetFunction:
-    center = uniform_sphere_sample(m, 1, seed)[0]
+def _bump_target(m: int) -> TargetFunction:
+    sharpness = 6.0
+    center = uniform_sphere_sample(m, 1, 77)[0]
     direction = np.zeros(m + 1)
     direction[0] = 1.0
 
@@ -166,7 +165,7 @@ def _bump_target(m: int, sharpness: float = 6.0, seed: int = 77) -> TargetFuncti
     ts = np.linspace(-1.0, 1.0, 200001)
     lip = float(np.max(sharpness * np.exp(sharpness * (ts - 1.0)) * np.sqrt(1.0 - ts * ts)))
     spec = SmoothnessSpec(L=lip, C_H=1.0, C_R=1.0, f_sup=1.0)
-    return TargetFunction(m=m, name="bump", eval_batch=ev, smoothness=spec, sup_estimated=True)
+    return TargetFunction(m=m, name="bump", eval_batch=ev, smoothness=spec)
 
 
 def _coordinate_max_target(m: int) -> TargetFunction:
@@ -193,10 +192,10 @@ def target_names() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def make_target(name: str, m: int, **kwargs) -> TargetFunction:
+def make_target(name: str, m: int) -> TargetFunction:
     if name not in _REGISTRY:
         raise DomainError(f"unknown target {name!r}; known: {', '.join(target_names())}")
-    return _REGISTRY[name](m, **kwargs)
+    return _REGISTRY[name](m)
 
 
 # ---------------------------------------------------------------------------
@@ -275,18 +274,13 @@ def sup_error_estimate(f: TargetFunction, approx, n_samples: int, seed: int):
     approx takes an (n, m+1) batch and returns an (n, m+1) batch.  The
     sample stream is nested: a larger n_samples extends the same sequence,
     so the sup estimate can only grow with more samples.  Both values are
-    lower bounds on the true sup norm.
-
-    The batch is evaluated in at most 16 chunks, so the targets and outputs
-    held at a time are a sixteenth of it.  A ControlPoints head's logits
-    (attention._head_softmax) never span a chunk: they are one cache-sized
-    tile of queries by the anchors evaluated, all N or a pruned group's.
+    lower bounds on the true sup norm.  approx is called once, on the
+    whole batch.
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
     pts = uniform_sphere_sample(f.m, n_samples, seed)
-    chunks = np.array_split(pts, min(16, n_samples))
-    errs = np.concatenate([np.linalg.norm(f(c) - np.atleast_2d(approx(c)), axis=1) for c in chunks])
+    errs = np.linalg.norm(f(pts) - np.atleast_2d(approx(pts)), axis=1)
     return float(errs.max()), float(errs.mean())
 
 

@@ -472,8 +472,4 @@ def build_seq2seq_transformer(
                 )
             )
 
-    transformer = TransformerStack(
-        layers=tuple(layers),
-        meta={"t_len": t_len, "m": m, "digits": cfg.digits, "mode": mode},
-    )
-    return Seq2SeqStack(transformer=transformer, t_len=t_len, m=m, cfg=cfg, mode=mode, layout=lay)
+    return Seq2SeqStack(transformer=TransformerStack(layers=tuple(layers)), t_len=t_len, m=m, cfg=cfg, mode=mode, layout=lay)

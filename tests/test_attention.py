@@ -232,6 +232,49 @@ class TestPrunedHead:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_indexed_head_dense_groups(self, monkeypatch):
+        """A head with a block index whose groups keep too many anchors for
+        pruning to pay: 20000 anchors in a cap of half the pruning reach at
+        lam = 3000 on S^2.  Its groups are evaluated densely (kept None) and
+        agree with a plain softmax to 1e-12."""
+        n, lam = 20000, 3000.0
+        radius = 0.5 * math.acos(1.0 - att._prune_margin(n) / lam)
+        rng = np.random.default_rng(51)
+        polar, azimuth = radius * np.sqrt(rng.random(n)), 2.0 * math.pi * rng.random(n)
+        anchors = np.stack(
+            [np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)], axis=1
+        )
+        cp = smooth_cp(2, anchors, lam)
+        assert cp._blocks is not None
+        calls = []
+        evaluate = att._softmax_rows
+
+        def spy(cp, pts, rows, out, kept=None):
+            calls.append(kept)
+            evaluate(cp, pts, rows, out, kept)
+
+        monkeypatch.setattr(att, "_softmax_rows", spy)
+        pts = np.vstack([uniform_sphere_sample(2, 12, seed=52), anchors[:4], -anchors[:4]])
+        means, log_mass = plain_softmax(cp.p_alpha, cp.p_beta, cp.lam, pts)
+        np.testing.assert_allclose(att.split_head_batch(cp, pts), means, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(att.log_prefix_mass(cp, pts), log_mass, rtol=1e-12, atol=1e-12)
+        assert calls and all(kept is None for kept in calls)
+
+    def test_pruned_head_memory_is_one_tile(self):
+        """8192 queries on the sharp approx-s2 head (S^2, lam = 2000,
+        N = 65536): the pruning setup is one tile of queries by the 1024
+        blocks, not (n, B) arrays, which would take over 100 MiB."""
+        cp = smooth_cp(2, equal_area_partition(2, 65536).centers(), 2000.0)
+        pts = uniform_sphere_sample(2, 8192, seed=53)
+        assert cp._blocks is not None
+        tracemalloc.start()
+        try:
+            att.split_head_batch(cp, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     @pytest.mark.parametrize("n, lam, pruned", [(16384, 2000.0, True), (4096, 8.0, False)])
     def test_anchor_order_irrelevant(self, n, lam, pruned):
         cp = smooth_cp(2, equal_area_partition(2, n).centers(), lam)
@@ -660,6 +703,23 @@ class TestTokenBlocks:
         assert not np.any(np.delete(w, kept, axis=1)[:, :-2])
         scale = np.abs(np.concatenate([layer.prefix.tokens, X]) @ layer.params.W_V.T).max()
         np.testing.assert_allclose(att._attend(X, layer), dense, rtol=0, atol=1e-14 * scale)
+
+    def test_boxes_keep_most_blocks(self):
+        """The first tokens alone cannot rule the boxes out, but the boxes
+        keep more than half the blocks: every block's first token sits at
+        logit -1000 and one token per block at -10, against an input
+        self-logit of 1.  The boxes are built, every token is kept, and the
+        head is bit for bit the dense kernel."""
+        n = att._MIN_BLOCKED_TOKENS
+        rng = np.random.default_rng(13)
+        tokens = np.stack([np.full(n, -1000.0), rng.normal(size=n)], axis=1)
+        tokens[1 :: att._TOKEN_BLOCK, 0] = -10.0
+        params = att.AttentionHeadParams(d=2, H=np.diag([1.0, 0.0]), W_V=rng.normal(size=(2, 2)))
+        layer = att.TransformerLayer(params=params, prefix=att.PrefixTokens(2, tokens, -1.0, False))
+        X = np.array([[1.0, 0.0]])
+        assert _kept(X, layer) is None
+        assert "_token_blocks" in vars(layer)
+        np.testing.assert_array_equal(att._attend(X, layer), _dense_kernel(X, layer))
 
     def test_every_block_kept(self):
         """A head whose logits cannot spread 700 keeps every block: it is
