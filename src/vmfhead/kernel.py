@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalFailure
+from .errors import DimensionMismatch, DomainError, NumericalFailure
 from .sphere import as_unit_vector, surface_area, uniform_sphere_sample
 from .specialfn import bessel_ratio, log_bessel_i
 
@@ -158,8 +158,18 @@ def convolve_vmf(f, kern: VmfKernel, x, n_samples: int, seed: int):
     """Monte-Carlo estimate of the spherical convolution (K * f)(x).
 
     (K*f)(x) = (1/w_m) int K(<x,y>) f(y) dw_m(y) = E_{y~U(S^m)}[K(<x,y>) f(y)],
-    so a uniform sample average is unbiased.  Returns (estimate, standard
-    error), both per output component.
+    so a uniform sample average is unbiased.  ``f`` maps the (n, m+1) sample
+    array to an (n,) array (one output component) or an (n, k) array (k
+    components).  Returns (estimate, standard error), both of shape (k,)
+    (k = 1 for an (n,) output).
+
+    The weighted values are written once into a (k, n) row-major buffer, and
+    the mean and the ddof=1 standard deviation are taken along its
+    contiguous rows, so numpy sums each component pairwise.
+
+    Raises DomainError for fewer than 100 samples, a point whose dimension
+    is not m+1, or non-finite values of f; DimensionMismatch for an output
+    of f of any other shape.
     """
     if n_samples < 100:
         raise DomainError("convolve_vmf requires n_samples >= 100")
@@ -167,11 +177,21 @@ def convolve_vmf(f, kern: VmfKernel, x, n_samples: int, seed: int):
     if xv.size != kern.m + 1:
         raise DomainError("point dimension does not match kernel dimension")
     ys = uniform_sphere_sample(kern.m, n_samples, seed)
-    weights = np.exp(kernel_log_eval(kern, np.clip(ys @ xv, -1.0, 1.0)))
-    fy = np.atleast_2d(np.asarray(f(ys), dtype=np.float64))
-    if fy.shape[0] != n_samples:
-        fy = fy.T
-    vals = weights[:, None] * fy
-    est = vals.mean(axis=0)
-    sem = vals.std(axis=0, ddof=1) / math.sqrt(n_samples)
+    t = ys @ xv
+    np.clip(t, -1.0, 1.0, out=t)
+    weights = np.exp(kernel_log_eval(kern, t))
+    fy = np.asarray(f(ys), dtype=np.float64)
+    if fy.ndim == 1:
+        fy = fy[:, None]
+    if fy.ndim != 2 or fy.shape[0] != n_samples:
+        raise DimensionMismatch(f"f must return an ({n_samples},) or ({n_samples}, k) array, got shape {fy.shape}")
+    if not np.all(np.isfinite(fy)):
+        raise DomainError("f returned a non-finite value")
+    vals = np.empty((fy.shape[1], n_samples))
+    np.multiply(fy.T, weights, out=vals)
+    # vals.mean(axis=1) and vals.std(axis=1, ddof=1), the second in place.
+    est = vals.sum(axis=1) / n_samples
+    vals -= est[:, None]
+    vals *= vals
+    sem = np.sqrt(vals.sum(axis=1) / (n_samples - 1)) / math.sqrt(n_samples)
     return est, sem

@@ -306,7 +306,8 @@ class _ArcLocator:
 def _partition_circle(n: int):
     """n equal arcs of the circle; returns (centers, radii, locator)."""
     width = 2.0 * math.pi / n
-    centers = np.array([[math.cos(mid), math.sin(mid)] for mid in (k * width + width / 2.0 for k in range(n))])
+    mids = np.arange(n) * width + width / 2.0
+    centers = np.column_stack([np.cos(mids), np.sin(mids)])
     return centers, np.full(n, min(width / 2.0, math.pi)), _ArcLocator(n)
 
 
@@ -400,11 +401,30 @@ def equal_area_partition(m: int, n: int) -> Partition:
     return Partition(m, centers, np.full(n, surface_area(m) / n), np.minimum(radii, _RADIUS_CAP), locator)
 
 
+def _row_norms(g: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of g, rounded as np.linalg.norm(g, axis=1)
+    rounds them.
+
+    numpy sums a row of fewer than 8 squares left to right, which a fold
+    over the columns repeats without an (n, k) temporary of squares; from 8
+    columns on it sums pairwise, so those widths keep numpy's norm.
+    """
+    if g.shape[1] >= 8:
+        return np.linalg.norm(g, axis=1)
+    s = g[:, 0] * g[:, 0]
+    for j in range(1, g.shape[1]):
+        s += g[:, j] * g[:, j]
+    return np.sqrt(s, out=s)
+
+
 def uniform_sphere_sample(m: int, count: int, seed: int) -> np.ndarray:
     """(count, m+1) array of i.i.d. uniform points on S^m.
 
-    Gaussian normalization; deterministic given the seed, and the first k
-    rows of a count-n draw equal the full count-k draw, so sample sets nest.
+    Gaussian normalization: each row of ``default_rng(seed).standard_normal``
+    is divided in place by its norm, and the points equal
+    ``g / np.linalg.norm(g, axis=1, keepdims=True)`` bit for bit.
+    Deterministic given the seed, and the first k rows of a count-n draw
+    equal the full count-k draw, so sample sets nest.
     """
     if m < 1:
         raise DomainError(f"uniform_sphere_sample requires m >= 1, got {m}")
@@ -412,14 +432,15 @@ def uniform_sphere_sample(m: int, count: int, seed: int) -> np.ndarray:
         raise DomainError(f"uniform_sphere_sample requires count >= 1, got {count}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((count, m + 1))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
+    norms = _row_norms(g)
     # A row of exact zeros has probability zero; regenerate defensively.
-    bad = (norms == 0).ravel()
+    bad = norms == 0
     while np.any(bad):
         g[bad] = rng.standard_normal((int(bad.sum()), m + 1))
-        norms = np.linalg.norm(g, axis=1, keepdims=True)
-        bad = (norms == 0).ravel()
-    return g / norms
+        norms = _row_norms(g)
+        bad = norms == 0
+    g /= norms[:, None]
+    return g
 
 
 def stereographic_batch(x: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from vmfhead import attention as att
+from vmfhead import kernel as ker
 from vmfhead.errors import DimensionMismatch, DomainError
 from vmfhead.seq2seq import SequenceSample
 from vmfhead.sphere import SpherePoint, as_unit_vector, equal_area_partition
@@ -19,6 +20,11 @@ VALUES = np.ones((8, 3))
 PREFIX = att.PrefixTokens(d=2, tokens=np.zeros((1, 2)), M=-1.0, augmented=False)
 PARAMS = att.AttentionHeadParams(d=2, H=np.eye(2), W_V=np.eye(2))
 STACK = att.TransformerStack(layers=(att.TransformerLayer(params=PARAMS, prefix=PREFIX),))
+KERNEL = ker.VmfKernel.create(2, 4.0)
+
+
+def convolve(f):
+    return ker.convolve_vmf(f, KERNEL, ANCHORS[0], 128, seed=0)
 
 
 def control_points(p_alpha=ANCHORS, p_beta=VALUES, lam=4.0):
@@ -87,11 +93,18 @@ CASES = {
     "classical_head input inf": lambda: att.classical_head([[0.0, 1.0], [np.inf, 0.0]], PREFIX, PARAMS),
     "transformer_eval input -inf": lambda: att.transformer_eval(STACK, [-np.inf, 0.0]),
     "transformer_eval input NaN": lambda: att.transformer_eval(STACK, [[0.0, 1.0], [0.0, np.nan]]),
+    "convolve_vmf f NaN": lambda: convolve(lambda ys: np.where(ys > 0.9, np.nan, ys)),
+    "convolve_vmf f inf": lambda: convolve(lambda ys: np.where(ys[:, 0] > 0.0, np.inf, ys[:, 0])),
+    "convolve_vmf point dimension": lambda: ker.convolve_vmf(lambda ys: ys, KERNEL, [0.0, 1.0], 128, seed=0),
 }
 
 MISMATCH_CASES = {
     "classical_head 3-D inputs": lambda: att.classical_head(np.zeros((1, 2, 2)), PREFIX, PARAMS),
     "transformer_eval 3-D inputs": lambda: att.transformer_eval(STACK, np.zeros((3, 2, 2))),
+    "convolve_vmf f 3-D output": lambda: convolve(lambda ys: ys[None]),
+    "convolve_vmf f short output": lambda: convolve(lambda ys: ys[1:]),
+    "convolve_vmf f scalar output": lambda: convolve(lambda ys: 0.7),
+    "convolve_vmf f transposed output": lambda: convolve(lambda ys: ys.T),
 }
 
 
@@ -117,3 +130,5 @@ def test_valid_inputs_still_accepted():
     SequenceSample(1, 0, np.array([[0.0]]))
     assert np.all(np.isfinite(att.classical_head([[0.0, 1.0], [1.0, 0.0]], PREFIX, PARAMS)))
     assert np.all(np.isfinite(att.transformer_eval(STACK, [0.0, 1.0])))
+    assert convolve(lambda ys: ys)[0].shape == (3,)
+    assert convolve(lambda ys: ys[:, 0])[0].shape == (1,)

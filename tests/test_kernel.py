@@ -197,6 +197,23 @@ class TestConvolution:
         est, sem = convolve_vmf(bump, kern, x, 400_000, seed=6)
         assert abs(est[0] - 1.0) <= 0.05
 
+    @pytest.mark.parametrize(
+        "f",
+        [lambda ys: 1.5 + ys[:, 0], lambda ys: ys[:, 2:], lambda ys: ys],
+        ids=["(n,)", "(n, 1)", "(n, 3)"],
+    )
+    def test_matches_column_mean_and_std(self, f):
+        """Row-major reductions agree with the per-column mean and ddof=1
+        std of the (n, k) weighted values, summed in another order."""
+        n, kern, x = 20_000, VmfKernel.create(2, 10.0), np.array([0.6, 0.0, 0.8])
+        ys = uniform_sphere_sample(2, n, seed=7)
+        fy = np.asarray(f(ys), dtype=np.float64).reshape(n, -1)
+        vals = np.exp(kernel_log_eval(kern, np.clip(ys @ x, -1.0, 1.0)))[:, None] * fy
+        est, sem = convolve_vmf(f, kern, x, n, seed=7)
+        assert est.shape == sem.shape == (fy.shape[1],)
+        np.testing.assert_allclose(est, vals.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(sem, vals.std(axis=0, ddof=1) / math.sqrt(n), rtol=1e-12)
+
     def test_requires_samples(self):
         kern = VmfKernel.create(2, 1.0)
         with pytest.raises(DomainError):

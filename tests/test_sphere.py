@@ -142,6 +142,15 @@ class TestEqualAreaPartition:
         sigma = math.sqrt(10**6 * (1 / n) * (1 - 1 / n))
         assert np.max(np.abs(counts - expected)) <= 3.0 * sigma
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4096, 65536])
+    def test_circle_centers_match_scalar_trigonometry(self, n):
+        """The arc midpoints come out of np.cos / np.sin exactly as out of
+        math.cos / math.sin, each row normalized by its own norm."""
+        width = 2.0 * math.pi / n
+        rows = [np.array([math.cos(k * width + width / 2.0), math.sin(k * width + width / 2.0)]) for k in range(n)]
+        expected = np.array([row / np.linalg.norm(row) for row in rows])
+        assert np.array_equal(equal_area_partition(1, n).centers(), expected)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             equal_area_partition(2, 0)
@@ -259,6 +268,17 @@ class TestUniformSampling:
         assert np.array_equal(a, b)
         c = uniform_sphere_sample(3, 1000, seed=9)
         assert np.array_equal(c[:500], a)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 6, 7, 8, 16, 33])
+    def test_gaussian_normalization_bit_for_bit(self, m):
+        """Every point is the seeded Gaussian row over its numpy norm, to the
+        last bit, at widths below and past numpy's pairwise-sum block of 8,
+        and sample sets nest."""
+        for count in (1, 7, 4096):
+            g = np.random.default_rng(31 + m).standard_normal((count, m + 1))
+            pts = uniform_sphere_sample(m, count, seed=31 + m)
+            assert np.array_equal(pts, g / np.linalg.norm(g, axis=1, keepdims=True))
+            assert np.array_equal(uniform_sphere_sample(m, 2 * count, seed=31 + m)[:count], pts)
 
     def test_domain(self):
         with pytest.raises(DomainError):
