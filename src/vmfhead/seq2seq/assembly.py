@@ -41,9 +41,9 @@ from ..sphere import equal_area_partition, stereographic_batch, stereographic_in
 from .encoding import (
     DigitConfig,
     SequenceSample,
+    _psi_float,
     apply_sequence_function,
     decode_sequence,
-    psi_strided,
     relaxed_decode,
 )
 
@@ -299,7 +299,7 @@ def _psi_oracle(lay: _Layout, t_len: int, m: int, cfg: DigitConfig):
     def fn(states):
         out = states.copy()
         for row, q0 in zip(out, _positions(lay, states)):
-            row[lay.val] = 3.0 ** (-q0) * float(psi_strided(float(row[lay.val]), cfg, width))
+            row[lay.val] = 3.0 ** (-q0) * _psi_float(float(row[lay.val]), cfg, width)
         return out
 
     return OracleStage(fn=fn, label="digit-encoder")
@@ -335,6 +335,14 @@ def _decoder_oracles(lay: _Layout, f, t_len: int, m: int, cfg: DigitConfig) -> l
 # ---------------------------------------------------------------------------
 # Stack construction and evaluation
 # ---------------------------------------------------------------------------
+
+
+def _once_per_key(keys: np.ndarray, value) -> np.ndarray:
+    """np.array([value(i) for i in range(len(keys))]) for a value that
+    depends on i only through keys[i]: value runs once per distinct key, at
+    its first index, and the results are scattered back."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return np.array([value(i) for i in first])[inverse]
 
 
 @dataclass(frozen=True)
@@ -399,8 +407,10 @@ def build_seq2seq_transformer(
     oracle stages around real attention layers; the T decoders share one
     decode of the aggregate, so f is called once per evaluated sequence.
     In full mode they are synthesized kernel prefixes over the circle
-    (budget-driven N and lambda), capped to small instances, and f is
-    called once per anchor at build time.
+    (budget-driven N and lambda), capped to small instances.  Their values
+    at the N anchors take psi once per distinct digit string of the
+    anchors' chart points and f once per distinct decoded sequence (at most
+    3^(T(m+1) digits) of them), not once per anchor.
     """
     if t_len < 1 or m < 0:
         raise DomainError("t_len >= 1 and m >= 0 required")
@@ -439,12 +449,17 @@ def build_seq2seq_transformer(
             raise DomainError("n_points must be >= 1")
         if not 0 < lam < math.inf:
             raise DomainError("lam must be positive and finite")
-        # One partition of S^1 serves every head: its centers are the anchors,
-        # and each anchor's chart value is decoded once, with f evaluated once.
+        # One partition of S^1 serves every head: its centers are the anchors.
+        # psi reads a chart value only through its bit string (_bits) and
+        # relaxed_decode only through its rounded ternary mantissa, so each
+        # distinct one is computed once and scattered back to its anchors.
         anchors = equal_area_partition(1, n_points).centers()
         chart = np.where(1.0 - anchors[:, 1] < 1e-12, 1.0, np.clip(stereographic_batch(anchors)[:, 0], 0.0, 1.0))
-        psi_values = np.array([float(psi_strided(u, cfg, width)) for u in chart])
-        outputs = np.array([apply_sequence_function(f, relaxed_decode(u, t_len, m, cfg)) for u in chart])
+        scale, base = 2**cfg.digits, 3 ** (width * cfg.digits)
+        bits = np.minimum((chart * scale).astype(np.int64), scale - 1)
+        mantissas = np.minimum(np.rint(chart * base), base - 1)
+        psi_values = _once_per_key(bits, lambda i: _psi_float(chart[i], cfg, width))
+        outputs = _once_per_key(mantissas, lambda i: apply_sequence_function(f, relaxed_decode(chart[i], t_len, m, cfg)))
         decoder_values = outputs.reshape(n_points, width)
         layers.append(
             TransformerLayer(

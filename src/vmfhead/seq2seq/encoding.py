@@ -146,7 +146,7 @@ def psi_encode(x: float, cfg: DigitConfig) -> float:
     Monotone non-decreasing in x; dyadic rationals take their terminating
     expansion, so psi(1/2) = 2/3.
     """
-    return float(psi_strided(x, cfg, 1))
+    return _psi_float(x, cfg, 1)
 
 
 def psi_decode(c: float, cfg: DigitConfig) -> float:
@@ -169,15 +169,27 @@ def psi_decode(c: float, cfg: DigitConfig) -> float:
     return float(_coords(ternary, 1)[0])
 
 
+def _psi_ternary(x: float, cfg: DigitConfig, stride: int) -> str:
+    """The ternary digits of psi_strided(x, cfg, stride), most significant first."""
+    if stride < 1:
+        raise DomainError("stride must be >= 1")
+    return ("0" * (stride - 1)).join(_bits(float(x), cfg.digits).replace("1", "2"))
+
+
+def _psi_float(x: float, cfg: DigitConfig, stride: int) -> float:
+    """float(psi_strided(x, cfg, stride)) without the Fraction: int / int
+    rounds the same rational correctly, so the double is the same."""
+    ternary = _psi_ternary(x, cfg, stride)
+    return int(ternary, 3) / 3 ** len(ternary)
+
+
 def psi_strided(x: float, cfg: DigitConfig, stride: int) -> Fraction:
     """Stride-aware digit map: digit j lands at ternary position 1+(j-1)*stride.
 
     This is the per-coordinate encoder the aggregation uses; stride equals
     the flattened sequence width T(m+1), and stride 1 recovers psi_encode.
     """
-    if stride < 1:
-        raise DomainError("stride must be >= 1")
-    ternary = ("0" * (stride - 1)).join(_bits(float(x), cfg.digits).replace("1", "2"))
+    ternary = _psi_ternary(x, cfg, stride)
     return Fraction(int(ternary, 3), 3 ** len(ternary))
 
 

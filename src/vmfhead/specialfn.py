@@ -11,6 +11,7 @@ range of IEEE doubles.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -99,6 +100,13 @@ def _betacf(x: float, a: float, b: float) -> float:
     raise DomainError("incomplete beta continued fraction did not converge")
 
 
+@functools.lru_cache(maxsize=64)
+def _log_beta_prefactor(a: float, b: float) -> float:
+    """ln Gamma(a+b) - ln Gamma(a) - ln Gamma(b), summed left to right as
+    reg_inc_beta adds its further terms, so caching it changes no value."""
+    return log_gamma(a + b) - log_gamma(a) - log_gamma(b)
+
+
 def reg_inc_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta function I_x(a, b).
 
@@ -115,13 +123,7 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    log_front = (
-        log_gamma(a + b)
-        - log_gamma(a)
-        - log_gamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
+    log_front = _log_beta_prefactor(a, b) + a * math.log(x) + b * math.log1p(-x)
     front = math.exp(log_front)
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _betacf(x, a, b) / a

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -311,7 +312,7 @@ def _partition_circle(n: int):
     return centers, np.full(n, min(width / 2.0, math.pi)), _ArcLocator(n)
 
 
-def _partition_recursive(m: int, n: int):
+def _partition_recursive(m: int, n: int, built: dict):
     """Equal-measure zonal partition of S^m into n cells.
 
     Returns (centers, radii, locator): unnormalized cell center directions
@@ -319,6 +320,11 @@ def _partition_recursive(m: int, n: int):
     have measure w_m / n exactly by construction (colatitude boundaries are
     refit from cumulative cell counts, and the within-collar split recurses
     on S^(m-1)).
+
+    `built` maps (m', n') to the triple already returned for it within the
+    current equal_area_partition call: collars with the same cell count
+    share one sub-partition, built once.  Nothing writes to these arrays
+    and the locators hold no state, so sharing them is safe.
     """
     if m == 1:
         return _partition_circle(n)
@@ -339,12 +345,12 @@ def _partition_recursive(m: int, n: int):
     # Ideal cell counts per collar, rounded half up with a running remainder
     # so the total is exact; the 1e-9 allowance keeps exact ties (such as two
     # collars of 30.5 cells) from being split by rounding noise in the areas.
-    ideal_bounds = [theta_c + i * (math.pi - 2.0 * theta_c) / n_collars for i in range(n_collars + 1)]
+    ideal_areas = [_colat_area(m, theta_c + i * (math.pi - 2.0 * theta_c) / n_collars) for i in range(n_collars + 1)]
     counts = []
     remainder = 0.0
     budget = n - 2
     for i in range(n_collars):
-        ideal = (_colat_area(m, ideal_bounds[i + 1]) - _colat_area(m, ideal_bounds[i])) / v_r
+        ideal = (ideal_areas[i + 1] - ideal_areas[i]) / v_r
         ni = math.floor(ideal + remainder + 0.5 + 1e-9)
         ni = min(max(ni, 0), budget - sum(counts))
         remainder += ideal - ni
@@ -370,7 +376,9 @@ def _partition_recursive(m: int, n: int):
     index = 1
     for j, cj in enumerate(counts):
         a, b = boundaries[1 + j], boundaries[2 + j]
-        sub_centers, sub_radii, sub_locator = _partition_recursive(m - 1, cj)
+        if (m - 1, cj) not in built:
+            built[m - 1, cj] = _partition_recursive(m - 1, cj, built)
+        sub_centers, sub_radii, sub_locator = built[m - 1, cj]
         theta_mid = 0.5 * (a + b)
         sin_max = 1.0 if a <= math.pi / 2.0 <= b else max(math.sin(a), math.sin(b))
         collar = np.empty((cj, m + 1))
@@ -386,14 +394,30 @@ def _partition_recursive(m: int, n: int):
     return np.vstack(centers), np.concatenate(radii), _ZonalLocator(np.array(boundaries), groups)
 
 
+def _size(value, name: str) -> int:
+    """value as a Python int via operator.index; bools, floats (integral
+    ones too) and NaN are refused with DomainError."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise DomainError(f"equal_area_partition requires an integer {name}, got {value!r}")
+
+
 def equal_area_partition(m: int, n: int) -> Partition:
     """Partition S^m into n cells of exactly equal measure w_m / n, with
-    per-cell geodesic radius bounds; the construction is deterministic."""
+    per-cell geodesic radius bounds; the construction is deterministic.
+
+    m and n must be integers (Python or numpy, not bool); floats, NaN and
+    bools are refused with DomainError.
+    """
+    m, n = _size(m, "m"), _size(n, "N")
     if m < 1:
         raise DomainError(f"equal_area_partition requires m >= 1, got {m}")
     if n < 1:
         raise DomainError(f"equal_area_partition requires N >= 1, got {n}")
-    directions, radii, locator = _partition_recursive(m, n)
+    directions, radii, locator = _partition_recursive(m, n, {})
     # Row-wise sqrt(<c, c>) as a stacked matmul rounds like np.linalg.norm of
     # a single row; norm(axis=1) and einsum differ from it by an ulp.
     norms = np.sqrt((directions[:, None, :] @ directions[:, :, None])[:, 0, 0])

@@ -8,6 +8,7 @@ import pytest
 
 from vmfhead import attention as att
 from vmfhead import kernel as ker
+from vmfhead import prefix as pfx
 from vmfhead.errors import DimensionMismatch, DomainError
 from vmfhead.seq2seq import SequenceSample
 from vmfhead.sphere import SpherePoint, as_unit_vector, equal_area_partition
@@ -88,6 +89,14 @@ CASES = {
     "suppression_gap M positive": lambda: att.suppression_gap(control_points(), ANCHORS[0], 3.0),
     "suppression_gap M -inf": lambda: att.suppression_gap(control_points(), ANCHORS[0], -np.inf),
     "partition locate_batch NaN row": lambda: equal_area_partition(2, 8).locate_batch(np.vstack([ANCHORS[:2], NAN_POINT])),
+    "partition N float": lambda: equal_area_partition(2, 2.5),
+    "partition N integral float": lambda: equal_area_partition(2, 16.0),
+    "partition N numpy float": lambda: equal_area_partition(2, np.float64(16.0)),
+    "partition N NaN": lambda: equal_area_partition(2, np.nan),
+    "partition N bool": lambda: equal_area_partition(2, True),
+    "partition m float": lambda: equal_area_partition(2.5, 16),
+    "partition m bool": lambda: equal_area_partition(True, 16),
+    "synthesize_prefix N float": lambda: pfx.synthesize_prefix(pfx.make_target("identity", 2), 16.0, 4.0),
     "partition locate_batch non-unit row": lambda: equal_area_partition(2, 8).locate_batch(np.array([[0.0, 0.0, 3.0]])),
     "classical_head input NaN": lambda: att.classical_head([[np.nan, 0.0]], PREFIX, PARAMS),
     "classical_head input inf": lambda: att.classical_head([[0.0, 1.0], [np.inf, 0.0]], PREFIX, PARAMS),
@@ -132,3 +141,7 @@ def test_valid_inputs_still_accepted():
     assert np.all(np.isfinite(att.transformer_eval(STACK, [0.0, 1.0])))
     assert convolve(lambda ys: ys)[0].shape == (3,)
     assert convolve(lambda ys: ys[:, 0])[0].shape == (1,)
+    numpy_sized = equal_area_partition(np.int64(2), np.int32(16))
+    assert numpy_sized.m == 2 and type(numpy_sized.m) is int
+    assert np.array_equal(numpy_sized.centers(), equal_area_partition(2, 16).centers())
+    assert pfx.synthesize_prefix(pfx.make_target("identity", 2), np.int64(16), 4.0).n_points == 16

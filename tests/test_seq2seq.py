@@ -23,8 +23,10 @@ from vmfhead.seq2seq import (
     psi_encode,
     psi_strided,
     reference_seq2seq,
+    sequence_mean,
 )
 from vmfhead.seq2seq.assembly import _summation_error_bound
+from vmfhead.seq2seq.encoding import _psi_float, relaxed_decode
 
 
 def seq_mean(elements):
@@ -91,6 +93,16 @@ class TestPsi:
         cfg = DigitConfig(digits=6)
         for x in (0.0, 0.3, 0.5, 0.9, 1.0):
             np.testing.assert_allclose(float(psi_strided(x, cfg, 1)), psi_encode(x, cfg), rtol=1e-15)
+
+    @pytest.mark.parametrize("stride", [1, 2, 3, 4, 8])
+    def test_float_path_equals_rounded_fraction(self, stride):
+        """The float digit map is float(psi_strided) bit for bit at every
+        dyadic input of every digit budget from 1 to 12."""
+        for digits in range(1, 13):
+            cfg = DigitConfig(digits=digits)
+            for k in range(2**digits + 1):
+                x = k / 2**digits
+                assert _psi_float(x, cfg, stride) == float(psi_strided(x, cfg, stride))
 
 
 class TestAggregation:
@@ -395,7 +407,9 @@ class TestFullModeBuild:
         with pytest.raises(DomainError):
             build_seq2seq_transformer(f, 2, 1, DigitConfig(digits=2), n_points=n_points, lam=lam, mode="full")
 
-    def test_one_partition_and_one_f_call_per_anchor(self, monkeypatch):
+    def test_one_partition_and_one_f_call_per_decoded_sequence(self, monkeypatch):
+        """One partition serves every head, and f receives each distinct
+        decoded sequence of the anchors' chart points exactly once."""
         import vmfhead.seq2seq.assembly as asm
 
         partitions = []
@@ -403,12 +417,44 @@ class TestFullModeBuild:
         calls = []
 
         def counted_mean(elements):
-            calls.append(elements.shape)
+            calls.append(elements.tobytes())
             return seq_mean(elements)
 
-        build_seq2seq_transformer(counted_mean, 3, 1, DigitConfig(digits=2), n_points=64, mode="full")
+        cfg = DigitConfig(digits=2)
+        build_seq2seq_transformer(counted_mean, 3, 1, cfg, n_points=64, mode="full")
         assert partitions == [(1, 64)]
-        assert calls == [(3, 2)] * 64
+        chart = []
+        for x, y in equal_area_partition(1, 64).centers():
+            chart.append(1.0 if 1.0 - y < 1e-12 else min(max(x / (1.0 - y), 0.0), 1.0))
+        decoded = {relaxed_decode(u, 3, 1, cfg).tobytes() for u in chart}
+        assert len(calls) == len(set(calls))
+        assert set(calls) == decoded
+        assert 1 < len(decoded) < 64
+
+
+# Regression pins, not oracles: SHA-256 over every layer's prefix tokens, H,
+# W_V and MLP weights (each array's shape and float64 bytes) of a full-mode
+# build of sequence_mean at (T, m, digits, N), recorded while psi and f were
+# still evaluated once per anchor.  They hold the build bit for bit.
+_FULL_BUILD_PINS = {
+    (2, 0, 2, 4096): "8058629938f7d772720a76d9f74f5b807e0314c83cfeb58ba8135edd406d2493",
+    (2, 1, 2, 4094): "442e2e7fd78d819f23b31312345d559e86e5848f6bfe48733b82b55e0b2c8549",
+    (3, 0, 3, 1026): "185c14ab8e5727df7a13f69dd20b85e95d49e5b2d19c7971083d382a4187dee4",
+    (3, 1, 3, 2048): "b93814f543373fe73373c703a06d64789fc4b094136dfb2182f1fe5ac31fecc6",
+    (2, 0, 2, 262144): "7b87136ebf6d3d7988a0cb49d89e1efa3fd24e131e5a3a353cd4d2955ca78347",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_FULL_BUILD_PINS), ids=lambda shape: "T{}-m{}-digits{}-N{}".format(*shape))
+def test_full_build_pin(shape, digest):
+    t_len, m, digits, n_points = shape
+    stack = build_seq2seq_transformer(sequence_mean, t_len, m, DigitConfig(digits=digits), n_points=n_points, mode="full")
+    arrays = []
+    for layer in stack.transformer.layers:
+        arrays += [layer.prefix.tokens, layer.params.H, layer.params.W_V]
+        for a, b in layer.mlp:
+            arrays += [a, b]
+    assert digest(arrays) == _FULL_BUILD_PINS[shape]
 
 
 class TestHybridDecodesOnce:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vmfhead.sphere as sph
 from vmfhead.errors import DegenerateInput, DimensionMismatch, DomainError, PoleSingularity
 from vmfhead.sphere import (
     Partition,
@@ -204,6 +205,57 @@ class TestEqualAreaPartition:
             assert not a.flags.writeable
         assert p == p
         assert p != equal_area_partition(2, 8)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """(m', n') of every _partition_recursive call, in call order."""
+    calls = []
+    build = sph._partition_recursive
+    monkeypatch.setattr(sph, "_partition_recursive", lambda m, n, built: calls.append((m, n)) or build(m, n, built))
+    return calls
+
+
+class TestPartitionBuildsOnce:
+    @pytest.mark.parametrize("m, n", [(8, 2048), (4, 2048), (3, 500), (2, 1024)])
+    def test_each_sub_partition_built_once_per_call(self, builds, m, n):
+        """Within one equal_area_partition call no (m', n') is built twice;
+        a second identical call builds them all again (no cache outlives a
+        call) and gives the same arrays."""
+        first = equal_area_partition(m, n)
+        first_builds = list(builds)
+        assert first_builds[0] == (m, n)
+        assert len(set(first_builds)) == len(first_builds)
+        second = equal_area_partition(m, n)
+        assert builds[len(first_builds):] == first_builds
+        for a, b in zip((first.centers(), first.radii()), (second.centers(), second.radii())):
+            assert np.array_equal(a, b)
+
+    def test_repeated_collar_counts_share_one_build(self, builds):
+        """S^8 with 2048 cells makes 53 builds, one per distinct (m', n');
+        building every collar's sub-partition anew made 641."""
+        equal_area_partition(8, 2048)
+        assert len(builds) == 53
+
+
+# Regression pins, not oracles: SHA-256 of (centers, radii, measures), each
+# array's shape and float64 bytes, recorded before sub-partitions were shared
+# between collars.  They hold the construction bit for bit.
+_PARTITION_PINS = {
+    (8, 2048): "bb3c778a9800d98e0aff497172914e4eff6dbe5c652a1ae08d61296171721174",
+    (4, 2048): "67e9574c4e3fcfa0f4bc183875a595ea6cb305ef1a8dad4ce7319664d8b8c493",
+    (3, 500): "102c282cf2f1fa4cad2a993a85f7951dbecd48145be4c6f9d32099f6a53b23e0",
+    (8, 32): "51061c76db4e08cdcd9a41cc494ae83e20f425c1809e093a4549ea605a29e3eb",
+    (2, 16384): "091e94de2f6d7f86a53d238d1bb2245fcdd2311cb9e1780544d175b5d2aaa2d4",
+    (2, 65536): "79107c95c9c911c5f1829581a2cbd03da972fd30a41698e36d932764de9d9e08",
+    (2, 1024): "4d11612b7e930932c0ca743cca269726fd91d3fb98bd85545881926fdd3b594d",
+}
+
+
+@pytest.mark.parametrize("size", sorted(_PARTITION_PINS), ids=lambda size: "S{}-N{}".format(*size))
+def test_partition_pin(size, digest):
+    p = equal_area_partition(*size)
+    assert digest([p.centers(), p.radii(), p.measures()]) == _PARTITION_PINS[size]
 
 
 @functools.lru_cache(maxsize=None)
