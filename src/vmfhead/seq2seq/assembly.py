@@ -1,15 +1,16 @@
 """Assembly of the T+2 attention-layer sequence-to-sequence stack.
 
-The stack operates on T(m+1) "virtual positions", one scalar coordinate
-each.  Layer 1 applies the digit encoder to every coordinate (one shared
-bank of control points per position, tagged so each position also gets its
-one-hot and constant restored through the token values); its MLP stages
-apply the per-coordinate contraction weight 3^-p and the per-element
-positional weight 3^-(i-1)(m+1).  Layer 2 sums the weighted values across
-positions with exactly uniform attention over inputs, producing the
-aggregate scalar at every position, while tagged tokens re-inject the
-position identity.  Layers 3..T+2 hold one decoder head per element:
-token groups are tagged to that element's positions, every other position
+The stack operates on q = T(m+1) "virtual positions", one scalar
+coordinate each, in states of width 7 + 2q.  Each prefix token's one-hot
+tag addresses its position and is also its payload: the values restore
+the position's one-hot from it, and the constant from its row sum.
+Layer 1 applies the digit encoder to every coordinate (one shared bank of
+control points per position); its MLP stages apply the per-coordinate
+contraction weight 3^-p and the per-element positional weight
+3^-(i-1)(m+1).  Layer 2 sums the weighted values across positions with
+exactly uniform attention over inputs, producing the aggregate scalar at
+every position.  Layers 3..T+2 hold one decoder head per element: token
+groups are tagged to that element's positions, every other position
 attends to itself through a one-hot-keyed diagonal logit and passes its
 state through bit-exactly.
 
@@ -37,10 +38,11 @@ from ..attention import (
     transformer_eval,
 )
 from ..errors import DomainError, InstanceTooLarge
-from ..sphere import equal_area_partition, stereographic_batch, stereographic_inverse_batch
+from ..sphere import _size, equal_area_partition, stereographic_batch, stereographic_inverse_batch
 from .encoding import (
     DigitConfig,
     SequenceSample,
+    _mantissa,
     _psi_float,
     apply_sequence_function,
     decode_sequence,
@@ -70,7 +72,7 @@ class _Layout:
 
     @property
     def d(self) -> int:
-        return 8 + 3 * self.q
+        return 7 + 2 * self.q
 
     @property
     def z(self) -> slice:  # sphere slot (S^1 embedding of the active scalar)
@@ -85,28 +87,20 @@ class _Layout:
         return 4
 
     @property
-    def tag(self) -> slice:  # token tag block (position addressing)
+    def tag(self) -> slice:  # token tag block (position addressing, and the one-hot and constant W_V restores)
         return slice(5, 5 + self.q)
 
     @property
-    def pay(self) -> slice:  # token payload block (one-hot restoration)
+    def oh(self) -> slice:  # state one-hot (virtual position identity)
         return slice(5 + self.q, 5 + 2 * self.q)
 
     @property
-    def pc(self) -> int:  # token constant payload
+    def c1(self) -> int:  # state constant 1
         return 5 + 2 * self.q
 
     @property
-    def oh(self) -> slice:  # state one-hot (virtual position identity)
-        return slice(6 + 2 * self.q, 6 + 3 * self.q)
-
-    @property
-    def c1(self) -> int:  # state constant 1
-        return 6 + 3 * self.q
-
-    @property
     def val(self) -> int:  # state scalar value
-        return 7 + 3 * self.q
+        return 6 + 2 * self.q
 
 
 # ---------------------------------------------------------------------------
@@ -198,29 +192,29 @@ def _carry_state(lay: _Layout, w: np.ndarray) -> np.ndarray:
 
 
 def _restore_payload(lay: _Layout, w: np.ndarray) -> np.ndarray:
-    """W_V entries adding a token's scalar, one-hot payload and constant payload."""
+    """W_V entries adding a token's scalar, its tag as the one-hot and the
+    tag's row sum as the constant: one nonzero product each, so exact."""
     w[lay.val, lay.vb] = 1.0
-    w[lay.oh, lay.pay] = np.eye(lay.q)
-    w[lay.c1, lay.pc] = 1.0
+    w[lay.oh, lay.tag] = np.eye(lay.q)
+    w[lay.c1, lay.tag] = 1.0
     return w
 
 
-def _passthrough_params(lay: _Layout) -> AttentionHeadParams:
-    """Every position attends to itself bit-exactly (diagonal one-hot logit
-    dominates; the mandatory token and all other logits underflow)."""
+def _oracle_layer(lay: _Layout, stage: OracleStage) -> TransformerLayer:
+    """A pass-through head before an oracle stage: every position attends to
+    itself bit-exactly (diagonal one-hot logit dominates; the one all-zero
+    token and all other logits underflow)."""
     d = lay.d
     h = np.zeros((d, d))
     h[lay.oh, lay.oh] = _GAP * np.eye(lay.q)
-    return AttentionHeadParams(d=d, H=h, W_V=_carry_state(lay, np.zeros((d, d))))
-
-
-def _dummy_prefix(lay: _Layout) -> PrefixTokens:
-    return PrefixTokens(d=lay.d, tokens=np.zeros((1, lay.d)), M=-_GAP, augmented=False)
+    params = AttentionHeadParams(d=d, H=h, W_V=_carry_state(lay, np.zeros((d, d))))
+    prefix = PrefixTokens(d=d, tokens=np.zeros((1, d)), M=-_GAP, augmented=False)
+    return TransformerLayer(params=params, prefix=prefix, mlp=(stage,))
 
 
 def _encoder_layer_params(lay: _Layout, lam: float) -> AttentionHeadParams:
     """Layer-1 head: sphere-keyed kernel logits plus position tags; values
-    write the token's scalar, one-hot payload, and constant payload."""
+    write the token's scalar and restore one-hot and constant from its tag."""
     d = lay.d
     h = np.zeros((d, d))
     h[lay.z, lay.ka] = np.eye(2)
@@ -240,13 +234,11 @@ def _summation_layer(lay: _Layout, gamma: float = 4.0):
     h[lay.oh, lay.tag] = gamma * np.eye(lay.q)
     w = np.zeros((d, d))
     w[lay.val, lay.val] = z_total
-    w[lay.oh, lay.pay] = z_total * np.eye(lay.q)
-    w[lay.c1, lay.pc] = z_total / (math.exp(gamma) + lay.q - 1.0)
+    w[lay.oh, lay.tag] = z_total * np.eye(lay.q)
+    w[lay.c1, lay.tag] = z_total / (math.exp(gamma) + lay.q - 1.0)
     params = AttentionHeadParams(d=d, H=h, W_V=w)
     tokens = np.zeros((lay.q, d))
     tokens[:, lay.tag] = np.eye(lay.q)
-    tokens[:, lay.pay] = np.eye(lay.q)
-    tokens[:, lay.pc] = 1.0
     prefix = PrefixTokens(d=d, tokens=tokens, M=-_GAP, augmented=False)
     return params, prefix
 
@@ -267,9 +259,9 @@ def _decoder_layer_params(lay: _Layout, lam: float, elem_positions: list[int]) -
 
 def _kernel_tokens(lay: _Layout, anchors: np.ndarray, value_bank: dict[int, np.ndarray], lam: float) -> PrefixTokens:
     """One bank of (anchor, value) tokens per virtual position in value_bank,
-    tagged and carrying that position's restoration payload (encoder: every
-    position with the digit-map values; decoder: the element's positions
-    with their coordinate's decoder outputs)."""
+    tagged with that position (encoder: every position with the digit-map
+    values; decoder: the element's positions with their coordinate's
+    decoder outputs)."""
     n = anchors.shape[0]
     qs = sorted(value_bank)
     tokens = np.zeros((len(qs) * n, lay.d))
@@ -278,8 +270,6 @@ def _kernel_tokens(lay: _Layout, anchors: np.ndarray, value_bank: dict[int, np.n
         tokens[rows, lay.ka] = lam * anchors
         tokens[rows, lay.vb] = value_bank[q0]
         tokens[rows, lay.tag.start + q0] = 1.0
-        tokens[rows, lay.pay.start + q0] = 1.0
-        tokens[rows, lay.pc] = 1.0
     return PrefixTokens(d=lay.d, tokens=tokens, M=-(lam + _GAP), augmented=False)
 
 
@@ -293,13 +283,11 @@ def _positions(lay: _Layout, states: np.ndarray) -> list[int]:
     return np.argmax(states[:, lay.oh], axis=1).tolist()
 
 
-def _psi_oracle(lay: _Layout, t_len: int, m: int, cfg: DigitConfig):
-    width = t_len * (m + 1)
-
+def _psi_oracle(lay: _Layout, cfg: DigitConfig):
     def fn(states):
         out = states.copy()
         for row, q0 in zip(out, _positions(lay, states)):
-            row[lay.val] = 3.0 ** (-q0) * _psi_float(float(row[lay.val]), cfg, width)
+            row[lay.val] = 3.0 ** (-q0) * _psi_float(float(row[lay.val]), cfg, lay.q)
         return out
 
     return OracleStage(fn=fn, label="digit-encoder")
@@ -308,16 +296,24 @@ def _psi_oracle(lay: _Layout, t_len: int, m: int, cfg: DigitConfig):
 def _decoder_oracles(lay: _Layout, f, t_len: int, m: int, cfg: DigitConfig) -> list[OracleStage]:
     """The T decoder stages, element i0 writing row i0 of f(decoded).
 
-    Every decoder reads the same aggregate bit for bit (the pass-through
-    heads copy it), so the stages share one cache of the last aggregate's
-    decoded outputs: a sequence is decoded, and f applied, once.
+    The summation layer rounds each row's aggregate its own way, but the
+    build keeps them all within half a digit gap of the exact aggregate, so
+    they round to its ternary mantissa.  The stages share one cache keyed
+    by that mantissa: a sequence is decoded, and f applied, once.  A second
+    cache keyed by the float skips the rounding for rows that the
+    pass-through heads copied bit for bit.
     """
+    total = lay.q * cfg.digits
+
+    @functools.lru_cache(maxsize=1)
+    def decoded(mantissa: float) -> np.ndarray:
+        out = apply_sequence_function(f, decode_sequence(mantissa / 3**total, t_len, m, cfg).elements).view()
+        out.setflags(write=False)
+        return out
 
     @functools.lru_cache(maxsize=1)
     def outputs(r: float) -> np.ndarray:
-        out = apply_sequence_function(f, decode_sequence(r, t_len, m, cfg).elements).view()
-        out.setflags(write=False)
-        return out
+        return decoded(_mantissa(r, total))
 
     def oracle(i0: int) -> OracleStage:
         def fn(states):
@@ -412,8 +408,7 @@ def build_seq2seq_transformer(
     anchors' chart points and f once per distinct decoded sequence (at most
     3^(T(m+1) digits) of them), not once per anchor.
     """
-    if t_len < 1 or m < 0:
-        raise DomainError("t_len >= 1 and m >= 0 required")
+    t_len, m = _size(t_len, "t_len"), _size(m, "m", 0)
     if mode not in ("hybrid", "full"):
         raise DomainError(f"mode must be 'hybrid' or 'full', got {mode!r}")
     width = t_len * (m + 1)
@@ -428,25 +423,13 @@ def build_seq2seq_transformer(
             "the summation layer's rounding error"
         )
 
-    gamma = 4.0
-    layers = []
-    contraction = np.array([3.0 ** (-(q0 % (m + 1)) - 1) for q0 in range(width)])
-    positional = np.array([3.0 * 3.0 ** (-(q0 // (m + 1)) * (m + 1)) for q0 in range(width)])
-
     if mode == "hybrid":
         # The oracle folds the contraction and positional weights into its
         # exact per-position output.
-        mlp1 = [_psi_oracle(lay, t_len, m, cfg)]
-        layers.append(TransformerLayer(params=_passthrough_params(lay), prefix=_dummy_prefix(lay), mlp=tuple(mlp1)))
-        sum_params, sum_prefix = _summation_layer(lay, gamma)
-        layers.append(
-            TransformerLayer(params=sum_params, prefix=sum_prefix, mlp=tuple(_stage_affine_recover(lay, gamma)))
-        )
-        for decoder in _decoder_oracles(lay, f, t_len, m, cfg):
-            layers.append(TransformerLayer(params=_passthrough_params(lay), prefix=_dummy_prefix(lay), mlp=(decoder,)))
+        encoder, lookup = _oracle_layer(lay, _psi_oracle(lay, cfg)), []
+        decoders = [_oracle_layer(lay, decoder) for decoder in _decoder_oracles(lay, f, t_len, m, cfg)]
     else:
-        if n_points < 1:
-            raise DomainError("n_points must be >= 1")
+        n_points = _size(n_points, "n_points")
         if not 0 < lam < math.inf:
             raise DomainError("lam must be positive and finite")
         # One partition of S^1 serves every head: its centers are the anchors.
@@ -455,31 +438,25 @@ def build_seq2seq_transformer(
         # distinct one is computed once and scattered back to its anchors.
         anchors = equal_area_partition(1, n_points).centers()
         chart = np.where(1.0 - anchors[:, 1] < 1e-12, 1.0, np.clip(stereographic_batch(anchors)[:, 0], 0.0, 1.0))
-        scale, base = 2**cfg.digits, 3 ** (width * cfg.digits)
+        scale = 2**cfg.digits
         bits = np.minimum((chart * scale).astype(np.int64), scale - 1)
-        mantissas = np.minimum(np.rint(chart * base), base - 1)
+        mantissas = _mantissa(chart, width * cfg.digits)
         psi_values = _once_per_key(bits, lambda i: _psi_float(chart[i], cfg, width))
         outputs = _once_per_key(mantissas, lambda i: apply_sequence_function(f, relaxed_decode(chart[i], t_len, m, cfg)))
         decoder_values = outputs.reshape(n_points, width)
-        layers.append(
-            TransformerLayer(
-                params=_encoder_layer_params(lay, lam),
-                prefix=_kernel_tokens(lay, anchors, dict.fromkeys(range(width), psi_values), lam),
-                mlp=tuple(_stage_scale_by_position(lay, contraction) + _stage_scale_by_position(lay, positional)),
-            )
+        contraction = np.array([3.0 ** (-(q0 % (m + 1)) - 1) for q0 in range(width)])
+        positional = np.array([3.0 * 3.0 ** (-(q0 // (m + 1)) * (m + 1)) for q0 in range(width)])
+        encoder = TransformerLayer(
+            params=_encoder_layer_params(lay, lam),
+            prefix=_kernel_tokens(lay, anchors, dict.fromkeys(range(width), psi_values), lam),
+            mlp=tuple(_stage_scale_by_position(lay, contraction) + _stage_scale_by_position(lay, positional)),
         )
-        sum_params, sum_prefix = _summation_layer(lay, gamma)
-        layers.append(
-            TransformerLayer(
-                params=sum_params,
-                prefix=sum_prefix,
-                mlp=tuple(_stage_affine_recover(lay, gamma) + _stage_sphere_lookup(lay)),
-            )
-        )
+        lookup = _stage_sphere_lookup(lay)
+        decoders = []
         for i0 in range(t_len):
             elem_positions = [i0 * (m + 1) + p0 for p0 in range(m + 1)]
             value_bank = {q0: decoder_values[:, q0] for q0 in elem_positions}
-            layers.append(
+            decoders.append(
                 TransformerLayer(
                     params=_decoder_layer_params(lay, lam, elem_positions),
                     prefix=_kernel_tokens(lay, anchors, value_bank, lam),
@@ -487,4 +464,8 @@ def build_seq2seq_transformer(
                 )
             )
 
-    return Seq2SeqStack(transformer=TransformerStack(layers=tuple(layers)), t_len=t_len, m=m, cfg=cfg, mode=mode, layout=lay)
+    gamma = 4.0
+    sum_params, sum_prefix = _summation_layer(lay, gamma)
+    summation = TransformerLayer(params=sum_params, prefix=sum_prefix, mlp=tuple(_stage_affine_recover(lay, gamma) + lookup))
+    layers = (encoder, summation, *decoders)
+    return Seq2SeqStack(transformer=TransformerStack(layers=layers), t_len=t_len, m=m, cfg=cfg, mode=mode, layout=lay)

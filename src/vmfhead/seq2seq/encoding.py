@@ -28,6 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from ..errors import DomainError, EncodingError, PrecisionBudgetExceeded
+from ..sphere import _size
 
 __all__ = [
     "DigitConfig",
@@ -55,7 +56,8 @@ class DigitConfig:
     digits: int = 8
 
     def __post_init__(self):
-        if not (1 <= self.digits <= _MAX_DIGITS):
+        object.__setattr__(self, "digits", _size(self.digits, "digits"))
+        if self.digits > _MAX_DIGITS:
             raise DomainError(f"digits must be in [1, {_MAX_DIGITS}], got {self.digits}")
 
 
@@ -68,6 +70,8 @@ class SequenceSample:
     elements: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "t_len", _size(self.t_len, "t_len"))
+        object.__setattr__(self, "m", _size(self.m, "m", 0))
         e = np.asarray(self.elements, dtype=np.float64)
         if e.shape != (self.t_len, self.m + 1):
             raise DomainError("elements must have shape (T, m+1)")
@@ -120,6 +124,13 @@ def _ternary(num: int, total: int) -> str:
     if num != 0:
         raise EncodingError("value out of range for the digit budget")
     return "".join(reversed(out))
+
+
+def _mantissa(u, total: int):
+    """The mantissa of `total` ternary digits nearest u, elementwise as float64:
+    min(round(clip(u, 0, 1) 3^total), 3^total - 1), clipped after rounding."""
+    base = 3**total
+    return np.minimum(np.maximum(np.rint(u * base), 0.0), base - 1)
 
 
 def _coords(ternary: str, width: int) -> np.ndarray:
@@ -250,9 +261,7 @@ def relaxed_decode(u: float, t_len: int, m: int, cfg: DigitConfig) -> np.ndarray
     """
     width = t_len * (m + 1)
     total = width * cfg.digits
-    base = 3**total
-    mantissa = min(round(min(max(float(u), 0.0), 1.0) * base), base - 1)
-    return _coords(_ternary(mantissa, total), width).reshape(t_len, m + 1)
+    return _coords(_ternary(int(_mantissa(float(u), total)), total), width).reshape(t_len, m + 1)
 
 
 def apply_sequence_function(f, elements: np.ndarray) -> np.ndarray:

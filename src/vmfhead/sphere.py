@@ -394,29 +394,28 @@ def _partition_recursive(m: int, n: int, built: dict):
     return np.vstack(centers), np.concatenate(radii), _ZonalLocator(np.array(boundaries), groups)
 
 
-def _size(value, name: str) -> int:
-    """value as a Python int via operator.index; bools, floats (integral
-    ones too) and NaN are refused with DomainError."""
+def _size(value, name: str, least: int = 1) -> int:
+    """A size argument as a Python int via operator.index, at least `least`;
+    bools, floats (integral ones too), NaN and smaller values are refused
+    with DomainError."""
     try:
         if not isinstance(value, bool):
-            return operator.index(value)
+            size = operator.index(value)
+            if size >= least:
+                return size
     except TypeError:
         pass
-    raise DomainError(f"equal_area_partition requires an integer {name}, got {value!r}")
+    raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def equal_area_partition(m: int, n: int) -> Partition:
     """Partition S^m into n cells of exactly equal measure w_m / n, with
     per-cell geodesic radius bounds; the construction is deterministic.
 
-    m and n must be integers (Python or numpy, not bool); floats, NaN and
-    bools are refused with DomainError.
+    m and n must be integers >= 1 (Python or numpy, not bool); anything
+    else is refused with DomainError.
     """
     m, n = _size(m, "m"), _size(n, "N")
-    if m < 1:
-        raise DomainError(f"equal_area_partition requires m >= 1, got {m}")
-    if n < 1:
-        raise DomainError(f"equal_area_partition requires N >= 1, got {n}")
     directions, radii, locator = _partition_recursive(m, n, {})
     # Row-wise sqrt(<c, c>) as a stacked matmul rounds like np.linalg.norm of
     # a single row; norm(axis=1) and einsum differ from it by an ulp.

@@ -10,7 +10,7 @@ from vmfhead import attention as att
 from vmfhead import kernel as ker
 from vmfhead import prefix as pfx
 from vmfhead.errors import DimensionMismatch, DomainError
-from vmfhead.seq2seq import SequenceSample
+from vmfhead.seq2seq import DigitConfig, SequenceSample, build_seq2seq_transformer, sequence_mean
 from vmfhead.sphere import SpherePoint, as_unit_vector, equal_area_partition
 
 NAN_POINT = np.array([np.nan, 0.0, 1.0])
@@ -83,6 +83,14 @@ CASES = {
     "artifact JSON array": lambda: att.import_prefix_artifact(json.dumps([artifact()])),
     "artifact d not a number": lambda: att.import_prefix_artifact(artifact(d=lambda _: "x")),
     "sequence NaN": lambda: SequenceSample(2, 1, np.array([[0.5, np.nan], [0.1, 0.2]])),
+    "sequence t_len float": lambda: SequenceSample(2.0, 1, np.zeros((2, 2))),
+    "sequence m bool": lambda: SequenceSample(1, True, np.zeros((1, 2))),
+    "digits float": lambda: DigitConfig(digits=2.5),
+    "digits integral float": lambda: DigitConfig(digits=3.0),
+    "digits bool": lambda: DigitConfig(digits=True),
+    "seq2seq t_len float": lambda: build_seq2seq_transformer(sequence_mean, 2.0, 0, DigitConfig(digits=2)),
+    "seq2seq m float": lambda: build_seq2seq_transformer(sequence_mean, 2, 0.0, DigitConfig(digits=2)),
+    "seq2seq t_len bool": lambda: build_seq2seq_transformer(sequence_mean, True, 0, DigitConfig(digits=2)),
     "suppression_gap no inputs": lambda: att.suppression_gap(control_points(), ANCHORS[0], -20.0, t_inputs=0),
     "suppression_gap M NaN": lambda: att.suppression_gap(control_points(), ANCHORS[0], np.nan),
     "suppression_gap M zero": lambda: att.suppression_gap(control_points(), ANCHORS[0], 0.0),
@@ -145,3 +153,9 @@ def test_valid_inputs_still_accepted():
     assert numpy_sized.m == 2 and type(numpy_sized.m) is int
     assert np.array_equal(numpy_sized.centers(), equal_area_partition(2, 16).centers())
     assert pfx.synthesize_prefix(pfx.make_target("identity", 2), np.int64(16), 4.0).n_points == 16
+    cfg = DigitConfig(digits=np.int64(2))
+    assert type(cfg.digits) is int
+    stack = build_seq2seq_transformer(sequence_mean, np.int64(2), np.int32(0), cfg)
+    sample = SequenceSample(np.int64(2), np.int64(0), np.array([[0.25], [0.5]]))
+    assert (type(stack.t_len), type(sample.m)) == (int, int)
+    np.testing.assert_array_equal(stack.evaluate(sample), [[0.375], [0.375]])

@@ -26,7 +26,7 @@ from vmfhead.seq2seq import (
     sequence_mean,
 )
 from vmfhead.seq2seq.assembly import _summation_error_bound
-from vmfhead.seq2seq.encoding import _psi_float, relaxed_decode
+from vmfhead.seq2seq.encoding import _mantissa, _psi_float, relaxed_decode
 
 
 def seq_mean(elements):
@@ -103,6 +103,18 @@ class TestPsi:
             for k in range(2**digits + 1):
                 x = k / 2**digits
                 assert _psi_float(x, cfg, stride) == float(psi_strided(x, cfg, stride))
+
+    @pytest.mark.parametrize("total", [1, 4, 12, 24, 32])
+    def test_mantissa_is_the_clipped_rounding(self, total):
+        """_mantissa is min(round(clip(u, 0, 1) 3^total), 3^total - 1), on
+        arrays and scalars, at mantissa ties, past both ends and at NaN."""
+        base = 3**total
+        k = np.unique(np.linspace(0, base, 2001).round())
+        u = np.concatenate([k / base, (k + 0.5) / base, [-0.3, -0.0, 1.0, 1.5, 1.0 - 2.0**-53]])
+        expected = [min(round(min(max(x, 0.0), 1.0) * base), base - 1) for x in u]
+        assert _mantissa(u, total).tolist() == expected
+        assert [_mantissa(x, total) for x in u] == expected
+        assert math.isnan(_mantissa(math.nan, total))
 
 
 class TestAggregation:
@@ -435,7 +447,8 @@ class TestFullModeBuild:
 # Regression pins, not oracles: SHA-256 over every layer's prefix tokens, H,
 # W_V and MLP weights (each array's shape and float64 bytes) of a full-mode
 # build of sequence_mean at (T, m, digits, N), recorded while psi and f were
-# still evaluated once per anchor.  They hold the build bit for bit.
+# still evaluated once per anchor and the state had width 8 + 3q, with
+# q = T(m+1).  They hold the build bit for bit through _wide_arrays.
 _FULL_BUILD_PINS = {
     (2, 0, 2, 4096): "8058629938f7d772720a76d9f74f5b807e0314c83cfeb58ba8135edd406d2493",
     (2, 1, 2, 4094): "442e2e7fd78d819f23b31312345d559e86e5848f6bfe48733b82b55e0b2c8549",
@@ -445,33 +458,72 @@ _FULL_BUILD_PINS = {
 }
 
 
+def _wide_arrays(stack) -> list[np.ndarray]:
+    """A full-mode build's arrays in the pinned layout of width 8 + 3q.
+
+    That layout held two token slots after the tag block: `pay`, a copy of
+    the tag, and `pc`, its row sum, and W_V restored the state's one-hot and
+    constant from them.  The map puts those copies back into the tokens,
+    moves W_V's reads of the tag to them, and gives every other state axis
+    zero entries there.
+    """
+    lay = stack.layout
+    q, d = lay.q, lay.d
+    assert d == 7 + 2 * q
+    wide = np.r_[0 : 5 + q, 6 + 2 * q : 8 + 3 * q]  # narrow slot -> wide slot
+    pay, pc = np.arange(5 + q, 5 + 2 * q), 5 + 2 * q
+
+    def widen(a, axes):
+        out = np.zeros([8 + 3 * q if k in axes else n for k, n in enumerate(a.shape)])
+        out[np.ix_(*[wide if k in axes else np.arange(n) for k, n in enumerate(a.shape)])] = a
+        return out
+
+    arrays = []
+    for layer in stack.transformer.layers:
+        tokens = widen(layer.prefix.tokens, (1,))
+        tokens[:, pay] = layer.prefix.tokens[:, lay.tag]
+        tokens[:, pc] = layer.prefix.tokens[:, lay.tag].sum(axis=1)
+        w_v = layer.params.W_V.copy()
+        restored = w_v[:, lay.tag].copy()
+        w_v[:, lay.tag] = 0.0
+        w_v = widen(w_v, (0, 1))
+        w_v[np.ix_(wide[lay.oh], pay)] = restored[lay.oh]
+        assert np.all(restored[lay.c1] == restored[lay.c1, 0])
+        w_v[wide[lay.c1], pc] = restored[lay.c1, 0]
+        assert not np.delete(restored, [*range(lay.oh.start, lay.oh.stop), lay.c1], axis=0).any()
+        arrays += [tokens, widen(layer.params.H, (0, 1)), w_v]
+        for a, b in layer.mlp:
+            arrays += [widen(x, [k for k, n in enumerate(x.shape) if n == d]) for x in (a, b)]
+    return arrays
+
+
 @pytest.mark.parametrize("shape", sorted(_FULL_BUILD_PINS), ids=lambda shape: "T{}-m{}-digits{}-N{}".format(*shape))
 def test_full_build_pin(shape, digest):
     t_len, m, digits, n_points = shape
     stack = build_seq2seq_transformer(sequence_mean, t_len, m, DigitConfig(digits=digits), n_points=n_points, mode="full")
-    arrays = []
-    for layer in stack.transformer.layers:
-        arrays += [layer.prefix.tokens, layer.params.H, layer.params.W_V]
-        for a, b in layer.mlp:
-            arrays += [a, b]
-    assert digest(arrays) == _FULL_BUILD_PINS[shape]
+    assert digest(_wide_arrays(stack)) == _FULL_BUILD_PINS[shape]
 
 
 class TestHybridDecodesOnce:
-    def test_one_f_call_per_sequence(self):
+    @pytest.mark.parametrize(
+        "shape", [(4, 1, 3), (2, 1, 4), (3, 2, 2), (8, 0, 3)], ids=lambda shape: "T{}-m{}-digits{}".format(*shape)
+    )
+    def test_one_f_call_per_sequence(self, shape):
         """The T decoder stages share one decode of the aggregate, so f runs
-        once per evaluated sequence, not once per element."""
+        once per evaluated sequence, not once per element, also where the
+        summation layer leaves the rows' aggregates a few bits apart."""
         calls = []
 
         def counted_mean(elements):
             calls.append(elements.shape)
             return seq_mean(elements)
 
-        cfg = DigitConfig(digits=3)
-        stack = build_seq2seq_transformer(counted_mean, 4, 1, cfg, mode="hybrid")
+        t_len, m, digits = shape
+        cfg = DigitConfig(digits=digits)
+        stack = build_seq2seq_transformer(counted_mean, t_len, m, cfg, mode="hybrid")
         rng = np.random.default_rng(14)
-        for i in range(3):
-            s = SequenceSample(4, 1, rng.random((4, 2)))
+        for i in range(20):
+            s = SequenceSample(t_len, m, rng.random((t_len, m + 1)))
             out = stack.evaluate(s)
-            assert calls == [(4, 2)] * (i + 1)
+            assert calls == [(t_len, m + 1)] * (i + 1)
             np.testing.assert_array_equal(out, np.stack(reference_seq2seq(seq_mean, s, cfg)))
