@@ -8,8 +8,11 @@ embeds the sphere, the attention keys, and the values into orthogonal
 subspaces of a 3(m+1) (optionally +1) dimensional space so that the classical
 head reproduces the split head exactly as the input-input suppression
 constant M goes to -inf.  A sharp head skips the anchors certified to carry
-under one rounding unit of its softmax (_head_softmax), and a stack head the
-prefix blocks certified to weigh exactly 0 (_kept_tokens).
+under one rounding unit of its softmax (_head_softmax).  A stack is a tuple
+of layers, each evaluated by its own attend: a TransformerLayer is the
+classical head over its prefix tokens, and a layer that holds its kernel
+control points once (the full-mode sequence layers) evaluates them as a
+ControlPoints head with one value column per bank.
 """
 
 from __future__ import annotations
@@ -61,8 +64,10 @@ __all__ = [
 class ControlPoints:
     """Kernel control points: unit anchors p_alpha and output values p_beta.
 
-    p_alpha rows live on S^m; p_beta rows are free vectors (the value
-    attached to each anchor).  lam is the shared concentration.
+    p_alpha rows live on S^m; p_beta is an (N, k) array for any k >= 1, row
+    j the value attached to anchor j (k = m+1 for a map S^m -> R^(m+1), one
+    column per bank for heads that share their anchors).  lam is the
+    shared concentration.
     """
 
     m: int
@@ -77,8 +82,8 @@ class ControlPoints:
             raise DomainError("control points must be a nonempty (N, m+1) array")
         if pa.shape[1] != self.m + 1:
             raise DimensionMismatch("p_alpha width must be m+1")
-        if pb.shape != pa.shape:
-            raise DimensionMismatch("p_beta must match p_alpha's shape")
+        if pb.ndim != 2 or pb.shape[0] != pa.shape[0] or pb.shape[1] < 1:
+            raise DimensionMismatch("p_beta must be an (N, k) array, k >= 1, with p_alpha's N rows")
         if not 0 < self.lam < math.inf:
             raise DomainError("lam must be positive and finite")
         check_finite_unit(pa)
@@ -171,12 +176,7 @@ class TransformerLayer:
     """One prefixed attention head followed by its MLP stages.
 
     The prefix is fixed while inputs vary, so the value rows of its tokens
-    are a constant of the layer (_prefix_values), and so is an index of
-    its tokens in blocks of _TOKEN_BLOCK rows: each block's first token
-    (_block_firsts) and per-coordinate box (_token_blocks), by which a call
-    leaves out the blocks that would weigh exactly 0 (_kept_tokens).  The
-    tokens stay in place; a prefix of fewer than _MIN_BLOCKED_TOKENS
-    tokens has no index.
+    are a constant of the layer (_prefix_values), built on first use.
     """
 
     params: AttentionHeadParams
@@ -209,27 +209,40 @@ class TransformerLayer:
         rows.setflags(write=False)
         return rows
 
-    @cached_property
-    def _block_firsts(self) -> np.ndarray:
-        """The read-only (d, B) first tokens of the B blocks of
-        _TOKEN_BLOCK prefix rows as columns (_kept_tokens), held by this
-        layer alone like _prefix_values."""
-        cols = np.ascontiguousarray(self.prefix.tokens[::_TOKEN_BLOCK].T)
-        cols.setflags(write=False)
-        return cols
+    def attend(self, X: np.ndarray) -> np.ndarray:
+        """The (T, d) outputs of the head at the (T, d) finite inputs X: the
+        one kernel behind classical_head and transformer_eval.
 
-    @cached_property
-    def _token_blocks(self) -> np.ndarray:
-        """The read-only box index of the prefix tokens' blocks (_token_blocks),
-        built on the first call that can leave a block out (_kept_tokens)
-        and held by this layer alone like _prefix_values."""
-        return _token_blocks(self.prefix.tokens)
+        Position k attends over the N prefix tokens and the T inputs, c
+        ranging over [tokens; X], with logits (x_k H) c and value rows
+        [W_V c | 1] (_softmax).  A prefix longer than the inputs is a
+        product of its own, so its cached value rows are not copied; a
+        shorter one is copied above the inputs' rows into one product.
+        """
+        if X.shape[1] != self.params.d:
+            raise DimensionMismatch("inputs, prefix, and params disagree on d")
+        tokens, prefix_values = self.prefix.tokens, self._prefix_values
+        # np.dot: the BLAS product of @ with less call overhead, felt by tiny heads
+        XH = np.dot(X, self.params.H)
+        n, t = tokens.shape[0], X.shape[0]
+        logits = np.empty((t, n + t))
+        np.matmul(XH, tokens.T, out=logits[:, :n])
+        logits[:, n:] = np.dot(XH, X.T)
+        copied = n if n <= t else 0
+        values = np.empty((copied + t, X.shape[1] + 1))
+        if copied:
+            values[:copied] = prefix_values
+        np.matmul(X, self.params.W_V.T, out=values[copied:, :-1])
+        values[copied:, -1] = 1.0
+        return (_softmax(logits, values) if n <= t else _softmax(logits, prefix_values, tail=values))[0]
 
 
 @dataclass(frozen=True)
 class TransformerStack:
     """Alternating attention heads and element-wise MLP stages; an MLP
-    applies ReLU between consecutive affine maps."""
+    applies ReLU between consecutive affine maps.  A layer is anything with
+    attend(X) and mlp: a TransformerLayer, or a full-mode sequence layer
+    that holds its kernel control points once."""
 
     layers: tuple
 
@@ -272,15 +285,6 @@ _BLOCK_SIZE = 64
 # faster path; see _pruning_pays.
 _GATHER_COST = 4
 _GROUP_COST = 8192
-
-# Prefix tokens per block of a stack head's token index (_token_blocks), a
-# power of two, and the fewest tokens a prefix must have to be split into
-# blocks at all (_kept_tokens); a shorter prefix is always evaluated whole.
-# Measured with numpy 2.4 on x86-64: a two-row call that keeps a few blocks
-# spends about 40 us on its bound and gathers, which a dense evaluation of
-# the same rows outgrows between 2048 and 4096 tokens (d = 14).
-_TOKEN_BLOCK = 16
-_MIN_BLOCKED_TOKENS = 4096
 
 # Bytes of float64 logits in one query tile of _softmax_rows, and of block
 # angles in one tile of a pruned head's setup (_head_softmax): small enough
@@ -398,7 +402,7 @@ def _softmax_rows(cp: ControlPoints, pts: np.ndarray, rows: np.ndarray, out: tup
     anchors = cp.p_alpha if kept is None else np.take(cp.p_alpha, kept, axis=0)
     # [values | 1], column-major: the value columns are copied in as long
     # runs, and the gemm reads this layout no slower than a row-major one
-    values = np.empty((anchors.shape[0], cp.m + 2), order="F")
+    values = np.empty((anchors.shape[0], cp.p_beta.shape[1] + 1), order="F")
     values[:, -1] = 1.0
     values[:, :-1] = cp.p_beta if kept is None else np.take(cp.p_beta, kept, axis=0)
     if rows.size == 1:
@@ -424,8 +428,8 @@ def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
 
 def _head_softmax(cp: ControlPoints, points) -> tuple:
-    """(weighted value mean, row sum, shift) of the softmax head at an
-    (n, m+1) batch of unit vectors, the log normalizer being shift +
+    """((n, k) weighted value means, row sums, shifts) of the softmax head
+    at an (n, m+1) batch of unit vectors, the log normalizer being shift +
     ln(row sum): the one kernel behind every ControlPoints head.
 
     Every evaluation goes through the tiled _softmax_rows, so memory stays
@@ -446,7 +450,7 @@ def _head_softmax(cp: ControlPoints, points) -> tuple:
         raise DimensionMismatch("points must have shape (n, m+1)")
     check_finite_unit(pts)
     n = pts.shape[0]
-    out = np.empty((n, cp.m + 1)), np.empty(n), np.empty(n)
+    out = np.empty((n, cp.p_beta.shape[1])), np.empty(n), np.empty(n)
     blocks = cp._blocks
     if blocks is None or not n:
         _softmax_rows(cp, pts, np.arange(n), out)
@@ -521,139 +525,19 @@ def _as_inputs(inputs) -> np.ndarray:
     return X
 
 
-def _block_reduce(op, tokens: np.ndarray) -> np.ndarray:
-    """op (np.maximum or np.minimum) reduced over each block of
-    _TOKEN_BLOCK consecutive token rows, the last block possibly shorter.
-    The full blocks are reduced by pairwise halving, a few calls on large
-    slices, where a reduction over the middle axis of their (B, 16, d)
-    view takes one small step per row."""
-    full = tokens.shape[0] - tokens.shape[0] % _TOKEN_BLOCK
-    blocks = tokens[:full].reshape(-1, _TOKEN_BLOCK, tokens.shape[1])
-    while blocks.shape[1] > 1:
-        h = blocks.shape[1] // 2
-        blocks = op(blocks[:, :h], blocks[:, h:])
-    tail = [op.reduce(tokens[full:])[None]] if full < tokens.shape[0] else []
-    return np.concatenate([blocks[:, 0], *tail])
-
-
-def _token_blocks(tokens: np.ndarray) -> np.ndarray:
-    """The read-only (2d, B + 1) box index of an (N, d) token array in its
-    B blocks of _TOKEN_BLOCK consecutive rows (the last may be shorter):
-    column b < B holds block b's box center over its half-widths, and
-    column B holds zeros over scale, the largest |token[k]| per coordinate.
-    So [A, |A|] times it gives, per logit row A, every block's box bound
-    A . mid_b + |A| . half_b and then |A| . scale.  The tokens stay in
-    place: no sorted or padded copy is made."""
-    hi, lo = _block_reduce(np.maximum, tokens), _block_reduce(np.minimum, tokens)
-    d = tokens.shape[1]
-    index = np.zeros((2 * d, hi.shape[0] + 1))
-    index[:d, :-1] = ((hi + lo) * 0.5).T
-    index[d:, :-1] = ((hi - lo) * 0.5).T
-    index[d:, -1] = np.maximum(hi.max(axis=0), -lo.min(axis=0))
-    index.setflags(write=False)
-    return index
-
-
-def _kept_tokens(layer: TransformerLayer, XH: np.ndarray, inner: np.ndarray) -> np.ndarray | None:
-    """Rows of layer's prefix tokens that can carry weight at the inputs
-    whose logit rows are XH (token c's logit is XH c) and whose
-    input-input logits are inner; None where every token is kept.
-
-    With A a row of XH, every logit of block b is at most the box bound
-    U_b = A . mid_b + |A| . half_b (_token_blocks), and the row's max is at
-    least L = max(max_b A . r_b, max inner), r_b the first token of block
-    b: two true logits.  A block is left out where U_b < L - 700 - delta in
-    every row.  Its terms would then sit more than 700 below the row max,
-    where the softmax floors them to weight exactly 0 (_softmax).
-    Leaving them out only drops exact zeros: the row max stays among the
-    kept terms, and the outputs differ from a dense evaluation only in the
-    summation order of the row sum and the weighted sum (and in any
-    rounding the logits product makes differently on fewer columns).
-
-    delta = (d + 1) 2^-50 (G + |L| + 700), G = |A| . scale, covers the
-    rounding, u = 2^-53 and gamma_n = n u / (1 - n u).  A computed dot
-    product of A with a token is within gamma_d G of the exact one, the
-    dense logits and A . r_b alike.  The computed box holds each token to
-    within 2 u scale, and U_b is one dot product of 2d terms, so the
-    computed U_b is at most (gamma_2d + 2 u) G below the largest exact
-    logit of block b.  Forming L - 700 - delta rounds by under
-    2.01 u (|L| + 700 + delta).  A left-out term's shifted logit in a dense
-    evaluation is then at most -700 + (4d + 2) u G (1 + O(u)) +
-    2.01 u (|L| + 700) - delta (1 - u) <= -700, which spends at most half
-    of delta.  A NaN or infinite bound leaves out nothing.
-
-    Blocks are left out only where at most half of them are kept: gathering
-    more kept rows costs more than the left-out terms save.  A block whose
-    A . r_b lies above L - 700 in some row is kept, so the first tokens
-    alone send most calls that cannot gain to the dense path before any
-    box is built; the boxes are built by the first call they do not.  A
-    prefix of fewer than _MIN_BLOCKED_TOKENS tokens is never split.
-    """
-    n = layer.prefix.n_tokens
-    if n < _MIN_BLOCKED_TOKENS or not XH.shape[0]:
-        return None
-    first = XH @ layer._block_firsts
-    row_max = np.concatenate([first, inner], axis=1).max(axis=1)
-    if row_max.max() - first.min() <= -_LOGIT_FLOOR:
-        return None  # every first token within 700 of every row max: a quick exit for wide heads
-    reach = row_max + _LOGIT_FLOOR
-    if 2 * np.count_nonzero((first > reach[:, None]).any(axis=0)) > first.shape[1]:
-        return None
-    bounds = np.concatenate([XH, np.abs(XH)], axis=1) @ layer._token_blocks
-    delta = (XH.shape[1] + 1) * 2.0**-50 * (bounds[:, -1] + np.abs(row_max) - _LOGIT_FLOOR)
-    kept = (~(bounds[:, :-1] < (reach - delta)[:, None]).all(axis=0)).nonzero()[0]
-    if 2 * kept.size > first.shape[1]:
-        return None
-    rows = (kept[:, None] * _TOKEN_BLOCK + np.arange(_TOKEN_BLOCK)).ravel()
-    return rows[rows < n]  # the last block may be shorter
-
-
-def _attend(X: np.ndarray, layer: TransformerLayer) -> np.ndarray:
-    """The (T, d) outputs of layer's head at the (T, d) inputs X: the one
-    kernel behind classical_head and transformer_eval.
-
-    Position k attends over the N prefix tokens and the T inputs, c ranging
-    over [tokens; X], with logits (x_k H) c and value rows [W_V c | 1]
-    (_softmax).  The prefix value rows come from the layer: a prefix longer
-    than the inputs is a product of its own, so they are not copied, and a
-    shorter one is copied above the inputs' rows into one product.  Blocks
-    of prefix tokens certified to weigh exactly 0 in every row are left out
-    (_kept_tokens), for any H: a full-mode head evaluates the few blocks of
-    one bank near its input, and a pass-through row none.
-    """
-    if X.shape[1] != layer.params.d:
-        raise DimensionMismatch("inputs, prefix, and params disagree on d")
-    # np.dot: the BLAS product of @ with less call overhead, felt by tiny heads
-    XH = np.dot(X, layer.params.H)
-    inner = np.dot(XH, X.T)
-    kept = _kept_tokens(layer, XH, inner)
-    tokens, prefix_values = layer.prefix.tokens, layer._prefix_values
-    if kept is not None:
-        tokens, prefix_values = tokens.take(kept, axis=0), prefix_values.take(kept, axis=0)
-    n, t = tokens.shape[0], X.shape[0]
-    logits = np.empty((t, n + t))
-    np.matmul(XH, tokens.T, out=logits[:, :n])
-    logits[:, n:] = inner
-    copied = n if n <= t else 0
-    values = np.empty((copied + t, X.shape[1] + 1))
-    if copied:
-        values[:copied] = prefix_values
-    np.matmul(X, layer.params.W_V.T, out=values[copied:, :-1])
-    values[copied:, -1] = 1.0
-    return (_softmax(logits, values) if n <= t else _softmax(logits, prefix_values, tail=values))[0]
-
-
 def classical_head(inputs, prefix: PrefixTokens, params: AttentionHeadParams):
     """Dense attention head over prefix tokens and input positions.
 
     Position k attends over all N prefix tokens and all T input positions
     with logits x_k^T H c and values W_V c.  Returns the (T, d) array of
     per-position outputs.  A one-off call: it evaluates a transient
-    TransformerLayer, so the prefix value rows, and the token index where
-    the call can leave blocks out (_kept_tokens), are built anew each
-    time; repeated calls on one prefix should go through transformer_eval.
+    TransformerLayer (TransformerLayer.attend), so the prefix value rows
+    are built anew each time; repeated calls on one prefix should go
+    through transformer_eval.  It is also the token form against which a
+    layer that holds its control points once is checked, on the tokens and
+    parameters that layer builds on demand.
     """
-    return _attend(_as_inputs(inputs), TransformerLayer(params=params, prefix=prefix))
+    return TransformerLayer(params=params, prefix=prefix).attend(_as_inputs(inputs))
 
 
 # ---------------------------------------------------------------------------
@@ -721,6 +605,8 @@ def build_universal_head(m: int, M: float, augmented: bool = False) -> Attention
 def assemble_prefix_tokens(cp: ControlPoints, M: float, augmented: bool = False) -> PrefixTokens:
     """Tokens (0, lam * p_alpha, p_beta[, 0]) matching the universal head."""
     b = cp.m + 1
+    if cp.p_beta.shape[1] != b:
+        raise DimensionMismatch("the universal head takes values of width m+1")
     d = 3 * b + (1 if augmented else 0)
     tokens = np.zeros((cp.n_points, d))
     tokens[:, b : 2 * b] = cp.lam * cp.p_alpha
@@ -775,15 +661,15 @@ def transformer_eval(stack: TransformerStack, inputs, record: list | None = None
     """Run inputs through alternating attention heads and element-wise MLPs
     and return the (T, d) array of final states.
 
-    Each head is the classical head of its layer, evaluated with the
-    layer's cached prefix value rows, so a stack computes those once
-    however many inputs it sees.  When a record list is given, one
-    {"attention", "after_mlp"} dict of (T, d) state arrays is appended to
-    it per layer.
+    Each head is its layer's attend: for a TransformerLayer the classical
+    head, evaluated with the layer's cached prefix value rows, so a stack
+    computes those once however many inputs it sees.  When a record list
+    is given, one {"attention", "after_mlp"} dict of (T, d) state arrays is
+    appended to it per layer.
     """
     X = _as_inputs(inputs)
     for layer in stack.layers:
-        X = attention = _attend(X, layer)
+        X = attention = layer.attend(X)
         if layer.mlp:
             X = _apply_mlp(X, layer.mlp)
         if record is not None:

@@ -69,12 +69,6 @@ class TargetFunction:
             raise DimensionMismatch("target returned a wrongly shaped batch")
         return out
 
-    def check_declared_sup(self, n_samples: int = 4096, seed: int = 0, slack: float = 0.05) -> bool:
-        """Declared f_sup must dominate the empirically sampled max within slack."""
-        pts = uniform_sphere_sample(self.m, n_samples, seed)
-        sampled = float(np.max(np.abs(self(pts))))
-        return self.smoothness.f_sup >= sampled * (1.0 - slack)
-
 
 @dataclass(frozen=True)
 class ApproximationReport:

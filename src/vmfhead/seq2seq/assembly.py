@@ -18,7 +18,9 @@ Two build modes share this skeleton.  "hybrid" keeps the attention wiring
 (the summation layer is the piece under test) but evaluates the digit
 encoder and the decoders exactly inside oracle stages.  "full" synthesizes
 the encoder and decoder heads as kernel prefixes over the circle,
-embedding scalars into S^1 by the inverse stereographic map.
+embedding scalars into S^1 by the inverse stereographic map; each such
+head holds its anchors once, its banks as value columns, and builds its
+token form on demand (_KernelBankLayer).
 """
 
 from __future__ import annotations
@@ -31,13 +33,15 @@ import numpy as np
 
 from ..attention import (
     AttentionHeadParams,
+    ControlPoints,
     OracleStage,
     PrefixTokens,
     TransformerLayer,
     TransformerStack,
+    split_head_batch,
     transformer_eval,
 )
-from ..errors import DomainError, InstanceTooLarge
+from ..errors import DimensionMismatch, DomainError, InstanceTooLarge
 from ..sphere import _size, equal_area_partition, stereographic_batch, stereographic_inverse_batch
 from .encoding import (
     DigitConfig,
@@ -261,7 +265,7 @@ def _kernel_tokens(lay: _Layout, anchors: np.ndarray, value_bank: dict[int, np.n
     """One bank of (anchor, value) tokens per virtual position in value_bank,
     tagged with that position (encoder: every position with the digit-map
     values; decoder: the element's positions with their coordinate's
-    decoder outputs)."""
+    decoder outputs): the token form of a _KernelBankLayer."""
     n = anchors.shape[0]
     qs = sorted(value_bank)
     tokens = np.zeros((len(qs) * n, lay.d))
@@ -271,6 +275,77 @@ def _kernel_tokens(lay: _Layout, anchors: np.ndarray, value_bank: dict[int, np.n
         tokens[rows, lay.vb] = value_bank[q0]
         tokens[rows, lay.tag.start + q0] = 1.0
     return PrefixTokens(d=lay.d, tokens=tokens, M=-(lam + _GAP), augmented=False)
+
+
+@dataclass(frozen=True)
+class _KernelBankLayer:
+    """A full-mode encoder or decoder head that holds its anchors once.
+
+    The paper's head attends over one bank of (lam anchor, value, tag)
+    prefix tokens per position it serves (_kernel_tokens), and the encoder's
+    banks are identical.  This layer holds the anchors once, in head =
+    ControlPoints(1, lam, anchors, values) with one column of its (N, k)
+    values per distinct bank: column columns[q] serves position q, and a
+    position whose entry is -1 passes through.  prefix and params build
+    the token form on demand, for export, pins and classical_head.
+
+    Routing certificate.  Take a row at position q (one-hot e_q, constant
+    1) with sphere slot z, |z| <= 1.  In the token form its logits are
+    lam <z, a> + g for the tokens of q's own bank, g = 2 lam + _GAP in the
+    encoder and 2 lam + 2 _GAP in a decoder, so the row max is at least
+    lam + _GAP; at most lam for any other bank's token; and -(lam + _GAP)
+    (encoder) or 0 and -(lam + _GAP) (decoder) for the inputs.  At a
+    pass-through row the input's own logit lam + _GAP is the max, every
+    token's at most lam and every other input's 0.  Every term outside the
+    own bank (or outside the row's own input) thus sits at least _GAP = 900
+    below the row max, past the softmax's floor of 700, and weighs exactly
+    0 (attention._softmax); the 200 to spare cover one-hots off by up to
+    200 / (2 lam + 2 _GAP).  So an attended row's output is a split head
+    over the anchors at z, with values its bank's column, the one-hot e_q
+    and the constant 1, and nothing else; a pass-through row's output is
+    W_V x, which is x for the states the stack feeds it (zeros in the
+    token slots).  attend evaluates exactly that: one split head over
+    z / |z| for the attended rows, each taking its own column, the other
+    rows copied.  Normalising z, which the circle lookup leaves up to about
+    1e-7 short of unit norm, scales the head's effective lam by 1 / |z|
+    against the token form's; the two agree to rounding otherwise.
+    """
+
+    layout: _Layout
+    head: ControlPoints
+    columns: np.ndarray  # (q,) value column of each position, -1: pass-through
+    encoder: bool
+    mlp: tuple = ()
+
+    @property
+    def params(self) -> AttentionHeadParams:
+        if self.encoder:
+            return _encoder_layer_params(self.layout, self.head.lam)
+        return _decoder_layer_params(self.layout, self.head.lam, np.flatnonzero(self.columns >= 0).tolist())
+
+    @property
+    def prefix(self) -> PrefixTokens:
+        banks = {q0: self.head.p_beta[:, c] for q0, c in enumerate(self.columns.tolist()) if c >= 0}
+        return _kernel_tokens(self.layout, self.head.p_alpha, banks, self.head.lam)
+
+    def attend(self, X: np.ndarray) -> np.ndarray:
+        """The (Q, d) outputs of the head at the (Q, d) states X (see the
+        class docstring); each row reads its position from its one-hot."""
+        lay = self.layout
+        if X.shape[1] != lay.d:
+            raise DimensionMismatch("states and layer disagree on d")
+        position = X[:, lay.oh].argmax(axis=1)
+        column = self.columns[position]
+        rows = (column >= 0).nonzero()[0]
+        position, column = position[rows], column[rows]
+        z = X.take(rows, axis=0)[:, lay.z]
+        z /= np.sqrt(np.einsum("ij,ij->i", z, z))[:, None]
+        out = X.copy()
+        out[rows] = 0.0
+        out[rows, lay.oh.start + position] = 1.0
+        out[rows, lay.c1] = 1.0
+        out[rows, lay.val] = split_head_batch(self.head, z)[np.arange(rows.size), column]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +481,10 @@ def build_seq2seq_transformer(
     (budget-driven N and lambda), capped to small instances.  Their values
     at the N anchors take psi once per distinct digit string of the
     anchors' chart points and f once per distinct decoded sequence (at most
-    3^(T(m+1) digits) of them), not once per anchor.
+    3^(T(m+1) digits) of them), not once per anchor.  The encoder and each
+    decoder share one (N, 2) anchor array and hold an (N, k) value array,
+    k = 1 and m+1 (_KernelBankLayer): N (1 + T(m+1)) values in all, where
+    the token form holds 2 T(m+1) N tokens of width 7 + 2 T(m+1).
     """
     t_len, m = _size(t_len, "t_len"), _size(m, "m", 0)
     if mode not in ("hybrid", "full"):
@@ -446,23 +524,22 @@ def build_seq2seq_transformer(
         decoder_values = outputs.reshape(n_points, width)
         contraction = np.array([3.0 ** (-(q0 % (m + 1)) - 1) for q0 in range(width)])
         positional = np.array([3.0 * 3.0 ** (-(q0 // (m + 1)) * (m + 1)) for q0 in range(width)])
-        encoder = TransformerLayer(
-            params=_encoder_layer_params(lay, lam),
-            prefix=_kernel_tokens(lay, anchors, dict.fromkeys(range(width), psi_values), lam),
+        # The encoder's banks are all psi: one column serves every position.
+        encoder = _KernelBankLayer(
+            layout=lay,
+            head=ControlPoints(1, lam, anchors, psi_values[:, None]),
+            columns=np.zeros(width, dtype=np.intp),
+            encoder=True,
             mlp=tuple(_stage_scale_by_position(lay, contraction) + _stage_scale_by_position(lay, positional)),
         )
         lookup = _stage_sphere_lookup(lay)
         decoders = []
         for i0 in range(t_len):
-            elem_positions = [i0 * (m + 1) + p0 for p0 in range(m + 1)]
-            value_bank = {q0: decoder_values[:, q0] for q0 in elem_positions}
-            decoders.append(
-                TransformerLayer(
-                    params=_decoder_layer_params(lay, lam, elem_positions),
-                    prefix=_kernel_tokens(lay, anchors, value_bank, lam),
-                    mlp=(),
-                )
-            )
+            elem = slice(i0 * (m + 1), (i0 + 1) * (m + 1))
+            columns = np.full(width, -1, dtype=np.intp)
+            columns[elem] = np.arange(m + 1)
+            head = ControlPoints(1, lam, anchors, decoder_values[:, elem])
+            decoders.append(_KernelBankLayer(layout=lay, head=head, columns=columns, encoder=False))
 
     gamma = 4.0
     sum_params, sum_prefix = _summation_layer(lay, gamma)

@@ -257,10 +257,12 @@ def relaxed_decode(u: float, t_len: int, m: int, cfg: DigitConfig) -> np.ndarray
     (otherwise values with an all-zero digit tail would be jump points,
     decoding differently from one side).  Digits are read 2 -> 1, else 0;
     the in-between digit 1 only occurs off the valid aggregate set.  On
-    valid aggregates this agrees with decode_sequence.
+    valid aggregates this agrees with decode_sequence.  The float holds the
+    digits only while 3^(T(m+1) digits) < 2^52.
     """
     width = t_len * (m + 1)
     total = width * cfg.digits
+    _check_float_budget(total)
     return _coords(_ternary(int(_mantissa(float(u), total)), total), width).reshape(t_len, m + 1)
 
 

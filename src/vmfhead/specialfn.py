@@ -1,8 +1,7 @@
 """Self-contained special functions for spherical kernel computations.
 
 Everything here is scalar, pure, and log-domain friendly: log-Gamma,
-the regularized incomplete beta function, Gegenbauer polynomials, and
-modified Bessel functions of the first kind at general nonnegative
+the regularized incomplete beta function, and modified Bessel functions of the first kind at general nonnegative
 (often half-integer) order.  Bessel values are only ever exposed as
 logarithms or as ratios of consecutive orders, because the concentration
 parameters used elsewhere in the package push I_nu(x) far beyond the
@@ -23,7 +22,6 @@ __all__ = [
     "BesselOrder",
     "log_gamma",
     "reg_inc_beta",
-    "gegenbauer",
     "log_bessel_i",
     "bessel_ratio",
 ]
@@ -128,27 +126,6 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _betacf(x, a, b) / a
     return 1.0 - front * _betacf(1.0 - x, b, a) / b
-
-
-def gegenbauer(k: int, alpha: float, t: float) -> float:
-    """Gegenbauer polynomial Q_k^alpha(t) by the three-term recurrence.
-
-    Q_0 = 1, Q_1 = 2*alpha*t, and
-    k Q_k = 2 t (k + alpha - 1) Q_{k-1} - (k + 2 alpha - 2) Q_{k-2}.
-    """
-    if k < 0:
-        raise DomainError(f"gegenbauer requires k >= 0, got {k}")
-    if not alpha > 0:
-        raise DomainError(f"gegenbauer requires alpha > 0, got {alpha}")
-    if not (-1.0 <= t <= 1.0):
-        raise DomainError(f"gegenbauer requires t in [-1, 1], got {t}")
-    if k == 0:
-        return 1.0
-    q_prev = 1.0
-    q = 2.0 * alpha * t
-    for n in range(2, k + 1):
-        q_prev, q = q, (2.0 * t * (n + alpha - 1.0) * q - (n + 2.0 * alpha - 2.0) * q_prev) / n
-    return q
 
 
 def _log_bessel_i_series(nu: float, lam: float) -> float:

@@ -43,10 +43,7 @@ def check_finite_unit(points: np.ndarray) -> np.ndarray:
     """Refuse a point, or a batch with coordinates on the last axis, unless
     every point is finite with unit norm (a NaN or inf norm fails the
     tolerance comparison); returns the array unchanged."""
-    if points.ndim == 1:
-        dev = abs(np.linalg.norm(points) - 1.0)
-    else:
-        dev = np.max(np.abs(np.linalg.norm(points, axis=-1) - 1.0), initial=0.0)
+    dev = np.abs(np.linalg.norm(points, axis=-1) - 1.0).max(initial=0.0)
     if not dev <= _UNIT_TOL:
         raise DegenerateInput("points must be finite unit vectors")
     return points

@@ -33,8 +33,9 @@ class TestControlPoints:
             att.ControlPoints(m=2, lam=1.0, p_alpha=np.zeros((0, 3)), p_beta=np.zeros((0, 3)))
         with pytest.raises(DomainError):
             att.ControlPoints(m=2, lam=1.0, p_alpha=np.ones((2, 3)), p_beta=np.zeros((2, 3)))
-        with pytest.raises(DimensionMismatch):
-            att.ControlPoints(m=2, lam=1.0, p_alpha=np.eye(3)[:2], p_beta=np.zeros((2, 4)))
+        for values in (np.zeros((3, 3)), np.zeros((2, 0)), np.zeros(2)):
+            with pytest.raises(DimensionMismatch):
+                att.ControlPoints(m=2, lam=1.0, p_alpha=np.eye(3)[:2], p_beta=values)
 
 
 class TestCoreHead:
@@ -169,6 +170,28 @@ class TestPrunedHead:
         means, log_mass = plain_softmax(cp.p_alpha, cp.p_beta, cp.lam, pts)
         np.testing.assert_allclose(att.split_head_batch(cp, pts), means, rtol=0, atol=1e-12)
         np.testing.assert_allclose(att.log_prefix_mass(cp, pts), log_mass, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("width", ["1", "3", "m+1"])
+    @pytest.mark.parametrize("indexed", [False, True], ids=["dense", "indexed"])
+    def test_value_widths_match_plain_softmax(self, width, indexed):
+        """A head whose values have k columns, k not tied to m (the banks
+        of a full-mode sequence layer): split_head_batch gives (n, k) means
+        and log_prefix_mass the log normalizers of a plain softmax, to
+        1e-12, dense and with the block index."""
+        m = 1
+        k = m + 1 if width == "m+1" else int(width)
+        n, lam = (12000, 1e5) if indexed else (3000, 30.0)
+        anchors = equal_area_partition(m, n).centers()
+        smooth = np.column_stack([anchors[:, 0] + 0.5, 2.0 * anchors[:, 1], anchors[:, 0] * anchors[:, 1]])
+        cp = att.ControlPoints(m=m, lam=lam, p_alpha=anchors, p_beta=smooth[:, :k])
+        assert (cp._blocks is not None) == indexed
+        pts = np.vstack([uniform_sphere_sample(m, 9, seed=51), anchors[:2], -anchors[:1]])
+        means, log_mass = plain_softmax(cp.p_alpha, cp.p_beta, cp.lam, pts)
+        out = att.split_head_batch(cp, pts)
+        assert out.shape == (pts.shape[0], k)
+        np.testing.assert_allclose(out, means, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(att.log_prefix_mass(cp, pts), log_mass, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(att.split_head_batch(cp, pts[:1]), means[:1], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
         "lam, scale, zero_shift",
@@ -534,18 +557,24 @@ class TestTransformerEval:
         np.testing.assert_allclose(att.transformer_eval(stack, [x])[0], manual, atol=1e-14)
 
     @pytest.mark.parametrize(
-        "make",
+        "make, atol",
         [
-            _universal_stack,
-            lambda: _sequence_stack("hybrid"),
-            lambda: _sequence_stack("full", n_points=256, lam=2.0e4),
+            (_universal_stack, 0.0),
+            (lambda: _sequence_stack("hybrid"), 0.0),
+            # A full-mode encoder and decoders hold their anchors once and
+            # evaluate them at the normalised sphere slot z.  The lookup
+            # leaves 1 - |z| <= (1/2048)^2 / 2; only logits within 700 of a
+            # row's max weigh and the values lie in [0, 1], so each such
+            # layer moves by at most 350 (1 - |z|) against its token form
+            # (test_seq2seq.py::test_bank_layer_is_its_token_form).
+            (lambda: _sequence_stack("full", n_points=256, lam=2.0e4), 350 * 0.5 / 2048**2),
         ],
         ids=["universal", "hybrid", "full"],
     )
-    def test_transformer_eval_is_chain_of_classical_heads(self, make):
+    def test_transformer_eval_is_chain_of_classical_heads(self, make, atol):
         stack, X = make()
         out = att.transformer_eval(stack, X)
-        np.testing.assert_array_equal(out, chain_of_heads(stack, X))
+        np.testing.assert_allclose(out, chain_of_heads(stack, X), rtol=0, atol=atol)
 
     def test_prefix_values_built_once_read_only_and_freed_with_layer(self):
         stack, X = _universal_stack()
@@ -558,187 +587,27 @@ class TestTransformerEval:
         assert not rows.flags.writeable
         np.testing.assert_array_equal(rows[:, :-1], layer.prefix.tokens @ layer.params.W_V.T)
         np.testing.assert_array_equal(rows[:, -1], 1.0)
-        # ten tokens: too few to split into blocks, so no token index either
-        assert "_block_firsts" not in vars(layer) and "_token_blocks" not in vars(layer)
         refs = weakref.ref(layer), weakref.ref(rows)
         del stack, layer, rows
         gc.collect()
         assert [r() for r in refs] == [None, None]
 
-        # The full-mode encoder's 4 x 1024 tokens are split into blocks: the
-        # token index is built once, read-only, and freed with its layer,
-        # and the stack still equals its chain of one-off heads bit for bit.
+        # A full-mode stack holds its anchors once: every kernel layer
+        # shares one anchor array and holds an (N, k) value array, builds
+        # its tokens anew on each request, caches none, and frees its head
+        # (with anything the head cached) with itself.
         stack, X = _sequence_stack("full", n_points=1024, lam=2.0e4)
-        layer = stack.layers[0]
-        assert layer.prefix.n_tokens >= att._MIN_BLOCKED_TOKENS
-        np.testing.assert_array_equal(att.transformer_eval(stack, X), chain_of_heads(stack, X))
-        firsts, boxes = vars(layer)["_block_firsts"], vars(layer)["_token_blocks"]
+        encoder, _, *decoders = stack.layers
+        anchors = encoder.head.p_alpha
+        assert [layer.head.p_beta.shape for layer in (encoder, *decoders)] == [(1024, 1), (1024, 2), (1024, 2)]
+        assert all(layer.head.p_alpha is anchors for layer in decoders)
+        assert encoder.prefix is not encoder.prefix and encoder.prefix.n_tokens == 4 * 1024
         att.transformer_eval(stack, X)
-        assert layer._block_firsts is firsts and layer._token_blocks is boxes
-        assert not firsts.flags.writeable and not boxes.flags.writeable
-        tokens, d = layer.prefix.tokens, layer.prefix.d
-        np.testing.assert_array_equal(firsts, tokens[:: att._TOKEN_BLOCK].T)
-        blocks = [tokens[i : i + att._TOKEN_BLOCK] for i in range(0, len(tokens), att._TOKEN_BLOCK)]
-        hi, lo = np.array([b.max(axis=0) for b in blocks]), np.array([b.min(axis=0) for b in blocks])
-        np.testing.assert_array_equal(boxes[:d, :-1], ((hi + lo) * 0.5).T)
-        np.testing.assert_array_equal(boxes[d:, :-1], ((hi - lo) * 0.5).T)
-        np.testing.assert_array_equal(boxes[:, -1], np.concatenate([np.zeros(d), np.abs(tokens).max(axis=0)]))
-        refs = [weakref.ref(a) for a in (layer, firsts, boxes)]
-        del stack, layer, firsts, boxes
+        assert set(vars(encoder)) == {"layout", "head", "columns", "encoder", "mlp"}
+        refs = [weakref.ref(encoder), weakref.ref(encoder.head)]
+        del stack, encoder, decoders
         gc.collect()
         assert all(r() is None for r in refs)
-
-
-def _curve_layer(n, d, spread, seed, self_logit=0.0):
-    """A layer of n tokens along a smooth closed curve of radius `spread`
-    (consecutive tokens lie close together, so a block of them has a small
-    box), with random H and W_V.  The last coordinate of every token is 0;
-    H's last diagonal entry is self_logit, so an input whose last
-    coordinate is 1 gets self_logit more on its own logit than on any
-    token's."""
-    rng = np.random.default_rng(seed)
-    t = np.sort(rng.random(n))[:, None]
-    tokens = np.zeros((n, d))
-    tokens[:, :-1] = spread * np.cos(2 * np.pi * rng.integers(1, 4, d - 1) * t + rng.random(d - 1) * 6.3)
-    tokens[:, :-1] += 1e-3 * rng.normal(size=(n, d - 1))
-    H = rng.normal(size=(d, d))
-    H[-1, -1] = self_logit
-    params = att.AttentionHeadParams(d=d, H=H, W_V=rng.normal(size=(d, d)))
-    return att.TransformerLayer(params=params, prefix=att.PrefixTokens(d=d, tokens=tokens, M=-1.0, augmented=False))
-
-
-def _dense_weights(X, layer):
-    """The (T, N + T) attention weights of layer's head at X written out
-    densely, a term whose shifted logit is at or below -700 weighing
-    exactly 0, and the (T, d) outputs."""
-    XH = X @ layer.params.H
-    logits = np.concatenate([XH @ layer.prefix.tokens.T, XH @ X.T], axis=1)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    w = np.where(shifted <= -700.0, 0.0, np.exp(np.maximum(shifted, -700.0)))
-    w /= w.sum(axis=1, keepdims=True)
-    return w, w @ (np.concatenate([layer.prefix.tokens, X]) @ layer.params.W_V.T)
-
-
-def _dense_kernel(X, layer):
-    """The head evaluated over every token, in the stack kernel's
-    arithmetic for a prefix longer than the inputs: max shift, the -700
-    floor, the floor's weight taken off, the weights times the
-    [values | 1] rows of the tokens plus the weights times those of the
-    inputs, and one division by the last column."""
-    XH = X @ layer.params.H
-    w = np.concatenate([XH @ layer.prefix.tokens.T, XH @ X.T], axis=1)
-    w -= w.max(axis=1, keepdims=True)
-    w = np.exp(np.maximum(w, -700.0)) - np.exp(-700.0)
-
-    def rows(c):
-        return np.concatenate([c @ layer.params.W_V.T, np.ones((c.shape[0], 1))], axis=1)
-
-    n = layer.prefix.n_tokens
-    acc = w[:, :n] @ rows(layer.prefix.tokens) + w[:, n:] @ rows(X)
-    return acc[:, :-1] / acc[:, -1:]
-
-
-def _kept(X, layer):
-    XH = X @ layer.params.H
-    return att._kept_tokens(layer, XH, XH @ X.T)
-
-
-class TestTokenBlocks:
-    """Stack heads leave out prefix blocks certified to weigh exactly 0."""
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        st.integers(0, 2**31),
-        st.integers(1, 4),
-        st.sampled_from([2, 3, 5, 9]),
-        st.sampled_from([30.0, 300.0, 3.0e3, 3.0e5]),
-    )
-    @example(1, 2, 3, 3.0e3)
-    def test_left_out_tokens_weigh_zero(self, seed, t_inputs, d, spread):
-        """At random H, random inputs and tokens whose logits spread far
-        beyond the floor, with a ragged last block: every token left out
-        weighs exactly 0 in a dense evaluation, and the outputs agree with
-        it to 1e-14 of the value scale."""
-        n = att._MIN_BLOCKED_TOKENS + att._TOKEN_BLOCK * (seed % 40) + 1 + seed % (att._TOKEN_BLOCK - 1)
-        assert n % att._TOKEN_BLOCK
-        layer = _curve_layer(n, d, spread, seed)
-        X = np.random.default_rng(seed + 1).normal(size=(t_inputs, d))
-        w, dense = _dense_weights(X, layer)
-        kept = _kept(X, layer)
-        if kept is not None:
-            assert np.all(np.diff(kept) > 0) and kept[-1] < n
-            assert not np.any(np.delete(w, kept, axis=1)[:, :-t_inputs])
-        scale = np.abs(np.concatenate([layer.prefix.tokens, X]) @ layer.params.W_V.T).max()
-        np.testing.assert_allclose(att._attend(X, layer), dense, rtol=0, atol=1e-14 * scale)
-
-    def test_blocks_are_left_out(self):
-        """The property above is not vacuous: a sharp curve keeps a few
-        blocks of its 5001 tokens, the ragged last one among them when the
-        input points there."""
-        layer = _curve_layer(5001, 3, 3.0e3, seed=5)
-        X = np.random.default_rng(6).normal(size=(2, 3))
-        kept = _kept(X, layer)
-        assert kept is not None and 0 < kept.size < 5001 // 4
-        # the last token, pushed out to twice its radius, is the only one
-        # of the ragged last block and the row max at x H = token
-        tokens = layer.prefix.tokens.copy()
-        tokens[-1] *= 2.0
-        layer = att.TransformerLayer(params=layer.params, prefix=att.PrefixTokens(3, tokens, -1.0, False))
-        kept = _kept(tokens[-1:] @ np.linalg.inv(layer.params.H), layer)
-        assert kept is not None and kept[-1] == 5000 and kept.size % att._TOKEN_BLOCK == 5001 % att._TOKEN_BLOCK
-
-    def test_input_logit_row_max(self):
-        """A row whose max is its own input logit, as in a pass-through row
-        of a decoder layer: it keeps no token, its output is its own value
-        row bit for bit, and next to a row that keeps blocks it adds none."""
-        layer = _curve_layer(6000, 4, 3.0e3, seed=7, self_logit=1.0e6)
-        X = np.random.default_rng(8).normal(size=(2, 4))
-        X[:, -1] = [1.0, 0.0]
-        alone = _kept(X[:1], layer)
-        assert alone is not None and alone.size == 0
-        np.testing.assert_array_equal(att._attend(X[:1], layer), X[:1] @ layer.params.W_V.T)
-        kept = _kept(X, layer)
-        np.testing.assert_array_equal(kept, _kept(X[1:], layer))
-        w, dense = _dense_weights(X, layer)
-        assert not np.any(np.delete(w, kept, axis=1)[:, :-2])
-        scale = np.abs(np.concatenate([layer.prefix.tokens, X]) @ layer.params.W_V.T).max()
-        np.testing.assert_allclose(att._attend(X, layer), dense, rtol=0, atol=1e-14 * scale)
-
-    def test_boxes_keep_most_blocks(self):
-        """The first tokens alone cannot rule the boxes out, but the boxes
-        keep more than half the blocks: every block's first token sits at
-        logit -1000 and one token per block at -10, against an input
-        self-logit of 1.  The boxes are built, every token is kept, and the
-        head is bit for bit the dense kernel."""
-        n = att._MIN_BLOCKED_TOKENS
-        rng = np.random.default_rng(13)
-        tokens = np.stack([np.full(n, -1000.0), rng.normal(size=n)], axis=1)
-        tokens[1 :: att._TOKEN_BLOCK, 0] = -10.0
-        params = att.AttentionHeadParams(d=2, H=np.diag([1.0, 0.0]), W_V=rng.normal(size=(2, 2)))
-        layer = att.TransformerLayer(params=params, prefix=att.PrefixTokens(2, tokens, -1.0, False))
-        X = np.array([[1.0, 0.0]])
-        assert _kept(X, layer) is None
-        assert "_token_blocks" in vars(layer)
-        np.testing.assert_array_equal(att._attend(X, layer), _dense_kernel(X, layer))
-
-    def test_every_block_kept(self):
-        """A head whose logits cannot spread 700 keeps every block: it is
-        evaluated whole, bit for bit as the dense kernel, and no box is
-        built."""
-        layer = _curve_layer(6000, 4, 3.0, seed=9)
-        X = np.random.default_rng(10).normal(size=(3, 4))
-        assert _kept(X, layer) is None
-        np.testing.assert_array_equal(att._attend(X, layer), _dense_kernel(X, layer))
-        assert "_token_blocks" not in vars(layer)
-
-    def test_no_index_below_threshold(self):
-        """A prefix shorter than _MIN_BLOCKED_TOKENS is never split, however
-        sharp: bit for bit the dense kernel, and no index is built."""
-        layer = _curve_layer(att._MIN_BLOCKED_TOKENS - 1, 4, 3.0e3, seed=11)
-        X = np.random.default_rng(12).normal(size=(2, 4))
-        assert _kept(X, layer) is None
-        np.testing.assert_array_equal(att._attend(X, layer), _dense_kernel(X, layer))
-        assert "_block_firsts" not in vars(layer) and "_token_blocks" not in vars(layer)
 
 
 class TestArtifacts:

@@ -116,6 +116,11 @@ CASES = {
 }
 
 MISMATCH_CASES = {
+    "control point values one row short": lambda: control_points(p_beta=VALUES[:7]),
+    "control point value column one row long": lambda: control_points(p_beta=np.ones((9, 1))),
+    "control point values without columns": lambda: control_points(p_beta=np.ones((8, 0))),
+    "control point values 1-D": lambda: control_points(p_beta=np.ones(8)),
+    "universal tokens from one value column": lambda: att.assemble_prefix_tokens(control_points(p_beta=np.ones((8, 1))), -20.0),
     "classical_head 3-D inputs": lambda: att.classical_head(np.zeros((1, 2, 2)), PREFIX, PARAMS),
     "transformer_eval 3-D inputs": lambda: att.transformer_eval(STACK, np.zeros((3, 2, 2))),
     "convolve_vmf f 3-D output": lambda: convolve(lambda ys: ys[None]),
@@ -141,6 +146,7 @@ def test_valid_inputs_still_accepted():
     """Control case: the unedited inputs behind every rejection above pass."""
     cp = control_points()
     assert np.all(np.isfinite(att.split_head_batch(cp, ANCHORS)))
+    assert att.split_head_batch(control_points(p_beta=np.ones((8, 1))), ANCHORS).shape == (8, 1)
     assert 0.0 < att.suppression_gap(cp, ANCHORS[0], -20.0, t_inputs=2) < 1.0
     prefix, params, m, lam = att.import_prefix_artifact(artifact())
     assert (prefix.n_tokens, m, lam) == (8, 2, 4.0)

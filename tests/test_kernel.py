@@ -142,7 +142,7 @@ class TestEigenvalueQuadrature:
         """The eigenvalue integral (w_{m-1}/w_m) int K(t) Q_k(t)/Q_k(1)
         (1-t^2)^((m-2)/2) dt, evaluated with the polynomial recurrence and
         Gauss-Legendre nodes, lands on the Bessel-ratio product."""
-        from vmfhead.specialfn import gegenbauer
+        from oracles import gegenbauer
         from vmfhead.sphere import surface_area
 
         m = 2

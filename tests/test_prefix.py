@@ -12,6 +12,12 @@ from vmfhead.kernel import VmfKernel, convolve_vmf, kernel_eigenvalue, vmf_log_n
 from vmfhead.sphere import equal_area_partition, uniform_sphere_sample
 
 
+def declared_sup_holds(target, n_samples: int, seed: int, slack: float = 0.05) -> bool:
+    """Whether the target's declared f_sup dominates its sampled max to within slack."""
+    sampled = float(np.max(np.abs(target(uniform_sphere_sample(target.m, n_samples, seed)))))
+    return target.smoothness.f_sup >= sampled * (1.0 - slack)
+
+
 class TestTargets:
     def test_registry(self):
         assert set(pfx.target_names()) == {"constant", "identity", "linear", "bump", "coordinate-max"}
@@ -21,7 +27,7 @@ class TestTargets:
     def test_declared_sup_holds(self):
         for name in pfx.target_names():
             t = pfx.make_target(name, 2)
-            assert t.check_declared_sup(n_samples=2048, seed=0), name
+            assert declared_sup_holds(t, n_samples=2048, seed=0), name
 
     def test_batch_shape_guard(self):
         t = pfx.make_target("identity", 2)

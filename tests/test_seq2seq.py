@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vmfhead.attention import TransformerStack, transformer_eval
+from vmfhead.attention import TransformerStack, classical_head, transformer_eval
 from vmfhead.errors import DomainError, EncodingError, InstanceTooLarge, PrecisionBudgetExceeded
 from vmfhead.sphere import equal_area_partition
 from vmfhead.seq2seq import (
@@ -25,7 +25,7 @@ from vmfhead.seq2seq import (
     reference_seq2seq,
     sequence_mean,
 )
-from vmfhead.seq2seq.assembly import _summation_error_bound
+from vmfhead.seq2seq.assembly import _GAP, _summation_error_bound
 from vmfhead.seq2seq.encoding import _mantissa, _psi_float, relaxed_decode
 
 
@@ -81,6 +81,22 @@ class TestPsi:
             for x in (0.0, 0.3, 0.7):
                 with pytest.raises(PrecisionBudgetExceeded):
                     psi_decode(psi_encode(x, cfg), cfg)
+
+    def test_relaxed_decode_float_budget(self):
+        """relaxed_decode refuses past 3^total >= 2^52, where at T=2, m=1
+        and 12 digits (48 ternary digits) it used to decode every seeded
+        aggregate wrong, and decodes valid aggregates at the largest
+        full-mode shape (18 digits) as decode_sequence does."""
+        cfg = DigitConfig(digits=12)
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            r = aggregate_R(SequenceSample(2, 1, rng.random((2, 2))), cfg).value
+            with pytest.raises(PrecisionBudgetExceeded):
+                relaxed_decode(r, 2, 1, cfg)
+        cfg = DigitConfig(digits=3)
+        for _ in range(20):
+            agg = aggregate_R(SequenceSample(3, 1, rng.random((3, 2))), cfg)
+            np.testing.assert_array_equal(relaxed_decode(agg.value, 3, 1, cfg), decode_sequence(agg, 3, 1, cfg).elements)
 
     def test_domain(self):
         cfg = DigitConfig(digits=4)
@@ -502,6 +518,44 @@ def test_full_build_pin(shape, digest):
     t_len, m, digits, n_points = shape
     stack = build_seq2seq_transformer(sequence_mean, t_len, m, DigitConfig(digits=digits), n_points=n_points, mode="full")
     assert digest(_wide_arrays(stack)) == _FULL_BUILD_PINS[shape]
+
+
+@pytest.mark.parametrize("shape", [(2, 1, 2, 4094), (3, 0, 3, 1026)], ids=lambda shape: "T{}-m{}-digits{}-N{}".format(*shape))
+def test_bank_layer_is_its_token_form(shape):
+    """The routing certificate of the full-mode encoder and decoders, on the
+    states a stack feeds them, at N that no block size divides: the
+    classical head over each layer's token form (prefix, params) equals
+    its attend bit for bit on the rows that pass through.  On the rows it
+    attends, the token form at the normalised sphere slot z agrees to the
+    rounding of its logits: dot products below 3 lam + 2 _GAP in size,
+    each within delta = 2^-50 (3 lam + 2 _GAP) of exact, and logits moved
+    by at most delta move a mean of values in [0, 1] by at most
+    e^(2 delta) - 1.  At z itself, which scales lam by |z|, it agrees to
+    350 (1 - |z|) more, only logits within 700 of the row max weighing."""
+    t_len, m, digits, n_points = shape
+    stack = build_seq2seq_transformer(sequence_mean, t_len, m, DigitConfig(digits=digits), n_points=n_points, mode="full")
+    lay = stack.layout
+    rng = np.random.default_rng(15)
+    for _ in range(8):
+        X = stack.encode_inputs(SequenceSample(t_len, m, rng.random((t_len, m + 1))))
+        record = []
+        transformer_eval(stack.transformer, X, record=record)
+        states = [X] + [rec["after_mlp"] for rec in record]
+        for i, layer in enumerate(stack.transformer.layers):
+            if i == 1:
+                continue  # the summation layer is a TransformerLayer
+            X_i, out = states[i], record[i]["attention"]
+            attended = layer.columns[np.argmax(X_i[:, lay.oh], axis=1)] >= 0
+            assert attended.sum() == (lay.q if i == 0 else m + 1)
+            token = classical_head(X_i, layer.prefix, layer.params)
+            np.testing.assert_array_equal(out[~attended], token[~attended])
+            norm = np.linalg.norm(X_i[attended][:, lay.z], axis=1)
+            unit = X_i.copy()
+            unit[attended, lay.z] /= norm[:, None]
+            rounding = math.expm1(2.0 * 2.0**-50 * (3.0 * layer.head.lam + 2.0 * _GAP))
+            np.testing.assert_allclose(out[attended], classical_head(unit, layer.prefix, layer.params)[attended], rtol=0, atol=rounding)
+            scaled = rounding + 350.0 * np.abs(1.0 - norm).max()
+            np.testing.assert_allclose(out[attended], token[attended], rtol=0, atol=scaled)
 
 
 class TestHybridDecodesOnce:

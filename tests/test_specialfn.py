@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from oracles import gegenbauer
 from vmfhead.errors import DomainError
-from vmfhead.specialfn import BesselOrder, bessel_ratio, gegenbauer, log_bessel_i, log_gamma, reg_inc_beta
+from vmfhead.specialfn import BesselOrder, bessel_ratio, log_bessel_i, log_gamma, reg_inc_beta
 
 mp.mp.dps = 40
 
