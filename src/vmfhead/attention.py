@@ -9,10 +9,12 @@ subspaces of a 3(m+1) (optionally +1) dimensional space so that the classical
 head reproduces the split head exactly as the input-input suppression
 constant M goes to -inf.  A sharp head skips the anchors certified to carry
 under one rounding unit of its softmax (_head_softmax).  A stack is a tuple
-of layers, each evaluated by its own attend: a TransformerLayer is the
-classical head over its prefix tokens, and a layer that holds its kernel
-control points once (the full-mode sequence layers) evaluates them as a
-ControlPoints head with one value column per bank.
+of layers, each evaluated by its own attend.  A TransformerLayer is the
+classical head over its prefix tokens.  The sequence stack's other layers
+evaluate the certified form of their token form, which they build on
+demand: a layer that holds its kernel control points once (the full-mode
+encoder and decoders) evaluates them as a ControlPoints head with one value
+column per bank, and a hybrid-mode pass-through head returns W_V x.
 """
 
 from __future__ import annotations
@@ -241,8 +243,9 @@ class TransformerLayer:
 class TransformerStack:
     """Alternating attention heads and element-wise MLP stages; an MLP
     applies ReLU between consecutive affine maps.  A layer is anything with
-    attend(X) and mlp: a TransformerLayer, or a full-mode sequence layer
-    that holds its kernel control points once."""
+    attend(X) and mlp: a TransformerLayer, or a sequence-stack layer that
+    evaluates its certified form (a full-mode kernel bank or a hybrid-mode
+    pass-through head)."""
 
     layers: tuple
 

@@ -16,11 +16,13 @@ state through bit-exactly.
 
 Two build modes share this skeleton.  "hybrid" keeps the attention wiring
 (the summation layer is the piece under test) but evaluates the digit
-encoder and the decoders exactly inside oracle stages.  "full" synthesizes
-the encoder and decoder heads as kernel prefixes over the circle,
-embedding scalars into S^1 by the inverse stereographic map; each such
-head holds its anchors once, its banks as value columns, and builds its
-token form on demand (_KernelBankLayer).
+encoder and the decoders exactly inside oracle stages.  The heads before
+those stages only self-attend: each evaluates its certified form W_V x,
+builds its token form on demand and holds no arrays (_PassThroughLayer).
+"full" synthesizes the encoder and decoder heads as kernel prefixes over
+the circle, embedding scalars into S^1 by the inverse stereographic map;
+each such head holds its anchors once, its banks as value columns, and
+builds its token form on demand (_KernelBankLayer).
 """
 
 from __future__ import annotations
@@ -93,6 +95,10 @@ class _Layout:
     @property
     def tag(self) -> slice:  # token tag block (position addressing, and the one-hot and constant W_V restores)
         return slice(5, 5 + self.q)
+
+    @property
+    def tokens(self) -> slice:  # the token blocks (key, value, tag), zero in the states a stack feeds its heads
+        return slice(2, 5 + self.q)
 
     @property
     def oh(self) -> slice:  # state one-hot (virtual position identity)
@@ -204,16 +210,48 @@ def _restore_payload(lay: _Layout, w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _oracle_layer(lay: _Layout, stage: OracleStage) -> TransformerLayer:
-    """A pass-through head before an oracle stage: every position attends to
-    itself bit-exactly (diagonal one-hot logit dominates; the one all-zero
-    token and all other logits underflow)."""
-    d = lay.d
-    h = np.zeros((d, d))
-    h[lay.oh, lay.oh] = _GAP * np.eye(lay.q)
-    params = AttentionHeadParams(d=d, H=h, W_V=_carry_state(lay, np.zeros((d, d))))
-    prefix = PrefixTokens(d=d, tokens=np.zeros((1, d)), M=-_GAP, augmented=False)
-    return TransformerLayer(params=params, prefix=prefix, mlp=(stage,))
+@dataclass(frozen=True)
+class _PassThroughLayer:
+    """A hybrid-mode head before an oracle stage: every position attends to
+    itself and passes its state through.
+
+    Its token form (params, prefix, built on demand) is the paper's
+    self-attending head: H holds the diagonal one-hot logit _GAP e_q e_q^T,
+    W_V carries the sphere slot, one-hot, constant and value, and the one
+    prefix token is all zero.
+
+    Routing certificate.  A row at position q (one-hot e_q) has its own
+    logit _GAP |e_q|^2 = 900, and every other input's logit and the zero
+    token's is 0, up to the rounding of the one-hots that the summation
+    layer's recover stage leaves.  Every term but the row's own thus sits
+    past the softmax's floor of 700 below the row max, so the weights are
+    exactly (1, 0, ..., 0) (attention._softmax) and the head's output is
+    W_V x bit for bit.  attend evaluates exactly that: x with its token
+    slots (key, value and tag) zeroed.
+    """
+
+    layout: _Layout
+    mlp: tuple = ()
+
+    @property
+    def params(self) -> AttentionHeadParams:
+        lay = self.layout
+        h = np.zeros((lay.d, lay.d))
+        h[lay.oh, lay.oh] = _GAP * np.eye(lay.q)
+        return AttentionHeadParams(d=lay.d, H=h, W_V=_carry_state(lay, np.zeros((lay.d, lay.d))))
+
+    @property
+    def prefix(self) -> PrefixTokens:
+        return PrefixTokens(d=self.layout.d, tokens=np.zeros((1, self.layout.d)), M=-_GAP, augmented=False)
+
+    def attend(self, X: np.ndarray) -> np.ndarray:
+        """W_V x for each row of the (Q, d) states X (see the class docstring)."""
+        lay = self.layout
+        if X.shape[1] != lay.d:
+            raise DimensionMismatch("states and layer disagree on d")
+        out = X + 0.0  # a copy, with -0.0 made 0.0 as in the softmax's weighted sum
+        out[:, lay.tokens] = 0.0
+        return out
 
 
 def _encoder_layer_params(lay: _Layout, lam: float) -> AttentionHeadParams:
@@ -353,15 +391,15 @@ class _KernelBankLayer:
 # ---------------------------------------------------------------------------
 
 
-def _positions(lay: _Layout, states: np.ndarray) -> list[int]:
+def _positions(lay: _Layout, states: np.ndarray) -> np.ndarray:
     """Each state's virtual position, read from its own one-hot."""
-    return np.argmax(states[:, lay.oh], axis=1).tolist()
+    return states[:, lay.oh].argmax(axis=1)
 
 
 def _psi_oracle(lay: _Layout, cfg: DigitConfig):
     def fn(states):
         out = states.copy()
-        for row, q0 in zip(out, _positions(lay, states)):
+        for row, q0 in zip(out, _positions(lay, states).tolist()):
             row[lay.val] = 3.0 ** (-q0) * _psi_float(float(row[lay.val]), cfg, lay.q)
         return out
 
@@ -393,9 +431,9 @@ def _decoder_oracles(lay: _Layout, f, t_len: int, m: int, cfg: DigitConfig) -> l
     def oracle(i0: int) -> OracleStage:
         def fn(states):
             out = states.copy()
-            for row, q0 in zip(out, _positions(lay, states)):
-                if q0 // (m + 1) == i0:
-                    row[lay.val] = outputs(float(row[lay.val]))[i0, q0 % (m + 1)]
+            position = _positions(lay, states)
+            for row in (position // (m + 1) == i0).nonzero()[0].tolist():
+                out[row, lay.val] = outputs(states.item(row, lay.val))[i0, position.item(row) % (m + 1)]
             return out
 
         return OracleStage(fn=fn, label=f"decoder-{i0}")
@@ -504,8 +542,8 @@ def build_seq2seq_transformer(
     if mode == "hybrid":
         # The oracle folds the contraction and positional weights into its
         # exact per-position output.
-        encoder, lookup = _oracle_layer(lay, _psi_oracle(lay, cfg)), []
-        decoders = [_oracle_layer(lay, decoder) for decoder in _decoder_oracles(lay, f, t_len, m, cfg)]
+        encoder, lookup = _PassThroughLayer(lay, mlp=(_psi_oracle(lay, cfg),)), []
+        decoders = [_PassThroughLayer(lay, mlp=(decoder,)) for decoder in _decoder_oracles(lay, f, t_len, m, cfg)]
     else:
         n_points = _size(n_points, "n_points")
         if not 0 < lam < math.inf:

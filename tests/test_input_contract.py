@@ -21,6 +21,10 @@ VALUES = np.ones((8, 3))
 PREFIX = att.PrefixTokens(d=2, tokens=np.zeros((1, 2)), M=-1.0, augmented=False)
 PARAMS = att.AttentionHeadParams(d=2, H=np.eye(2), W_V=np.eye(2))
 STACK = att.TransformerStack(layers=(att.TransformerLayer(params=PARAMS, prefix=PREFIX),))
+HYBRID = build_seq2seq_transformer(sequence_mean, 2, 0, DigitConfig(digits=2), mode="hybrid")
+# The hybrid stack's pass-through heads without its summation layer, whose
+# own width guard would hide a pass-through head that lacks one.
+PASS_THROUGH = att.TransformerStack(layers=HYBRID.transformer.layers[:1] + HYBRID.transformer.layers[2:])
 KERNEL = ker.VmfKernel.create(2, 4.0)
 
 
@@ -123,6 +127,9 @@ MISMATCH_CASES = {
     "universal tokens from one value column": lambda: att.assemble_prefix_tokens(control_points(p_beta=np.ones((8, 1))), -20.0),
     "classical_head 3-D inputs": lambda: att.classical_head(np.zeros((1, 2, 2)), PREFIX, PARAMS),
     "transformer_eval 3-D inputs": lambda: att.transformer_eval(STACK, np.zeros((3, 2, 2))),
+    "transformer_eval hybrid states one slot wide": lambda: att.transformer_eval(
+        PASS_THROUGH, np.hstack([HYBRID.encode_inputs(SequenceSample(2, 0, np.full((2, 1), 0.3))), np.zeros((2, 1))])
+    ),
     "convolve_vmf f 3-D output": lambda: convolve(lambda ys: ys[None]),
     "convolve_vmf f short output": lambda: convolve(lambda ys: ys[1:]),
     "convolve_vmf f scalar output": lambda: convolve(lambda ys: 0.7),

@@ -558,6 +558,39 @@ def test_bank_layer_is_its_token_form(shape):
             np.testing.assert_allclose(out[attended], token[attended], rtol=0, atol=scaled)
 
 
+@pytest.mark.parametrize("shape", [(8, 0, 3), (2, 1, 4), (3, 2, 2), (1, 0, 8)], ids=lambda shape: "T{}-m{}-digits{}".format(*shape))
+def test_passthrough_layer_is_its_token_form(shape):
+    """The routing certificate of the hybrid pass-through heads, on the
+    states a stack feeds them (after the summation layer too): each head's
+    attend equals the classical head over its token form (prefix, params)
+    bit for bit, zeroes the token slots a state fills, and leaves no
+    arrays cached on the layer."""
+    t_len, m, digits = shape
+    stack = build_seq2seq_transformer(seq_mean, t_len, m, DigitConfig(digits=digits), mode="hybrid")
+    lay = stack.layout
+    rng = np.random.default_rng(16)
+    for _ in range(5):
+        X = stack.encode_inputs(SequenceSample(t_len, m, rng.random((t_len, m + 1))))
+        record = []
+        transformer_eval(stack.transformer, X, record=record)
+        states = [X] + [rec["after_mlp"] for rec in record]
+        for i, layer in enumerate(stack.transformer.layers):
+            if i == 1:
+                continue  # the summation layer is a TransformerLayer
+            out = layer.attend(states[i])
+            assert out.tobytes() == record[i]["attention"].tobytes()
+            assert out.tobytes() == classical_head(states[i], layer.prefix, layer.params).tobytes()
+            filled = states[i].copy()
+            filled[:, lay.tokens] = rng.random((lay.q, lay.tokens.stop - lay.tokens.start))
+            out_filled = layer.attend(filled)
+            assert not out_filled[:, lay.tokens].any()
+            assert out_filled.tobytes() == out.tobytes()
+            assert out_filled.tobytes() == classical_head(filled, layer.prefix, layer.params).tobytes()
+    for i, layer in enumerate(stack.transformer.layers):
+        if i != 1:
+            assert set(vars(layer)) == {"layout", "mlp"}
+
+
 class TestHybridDecodesOnce:
     @pytest.mark.parametrize(
         "shape", [(4, 1, 3), (2, 1, 4), (3, 2, 2), (8, 0, 3)], ids=lambda shape: "T{}-m{}-digits{}".format(*shape)
