@@ -30,8 +30,8 @@ import numpy as np
 from .errors import DimensionMismatch, DomainError
 from .sphere import (
     Partition,
+    _colat_area,
     as_unit_vector,
-    cap_area,
     cap_colatitude,
     check_finite_unit,
     equal_area_partition,
@@ -340,13 +340,16 @@ def _softmax(logits: np.ndarray, values: np.ndarray, span: float | None = math.i
 class _BlockIndex(NamedTuple):
     """Anchors grouped by the cells of a coarse zonal partition `part`:
     block b holds the anchors order[offsets[b]:offsets[b+1]], all within
-    radii[b] of the unit vector centers[b]."""
+    radii[b] of the unit vector centers[b].  levels holds the coarser
+    query groupings (_group_cells), finest first, as (cells, anchors within
+    reach of a cell) pairs."""
 
     part: Partition
     order: np.ndarray
     offsets: np.ndarray
     centers: np.ndarray
     radii: np.ndarray
+    levels: tuple
 
 
 def _prune_margin(n_points: int) -> float:
@@ -362,20 +365,33 @@ def _block_index(cp: ControlPoints) -> _BlockIndex | None:
     None where pruning cannot pay.  Where lam <= tau_N the anchors that can
     matter cover at least a hemisphere.  Above it, a query keeps about the
     cap 1 - <x, p> <= tau_N / lam widened by two block radii (estimated as
-    the radius of a cap of one block's area), and the share of N
+    the radius of a cap of one block's area): the reach.  The share of N
     equal-measure anchors in that cap must be small enough to beat a dense
     evaluation.
+
+    The query groupings coarser than the blocks have cells of twice, four
+    times, ... the block radius, up to the reach, so a cell is no wider than
+    the cap a query keeps; a group in a cell of radius r keeps at most the
+    anchors within reach + r of its center.
     """
     n, w = cp.n_points, surface_area(cp.m)
     n_blocks = max(1, round(n / _BLOCK_SIZE))
     tau = _prune_margin(n)
     if not cp.lam > tau:
         return None
-    reach = math.acos(1.0 - tau / cp.lam) + 2.0 * cap_colatitude(cp.m, w / n_blocks)
+    block = cap_colatitude(cp.m, w / n_blocks)
+    reach = math.acos(1.0 - tau / cp.lam) + 2.0 * block
     if not reach < 0.5 * math.pi:
         return None
-    if not _pruning_pays(n * cap_area(cp.m, 1.0 - math.cos(reach)) / w, n):
+    if not _pruning_pays(n * _colat_area(cp.m, reach) / w, n):
         return None
+    levels, width = [], 2.0 * block
+    while width <= reach:
+        kept = n * _colat_area(cp.m, reach + width) / w
+        if not _pruning_pays(kept, n):
+            break
+        levels.append((max(1, round(w / _colat_area(cp.m, width))), kept))
+        width *= 2.0
     part = equal_area_partition(cp.m, n_blocks)
     cell = part.locate_batch(cp.p_alpha)
     order = np.argsort(cell, kind="stable")
@@ -383,7 +399,23 @@ def _block_index(cp: ControlPoints) -> _BlockIndex | None:
     dots = np.einsum("ij,ij->i", cp.p_alpha, part.centers()[cell])
     angle = np.arccos(np.clip(dots, -1.0, 1.0))
     radii = np.maximum.reduceat(angle[order], starts) + _ANGLE_SLACK
-    return _BlockIndex(part, order, np.append(starts, n), part.centers()[used], radii)
+    return _BlockIndex(part, order, np.append(starts, n), part.centers()[used], radii, tuple(levels))
+
+
+def _group_cells(cp: ControlPoints, n: int) -> Partition:
+    """The partition whose cells group n queries of an indexed head: the
+    finest level of the index (_block_index) whose cells hold enough
+    queries that their evaluation work over a cell's reach covers the fixed
+    cost of the cells' groups, n K >= G (_GROUP_COST + _GATHER_COST K) for
+    G cells of K anchors each, else the index's own partition.
+
+    Finer cells keep fewer anchors per query; a group's fixed cost is paid
+    once per cell, so coarser cells pay only with enough queries in each.
+    """
+    for cells, kept in cp._blocks.levels:
+        if n * kept >= cells * (_GROUP_COST + _GATHER_COST * kept):
+            return equal_area_partition(cp.m, cells)
+    return cp._blocks.part
 
 
 def _softmax_rows(cp: ControlPoints, pts: np.ndarray, rows: np.ndarray, out: tuple, kept=None) -> None:
@@ -400,9 +432,21 @@ def _softmax_rows(cp: ControlPoints, pts: np.ndarray, rows: np.ndarray, out: tup
     a one-query remainder joins the tile before it, so a query's result
     never comes from numpy's matrix-vector path, which rounds differently
     from its matrix product.
+
+    The tiles' logits share one buffer, allocated once per call.  A call
+    of three tiles or more multiplies by a contiguous (m+1, K) copy of the
+    anchors' columns, which the gemm reads faster than the transposed view
+    of the (K, m+1) anchor rows; with fewer tiles the copy and its
+    allocation cost about what they save, and a one- or two-tile call
+    (most pruned groups) reads the view.  The two layouts give the same
+    bits (TestHeadLayout).  The copy lives for the call only: held by the
+    ControlPoints or its index, it would add (m+1) N doubles to every head
+    kept alive.
     """
     mean, rowsum, shift = out
     anchors = cp.p_alpha if kept is None else np.take(cp.p_alpha, kept, axis=0)
+    size = max(2, _TILE_BYTES // (8 * anchors.shape[0]))
+    columns = np.ascontiguousarray(anchors.T) if rows.size > 2 * size + 1 else anchors.T
     # [values | 1], column-major: the value columns are copied in as long
     # runs, and the gemm reads this layout no slower than a row-major one
     values = np.empty((anchors.shape[0], cp.p_beta.shape[1] + 1), order="F")
@@ -410,9 +454,10 @@ def _softmax_rows(cp: ControlPoints, pts: np.ndarray, rows: np.ndarray, out: tup
     values[:, :-1] = cp.p_beta if kept is None else np.take(cp.p_beta, kept, axis=0)
     if rows.size == 1:
         rows = rows[[0, 0]]
-    for start, stop in _tiles(rows.size, max(2, _TILE_BYTES // (8 * anchors.shape[0]))):
+    buffer = np.empty((min(rows.size, size + 1), anchors.shape[0]))
+    for start, stop in _tiles(rows.size, size):
         tile = rows[start:stop]
-        logits = (cp.lam * pts[tile]) @ anchors.T
+        logits = np.matmul(cp.lam * pts[tile], columns, out=buffer[: tile.size])
         mean[tile], rowsum[tile], shift[tile] = _softmax(logits, values, None if cp._zero_shift else 2.0 * cp.lam)
 
 
@@ -438,7 +483,7 @@ def _head_softmax(cp: ControlPoints, points) -> tuple:
     Every evaluation goes through the tiled _softmax_rows, so memory stays
     at one cache-sized tile whatever n and N.  A head without a block index
     (_block_index) evaluates every anchor.  With one, the queries are
-    sorted by their cell of the index's partition and walked in tiles of
+    sorted by their group cell (_group_cells) and walked in tiles of
     max(2, _TILE_BYTES // 8B) rows for B blocks.  In a tile each query gets
     a lower bound L on its row max from the blocks and keeps only blocks
     whose best possible logit reaches L - tau_N (_prune_margin), so the
@@ -447,6 +492,15 @@ def _head_softmax(cp: ControlPoints, points) -> tuple:
     union of the blocks its queries keep, or densely where that union is
     too large for pruning to pay (_pruning_pays); a lone query joins the
     group after it (or, last, the one before), so no group is a single row.
+
+    A group costs a fixed _GROUP_COST plus _GATHER_COST per kept anchor,
+    once, and one logit and exp per query and kept anchor.  Small batches
+    are grouped by the blocks' own cells, the finest, so each query
+    evaluates few anchors.  A batch with enough queries per cell to pay
+    for the groups' fixed costs is grouped by coarser cells, up to the
+    reach a query keeps (about 16 queries per cell on the sharp approx-s2
+    head at 1024 queries, against 2.5 per block cell), trading fewer
+    groups for more anchors per query.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != cp.m + 1:
@@ -459,7 +513,7 @@ def _head_softmax(cp: ControlPoints, points) -> tuple:
         _softmax_rows(cp, pts, np.arange(n), out)
         return out
     tau = _prune_margin(cp.n_points)
-    cell = blocks.part.locate_batch(pts)
+    cell = _group_cells(cp, n).locate_batch(pts)
     by_cell = np.argsort(cell, kind="stable")
     for start, stop in _tiles(n, max(2, _TILE_BYTES // (8 * blocks.radii.size))):
         tile = by_cell[start:stop]

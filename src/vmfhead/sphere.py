@@ -268,7 +268,12 @@ class Partition:
 
 class _ZonalLocator:
     """Band lookup by colatitude about the last axis, then a sub-locator
-    on S^(m-1) inside each collar."""
+    on S^(m-1) inside each collar.
+
+    locate_batch sorts the points by band once, normalizes all their
+    horizontal parts in one pass, and hands each collar its contiguous
+    slice of the sorted points.
+    """
 
     def __init__(self, boundaries, groups):
         self.boundaries = boundaries  # colatitude boundaries incl. 0 and pi
@@ -277,18 +282,22 @@ class _ZonalLocator:
     def locate_batch(self, pts: np.ndarray) -> np.ndarray:
         theta = np.arccos(np.clip(pts[:, -1], -1.0, 1.0))
         band = np.clip(np.searchsorted(self.boundaries, theta, side="right") - 1, 0, len(self.groups) - 1)
-        out = np.empty(pts.shape[0], dtype=np.int64)
-        for b, (first, count, sub) in enumerate(self.groups):
-            sel = band == b
-            if not np.any(sel):
-                continue
+        # the narrowest unsigned type, whose stable sort numpy does by radix
+        band = band.astype(np.min_scalar_type(len(self.groups)))
+        order = np.argsort(band, kind="stable")
+        ends = np.cumsum(np.bincount(band, minlength=len(self.groups))).tolist()
+        horiz = pts[order, :-1]
+        norms = _row_norms(horiz)
+        norms[norms == 0.0] = 1.0
+        horiz /= norms[:, None]
+        cells = np.empty(pts.shape[0], dtype=np.int64)
+        for (first, count, sub), lo, hi in zip(self.groups, [0, *ends], ends):
             if sub is None or count == 1:
-                out[sel] = first
-                continue
-            horiz = pts[sel, :-1]
-            norms = np.linalg.norm(horiz, axis=1, keepdims=True)
-            norms[norms == 0.0] = 1.0
-            out[sel] = first + sub.locate_batch(horiz / norms)
+                cells[lo:hi] = first
+            elif lo < hi:
+                cells[lo:hi] = first + sub.locate_batch(horiz[lo:hi])
+        out = np.empty_like(cells)
+        out[order] = cells
         return out
 
 

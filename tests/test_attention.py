@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from vmfhead import attention as att
+from vmfhead import prefix as pfx
 from vmfhead.errors import DimensionMismatch, DomainError
 from vmfhead.seq2seq import DigitConfig, SequenceSample, build_seq2seq_transformer
 from vmfhead.sphere import equal_area_partition, uniform_sphere_sample
@@ -318,6 +319,134 @@ class TestPrunedHead:
         del cp
         gc.collect()
         assert ref() is None
+
+
+def _strided(a):
+    """a as a strided view: every other column of an array twice as wide."""
+    wide = np.zeros((a.shape[0], 2 * a.shape[1]))
+    wide[:, ::2] = a
+    return wide[:, ::2]
+
+
+# Regression pin, not an oracle: SHA-256 (the digest fixture) of
+# split_head_batch of the approx-s2 wide head (the identity on S^2, N =
+# 16384, lam = 32) at uniform_sphere_sample(2, 512, 181), recorded while the
+# dense path still multiplied by the transposed anchor view.  It holds the
+# dense path's bits.
+_WIDE_HEAD_PIN = "e0220bbd6f0113f6841840ee017552c2da0c098794e3922df92a1dd98c073da6"
+
+
+class TestHeadLayout:
+    @pytest.mark.parametrize("lam, indexed", [(32.0, False), (2000.0, True)], ids=["dense", "indexed"])
+    def test_control_point_layout_is_bitwise_irrelevant(self, lam, indexed):
+        """C-ordered, Fortran-ordered and strided-view anchors and values
+        give the same bits, dense and indexed, on a batch large enough for
+        multi-tile dense calls and the coarser query groups."""
+        anchors = equal_area_partition(2, 16384).centers()
+        values = anchors[:, ::-1] + 0.5
+        pts = uniform_sphere_sample(2, 600, seed=191)
+        results = []
+        for layout in (np.ascontiguousarray, np.asfortranarray, _strided):
+            a, v = layout(anchors), layout(values)
+            cp = att.ControlPoints(m=2, lam=lam, p_alpha=a, p_beta=v)
+            assert (cp._blocks is not None) == indexed
+            results.append((att.split_head_batch(cp, pts), att.log_prefix_mass(cp, pts)))
+        assert not _strided(anchors).flags.c_contiguous and np.asfortranarray(anchors).flags.f_contiguous
+        for means, log_mass in results[1:]:
+            assert np.array_equal(means, results[0][0])
+            assert np.array_equal(log_mass, results[0][1])
+
+    def test_wide_head_pin(self, digest):
+        cp = pfx.synthesize_prefix(pfx.make_target("identity", 2), 16384, 32.0)
+        assert cp._blocks is None
+        assert digest([att.split_head_batch(cp, uniform_sphere_sample(2, 512, 181))]) == _WIDE_HEAD_PIN
+
+
+@pytest.fixture(scope="module")
+def sharp_head():
+    """The sharp approx-s2 head: the identity on S^2, N = 65536, lam = 2000."""
+    return pfx.synthesize_prefix(pfx.make_target("identity", 2), 65536, 2000.0)
+
+
+def _spied_means(monkeypatch, cp, pts):
+    """(split_head_batch(cp, pts), one (rows, anchors evaluated) pair per
+    _softmax_rows call)."""
+    calls = []
+    evaluate = att._softmax_rows
+
+    def spy(cp, pts, rows, out, kept=None):
+        calls.append((rows.size, cp.n_points if kept is None else kept.size))
+        evaluate(cp, pts, rows, out, kept)
+
+    monkeypatch.setattr(att, "_softmax_rows", spy)
+    return att.split_head_batch(cp, pts), calls
+
+
+# Regression pins, not oracles: (seed, _softmax_rows calls, evaluated
+# (query, anchor) pairs) of the sharp head at uniform_sphere_sample(2, n,
+# seed), recorded while queries were grouped by the blocks' own cells.  A
+# small batch must not do more work than that.
+_SMALL_BATCH_PINS = {64: (182, 31, 199150), 256: (183, 120, 692896)}
+
+
+class TestQueryGroups:
+    def test_large_batch_groups_by_reach(self, sharp_head, monkeypatch):
+        """1024 uniform queries share fewer than n/8 groups (the blocks' own
+        cells gave 405), and every output agrees with a plain softmax."""
+        pts = uniform_sphere_sample(2, 1024, 184)
+        means, calls = _spied_means(monkeypatch, sharp_head, pts)
+        assert len(calls) < 1024 // 8
+        assert all(rows > 1 for rows, _ in calls)
+        expected, _ = plain_softmax(sharp_head.p_alpha, sharp_head.p_beta, sharp_head.lam, pts)
+        np.testing.assert_allclose(means, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", sorted(_SMALL_BATCH_PINS))
+    def test_small_batch_does_no_more_work(self, sharp_head, monkeypatch, n):
+        seed, most_calls, most_pairs = _SMALL_BATCH_PINS[n]
+        _, calls = _spied_means(monkeypatch, sharp_head, uniform_sphere_sample(2, n, seed))
+        assert len(calls) <= most_calls
+        assert sum(rows * kept for rows, kept in calls) <= most_pairs
+
+    @pytest.mark.parametrize("n", [2, 3, 63, 64, 65])
+    def test_batch_sizes_match_plain_softmax(self, sharp_head, monkeypatch, n):
+        pts = uniform_sphere_sample(2, n, 192 + n)
+        means, calls = _spied_means(monkeypatch, sharp_head, pts)
+        assert all(rows > 1 for rows, _ in calls)
+        expected, log_mass = plain_softmax(sharp_head.p_alpha, sharp_head.p_beta, sharp_head.lam, pts)
+        np.testing.assert_allclose(means, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(att.log_prefix_mass(sharp_head, pts), log_mass, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [64, 400])
+    def test_one_cell_batch(self, sharp_head, n):
+        """n queries within 1e-3 rad of one group cell's center, so all in
+        that cell: one group per tile."""
+        cells = att._group_cells(sharp_head, n)
+        noise = 1e-3 * np.random.default_rng(193).normal(size=(n, 3))
+        pts = cells.centers()[10] + noise
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        assert np.unique(cells.locate_batch(pts)).size == 1
+        expected, log_mass = plain_softmax(sharp_head.p_alpha, sharp_head.p_beta, sharp_head.lam, pts)
+        np.testing.assert_allclose(att.split_head_batch(sharp_head, pts), expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(att.log_prefix_mass(sharp_head, pts), log_mass, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [32, 200])
+    def test_antipodal_pairs(self, sharp_head, n):
+        """Each query next to its antipode in the batch: 2n queries whose
+        groups split across opposite cells."""
+        x = uniform_sphere_sample(2, n, 194)
+        pts = np.stack([x, -x], axis=1).reshape(-1, 3)
+        expected, log_mass = plain_softmax(sharp_head.p_alpha, sharp_head.p_beta, sharp_head.lam, pts)
+        np.testing.assert_allclose(att.split_head_batch(sharp_head, pts), expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(att.log_prefix_mass(sharp_head, pts), log_mass, rtol=1e-12, atol=1e-12)
+
+    def test_coarser_cells_only_for_large_batches(self, sharp_head):
+        """Small batches keep the blocks' own cells; large ones get coarser
+        cells, never wider than the reach a query keeps."""
+        blocks = sharp_head._blocks
+        assert att._group_cells(sharp_head, 256) is blocks.part
+        assert [cells for cells, _ in blocks.levels] == [256, 64]
+        assert att._group_cells(sharp_head, 1024).n_cells == 64
+        assert att._group_cells(sharp_head, 8192).n_cells == 256
 
 
 class TestLiftProject:

@@ -305,6 +305,58 @@ class TestPartitionProperties:
         assert np.all(_partition(*size).radii() < math.pi)
 
 
+# Regression pins, not oracles: SHA-256 (the digest fixture) of the cells
+# locate_batch gives 2^16 points of uniform_sphere_sample(m, 2^16, 186),
+# recorded before the zonal locator sorted its points by band.
+_LOCATE_PINS = {
+    (2, 1024): "e9714bd809e946af0c0551357c657fd6e63dcded8c5cbf74416b5f36e43c05cb",
+    (3, 512): "063c9b25a66224ba105a781124171f66cb835c24682c6db10e13bd804af7d571",
+    (8, 2048): "378c0ca59c52e9fd6cc7b1d7e218039eba25458588d158e0ca44d198a4981508",
+}
+_LOCATE_SIZES = pytest.mark.parametrize("size", sorted(_LOCATE_PINS), ids=lambda size: "S{}-N{}".format(*size))
+
+
+def _on_band_boundaries(p: Partition, per_boundary: int, seed: int) -> np.ndarray:
+    """Points at every colatitude band boundary of p's outer zonal locator
+    (last coordinate z with arccos(z) equal to the boundary where a float
+    within 8 ulps of its cosine gives that), at seeded azimuths, plus both
+    poles."""
+    m = p.m
+    rows = [np.eye(m + 1)[-1], -np.eye(m + 1)[-1]]
+    horiz = uniform_sphere_sample(m - 1, per_boundary * p._locator.boundaries.size, seed)
+    for i, theta in enumerate(p._locator.boundaries):
+        near = np.clip(np.cos(theta) + np.arange(-8, 9) * np.spacing(np.cos(theta)), -1.0, 1.0)
+        exact = near[np.arccos(near) == theta]
+        z = exact[0] if exact.size else np.cos(theta)
+        for h in horiz[i * per_boundary : (i + 1) * per_boundary]:
+            rows.append(np.append(math.sqrt(max(0.0, 1.0 - z * z)) * h, z))
+    return np.array(rows)
+
+
+class TestBandedLocate:
+    @_LOCATE_SIZES
+    def test_locate_pin(self, size, digest):
+        m, n = size
+        cells = _partition(m, n).locate_batch(uniform_sphere_sample(m, 1 << 16, 186))
+        assert digest([cells]) == _LOCATE_PINS[size]
+
+    @_LOCATE_SIZES
+    def test_band_boundaries_and_poles_match_locate(self, size):
+        """A point on a band boundary or at a pole gets, in a batch, the
+        cell locate gives it alone."""
+        p = _partition(*size)
+        pts = _on_band_boundaries(p, 3, seed=187)
+        assert pts.shape[0] == 2 + 3 * p._locator.boundaries.size
+        assert np.array_equal(p.locate_batch(pts), [p.locate(x) for x in pts])
+
+    @_LOCATE_SIZES
+    def test_permuted_points_permute_cells(self, size):
+        p = _partition(*size)
+        pts = np.vstack([uniform_sphere_sample(p.m, 4096, 188), _on_band_boundaries(p, 2, seed=189)])
+        perm = np.random.default_rng(190).permutation(pts.shape[0])
+        assert np.array_equal(p.locate_batch(pts[perm]), p.locate_batch(pts)[perm])
+
+
 class TestUniformSampling:
     def test_unit_norms(self):
         pts = uniform_sphere_sample(4, 2000, seed=0)
