@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch, DomainError, _positive, _size
 from .sphere import (
     Partition,
     _colat_area,
@@ -78,6 +78,8 @@ class ControlPoints:
     p_beta: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _size(self.m, "m"))
+        object.__setattr__(self, "lam", _positive(self.lam, "lam"))
         pa = np.asarray(self.p_alpha, dtype=np.float64)
         pb = np.asarray(self.p_beta, dtype=np.float64)
         if pa.ndim != 2 or pa.shape[0] < 1:
@@ -86,8 +88,6 @@ class ControlPoints:
             raise DimensionMismatch("p_alpha width must be m+1")
         if pb.ndim != 2 or pb.shape[0] != pa.shape[0] or pb.shape[1] < 1:
             raise DimensionMismatch("p_beta must be an (N, k) array, k >= 1, with p_alpha's N rows")
-        if not 0 < self.lam < math.inf:
-            raise DomainError("lam must be positive and finite")
         check_finite_unit(pa)
         if not np.all(np.isfinite(pb)):
             raise DomainError("p_beta must be finite")
@@ -127,6 +127,7 @@ class AttentionHeadParams:
     W_V: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "d", _size(self.d, "d"))
         H = np.asarray(self.H, dtype=np.float64)
         W = np.asarray(self.W_V, dtype=np.float64)
         if H.shape != (self.d, self.d) or W.shape != (self.d, self.d):
@@ -149,6 +150,7 @@ class PrefixTokens:
     augmented: bool
 
     def __post_init__(self):
+        object.__setattr__(self, "d", _size(self.d, "d"))
         t = np.asarray(self.tokens, dtype=np.float64)
         if t.ndim != 2 or t.shape[0] < 1 or t.shape[1] != self.d:
             raise DimensionMismatch("tokens must be a nonempty (N, d) array")
@@ -643,9 +645,9 @@ def build_universal_head(m: int, M: float, augmented: bool = False) -> Attention
     slot so that the input-input logit is M for every input pair, not
     M <x_i, x_j>.
     """
-    if not M < 0:
-        raise DomainError("suppression constant M must be negative")
-    b = m + 1
+    if not -math.inf < M < 0:
+        raise DomainError("suppression constant M must be negative and finite")
+    b = _size(m, "m") + 1
     d = 3 * b + (1 if augmented else 0)
     H = np.zeros((d, d))
     W = np.zeros((d, d))
@@ -682,9 +684,7 @@ def suppression_gap(cp: ControlPoints, x, M: float, t_inputs: int = 1) -> float:
     """
     if not -math.inf < M < 0:
         raise DomainError("suppression constant M must be negative and finite")
-    if not t_inputs >= 1:
-        raise DomainError("t_inputs must be at least 1")
-    extra = M + math.log(t_inputs)
+    extra = M + math.log(_size(t_inputs, "t_inputs"))
     log_mass = float(log_prefix_mass(cp, as_unit_vector(x)[None, :])[0])
     return math.exp(extra - np.logaddexp(log_mass, extra))
 
@@ -779,17 +779,15 @@ def import_prefix_artifact(text: str):
     if not isinstance(payload, dict) or payload.get("schema") != "vmfhead-prefix-v1":
         raise DomainError("unrecognized prefix artifact schema")
     try:
-        d, m = int(payload["d"]), int(payload["m"])
+        d, m = _size(payload["d"], "d"), _size(payload["m"], "m")
         rows = payload["tokens"], payload["H"], payload["W_V"], [[payload["M"], payload["lambda"]]]
         augmented = bool(payload["augmented"])
     except KeyError as exc:
         raise DomainError(f"prefix artifact has no {exc.args[0]!r} entry") from None
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError("prefix artifact d and m must be integers") from None
     tokens, H, W, scalars = map(_dec_mat, rows)
     if tokens.shape[1] != d or H.shape != (d, d) or W.shape != (d, d):
         raise DomainError("artifact dimensions are inconsistent")
     M, lam = scalars[0].tolist()
     prefix = PrefixTokens(d=d, tokens=tokens, M=M, augmented=augmented)
     params = AttentionHeadParams(d=d, H=H, W_V=W)
-    return prefix, params, m, lam
+    return prefix, params, m, _positive(lam, "lambda")

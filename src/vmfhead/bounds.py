@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import DomainError, OverflowWarning, PermissiveModeWarning
+from .errors import DomainError, OverflowWarning, PermissiveModeWarning, _positive, _size
 from .kernel import vmf_log_normalizer
 from .sphere import cap_area, surface_area
 
@@ -47,10 +47,10 @@ class SmoothnessSpec:
     f_sup: float
 
     def __post_init__(self):
-        if not (self.L > 0 and self.C_H > 0 and self.C_R > 0):
-            raise DomainError("L, C_H, C_R must be strictly positive")
-        if not self.f_sup >= 0:
-            raise DomainError("f_sup must be nonnegative")
+        for name in ("L", "C_H", "C_R"):
+            object.__setattr__(self, name, _positive(getattr(self, name), name))
+        if not 0 <= self.f_sup < math.inf:
+            raise DomainError(f"f_sup must be finite and >= 0, got {self.f_sup!r}")
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,9 @@ class PrefixLengthBound:
     log10_n: float
 
 
-def _check_dimension(m: int, strict: bool) -> None:
-    if m < 2:
-        raise DomainError(f"bounds require m >= 2, got {m}")
+def _check_dimension(m: int, strict: bool) -> int:
+    """m as a size >= 2; below 8 refused in strict mode, warned otherwise."""
+    m = _size(m, "m", 2)
     if m < 8:
         if strict:
             raise DomainError(f"strict mode requires m >= 8 (covering constants), got {m}")
@@ -72,6 +72,7 @@ def _check_dimension(m: int, strict: bool) -> None:
             PermissiveModeWarning,
             stacklevel=3,
         )
+    return m
 
 
 def lambda_for_accuracy(sigma: float, spec: SmoothnessSpec, m: int, strict: bool = True) -> float:
@@ -86,9 +87,7 @@ def lambda_for_accuracy(sigma: float, spec: SmoothnessSpec, m: int, strict: bool
     behaves like 128 L^3 C_H C_R^3 / sigma^4) stays accurate.  Returns +inf
     with an OverflowWarning when the value exceeds the float range.
     """
-    if not sigma > 0:
-        raise DomainError(f"lambda_for_accuracy requires sigma > 0, got {sigma}")
-    _check_dimension(m, strict)
+    sigma, m = _positive(sigma, "sigma"), _check_dimension(m, strict)
     L, C_H, C_R = spec.L, spec.C_H, spec.C_R
     beta = sigma * sigma / (8.0 * L * C_H * C_R + 2.0 * sigma * C_H)
     if beta >= 1.0:
@@ -119,9 +118,7 @@ def phi(m: int) -> float:
 
     The covering estimate behind it holds for m >= 8, which is enforced.
     """
-    if m < 8:
-        raise DomainError(f"phi requires m >= 8, got {m}")
-    return _phi_formula(m)
+    return _phi_formula(_size(m, "m", 8))
 
 
 def _length_bound(
@@ -151,12 +148,8 @@ def prefix_length_bound(
     computed in log domain; the linear value is +inf whenever it exceeds the
     float range, and log10 N is always finite.
     """
-    if not epsilon > 0:
-        raise DomainError(f"prefix_length_bound requires epsilon > 0, got {epsilon}")
-    if not lam > 0:
-        raise DomainError(f"prefix_length_bound requires lambda > 0, got {lam}")
-    _check_dimension(m, strict)
-    return _length_bound(lam, epsilon, spec, m, 0.0)
+    lam, epsilon = _positive(lam, "lam"), _positive(epsilon, "epsilon")
+    return _length_bound(lam, epsilon, spec, _check_dimension(m, strict), 0.0)
 
 
 def covering_bounds(m: int, delta: float) -> tuple[float, float]:
@@ -165,8 +158,7 @@ def covering_bounds(m: int, delta: float) -> tuple[float, float]:
     lower = w_m / (area of a cap of depth delta) (area comparison), and
     upper = Phi(m) / (delta(2-delta))^((m+1)/2) (ball-covering transfer).
     """
-    if m < 8:
-        raise DomainError(f"covering_bounds requires m >= 8, got {m}")
+    m = _size(m, "m", 8)
     if not (0.0 < delta < 1.0):
         raise DomainError(f"covering_bounds requires delta in (0, 1), got {delta}")
     lower = surface_area(m) / cap_area(m, delta)
@@ -184,9 +176,9 @@ def normalized_head_parameters(
     extra sqrt(m+1) factor inside its power because the output error is
     measured in the Euclidean norm over m+1 components.
     """
-    if not (0.0 < epsilon < 2.0 * spec.f_sup):
-        raise DomainError("normalized_head_parameters requires 0 < epsilon < 2 * f_sup")
-    _check_dimension(m, strict)
+    epsilon, m = _positive(epsilon, "epsilon"), _check_dimension(m, strict)
+    if not epsilon < 2.0 * spec.f_sup:
+        raise DomainError(f"normalized_head_parameters requires epsilon < 2 * f_sup, got {epsilon}")
     sigma = 2.0 * epsilon * spec.L / (2.0 * spec.L + spec.f_sup)
     lam = lambda_for_accuracy(sigma, spec, m, strict=strict)
     if not math.isfinite(lam):

@@ -1,6 +1,10 @@
 """Exception types shared across the package; exit_code is the CLI exit
 status: 2 for usage errors (bad arguments, inputs or sizes), 3 for numeric
-failures."""
+failures.  _size and _positive state the scalar-argument contract once."""
+
+import math
+import numbers
+import operator
 
 
 class VmfheadError(Exception):
@@ -51,3 +55,27 @@ class OverflowWarning(UserWarning):
 
 class PermissiveModeWarning(UserWarning):
     """A bound formula was evaluated outside its guaranteed dimension range."""
+
+
+def _size(value, name: str, least: int = 1) -> int:
+    """A size argument as a Python int via operator.index, at least `least`;
+    bools, floats (integral ones too), NaN and smaller values are refused
+    with DomainError."""
+    try:
+        if not isinstance(value, bool):
+            size = operator.index(value)
+            if size >= least:
+                return size
+    except TypeError:
+        pass
+    raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _positive(value, name: str) -> float:
+    """A finite real > 0 as a float (Python or numpy int or float); bools,
+    non-reals, NaN, +-inf and values <= 0 are refused with DomainError."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        real = float(value)
+        if 0.0 < real < math.inf:
+            return real
+    raise DomainError(f"{name} must be finite and > 0, got {value!r}")

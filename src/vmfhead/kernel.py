@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NumericalFailure
+from .errors import DimensionMismatch, DomainError, NumericalFailure, _positive, _size
 from .sphere import as_unit_vector, surface_area, uniform_sphere_sample
-from .specialfn import bessel_ratio, log_bessel_i
+from .specialfn import _ratio_product, log_bessel_i
 
 __all__ = [
     "VmfKernel",
@@ -37,11 +37,7 @@ def vmf_log_normalizer(m: int, lam: float) -> float:
     c = w_m * lambda^((m+1)/2 - 1) / ((2 pi)^((m+1)/2) * I_{(m+1)/2-1}(lambda)),
     computed fully in log domain so arbitrarily large lambda is safe.
     """
-    if m < 1:
-        raise DomainError(f"vmf_log_normalizer requires m >= 1, got {m}")
-    lam = float(lam)
-    if not lam > 0:
-        raise DomainError(f"vmf_log_normalizer requires lambda > 0, got {lam}")
+    m, lam = _size(m, "m"), _positive(lam, "lam")
     h = (m + 1) / 2.0
     return (
         math.log(surface_area(m))
@@ -53,22 +49,17 @@ def vmf_log_normalizer(m: int, lam: float) -> float:
 
 @dataclass(frozen=True)
 class VmfKernel:
-    """Concentration-lambda kernel on S^m with its precomputed log normalizer."""
+    """Concentration-lambda kernel on S^m; its log normalizer is derived
+    once, at construction."""
 
     m: int
     lam: float
-    log_normalizer: float
-
-    @staticmethod
-    def create(m: int, lam: float) -> "VmfKernel":
-        return VmfKernel(m=m, lam=float(lam), log_normalizer=vmf_log_normalizer(m, lam))
+    log_normalizer: float = field(init=False)
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise DomainError("kernel concentration must be positive")
-        expected = vmf_log_normalizer(self.m, self.lam)
-        if abs(self.log_normalizer - expected) > 1e-10 * max(1.0, abs(expected)):
-            raise DomainError("log_normalizer inconsistent with (m, lambda)")
+        object.__setattr__(self, "m", _size(self.m, "m"))
+        object.__setattr__(self, "lam", _positive(self.lam, "lam"))
+        object.__setattr__(self, "log_normalizer", vmf_log_normalizer(self.m, self.lam))
 
 
 def kernel_log_eval(kern: VmfKernel, t) -> np.ndarray | float:
@@ -100,9 +91,11 @@ def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 # Largest Gauss-Legendre rule kernel_norm builds: leggauss(n) solves a dense
 # n x n eigenproblem, so a few thousand nodes is the practical limit.
 _MAX_NODES = 3200
+# Relative agreement of two successive rules at which kernel_norm stops.
+_NORM_RTOL = 1e-9
 
 
-def kernel_norm(m: int, lam: float, rtol: float = 1e-9) -> float:
+def kernel_norm(m: int, lam: float) -> float:
     """Weighted L1 norm of the kernel on S^m, which equals 1 for every
     lambda > 0 and m > 1.
 
@@ -115,8 +108,7 @@ def kernel_norm(m: int, lam: float, rtol: float = 1e-9) -> float:
     from 200 until two refinements agree; NumericalFailure past
     _MAX_NODES nodes.
     """
-    if m < 2:
-        raise DomainError(f"kernel_norm requires m >= 2, got {m}")
+    m, lam = _size(m, "m", 2), _positive(lam, "lam")
     log_scale = vmf_log_normalizer(m, lam) + math.log(surface_area(m - 1)) - math.log(surface_area(m) / (0.5 * math.pi))
     prev = None
     nodes = 200
@@ -126,7 +118,7 @@ def kernel_norm(m: int, lam: float, rtol: float = 1e-9) -> float:
         log_f = np.log(u) + lam * np.cos(theta) + (m - 1) * np.log(np.sin(theta))
         peak = np.max(log_f)
         val = math.exp(peak + math.log(np.sum(np.exp(log_f - peak))) + log_scale)
-        if prev is not None and abs(val - prev) <= rtol * abs(val):
+        if prev is not None and abs(val - prev) <= _NORM_RTOL * abs(val):
             return val
         prev = val
         nodes *= 2
@@ -137,21 +129,11 @@ def kernel_eigenvalue(m: int, k: int, lam: float) -> float:
     """Convolution eigenvalue on degree-k spherical harmonics.
 
     Equals I_{(m-1)/2 + k}(lambda) / I_{(m-1)/2}(lambda), evaluated as a
-    telescoping product of k consecutive Bessel ratios; always in (0, 1],
-    exactly 1 at k = 0.
+    telescoping product of k consecutive Bessel ratios read off one
+    backward recurrence; always in (0, 1], exactly 1 at k = 0.
     """
-    if m < 2:
-        raise DomainError(f"kernel_eigenvalue requires m >= 2, got {m}")
-    if k < 0:
-        raise DomainError(f"kernel_eigenvalue requires k >= 0, got {k}")
-    lam = float(lam)
-    if not lam > 0:
-        raise DomainError(f"kernel_eigenvalue requires lambda > 0, got {lam}")
-    base = (m - 1) / 2.0
-    out = 1.0
-    for j in range(k):
-        out *= bessel_ratio(base + j, lam)
-    return out
+    m, k, lam = _size(m, "m", 2), _size(k, "k", 0), _positive(lam, "lam")
+    return _ratio_product((m - 1) / 2.0, lam, k) if k else 1.0
 
 
 def convolve_vmf(f, kern: VmfKernel, x, n_samples: int, seed: int):
@@ -171,8 +153,7 @@ def convolve_vmf(f, kern: VmfKernel, x, n_samples: int, seed: int):
     is not m+1, or non-finite values of f; DimensionMismatch for an output
     of f of any other shape.
     """
-    if n_samples < 100:
-        raise DomainError("convolve_vmf requires n_samples >= 100")
+    n_samples = _size(n_samples, "n_samples", 100)
     xv = as_unit_vector(x)
     if xv.size != kern.m + 1:
         raise DomainError("point dimension does not match kernel dimension")

@@ -28,7 +28,7 @@ from .attention import (
     split_head_batch,
 )
 from .bounds import SmoothnessSpec
-from .errors import DimensionMismatch, DomainError, InstanceTooLarge
+from .errors import DimensionMismatch, DomainError, InstanceTooLarge, _positive, _size
 from .kernel import vmf_log_normalizer
 from .sphere import Partition, equal_area_partition, uniform_sphere_sample
 
@@ -85,8 +85,7 @@ class ApproximationReport:
     def __post_init__(self):
         if self.sup_error < 0 or self.mean_error < 0:
             raise DomainError("errors must be nonnegative")
-        if self.samples < 1:
-            raise DomainError("samples must be >= 1")
+        object.__setattr__(self, "samples", _size(self.samples, "samples"))
 
 
 REPORT_COLUMNS = ["name", "m", "lambda", "N", "sup_error", "mean_error", "samples", "seed", "wall_time_ms"]
@@ -189,7 +188,7 @@ def target_names() -> list[str]:
 def make_target(name: str, m: int) -> TargetFunction:
     if name not in _REGISTRY:
         raise DomainError(f"unknown target {name!r}; known: {', '.join(target_names())}")
-    return _REGISTRY[name](m)
+    return _REGISTRY[name](_size(m, "m"))
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +199,9 @@ def make_target(name: str, m: int) -> TargetFunction:
 def synthesize_prefix(f: TargetFunction, n_points: int, lam: float) -> ControlPoints:
     """Split-head control points: anchors at equal-area cell centers,
     values = target at the anchors."""
-    if n_points < 1:
-        raise DomainError("n_points must be >= 1")
-    if not lam > 0:
-        raise DomainError("lam must be positive")
-    part = equal_area_partition(f.m, n_points)
-    centers = part.centers()
-    return ControlPoints(m=f.m, lam=float(lam), p_alpha=centers, p_beta=f(centers))
+    lam = _positive(lam, "lam")
+    centers = equal_area_partition(f.m, n_points).centers()
+    return ControlPoints(m=f.m, lam=lam, p_alpha=centers, p_beta=f(centers))
 
 
 def synthesize_core_weights(f: TargetFunction, part: Partition, lam: float) -> ControlPoints:
@@ -219,7 +214,7 @@ def synthesize_core_weights(f: TargetFunction, part: Partition, lam: float) -> C
     c = math.exp(vmf_log_normalizer(f.m, lam))
     weights = part.measures() / part.measures().sum()
     xi = c * weights[:, None] * f(centers)
-    return ControlPoints(m=f.m, lam=float(lam), p_alpha=centers, p_beta=xi)
+    return ControlPoints(m=f.m, lam=lam, p_alpha=centers, p_beta=xi)
 
 
 def plan_for_accuracy(f: TargetFunction, epsilon: float, strict: bool = True) -> dict:
@@ -271,9 +266,7 @@ def sup_error_estimate(f: TargetFunction, approx, n_samples: int, seed: int):
     lower bounds on the true sup norm.  approx is called once, on the
     whole batch.
     """
-    if n_samples < 1:
-        raise DomainError("n_samples must be >= 1")
-    pts = uniform_sphere_sample(f.m, n_samples, seed)
+    pts = uniform_sphere_sample(f.m, _size(n_samples, "n_samples"), seed)
     errs = np.linalg.norm(f(pts) - np.atleast_2d(approx(pts)), axis=1)
     return float(errs.max()), float(errs.mean())
 
@@ -284,9 +277,7 @@ def verify_denominator_constancy(cp: ControlPoints, n_samples: int, seed: int) -
     The inner sum is evaluated in log domain; with anchors from an
     equal-measure partition the statistic shrinks as N grows.
     """
-    if n_samples < 1:
-        raise DomainError("n_samples must be >= 1")
-    pts = uniform_sphere_sample(cp.m, n_samples, seed)
+    pts = uniform_sphere_sample(cp.m, _size(n_samples, "n_samples"), seed)
     log_stat = vmf_log_normalizer(cp.m, cp.lam) - math.log(cp.n_points) + log_prefix_mass(cp, pts)
     return float(np.max(np.abs(1.0 - np.exp(log_stat))))
 

@@ -43,8 +43,8 @@ from ..attention import (
     split_head_batch,
     transformer_eval,
 )
-from ..errors import DimensionMismatch, DomainError, InstanceTooLarge
-from ..sphere import _size, equal_area_partition, stereographic_batch, stereographic_inverse_batch
+from ..errors import DimensionMismatch, DomainError, InstanceTooLarge, _positive, _size
+from ..sphere import equal_area_partition, stereographic_batch, stereographic_inverse_batch
 from .encoding import (
     DigitConfig,
     SequenceSample,
@@ -58,6 +58,8 @@ from .encoding import (
 __all__ = ["Seq2SeqStack", "build_seq2seq_transformer"]
 
 _GAP = 900.0  # logit margin that underflows exp() entirely in doubles
+_GAMMA = 4.0  # the summation layer's one-hot logit
+_LOOKUP_KNOTS = 2048  # knots of the full-mode circle-embedding MLP
 _UNIT_ROUNDOFF = 2.0**-53
 
 
@@ -143,13 +145,13 @@ def _stage_scale_by_position(lay: _Layout, factors: np.ndarray):
     return [(a1, b1), (a2, b2)]
 
 
-def _stage_affine_recover(lay: _Layout, gamma: float):
+def _stage_affine_recover(lay: _Layout):
     """Single affine map undoing the summation layer's one-hot mixing:
-    OH <- (OH - 1) / (e^gamma - 1); VAL and C1 pass through."""
+    OH <- (OH - 1) / (e^_GAMMA - 1); VAL and C1 pass through."""
     d = lay.d
     a = np.zeros((d, d))
     b = np.zeros(d)
-    scale = 1.0 / math.expm1(gamma)
+    scale = 1.0 / math.expm1(_GAMMA)
     a[lay.oh, lay.oh] = scale * np.eye(lay.q)
     b[lay.oh] = -scale
     a[lay.val, lay.val] = 1.0
@@ -157,14 +159,14 @@ def _stage_affine_recover(lay: _Layout, gamma: float):
     return [(a, b)]
 
 
-def _stage_sphere_lookup(lay: _Layout, knots: int = 2048):
+def _stage_sphere_lookup(lay: _Layout):
     """Piecewise-linear ReLU realization of the circle embedding of VAL.
 
     Writes the two sphere-slot components of the inverse stereographic map
     of VAL (exact at the knots, chordal in between) while passing VAL, the
     one-hot, and the constant through.
     """
-    q, d = lay.q, lay.d
+    q, d, knots = lay.q, lay.d, _LOOKUP_KNOTS
     ts = np.linspace(0.0, 1.0, knots + 1)
     comps = stereographic_inverse_batch(ts[:, None])  # (knots+1, 2)
     hidden = knots + q + 2
@@ -265,19 +267,19 @@ def _encoder_layer_params(lay: _Layout, lam: float) -> AttentionHeadParams:
     return AttentionHeadParams(d=d, H=h, W_V=_restore_payload(lay, np.zeros((d, d))))
 
 
-def _summation_layer(lay: _Layout, gamma: float = 4.0):
+def _summation_layer(lay: _Layout):
     """Layer-2 head: all input-input logits are exactly zero (uniform mix),
-    tokens are tagged one per position.  The value matrix is scaled by the
-    known softmax denominator so the VAL slot of the output equals the
-    plain sum of the per-position values."""
+    tokens are tagged one per position with logit _GAMMA.  The value
+    matrix is scaled by the known softmax denominator so the VAL slot of
+    the output equals the plain sum of the per-position values."""
     d = lay.d
-    z_total = math.exp(gamma) + 2.0 * lay.q - 1.0
+    z_total = math.exp(_GAMMA) + 2.0 * lay.q - 1.0
     h = np.zeros((d, d))
-    h[lay.oh, lay.tag] = gamma * np.eye(lay.q)
+    h[lay.oh, lay.tag] = _GAMMA * np.eye(lay.q)
     w = np.zeros((d, d))
     w[lay.val, lay.val] = z_total
     w[lay.oh, lay.tag] = z_total * np.eye(lay.q)
-    w[lay.c1, lay.tag] = z_total / (math.exp(gamma) + lay.q - 1.0)
+    w[lay.c1, lay.tag] = z_total / (math.exp(_GAMMA) + lay.q - 1.0)
     params = AttentionHeadParams(d=d, H=h, W_V=w)
     tokens = np.zeros((lay.q, d))
     tokens[:, lay.tag] = np.eye(lay.q)
@@ -545,9 +547,7 @@ def build_seq2seq_transformer(
         encoder, lookup = _PassThroughLayer(lay, mlp=(_psi_oracle(lay, cfg),)), []
         decoders = [_PassThroughLayer(lay, mlp=(decoder,)) for decoder in _decoder_oracles(lay, f, t_len, m, cfg)]
     else:
-        n_points = _size(n_points, "n_points")
-        if not 0 < lam < math.inf:
-            raise DomainError("lam must be positive and finite")
+        n_points, lam = _size(n_points, "n_points"), _positive(lam, "lam")
         # One partition of S^1 serves every head: its centers are the anchors.
         # psi reads a chart value only through its bit string (_bits) and
         # relaxed_decode only through its rounded ternary mantissa, so each
@@ -579,8 +579,7 @@ def build_seq2seq_transformer(
             head = ControlPoints(1, lam, anchors, decoder_values[:, elem])
             decoders.append(_KernelBankLayer(layout=lay, head=head, columns=columns, encoder=False))
 
-    gamma = 4.0
-    sum_params, sum_prefix = _summation_layer(lay, gamma)
-    summation = TransformerLayer(params=sum_params, prefix=sum_prefix, mlp=tuple(_stage_affine_recover(lay, gamma) + lookup))
+    sum_params, sum_prefix = _summation_layer(lay)
+    summation = TransformerLayer(params=sum_params, prefix=sum_prefix, mlp=tuple(_stage_affine_recover(lay) + lookup))
     layers = (encoder, summation, *decoders)
     return Seq2SeqStack(transformer=TransformerStack(layers=layers), t_len=t_len, m=m, cfg=cfg, mode=mode, layout=lay)

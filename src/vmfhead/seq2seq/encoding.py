@@ -27,8 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..errors import DomainError, EncodingError, PrecisionBudgetExceeded
-from ..sphere import _size
+from ..errors import DomainError, EncodingError, PrecisionBudgetExceeded, _size
 
 __all__ = [
     "DigitConfig",
@@ -181,9 +180,8 @@ def psi_decode(c: float, cfg: DigitConfig) -> float:
 
 
 def _psi_ternary(x: float, cfg: DigitConfig, stride: int) -> str:
-    """The ternary digits of psi_strided(x, cfg, stride), most significant first."""
-    if stride < 1:
-        raise DomainError("stride must be >= 1")
+    """The ternary digits of psi_strided(x, cfg, stride), most significant
+    first; the stride is checked by psi_strided, not on every call."""
     return ("0" * (stride - 1)).join(_bits(float(x), cfg.digits).replace("1", "2"))
 
 
@@ -200,7 +198,7 @@ def psi_strided(x: float, cfg: DigitConfig, stride: int) -> Fraction:
     This is the per-coordinate encoder the aggregation uses; stride equals
     the flattened sequence width T(m+1), and stride 1 recovers psi_encode.
     """
-    ternary = _psi_ternary(x, cfg, stride)
+    ternary = _psi_ternary(x, cfg, _size(stride, "stride"))
     return Fraction(int(ternary, 3), 3 ** len(ternary))
 
 
@@ -230,6 +228,7 @@ def decode_sequence(r, t_len: int, m: int, cfg: DigitConfig) -> SequenceSample:
     back to the integer digit mantissa and therefore requires the total
     digit count to fit the float budget.
     """
+    t_len, m = _size(t_len, "t_len"), _size(m, "m", 0)
     width = t_len * (m + 1)
     total = width * cfg.digits
     if isinstance(r, RAggregate):
@@ -258,8 +257,12 @@ def relaxed_decode(u: float, t_len: int, m: int, cfg: DigitConfig) -> np.ndarray
     decoding differently from one side).  Digits are read 2 -> 1, else 0;
     the in-between digit 1 only occurs off the valid aggregate set.  On
     valid aggregates this agrees with decode_sequence.  The float holds the
-    digits only while 3^(T(m+1) digits) < 2^52.
+    digits only while 3^(T(m+1) digits) < 2^52.  A NaN or a u outside
+    [0, 1] raises EncodingError, as in decode_sequence.
     """
+    if not 0.0 <= u <= 1.0:
+        raise EncodingError(f"aggregate values live in [0, 1], got {u}")
+    t_len, m = _size(t_len, "t_len"), _size(m, "m", 0)
     width = t_len * (m + 1)
     total = width * cfg.digits
     _check_float_budget(total)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _positive
 
 __all__ = [
     "BesselOrder",
@@ -34,17 +34,12 @@ class BesselOrder:
     nu: float
 
     def __post_init__(self):
-        if not math.isfinite(self.nu) or self.nu < 0:
+        if not 0.0 <= self.nu < math.inf:
             raise DomainError(f"Bessel order must be finite and >= 0, got {self.nu}")
 
 
 def _order(nu) -> float:
-    if isinstance(nu, BesselOrder):
-        return nu.nu
-    nu = float(nu)
-    if not math.isfinite(nu) or nu < 0:
-        raise DomainError(f"Bessel order must be finite and >= 0, got {nu}")
-    return nu
+    return (nu if isinstance(nu, BesselOrder) else BesselOrder(float(nu))).nu
 
 
 def log_gamma(x: float) -> float:
@@ -53,10 +48,7 @@ def log_gamma(x: float) -> float:
     Thin domain-checked wrapper over the C library's lgamma, which is
     accurate to well below the 1e-12 absolute error needed here.
     """
-    x = float(x)
-    if not x > 0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
+    return math.lgamma(_positive(x, "x"))
 
 
 def _betacf(x: float, a: float, b: float) -> float:
@@ -115,8 +107,10 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     x = float(x)
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"reg_inc_beta requires x in [0, 1], got {x}")
-    if not (a > 0 and b > 0):
-        raise DomainError(f"reg_inc_beta requires a, b > 0, got a={a}, b={b}")
+    # inline rather than _positive: the partition bisection calls this
+    # thousands of times
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise DomainError(f"reg_inc_beta requires finite a, b > 0, got a={a}, b={b}")
     if x == 0.0:
         return 0.0
     if x == 1.0:
@@ -185,32 +179,37 @@ def log_bessel_i(nu, lam: float) -> float:
     moderate arguments and the large-argument expansion once lam dominates
     nu^2, so the value never overflows.
     """
-    nu = _order(nu)
-    lam = float(lam)
-    if not lam > 0:
-        raise DomainError(f"log_bessel_i requires lambda > 0, got {lam}")
+    nu, lam = _order(nu), _positive(lam, "lam")
     if lam >= 4000.0 and lam >= 4.0 * nu * nu:
         return _log_bessel_i_asymptotic(nu, lam)
     return _log_bessel_i_series(nu, lam)
 
 
 def bessel_ratio(nu, lam: float) -> float:
-    """Ratio I_{nu+1}(lam) / I_nu(lam), strictly inside (0, 1).
+    """Ratio I_{nu+1}(lam) / I_nu(lam), strictly inside (0, 1): the k = 1
+    case of _ratio_product.  Relative error is at the 1e-13 level."""
+    return _ratio_product(_order(nu), _positive(lam, "lam"), 1)
 
-    Computed by backward recurrence on r_v = I_{v+1}/I_v, seeded at a depth
-    that grows with lam by the classical ratio lower bound
-    lam / (v+1 + sqrt(lam^2 + (v+1)^2)) (forward recurrence is unstable
-    for I).  Relative error is at the 1e-13 level.
+
+def _ratio_product(nu: float, lam: float, k: int) -> float:
+    """I_{nu+k}(lam) / I_nu(lam) as the product r_nu r_{nu+1} ... r_{nu+k-1}
+    of the ratios r_v = I_{v+1}/I_v, taken in that order.
+
+    One backward recurrence r_v = 1 / (2(v+1)/lam + r_{v+1}) yields all k
+    (forward recurrence is unstable for I).  It is seeded past order
+    nu+k-1 at a depth that grows with lam by the classical ratio lower
+    bound lam / (v+1 + sqrt(lam^2 + (v+1)^2)), so r_{nu+k-1} is computed as
+    bessel_ratio computes it and the lower orders run deeper still.
     """
-    nu = _order(nu)
-    lam = float(lam)
-    if not lam > 0:
-        raise DomainError(f"bessel_ratio requires lambda > 0, got {lam}")
-    depth = int(40 + 1.3 * lam + 4.0 * math.sqrt(lam))
+    depth = int(40 + 1.3 * lam + 4.0 * math.sqrt(lam)) + k - 1
     v = nu + depth
     r = lam / ((v + 1.0) + math.hypot(lam, v + 1.0))
-    for i in range(depth, 0, -1):
+    for i in range(depth, k, -1):
         r = 1.0 / (2.0 * (nu + i) / lam + r)
-    # Mathematically r is in (0, 1); clamp defends against rounding at
-    # extreme arguments only.
-    return min(max(r, 5e-324), 1.0 - 1e-16)
+    ratios = []
+    for i in range(k, 0, -1):
+        r = 1.0 / (2.0 * (nu + i) / lam + r)
+        # Mathematically r is in (0, 1); clamp defends against rounding at
+        # extreme arguments only.
+        ratios.append(min(max(r, 5e-324), 1.0 - 1e-16))
+    return math.prod(reversed(ratios))

@@ -13,12 +13,11 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch, DomainError, PoleSingularity
+from .errors import DegenerateInput, DimensionMismatch, DomainError, PoleSingularity, _size
 from .specialfn import log_gamma, reg_inc_beta
 
 __all__ = [
@@ -126,8 +125,7 @@ def _cap_measure(m: int, s2: float, c: float) -> float:
 def cap_area(m: int, delta: float) -> float:
     """Area of the cap {y : <y, pole> >= 1 - delta} for delta in (0, 1]:
     colatitude phi = arccos(1 - delta), so sin^2 phi = delta(2 - delta)."""
-    if m < 1:
-        raise DomainError(f"cap_area requires m >= 1, got {m}")
+    m = _size(m, "m")
     if not (0.0 < delta <= 1.0):
         raise DomainError(f"cap_area requires delta in (0, 1], got {delta}")
     return _cap_measure(m, delta * (2.0 - delta), 1.0 - delta)
@@ -400,20 +398,6 @@ def _partition_recursive(m: int, n: int, built: dict):
     return np.vstack(centers), np.concatenate(radii), _ZonalLocator(np.array(boundaries), groups)
 
 
-def _size(value, name: str, least: int = 1) -> int:
-    """A size argument as a Python int via operator.index, at least `least`;
-    bools, floats (integral ones too), NaN and smaller values are refused
-    with DomainError."""
-    try:
-        if not isinstance(value, bool):
-            size = operator.index(value)
-            if size >= least:
-                return size
-    except TypeError:
-        pass
-    raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 def equal_area_partition(m: int, n: int) -> Partition:
     """Partition S^m into n cells of exactly equal measure w_m / n, with
     per-cell geodesic radius bounds; the construction is deterministic.
@@ -455,10 +439,7 @@ def uniform_sphere_sample(m: int, count: int, seed: int) -> np.ndarray:
     Deterministic given the seed, and the first k rows of a count-n draw
     equal the full count-k draw, so sample sets nest.
     """
-    if m < 1:
-        raise DomainError(f"uniform_sphere_sample requires m >= 1, got {m}")
-    if count < 1:
-        raise DomainError(f"uniform_sphere_sample requires count >= 1, got {count}")
+    m, count = _size(m, "m"), _size(count, "count")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((count, m + 1))
     norms = _row_norms(g)

@@ -92,7 +92,7 @@ def _kernel_checks(results):
 
     def funk_hecke_mc():
         lam = 10.0
-        kern = ker.VmfKernel.create(2, lam)
+        kern = ker.VmfKernel(2, lam)
         a1 = ker.kernel_eigenvalue(2, 1, lam)
         xs = sph.uniform_sphere_sample(2, 5, seed=424242)
         worst_sigma = 0.0
@@ -116,7 +116,7 @@ def _kernel_checks(results):
 
     def change_of_variables():
         m, lam = 3, 6.0
-        kern = ker.VmfKernel.create(m, lam)
+        kern = ker.VmfKernel(m, lam)
         x = sph.uniform_sphere_sample(m, 1, seed=5)[0]
         ys = sph.uniform_sphere_sample(m, 400_000, seed=6)
         vals = np.exp(ker.kernel_log_eval(kern, np.clip(ys @ x, -1, 1)))
@@ -359,7 +359,7 @@ def _prefix_checks(results):
         lam, n = 10.0, 8192
         f = pfx.make_target("identity", 2)
         cp = pfx.synthesize_prefix(f, n, lam)
-        kern = ker.VmfKernel.create(2, lam)
+        kern = ker.VmfKernel(2, lam)
         worst = 0.0
         for i, x in enumerate(sph.uniform_sphere_sample(2, 20, seed=25)):
             est, sem = ker.convolve_vmf(lambda ys: ys, kern, x, 200_000, seed=2500 + i)

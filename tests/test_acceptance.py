@@ -74,7 +74,7 @@ def test_04_harmonic_convolution_oracle():
     standard errors of the eigenvalue prediction at 20 points."""
     t0 = time.perf_counter()
     lam = 10.0
-    kern = ker.VmfKernel.create(2, lam)
+    kern = ker.VmfKernel(2, lam)
     a1 = ker.kernel_eigenvalue(2, 1, lam)
     xs = uniform_sphere_sample(2, 20, seed=777)
     for i, x in enumerate(xs):

@@ -121,6 +121,14 @@ class TestBounds:
         assert code == 2
         assert "m >= 8" in err
 
+    @pytest.mark.parametrize("flag, field", [("--c-h", "C_H"), ("--lipschitz", "L")])
+    def test_infinite_constant_refused(self, capsys, flag, field):
+        """An infinite smoothness constant is refused by name, not carried
+        into an infinite or NaN row."""
+        code, out, err = run_cli(capsys, ["bounds", flag, "inf", "--eps", "0.5"])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {field} must be finite and > 0")
+
 
 class TestVerify:
     def test_suite_passes(self, capsys):

@@ -1,17 +1,22 @@
 """One input contract: NaN, infinite, non-unit and ragged inputs are refused
-with a typed error at every entry point."""
+with a typed error at every entry point, and so are sizes that are not
+integers and positive reals that are not finite and > 0."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from vmfhead import attention as att
+from vmfhead import bounds as bnd
 from vmfhead import kernel as ker
 from vmfhead import prefix as pfx
-from vmfhead.errors import DimensionMismatch, DomainError
-from vmfhead.seq2seq import DigitConfig, SequenceSample, build_seq2seq_transformer, sequence_mean
-from vmfhead.sphere import SpherePoint, as_unit_vector, equal_area_partition
+from vmfhead.errors import DimensionMismatch, DomainError, EncodingError
+from vmfhead.seq2seq import DigitConfig, SequenceSample, aggregate_R, build_seq2seq_transformer, sequence_mean
+from vmfhead.seq2seq.encoding import decode_sequence, psi_strided, relaxed_decode
+from vmfhead.specialfn import bessel_ratio, log_bessel_i
+from vmfhead.sphere import SpherePoint, as_unit_vector, cap_area, equal_area_partition, uniform_sphere_sample
 
 NAN_POINT = np.array([np.nan, 0.0, 1.0])
 ANCHORS = equal_area_partition(2, 8).centers()
@@ -25,7 +30,11 @@ HYBRID = build_seq2seq_transformer(sequence_mean, 2, 0, DigitConfig(digits=2), m
 # The hybrid stack's pass-through heads without its summation layer, whose
 # own width guard would hide a pass-through head that lacks one.
 PASS_THROUGH = att.TransformerStack(layers=HYBRID.transformer.layers[:1] + HYBRID.transformer.layers[2:])
-KERNEL = ker.VmfKernel.create(2, 4.0)
+KERNEL = ker.VmfKernel(2, 4.0)
+SPEC = bnd.SmoothnessSpec(1.0, 1.0, 1.0, 1.0)
+IDENTITY = pfx.make_target("identity", 2)
+CFG = DigitConfig(digits=2)
+INF = math.inf
 
 
 def convolve(f):
@@ -86,6 +95,9 @@ CASES = {
     "artifact missing key": lambda: att.import_prefix_artifact(without("W_V")),
     "artifact JSON array": lambda: att.import_prefix_artifact(json.dumps([artifact()])),
     "artifact d not a number": lambda: att.import_prefix_artifact(artifact(d=lambda _: "x")),
+    "artifact m float": lambda: att.import_prefix_artifact(artifact(m=lambda _: 2.7)),
+    "artifact m negative": lambda: att.import_prefix_artifact(artifact(m=lambda _: -3)),
+    "artifact lambda negative": lambda: att.import_prefix_artifact(artifact(**{"lambda": lambda _: "-5.0"})),
     "sequence NaN": lambda: SequenceSample(2, 1, np.array([[0.5, np.nan], [0.1, 0.2]])),
     "sequence t_len float": lambda: SequenceSample(2.0, 1, np.zeros((2, 2))),
     "sequence m bool": lambda: SequenceSample(1, True, np.zeros((1, 2))),
@@ -117,6 +129,34 @@ CASES = {
     "convolve_vmf f NaN": lambda: convolve(lambda ys: np.where(ys > 0.9, np.nan, ys)),
     "convolve_vmf f inf": lambda: convolve(lambda ys: np.where(ys[:, 0] > 0.0, np.inf, ys[:, 0])),
     "convolve_vmf point dimension": lambda: ker.convolve_vmf(lambda ys: ys, KERNEL, [0.0, 1.0], 128, seed=0),
+    "sphere sample count float": lambda: uniform_sphere_sample(2, 3.0, 1),
+    "sphere sample m bool": lambda: uniform_sphere_sample(True, 3, 1),
+    "cap_area m float": lambda: cap_area(2.5, 0.3),
+    "log_bessel_i lambda inf": lambda: log_bessel_i(0.5, INF),
+    "bessel_ratio lambda inf": lambda: bessel_ratio(0.5, INF),
+    "vmf_log_normalizer lambda inf": lambda: ker.vmf_log_normalizer(2, INF),
+    "VmfKernel lambda inf": lambda: ker.VmfKernel(2, INF),
+    "kernel_norm m float": lambda: ker.kernel_norm(2.5, 1.0),
+    "kernel_norm lambda inf": lambda: ker.kernel_norm(2, INF),
+    "kernel_eigenvalue k float": lambda: ker.kernel_eigenvalue(2, 1.5, 1.0),
+    "kernel_eigenvalue m float": lambda: ker.kernel_eigenvalue(2.5, 1, 1.0),
+    "kernel_eigenvalue lambda inf": lambda: ker.kernel_eigenvalue(2, 1, INF),
+    "smoothness C_H inf": lambda: bnd.SmoothnessSpec(1, INF, 1, 1),
+    "lambda_for_accuracy sigma inf": lambda: bnd.lambda_for_accuracy(INF, SPEC, 8),
+    "prefix_length_bound lambda inf": lambda: bnd.prefix_length_bound(INF, 0.1, SPEC, 8),
+    "phi m float": lambda: bnd.phi(8.5),
+    "covering_bounds m float": lambda: bnd.covering_bounds(8.5, 0.3),
+    "universal head M -inf": lambda: att.build_universal_head(2, -INF),
+    "suppression_gap t_inputs float": lambda: att.suppression_gap(control_points(), ANCHORS[0], -5.0, t_inputs=1.5),
+    "make_target m float": lambda: pfx.make_target("identity", 2.0),
+    "sup_error_estimate n_samples float": lambda: pfx.sup_error_estimate(IDENTITY, np.copy, 10.0, 1),
+    "psi_strided stride float": lambda: psi_strided(0.5, CFG, 1.5),
+    "decode_sequence t_len float": lambda: decode_sequence(0.5, 2.0, 0, CFG),
+}
+
+ENCODING_CASES = {
+    "relaxed_decode NaN": lambda: relaxed_decode(math.nan, 2, 0, CFG),
+    "relaxed_decode above 1": lambda: relaxed_decode(1.5, 2, 0, CFG),
 }
 
 MISMATCH_CASES = {
@@ -141,6 +181,12 @@ MISMATCH_CASES = {
 def test_rejected_with_domain_error(case):
     with pytest.raises(DomainError):
         CASES[case]()
+
+
+@pytest.mark.parametrize("case", sorted(ENCODING_CASES))
+def test_rejected_with_encoding_error(case):
+    with pytest.raises(EncodingError):
+        ENCODING_CASES[case]()
 
 
 @pytest.mark.parametrize("case", sorted(MISMATCH_CASES))
@@ -172,3 +218,27 @@ def test_valid_inputs_still_accepted():
     sample = SequenceSample(np.int64(2), np.int64(0), np.array([[0.25], [0.5]]))
     assert (type(stack.t_len), type(sample.m)) == (int, int)
     np.testing.assert_array_equal(stack.evaluate(sample), [[0.375], [0.375]])
+    # Sizes may be numpy integers and positive reals ints or numpy floats;
+    # each gives the value of the plain Python call.
+    i2, i8 = np.int64(2), np.int32(8)
+    assert np.array_equal(uniform_sphere_sample(i2, np.int32(3), 1), uniform_sphere_sample(2, 3, 1))
+    assert cap_area(i2, 0.3) == cap_area(2, 0.3)
+    assert log_bessel_i(0.5, 4) == log_bessel_i(0.5, np.float64(4.0)) == log_bessel_i(0.5, 4.0)
+    assert bessel_ratio(0.5, 4) == bessel_ratio(0.5, np.float64(4.0)) == bessel_ratio(0.5, 4.0)
+    assert ker.vmf_log_normalizer(i2, 4) == ker.vmf_log_normalizer(2, 4.0)
+    kern = ker.VmfKernel(i2, np.float64(4.0))
+    assert (type(kern.m), type(kern.lam), kern.log_normalizer) == (int, float, KERNEL.log_normalizer)
+    assert ker.kernel_norm(i2, 4) == ker.kernel_norm(2, 4.0)
+    assert ker.kernel_eigenvalue(i2, np.int64(3), 4) == ker.kernel_eigenvalue(2, 3, 4.0)
+    assert bnd.SmoothnessSpec(1, 1, 1, 1) == SPEC
+    assert bnd.lambda_for_accuracy(np.float64(0.5), SPEC, i8) == bnd.lambda_for_accuracy(0.5, SPEC, 8)
+    assert bnd.prefix_length_bound(4, 0.1, SPEC, i8) == bnd.prefix_length_bound(4.0, 0.1, SPEC, 8)
+    assert bnd.phi(i8) == bnd.phi(8) and bnd.covering_bounds(i8, 0.3) == bnd.covering_bounds(8, 0.3)
+    assert att.build_universal_head(i2, -5.0).d == 9
+    assert att.suppression_gap(cp, ANCHORS[0], -5.0, t_inputs=i2) == att.suppression_gap(cp, ANCHORS[0], -5.0, t_inputs=2)
+    assert pfx.make_target("identity", i2).m == 2
+    assert pfx.sup_error_estimate(IDENTITY, np.copy, np.int64(10), 1) == (0.0, 0.0)
+    assert psi_strided(0.5, CFG, np.int64(3)) == psi_strided(0.5, CFG, 3)
+    r = aggregate_R(sample, CFG).value
+    assert np.array_equal(decode_sequence(r, i2, np.int64(0), CFG).elements, sample.elements)
+    assert np.array_equal(relaxed_decode(np.float64(0.5), i2, 0, CFG), relaxed_decode(0.5, 2, 0, CFG))

@@ -15,6 +15,7 @@ from vmfhead.kernel import (
     kernel_norm,
     vmf_log_normalizer,
 )
+from vmfhead.specialfn import bessel_ratio
 from vmfhead.sphere import uniform_sphere_sample
 
 
@@ -26,10 +27,7 @@ class TestLogNormalizer:
         assert abs(vmf_log_normalizer(2, 1e-7)) <= 1e-9
 
     def test_consistency_invariant(self):
-        kern = VmfKernel.create(5, 37.0)
-        assert abs(kern.log_normalizer - vmf_log_normalizer(5, 37.0)) <= 1e-10
-        with pytest.raises(DomainError):
-            VmfKernel(m=5, lam=37.0, log_normalizer=kern.log_normalizer + 1.0)
+        assert VmfKernel(5, 37.0).log_normalizer == vmf_log_normalizer(5, 37.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -104,6 +102,13 @@ class TestEigenvalues:
                     assert a <= prev
                     prev = a
 
+    @pytest.mark.parametrize("m, k, lam", [(2, 5, 32.0), (3, 10, 300.0), (8, 20, 1e3), (17, 7, 2e4)])
+    def test_one_recurrence_matches_ratio_loop(self, m, k, lam):
+        """The product read off one recurrence against the product of k
+        separate bessel_ratio recurrences, which it replaced."""
+        ref = math.prod(bessel_ratio((m - 1) / 2.0 + j, lam) for j in range(k))
+        assert abs(kernel_eigenvalue(m, k, lam) - ref) <= 1e-15 * ref
+
     def test_specific_sandwich_example(self):
         a = kernel_eigenvalue(8, 3, 10.0)
         v = 3.5 + 3
@@ -113,12 +118,12 @@ class TestEigenvalues:
 
 class TestKernelEval:
     def test_examples(self):
-        kern = VmfKernel.create(2, 1.0)
+        kern = VmfKernel(2, 1.0)
         np.testing.assert_allclose(kernel_eval(kern, 0.0), 1.0 / math.sinh(1.0), rtol=1e-12)
         np.testing.assert_allclose(kernel_eval(kern, 1.0), math.e / math.sinh(1.0), rtol=1e-12)
 
     def test_monotone_and_log_variant(self):
-        kern = VmfKernel.create(3, 7.0)
+        kern = VmfKernel(3, 7.0)
         ts = np.linspace(-1, 1, 101)
         vals = kernel_eval(kern, ts)
         assert np.all(np.diff(vals) > 0)
@@ -127,12 +132,12 @@ class TestKernelEval:
     def test_log_domain_at_extreme_concentration(self):
         # The normalizer cancels e^lam at t = 1: K(1) ~ 2 lam for m = 2, so
         # even huge concentrations stay finite through the log path.
-        kern = VmfKernel.create(2, 3000.0)
+        kern = VmfKernel(2, 3000.0)
         assert math.isfinite(kernel_log_eval(kern, 1.0))
         np.testing.assert_allclose(kernel_eval(kern, 1.0), 6000.0, rtol=1e-9)
 
     def test_domain(self):
-        kern = VmfKernel.create(2, 1.0)
+        kern = VmfKernel(2, 1.0)
         with pytest.raises(DomainError):
             kernel_eval(kern, 1.5)
 
@@ -149,7 +154,7 @@ class TestEigenvalueQuadrature:
         nodes, weights = np.polynomial.legendre.leggauss(600)
         ratio = surface_area(m - 1) / surface_area(m)
         for lam in (1.0, 5.0, 20.0):
-            kern = VmfKernel.create(m, lam)
+            kern = VmfKernel(m, lam)
             kvals = np.exp(kernel_log_eval(kern, nodes))
             for k in range(5):
                 qk = np.array([gegenbauer(k, (m - 1) / 2.0, float(t)) for t in nodes])
@@ -160,14 +165,14 @@ class TestEigenvalueQuadrature:
 
 class TestConvolution:
     def test_constant_preserved(self):
-        kern = VmfKernel.create(2, 5.0)
+        kern = VmfKernel(2, 5.0)
         x = uniform_sphere_sample(2, 1, seed=1)[0]
         est, sem = convolve_vmf(lambda ys: np.full((len(ys), 1), 0.7), kern, x, 50_000, seed=2)
         assert abs(est[0] - 0.7) <= 3 * sem[0]
 
     def test_degree_one_eigenfunction(self):
         lam = 10.0
-        kern = VmfKernel.create(2, lam)
+        kern = VmfKernel(2, lam)
         a1 = kernel_eigenvalue(2, 1, lam)
         x = np.array([1.0, 0.0, 0.0])
         est, sem = convolve_vmf(lambda ys: ys[:, :1], kern, x, 400_000, seed=3)
@@ -176,7 +181,7 @@ class TestConvolution:
 
     def test_degree_two_eigenfunction(self):
         lam = 6.0
-        kern = VmfKernel.create(2, lam)
+        kern = VmfKernel(2, lam)
         a2 = kernel_eigenvalue(2, 2, lam)
         x = np.array([0.6, 0.8, 0.0])
 
@@ -188,7 +193,7 @@ class TestConvolution:
 
     def test_approximate_identity_regime(self):
         lam = 200.0
-        kern = VmfKernel.create(2, lam)
+        kern = VmfKernel(2, lam)
         x = uniform_sphere_sample(2, 1, seed=5)[0]
 
         def bump(ys):
@@ -205,7 +210,7 @@ class TestConvolution:
     def test_matches_column_mean_and_std(self, f):
         """Row-major reductions agree with the per-column mean and ddof=1
         std of the (n, k) weighted values, summed in another order."""
-        n, kern, x = 20_000, VmfKernel.create(2, 10.0), np.array([0.6, 0.0, 0.8])
+        n, kern, x = 20_000, VmfKernel(2, 10.0), np.array([0.6, 0.0, 0.8])
         ys = uniform_sphere_sample(2, n, seed=7)
         fy = np.asarray(f(ys), dtype=np.float64).reshape(n, -1)
         vals = np.exp(kernel_log_eval(kern, np.clip(ys @ x, -1.0, 1.0)))[:, None] * fy
@@ -215,6 +220,6 @@ class TestConvolution:
         np.testing.assert_allclose(sem, vals.std(axis=0, ddof=1) / math.sqrt(n), rtol=1e-12)
 
     def test_requires_samples(self):
-        kern = VmfKernel.create(2, 1.0)
+        kern = VmfKernel(2, 1.0)
         with pytest.raises(DomainError):
             convolve_vmf(lambda ys: ys, kern, np.array([1.0, 0, 0]), 10, seed=0)

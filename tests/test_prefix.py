@@ -160,7 +160,7 @@ class TestConvolutionConsistency:
         m, lam, n = 2, 10.0, 8192
         f = pfx.make_target("identity", m)
         cp = pfx.synthesize_prefix(f, n, lam)
-        kern = VmfKernel.create(m, lam)
+        kern = VmfKernel(m, lam)
         worst = 0.0
         for i, x in enumerate(uniform_sphere_sample(m, 20, seed=11)):
             est, _ = convolve_vmf(lambda ys: ys, kern, x, 150_000, seed=1100 + i)
