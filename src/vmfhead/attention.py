@@ -692,7 +692,7 @@ def suppression_gap(cp: ControlPoints, x, M: float, t_inputs: int = 1) -> float:
 def default_suppression(lam: float, n_points: int, extra: float = 30.0) -> float:
     """Default M = -(lam + extra + ln N): the spurious input mass is then at
     most e^-extra of the smallest possible prefix mass N e^-lam."""
-    return -(lam + extra + math.log(n_points))
+    return -(_positive(lam, "lam") + _positive(extra, "extra") + math.log(_size(n_points, "n_points")))
 
 
 # ---------------------------------------------------------------------------

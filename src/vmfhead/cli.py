@@ -1,8 +1,10 @@
 """Experiment command line: approximation runs, sweeps, bound tables,
 invariant verification, sequence demos, and prefix artifact I/O.
 
-Configuration comes from an optional JSON file plus flag overrides; all
-randomness derives from one 64-bit seed split per stage.  Exit codes:
+Each setting comes from its flag, else from an optional JSON config file,
+else from its default, and reaches the library unconverted, so the scalar
+checks refuse what they refuse for any caller.  All randomness derives from
+one seed split per stage.  Exit codes:
 0 success, 2 usage/config error, 3 numeric failure, 4 verification failure.
 """
 
@@ -21,7 +23,7 @@ from . import attention as att
 from . import bounds as bnd
 from . import prefix as pfx
 from . import verify as vfy
-from .errors import VmfheadError
+from .errors import DomainError, VmfheadError, _positive, _size
 from .seq2seq import (
     DigitConfig,
     SequenceSample,
@@ -35,28 +37,40 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VERIFY = 4
 
-SWEEP_COLUMNS = pfx.REPORT_COLUMNS[:-1]
 
-
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError("config file must hold a JSON object")
-    return cfg
-
-
-def _cfg_value(args, cfg: dict, key: str, default=None):
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    return cfg.get(key, default)
+def _settings(args, **defaults) -> list:
+    """The named settings, in order: each from its flag, else from the
+    --config JSON object, else from its default, where None marks a
+    required setting.  Values are passed on as given."""
+    cfg = {}
+    if getattr(args, "config", None) is not None:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError("config file must hold a JSON object")
+    values = []
+    for key, default in defaults.items():
+        value = getattr(args, key)
+        if value is None:
+            value = cfg.get(key, default)
+        if value is None:
+            raise DomainError(f"no {key} given (use --{key} or a config file)")
+        values.append(value)
+    return values
 
 
 def _stage_seed(seed: int, stage: int) -> int:
-    return int(np.random.SeedSequence([seed, stage]).generate_state(1)[0])
+    return int(np.random.SeedSequence([_size(seed, "seed", 0), stage]).generate_state(1)[0])
+
+
+def _number_list(kind):
+    """argparse type: a comma-separated list of `kind` values."""
+
+    def parse(text: str) -> list:
+        return [kind(v) for v in text.split(",")]
+
+    parse.__name__ = f"comma-separated {kind.__name__}"
+    return parse
 
 
 def _write_prefix_artifact(path: str, cp, augmented: bool) -> att.PrefixTokens:
@@ -71,64 +85,35 @@ def _write_prefix_artifact(path: str, cp, augmented: bool) -> att.PrefixTokens:
 
 
 def _cmd_approximate(args) -> int:
-    cfg = _load_config(args.config)
-    name = _cfg_value(args, cfg, "target")
-    if name is None:
-        print("error: no target given (use --target or a config file)", file=sys.stderr)
-        return EXIT_CONFIG
-    m = int(_cfg_value(args, cfg, "m", 2))
-    lam = float(_cfg_value(args, cfg, "lam", 32.0))
-    n_points = int(_cfg_value(args, cfg, "n", 1024))
-    samples = int(_cfg_value(args, cfg, "samples", 2048))
-    seed = int(_cfg_value(args, cfg, "seed", 0))
+    name, m, lam, n_points, samples, seed = _settings(
+        args, target=None, m=2, lam=32.0, n=1024, samples=2048, seed=0
+    )
     target = pfx.make_target(name, m)
     report, cp = pfx.run_approximation(target, n_points, lam, samples, _stage_seed(seed, 1))
     report = dataclasses.replace(report, seed=seed)
     if args.out_csv:
         new = not os.path.exists(args.out_csv)
+        text = pfx.reports_to_csv([report])
         with open(args.out_csv, "a", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            if new:
-                writer.writerow(pfx.REPORT_COLUMNS)
-            writer.writerow(pfx.report_csv_row(report))
+            fh.write(text if new else text.partition("\n")[2])
     if args.out_prefix:
         _write_prefix_artifact(args.out_prefix, cp, args.augmented)
-    payload = {
-        "name": report.name,
-        "m": report.m,
-        "lambda": report.lam,
-        "N": report.n_points,
-        "sup_error": report.sup_error,
-        "mean_error": report.mean_error,
-        "samples": report.samples,
-        "seed": seed,
-        "wall_time_ms": report.wall_time_ms,
-    }
-    print(json.dumps(payload))
+    print(json.dumps(report.row()))
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    name = _cfg_value(args, cfg, "target")
-    if name is None:
-        print("error: no target given (use --target or a config file)", file=sys.stderr)
-        return EXIT_CONFIG
-    m = int(_cfg_value(args, cfg, "m", 2))
-    lams = _cfg_value(args, cfg, "lambdas", [8.0, 32.0])
-    ns = _cfg_value(args, cfg, "ns", [64, 256, 1024])
-    if args.lambdas:
-        lams = [float(v) for v in args.lambdas.split(",")]
-    if args.ns:
-        ns = [int(v) for v in args.ns.split(",")]
-    samples = int(_cfg_value(args, cfg, "samples", 1024))
-    seed = int(_cfg_value(args, cfg, "seed", 0))
+    name, m, lams, ns, samples, seed = _settings(
+        args, target=None, m=2, lambdas=[8.0, 32.0], ns=[64, 256, 1024], samples=1024, seed=0
+    )
     target = pfx.make_target(name, m)
-    reports = []
-    for lam in sorted(float(v) for v in lams):
-        for n_points in sorted(int(v) for v in ns):
-            report, _ = pfx.run_approximation(target, n_points, lam, samples, _stage_seed(seed, 1))
-            reports.append(dataclasses.replace(report, seed=seed))
+    stage_seed = _stage_seed(seed, 1)
+    # Each entry is checked before sorting, which needs comparable values.
+    reports = [
+        dataclasses.replace(pfx.run_approximation(target, n_points, lam, samples, stage_seed)[0], seed=seed)
+        for lam in sorted(_positive(v, "lambdas") for v in lams)
+        for n_points in sorted(_size(v, "ns") for v in ns)
+    ]
     text = pfx.reports_to_csv(reports, include_wall_time=False)
     if args.out is None:
         sys.stdout.write(text)
@@ -140,10 +125,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_bounds(args) -> int:
     spec = bnd.SmoothnessSpec(L=args.lipschitz, C_H=args.c_h, C_R=args.c_r, f_sup=args.f_sup)
-    eps_list = [float(v) for v in args.eps.split(",")]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["epsilon", "lambda", "log10_N"])
-    for eps in eps_list:
+    for eps in args.eps:
         lam, nb = bnd.normalized_head_parameters(eps, spec, args.m, strict=not args.permissive)
         writer.writerow([repr(eps), repr(lam), repr(nb.log10_n)])
     return EXIT_OK
@@ -152,7 +136,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_verify(args) -> int:
     summary = vfy.run_suite(args.suite)
     if args.json:
-        print(vfy.to_json(summary))
+        print(json.dumps(summary, indent=2))
     else:
         print(vfy.summary_to_text(summary))
     return EXIT_OK if summary["n_failed"] == 0 else EXIT_VERIFY
@@ -160,7 +144,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_seq2seq_demo(args) -> int:
     cfg = DigitConfig(digits=args.digits)
-    t_len, m = args.t, args.m
+    t_len, m, count = args.t, args.m, _size(args.count, "count", 0)
 
     fns = {"sequence-mean": sequence_mean, "identity": np.copy}
     if args.f not in fns:
@@ -171,7 +155,7 @@ def _cmd_seq2seq_demo(args) -> int:
     rng = np.random.default_rng(args.seed)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["sample", "stage", "position", "values"])
-    for idx in range(args.count):
+    for idx in range(count):
         s = SequenceSample(t_len, m, rng.random((t_len, m + 1)))
         trace = stack.stage_trace(s)
         r = aggregate_R(s, cfg)
@@ -189,11 +173,7 @@ def _cmd_seq2seq_demo(args) -> int:
 
 
 def _cmd_export_prefix(args) -> int:
-    cfg = _load_config(args.config)
-    name = _cfg_value(args, cfg, "target", "identity")
-    m = int(_cfg_value(args, cfg, "m", 2))
-    lam = float(_cfg_value(args, cfg, "lam", 32.0))
-    n_points = int(_cfg_value(args, cfg, "n", 256))
+    name, m, lam, n_points = _settings(args, target="identity", m=2, lam=32.0, n=256)
     target = pfx.make_target(name, m)
     prefix = _write_prefix_artifact(args.path, pfx.synthesize_prefix(target, n_points, lam), args.augmented)
     print(json.dumps({"path": args.path, "d": prefix.d, "tokens": prefix.n_tokens}))
@@ -214,8 +194,8 @@ def _cmd_import_prefix(args) -> int:
         "tokens": prefix.n_tokens,
     }
     if args.eval_target:
+        samples, seed = _settings(args, samples=1024, seed=0)
         target = pfx.make_target(args.eval_target, m)
-        seed = _stage_seed(args.seed, 1)
 
         # Each point is its own one-input sequence (inputs attend to each
         # other); one layer keeps the prefix value rows across them.
@@ -225,7 +205,7 @@ def _cmd_import_prefix(args) -> int:
             outs = [att.transformer_eval(head, att.lift(x, prefix.augmented))[0] for x in pts]
             return np.stack([att.project(out, m + 1) for out in outs])
 
-        sup, mean = pfx.sup_error_estimate(target, approx, args.samples, seed)
+        sup, mean = pfx.sup_error_estimate(target, approx, samples, _stage_seed(seed, 1))
         payload["sup_error"] = sup
         payload["mean_error"] = mean
     print(json.dumps(payload))
@@ -233,44 +213,45 @@ def _cmd_import_prefix(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    columns = pfx.REPORT_COLUMNS
     parser = argparse.ArgumentParser(
         prog="vmfhead",
         description="Kernel attention heads on hyperspheres: synthesis, bounds, verification.",
         epilog=(
-            "CSV schemas: sweep rows are (name, m, lambda, N, sup_error, mean_error, "
-            "samples, seed) sorted by (lambda, N); approximate appends "
-            "(..., wall_time_ms); bounds rows are (epsilon, lambda, log10_N)."
+            f"CSV schemas: sweep rows are ({', '.join(columns[:-1])}) sorted by (lambda, N); "
+            f"approximate appends (..., {columns[-1]}); bounds rows are (epsilon, lambda, log10_N)."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("approximate", help="synthesize one prefix and report its error")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--target", help="target name (see targets below)")
-    p.add_argument("--m", type=int, help="sphere dimension")
-    p.add_argument("--lam", type=float, help="concentration")
-    p.add_argument("--n", type=int, help="number of control points")
-    p.add_argument("--samples", type=int, help="error-estimate sample count")
-    p.add_argument("--seed", type=int, help="master seed")
+    # The settings flags, declared once; each defaults to None so that a
+    # --config value or the command's own default can stand in (_settings).
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument("--config", help="JSON config file")
+    base.add_argument("--target", help=f"target name ({', '.join(pfx.target_names())})")
+    base.add_argument("--m", type=int, help="sphere dimension")
+    head = argparse.ArgumentParser(add_help=False)
+    head.add_argument("--lam", type=float, help="concentration")
+    head.add_argument("--n", type=int, help="number of control points")
+    estimate = argparse.ArgumentParser(add_help=False)
+    estimate.add_argument("--samples", type=int, help="error-estimate sample count")
+    estimate.add_argument("--seed", type=int, help="master seed")
+
+    p = sub.add_parser("approximate", parents=[base, head, estimate], help="synthesize one prefix and report its error")
     p.add_argument("--out-csv", help="append the report row to this CSV")
     p.add_argument("--out-prefix", help="write the prefix artifact JSON here")
     p.add_argument("--augmented", action="store_true", help="use the constant-slot head")
     p.set_defaults(fn=_cmd_approximate)
 
-    p = sub.add_parser("sweep", help="error table over a lambda x N grid")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--target", help="target name")
-    p.add_argument("--m", type=int, help="sphere dimension")
-    p.add_argument("--lambdas", help="comma-separated concentrations")
-    p.add_argument("--ns", help="comma-separated control-point counts")
-    p.add_argument("--samples", type=int, help="error-estimate sample count")
-    p.add_argument("--seed", type=int, help="master seed")
+    p = sub.add_parser("sweep", parents=[base, estimate], help="error table over a lambda x N grid")
+    p.add_argument("--lambdas", type=_number_list(float), help="comma-separated concentrations")
+    p.add_argument("--ns", type=_number_list(int), help="comma-separated control-point counts")
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("bounds", help="accuracy-to-complexity table as CSV")
     p.add_argument("--m", type=int, default=8)
-    p.add_argument("--eps", default="0.5,0.2,0.1", help="comma-separated accuracies")
+    p.add_argument("--eps", type=_number_list(float), default="0.5,0.2,0.1", help="comma-separated accuracies")
     p.add_argument("--lipschitz", type=float, default=1.0, help="geodesic Lipschitz constant")
     p.add_argument("--c-h", type=float, default=1.0, help="harmonic component bound")
     p.add_argument("--c-r", type=float, default=1.0, help="polynomial approximation constant")
@@ -295,21 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_seq2seq_demo)
 
-    p = sub.add_parser("export-prefix", help="synthesize and write a prefix artifact")
+    p = sub.add_parser("export-prefix", parents=[base, head], help="synthesize and write a prefix artifact")
     p.add_argument("path")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--target", help="target name")
-    p.add_argument("--m", type=int, help="sphere dimension")
-    p.add_argument("--lam", type=float, help="concentration")
-    p.add_argument("--n", type=int, help="number of control points")
     p.add_argument("--augmented", action="store_true")
     p.set_defaults(fn=_cmd_export_prefix)
 
-    p = sub.add_parser("import-prefix", help="load an artifact (optionally re-evaluate)")
+    p = sub.add_parser("import-prefix", parents=[estimate], help="load an artifact (optionally re-evaluate)")
     p.add_argument("path")
     p.add_argument("--eval-target", help="re-evaluate the error against this target")
-    p.add_argument("--samples", type=int, default=1024)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_import_prefix)
 
     return parser

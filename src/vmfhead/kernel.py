@@ -63,9 +63,10 @@ class VmfKernel:
 
 
 def kernel_log_eval(kern: VmfKernel, t) -> np.ndarray | float:
-    """ln K(t) = ln c + lambda * t for t in [-1, 1]."""
+    """ln K(t) = ln c + lambda * t for t in [-1, 1]; any other t, NaN
+    included, is refused with DomainError."""
     tt = np.asarray(t, dtype=np.float64)
-    if np.any(tt < -1.0) or np.any(tt > 1.0):
+    if not np.all((tt >= -1.0) & (tt <= 1.0)):
         raise DomainError("kernel argument must lie in [-1, 1]")
     out = kern.log_normalizer + kern.lam * tt
     return float(out) if np.isscalar(t) or tt.ndim == 0 else out

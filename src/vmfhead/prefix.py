@@ -13,7 +13,7 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "sup_error_estimate",
     "verify_denominator_constancy",
     "element_wise_extend",
-    "report_csv_row",
 ]
 
 
@@ -70,6 +69,10 @@ class TargetFunction:
         return out
 
 
+# ApproximationReport's fields, in their order, as CSV and JSON name them.
+REPORT_COLUMNS = ["name", "m", "lambda", "N", "sup_error", "mean_error", "samples", "seed", "wall_time_ms"]
+
+
 @dataclass(frozen=True)
 class ApproximationReport:
     name: str
@@ -87,24 +90,10 @@ class ApproximationReport:
             raise DomainError("errors must be nonnegative")
         object.__setattr__(self, "samples", _size(self.samples, "samples"))
 
-
-REPORT_COLUMNS = ["name", "m", "lambda", "N", "sup_error", "mean_error", "samples", "seed", "wall_time_ms"]
-
-
-def report_csv_row(report: ApproximationReport, include_wall_time: bool = True) -> list[str]:
-    row = [
-        report.name,
-        str(report.m),
-        repr(report.lam),
-        str(report.n_points),
-        repr(report.sup_error),
-        repr(report.mean_error),
-        str(report.samples),
-        str(report.seed),
-    ]
-    if include_wall_time:
-        row.append(repr(report.wall_time_ms))
-    return row
+    def row(self) -> dict:
+        """The fields keyed by REPORT_COLUMNS, in order: the one form of a
+        report that the JSON payload and the CSV rows are written from."""
+        return dict(zip(REPORT_COLUMNS, astuple(self)))
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +296,8 @@ def run_approximation(
     report = ApproximationReport(
         name=f.name,
         m=f.m,
-        lam=float(lam),
-        n_points=n_points,
+        lam=cp.lam,
+        n_points=cp.n_points,
         sup_error=sup,
         mean_error=mean,
         samples=n_samples,
@@ -319,10 +308,11 @@ def run_approximation(
 
 
 def reports_to_csv(reports, include_wall_time: bool = True) -> str:
+    """CSV text, header first, of the reports' rows (without wall_time_ms
+    unless include_wall_time)."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     cols = REPORT_COLUMNS if include_wall_time else REPORT_COLUMNS[:-1]
-    writer.writerow(cols)
-    for r in reports:
-        writer.writerow(report_csv_row(r, include_wall_time))
+    writer = csv.DictWriter(buf, cols, extrasaction="ignore", lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(r.row() for r in reports)
     return buf.getvalue()

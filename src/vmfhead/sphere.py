@@ -101,11 +101,16 @@ def geodesic_distance(x, y) -> float:
     return float(math.acos(min(1.0, max(-1.0, float(np.dot(xv, yv))))))
 
 
-@functools.cache
 def surface_area(m: int) -> float:
     """Total surface measure of S^m: 2 pi^((m+1)/2) / Gamma((m+1)/2)."""
-    if m < 1:
-        raise DomainError(f"surface_area requires m >= 1, got {m}")
+    # Checked outside the cache, where 2.0 and True would hit the entries
+    # of 2 and 1.
+    return _surface_area(_size(m, "m"))
+
+
+@functools.cache
+def _surface_area(m: int) -> float:
+    """surface_area for an m already checked: the module's own calls."""
     h = (m + 1) / 2.0
     return math.exp(math.log(2.0) + h * math.log(math.pi) - log_gamma(h))
 
@@ -114,7 +119,7 @@ def _cap_measure(m: int, s2: float, c: float) -> float:
     """Area of the cap of colatitude phi on S^m from s2 = sin^2 phi and
     c = cos phi: w_m/2 * I_{s2}(m/2, 1/2) near a pole, and the same value as
     w_m/2 * (1 - I_{c^2}(1/2, m/2)) near the equator, where sin^2 is flat."""
-    w = surface_area(m)
+    w = _surface_area(m)
     if s2 < 0.5:
         half = 0.5 * w * reg_inc_beta(s2, m / 2.0, 0.5)
     else:
@@ -145,14 +150,15 @@ def cap_colatitude(m: int, area: float) -> float:
     Newton step below 1e-9 of theta: convergence is quadratic there, so the
     error left is of the order of that step squared.
     """
-    w = surface_area(m)
+    m = _size(m, "m")
+    w = _surface_area(m)
     if not (0.0 <= area <= w * (1.0 + 1e-12)):
         raise DomainError(f"cap area {area} outside [0, {w}]")
     if area <= 0.0:
         return 0.0
     if area >= w:
         return math.pi
-    slope = 2.0 if m == 1 else surface_area(m - 1)
+    slope = 2.0 if m == 1 else _surface_area(m - 1)
     lo, hi, theta = 0.0, math.pi, 0.5 * math.pi
     for _ in range(100):
         err = _colat_area(m, theta) - area
@@ -332,7 +338,7 @@ def _partition_recursive(m: int, n: int, built: dict):
     """
     if m == 1:
         return _partition_circle(n)
-    w = surface_area(m)
+    w = _surface_area(m)
     pole = np.zeros((1, m + 1))
     pole[0, -1] = 1.0
     if n == 1:
@@ -411,7 +417,7 @@ def equal_area_partition(m: int, n: int) -> Partition:
     # a single row; norm(axis=1) and einsum differ from it by an ulp.
     norms = np.sqrt((directions[:, None, :] @ directions[:, :, None])[:, 0, 0])
     centers = directions / norms[:, None]
-    return Partition(m, centers, np.full(n, surface_area(m) / n), np.minimum(radii, _RADIUS_CAP), locator)
+    return Partition(m, centers, np.full(n, _surface_area(m) / n), np.minimum(radii, _RADIUS_CAP), locator)
 
 
 def _row_norms(g: np.ndarray) -> np.ndarray:

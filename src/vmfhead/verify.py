@@ -1,6 +1,6 @@
 """Runnable invariant suites over all numerical modules.
 
-Each check returns (name, passed, detail); suites bundle the quantitative
+Each check returns (passed, detail); suites bundle the quantitative
 content of the construction so it can be re-verified from the CLI in one
 command.  Checks call through module attributes (kernel.kernel_eigenvalue,
 not a local import) so fault-injection tests can monkeypatch them.
@@ -8,10 +8,8 @@ not a local import) so fault-injection tests can monkeypatch them.
 
 from __future__ import annotations
 
-import json
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,15 +30,7 @@ from .seq2seq import (
     sequence_mean,
 )
 
-__all__ = ["CheckResult", "run_suite", "SUITE_NAMES"]
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    suite: str
-    name: str
-    passed: bool
-    detail: str
+__all__ = ["run_suite", "SUITE_NAMES"]
 
 
 def _check(results, suite, name, fn):
@@ -48,7 +38,7 @@ def _check(results, suite, name, fn):
         passed, detail = fn()
     except Exception as exc:  # a crashed check is a failed check
         passed, detail = False, f"exception: {exc!r}"
-    results.append(CheckResult(suite=suite, name=name, passed=bool(passed), detail=str(detail)))
+    results.append({"suite": suite, "name": name, "passed": bool(passed), "detail": str(detail)})
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +472,7 @@ def run_suite(name: str) -> dict:
     if name not in SUITE_NAMES:
         raise DomainError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     chosen = list(_SUITES) if name == "all" else [name]
-    results: list[CheckResult] = []
+    results: list[dict] = []
     t0 = time.perf_counter()
     for suite in chosen:
         _SUITES[suite](results)
@@ -491,10 +481,8 @@ def run_suite(name: str) -> dict:
         "suite": name,
         "elapsed_seconds": elapsed,
         "n_checks": len(results),
-        "n_failed": sum(1 for r in results if not r.passed),
-        "checks": [
-            {"suite": r.suite, "name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-        ],
+        "n_failed": sum(not r["passed"] for r in results),
+        "checks": results,
     }
 
 
@@ -508,7 +496,3 @@ def summary_to_text(summary: dict) -> str:
         f"in {summary['elapsed_seconds']:.1f} s"
     )
     return "\n".join(lines)
-
-
-def to_json(summary: dict) -> str:
-    return json.dumps(summary, indent=2)

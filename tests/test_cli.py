@@ -7,6 +7,7 @@ import pytest
 
 from vmfhead import cli
 from vmfhead import kernel as ker
+from vmfhead import prefix as pfx
 from vmfhead import verify as vfy
 
 
@@ -70,6 +71,29 @@ class TestApproximate:
         header = csv_out.read_text().splitlines()[0]
         assert header.split(",")[:4] == ["name", "m", "lambda", "N"]
 
+    def test_csv_rows_match_json(self, capsys, tmp_path):
+        """A second run appends its row without a header; each row holds the
+        run's JSON payload, field for field."""
+        csv_out = tmp_path / "runs.csv"
+        payloads = []
+        for seed in ("1", "2"):
+            argv = ["approximate", "--target", "identity", "--m", "2", "--lam", "8", "--n", "32", "--samples", "32"]
+            code, out, _ = run_cli(capsys, argv + ["--seed", seed, "--out-csv", str(csv_out)])
+            assert code == 0
+            payloads.append(json.loads(out))
+        lines = csv_out.read_text().splitlines()
+        assert lines[0].split(",") == pfx.REPORT_COLUMNS == list(payloads[0])
+        assert [line.split(",") for line in lines[1:]] == [[str(v) for v in p.values()] for p in payloads]
+
+    def test_config_and_flags_agree(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"target": "identity", "m": 2, "lam": 8, "n": 64, "samples": 64, "seed": 5}))
+        flags = ["--target", "identity", "--m", "2", "--lam", "8", "--n", "64", "--samples", "64", "--seed", "5"]
+        outs = [json.loads(run_cli(capsys, ["approximate"] + argv)[1]) for argv in (["--config", str(cfg)], flags)]
+        for out in outs:
+            del out["wall_time_ms"]
+        assert outs[0] == outs[1]
+
 
 class TestSweep:
     def test_row_count_and_sorting(self, capsys):
@@ -79,7 +103,7 @@ class TestSweep:
         )
         assert code == 0
         lines = out.strip().split("\n")
-        assert lines[0].split(",") == cli.SWEEP_COLUMNS
+        assert lines[0].split(",") == pfx.REPORT_COLUMNS[:-1]
         rows = [line.split(",") for line in lines[1:]]
         assert len(rows) == 6
         key = [(float(r[2]), int(r[3])) for r in rows]
@@ -103,6 +127,64 @@ class TestSweep:
         _, out1, _ = run_cli(capsys, argv)
         _, out2, _ = run_cli(capsys, argv)
         assert out1 == out2
+
+
+class TestSettingsContract:
+    """Config and flag values reach the library's scalar checks unconverted:
+    a float size, a bool, a numeric string or a float seed is refused by
+    name with exit 2, not truncated into a run."""
+
+    VALID = {"target": "identity", "m": 2, "lam": 8, "n": 64, "samples": 64, "seed": 1}
+
+    def run_config(self, capsys, tmp_path, command, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return run_cli(capsys, [command, "--config", str(path)])
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("m", 2.7, "m must be an integer >= 1, got 2.7"),
+            ("n", 64.9, "N must be an integer >= 1, got 64.9"),
+            ("samples", True, "n_samples must be an integer >= 1, got True"),
+            ("seed", 1.5, "seed must be an integer >= 0, got 1.5"),
+            ("lam", "8", "lam must be finite and > 0, got '8'"),
+        ],
+    )
+    def test_approximate_config_refused(self, capsys, tmp_path, key, value, message):
+        code, out, err = self.run_config(capsys, tmp_path, "approximate", {**self.VALID, key: value})
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("ns", [64, 64.5], "ns must be an integer >= 1, got 64.5"), ("lambdas", [True], "lambdas must be finite and > 0, got True")],
+    )
+    def test_sweep_config_refused(self, capsys, tmp_path, key, value, message):
+        cfg = {"target": "identity", "ns": [64], "lambdas": [8], "samples": 64, key: value}
+        code, out, err = self.run_config(capsys, tmp_path, "sweep", cfg)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    def test_export_prefix_config_refused(self, capsys, tmp_path):
+        path = tmp_path / "artifact.json"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"m": 2.0}))
+        code, _, err = run_cli(capsys, ["export-prefix", str(path), "--config", str(cfg)])
+        assert code == 2 and not path.exists()
+        assert err == "error: m must be an integer >= 1, got 2.0\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["approximate", "--target", "identity", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+            (["seq2seq-demo", "--count", "-1"], "count must be an integer >= 0, got -1"),
+        ],
+    )
+    def test_flag_refused(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
 
 
 class TestBounds:

@@ -16,7 +16,15 @@ from vmfhead.errors import DimensionMismatch, DomainError, EncodingError
 from vmfhead.seq2seq import DigitConfig, SequenceSample, aggregate_R, build_seq2seq_transformer, sequence_mean
 from vmfhead.seq2seq.encoding import decode_sequence, psi_strided, relaxed_decode
 from vmfhead.specialfn import bessel_ratio, log_bessel_i
-from vmfhead.sphere import SpherePoint, as_unit_vector, cap_area, equal_area_partition, uniform_sphere_sample
+from vmfhead.sphere import (
+    SpherePoint,
+    as_unit_vector,
+    cap_area,
+    cap_colatitude,
+    equal_area_partition,
+    surface_area,
+    uniform_sphere_sample,
+)
 
 NAN_POINT = np.array([np.nan, 0.0, 1.0])
 ANCHORS = equal_area_partition(2, 8).centers()
@@ -132,6 +140,16 @@ CASES = {
     "sphere sample count float": lambda: uniform_sphere_sample(2, 3.0, 1),
     "sphere sample m bool": lambda: uniform_sphere_sample(True, 3, 1),
     "cap_area m float": lambda: cap_area(2.5, 0.3),
+    "surface_area m float": lambda: surface_area(2.5),
+    "surface_area m integral float": lambda: surface_area(2.0),
+    "surface_area m bool": lambda: surface_area(True),
+    "cap_colatitude m float": lambda: cap_colatitude(2.5, 1.0),
+    "kernel_log_eval t NaN": lambda: ker.kernel_log_eval(KERNEL, math.nan),
+    "kernel_eval t NaN entry": lambda: ker.kernel_eval(KERNEL, np.array([0.5, np.nan])),
+    "default_suppression lambda inf": lambda: att.default_suppression(INF, 4),
+    "default_suppression N zero": lambda: att.default_suppression(4.0, 0),
+    "default_suppression N float": lambda: att.default_suppression(4.0, 4.0),
+    "default_suppression extra NaN": lambda: att.default_suppression(4.0, 4, extra=math.nan),
     "log_bessel_i lambda inf": lambda: log_bessel_i(0.5, INF),
     "bessel_ratio lambda inf": lambda: bessel_ratio(0.5, INF),
     "vmf_log_normalizer lambda inf": lambda: ker.vmf_log_normalizer(2, INF),
@@ -223,6 +241,8 @@ def test_valid_inputs_still_accepted():
     i2, i8 = np.int64(2), np.int32(8)
     assert np.array_equal(uniform_sphere_sample(i2, np.int32(3), 1), uniform_sphere_sample(2, 3, 1))
     assert cap_area(i2, 0.3) == cap_area(2, 0.3)
+    assert surface_area(i2) == surface_area(2) and cap_colatitude(i2, 1.0) == cap_colatitude(2, 1.0)
+    assert att.default_suppression(np.float64(4.0), np.int64(4)) == att.default_suppression(4.0, 4)
     assert log_bessel_i(0.5, 4) == log_bessel_i(0.5, np.float64(4.0)) == log_bessel_i(0.5, 4.0)
     assert bessel_ratio(0.5, 4) == bessel_ratio(0.5, np.float64(4.0)) == bessel_ratio(0.5, 4.0)
     assert ker.vmf_log_normalizer(i2, 4) == ker.vmf_log_normalizer(2, 4.0)
