@@ -69,7 +69,9 @@ class ControlPoints:
     p_alpha rows live on S^m; p_beta is an (N, k) array for any k >= 1, row
     j the value attached to anchor j (k = m+1 for a map S^m -> R^(m+1), one
     column per bank for heads that share their anchors).  lam is the
-    shared concentration.
+    shared concentration.  Both arrays are held C-contiguous (a strided
+    view is copied once here), so a pruned group's gather copies only the
+    rows it takes.
     """
 
     m: int
@@ -80,8 +82,8 @@ class ControlPoints:
     def __post_init__(self):
         object.__setattr__(self, "m", _size(self.m, "m"))
         object.__setattr__(self, "lam", _positive(self.lam, "lam"))
-        pa = np.asarray(self.p_alpha, dtype=np.float64)
-        pb = np.asarray(self.p_beta, dtype=np.float64)
+        pa = np.ascontiguousarray(self.p_alpha, dtype=np.float64)
+        pb = np.ascontiguousarray(self.p_beta, dtype=np.float64)
         if pa.ndim != 2 or pa.shape[0] < 1:
             raise DomainError("control points must be a nonempty (N, m+1) array")
         if pa.shape[1] != self.m + 1:

@@ -107,6 +107,9 @@ def _cmd_sweep(args) -> int:
         args, target=None, m=2, lambdas=[8.0, 32.0], ns=[64, 256, 1024], samples=1024, seed=0
     )
     target = pfx.make_target(name, m)
+    for key, values in (("lambdas", lams), ("ns", ns)):
+        if not isinstance(values, list):
+            raise DomainError(f"{key} must be a list, got {values!r}")
     stage_seed = _stage_seed(seed, 1)
     # Each entry is checked before sorting, which needs comparable values.
     reports = [

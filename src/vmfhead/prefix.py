@@ -175,7 +175,7 @@ def target_names() -> list[str]:
 
 
 def make_target(name: str, m: int) -> TargetFunction:
-    if name not in _REGISTRY:
+    if not isinstance(name, str) or name not in _REGISTRY:
         raise DomainError(f"unknown target {name!r}; known: {', '.join(target_names())}")
     return _REGISTRY[name](_size(m, "m"))
 

@@ -5,7 +5,6 @@ from .encoding import (
     SequenceSample,
     RAggregate,
     psi_encode,
-    psi_decode,
     psi_strided,
     aggregate_R,
     decode_sequence,
@@ -19,7 +18,6 @@ __all__ = [
     "SequenceSample",
     "RAggregate",
     "psi_encode",
-    "psi_decode",
     "psi_strided",
     "aggregate_R",
     "decode_sequence",

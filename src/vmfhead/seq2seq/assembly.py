@@ -48,10 +48,11 @@ from ..sphere import equal_area_partition, stereographic_batch, stereographic_in
 from .encoding import (
     DigitConfig,
     SequenceSample,
+    _bits,
+    _decode,
     _mantissa,
-    _psi_float,
+    _psi,
     apply_sequence_function,
-    decode_sequence,
     relaxed_decode,
 )
 
@@ -399,10 +400,12 @@ def _positions(lay: _Layout, states: np.ndarray) -> np.ndarray:
 
 
 def _psi_oracle(lay: _Layout, cfg: DigitConfig):
+    weights = np.array([3.0 ** (-q0) for q0 in range(lay.q)])
+
     def fn(states):
         out = states.copy()
-        for row, q0 in zip(out, _positions(lay, states).tolist()):
-            row[lay.val] = 3.0 ** (-q0) * _psi_float(float(row[lay.val]), cfg, lay.q)
+        psi = _psi(_bits(states[:, lay.val], cfg.digits), cfg.digits, lay.q)
+        out[:, lay.val] = weights[_positions(lay, states)] * psi
         return out
 
     return OracleStage(fn=fn, label="digit-encoder")
@@ -411,31 +414,26 @@ def _psi_oracle(lay: _Layout, cfg: DigitConfig):
 def _decoder_oracles(lay: _Layout, f, t_len: int, m: int, cfg: DigitConfig) -> list[OracleStage]:
     """The T decoder stages, element i0 writing row i0 of f(decoded).
 
-    The summation layer rounds each row's aggregate its own way, but the
+    The summation layer rounds each row's aggregate r its own way, but the
     build keeps them all within half a digit gap of the exact aggregate, so
-    they round to its ternary mantissa.  The stages share one cache keyed
-    by that mantissa: a sequence is decoded, and f applied, once.  A second
-    cache keyed by the float skips the rounding for rows that the
-    pass-through heads copied bit for bit.
+    they round to its ternary mantissa round(r 3^total), as decode_sequence
+    takes a float.  The stages share one cache keyed by that mantissa: a
+    sequence is decoded from it, and f applied, once.
     """
-    total = lay.q * cfg.digits
+    base = 3 ** (lay.q * cfg.digits)
 
     @functools.lru_cache(maxsize=1)
-    def decoded(mantissa: float) -> np.ndarray:
-        out = apply_sequence_function(f, decode_sequence(mantissa / 3**total, t_len, m, cfg).elements).view()
+    def decoded(mantissa: int) -> np.ndarray:
+        out = apply_sequence_function(f, _decode(mantissa, cfg.digits, lay.q, strict=True).reshape(t_len, m + 1)).view()
         out.setflags(write=False)
         return out
-
-    @functools.lru_cache(maxsize=1)
-    def outputs(r: float) -> np.ndarray:
-        return decoded(_mantissa(r, total))
 
     def oracle(i0: int) -> OracleStage:
         def fn(states):
             out = states.copy()
             position = _positions(lay, states)
             for row in (position // (m + 1) == i0).nonzero()[0].tolist():
-                out[row, lay.val] = outputs(states.item(row, lay.val))[i0, position.item(row) % (m + 1)]
+                out[row, lay.val] = decoded(round(states.item(row, lay.val) * base))[i0, position.item(row) % (m + 1)]
             return out
 
         return OracleStage(fn=fn, label=f"decoder-{i0}")
@@ -446,14 +444,6 @@ def _decoder_oracles(lay: _Layout, f, t_len: int, m: int, cfg: DigitConfig) -> l
 # ---------------------------------------------------------------------------
 # Stack construction and evaluation
 # ---------------------------------------------------------------------------
-
-
-def _once_per_key(keys: np.ndarray, value) -> np.ndarray:
-    """np.array([value(i) for i in range(len(keys))]) for a value that
-    depends on i only through keys[i]: value runs once per distinct key, at
-    its first index, and the results are scattered back."""
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return np.array([value(i) for i in first])[inverse]
 
 
 @dataclass(frozen=True)
@@ -519,9 +509,10 @@ def build_seq2seq_transformer(
     decode of the aggregate, so f is called once per evaluated sequence.
     In full mode they are synthesized kernel prefixes over the circle
     (budget-driven N and lambda), capped to small instances.  Their values
-    at the N anchors take psi once per distinct digit string of the
-    anchors' chart points and f once per distinct decoded sequence (at most
-    3^(T(m+1) digits) of them), not once per anchor.  The encoder and each
+    at the N anchors come from array passes over the anchors' chart points:
+    psi at each of the 2^digits bit levels, one decode of the distinct
+    rounded mantissas, and f once per distinct decoded sequence (at most
+    2^(T(m+1) digits) of them), not once per anchor.  The encoder and each
     decoder share one (N, 2) anchor array and hold an (N, k) value array,
     k = 1 and m+1 (_KernelBankLayer): N (1 + T(m+1)) values in all, where
     the token form holds 2 T(m+1) N tokens of width 7 + 2 T(m+1).
@@ -549,17 +540,16 @@ def build_seq2seq_transformer(
     else:
         n_points, lam = _size(n_points, "n_points"), _positive(lam, "lam")
         # One partition of S^1 serves every head: its centers are the anchors.
-        # psi reads a chart value only through its bit string (_bits) and
-        # relaxed_decode only through its rounded ternary mantissa, so each
-        # distinct one is computed once and scattered back to its anchors.
+        # psi is taken once per bit level, relaxed_decode once per rounded
+        # mantissa and f once per decoded sequence, then gathered back.
         anchors = equal_area_partition(1, n_points).centers()
         chart = np.where(1.0 - anchors[:, 1] < 1e-12, 1.0, np.clip(stereographic_batch(anchors)[:, 0], 0.0, 1.0))
-        scale = 2**cfg.digits
-        bits = np.minimum((chart * scale).astype(np.int64), scale - 1)
-        mantissas = _mantissa(chart, width * cfg.digits)
-        psi_values = _once_per_key(bits, lambda i: _psi_float(chart[i], cfg, width))
-        outputs = _once_per_key(mantissas, lambda i: apply_sequence_function(f, relaxed_decode(chart[i], t_len, m, cfg)))
-        decoder_values = outputs.reshape(n_points, width)
+        psi_values = _psi(np.arange(2**cfg.digits), cfg.digits, width)[_bits(chart, cfg.digits)]
+        _, first, level = np.unique(_mantissa(chart, width * cfg.digits), return_index=True, return_inverse=True)
+        decoded = relaxed_decode(chart[first], t_len, m, cfg).reshape(first.size, width)
+        sequences, of_mantissa = np.unique(decoded, axis=0, return_inverse=True)
+        outputs = np.array([apply_sequence_function(f, e.reshape(t_len, m + 1)) for e in sequences])
+        of_anchor = of_mantissa[level]  # each anchor's row of outputs
         contraction = np.array([3.0 ** (-(q0 % (m + 1)) - 1) for q0 in range(width)])
         positional = np.array([3.0 * 3.0 ** (-(q0 // (m + 1)) * (m + 1)) for q0 in range(width)])
         # The encoder's banks are all psi: one column serves every position.
@@ -576,7 +566,7 @@ def build_seq2seq_transformer(
             elem = slice(i0 * (m + 1), (i0 + 1) * (m + 1))
             columns = np.full(width, -1, dtype=np.intp)
             columns[elem] = np.arange(m + 1)
-            head = ControlPoints(1, lam, anchors, decoder_values[:, elem])
+            head = ControlPoints(1, lam, anchors, outputs[of_anchor, i0])
             decoders.append(_KernelBankLayer(layout=lay, head=head, columns=columns, encoder=False))
 
     sum_params, sum_prefix = _summation_layer(lay)

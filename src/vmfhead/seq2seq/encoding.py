@@ -10,14 +10,15 @@ where psi spreads the digits of coordinate q with stride d = T(m+1); the
 flat coordinate q then owns exactly the ternary positions congruent to q
 mod d, so the aggregation is injective and exactly invertible.
 
-One exact codec does every encode and decode.  A coordinate's digits are
-the bit string of floor(x 2^digits) (scaling by a power of two is exact);
-the ternary digits are those bits with 1 -> 2, interleaved across
-coordinates, and read as an integer with int(s, 3).  Decoding turns an
-integer mantissa back into its ternary string, and coordinate q is the bit
-string at positions q, q + d, ... over 2^digits.  The float view of R is
-faithful only while 3^(total digits) fits under 2^52, and conversions from
-a float are guarded.
+One integer codec does every encode and decode, elementwise on arrays: a
+coordinate's digits are the int64 bits of floor(x 2^digits) (scaling by a
+power of two is exact), ternary digit q + j d is twice bit j of coordinate
+q, and the mantissa is their dot product with powers of 3, read back with
+// and %.  A mantissa of up to 33 digits is an int64 whose double is exact
+(3^33 < 2^53), so its float view is rounded once; a longer one is a Python
+int joined from, and split into, int64 limbs of 33 digits.  The float view
+of R is faithful only while 3^(total digits) < 2^52, and conversions from a
+float are guarded.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "SequenceSample",
     "RAggregate",
     "psi_encode",
-    "psi_decode",
     "psi_strided",
     "aggregate_R",
     "decode_sequence",
@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 _MAX_DIGITS = 40
+_LIMB = 33  # ternary digits per int64 limb: 3^33 < 2^53, so a limb is exact as a double
+_POWERS = 3 ** np.arange(_LIMB - 1, -1, -1, dtype=np.int64)  # a limb's digit weights 3^32, ..., 3, 1
 
 
 @dataclass(frozen=True)
@@ -85,44 +87,83 @@ class SequenceSample:
 
 @dataclass(frozen=True)
 class RAggregate:
-    """Exact aggregation result: the ternary digit string plus the rounded
-    float view."""
+    """Exact aggregation result: the integer ternary mantissa (the value
+    times 3^(T(m+1) digits)) plus the rounded float view."""
 
     t_len: int
     m: int
     digits: int
-    ternary: str
+    mantissa: int
     value: float
 
-    def __float__(self) -> float:
-        return self.value
-
     def ternary_string(self) -> str:
-        return self.ternary
+        """The T(m+1) * digits ternary digits of the mantissa, most significant first."""
+        return "".join(map(str, _unpack(self.mantissa, self.t_len * (self.m + 1) * self.digits).tolist()))
 
 
-def _bits(x: float, digits: int) -> str:
-    """First binary digits of x in [0, 1], terminating expansion at ties.
+def _bits(x, digits: int) -> np.ndarray:
+    """min(floor(x 2^digits), 2^digits - 1) elementwise as int64, x in [0, 1].
 
-    Scaling by 2^digits is exact, so the digits are the true binary
-    expansion of the input; x = 1 is truncated to all ones (the largest
-    value the budget can hold).
+    Scaling by 2^digits is exact, so these are the true leading binary
+    digits of x, the terminating expansion at ties; x = 1 is truncated to
+    all ones (the largest value the budget can hold).
     """
-    if not (0.0 <= x <= 1.0):
-        raise DomainError(f"psi domain is [0, 1], got {x}")
+    x = np.asarray(x, dtype=np.float64)
+    inside = (x >= 0.0) & (x <= 1.0)
+    if not inside.all():
+        raise DomainError(f"psi domain is [0, 1], got {x[~inside].flat[0]}")
     scale = 2**digits
-    return format(min(int(x * scale), scale - 1), f"0{digits}b")
+    return np.minimum((x * scale).astype(np.int64), scale - 1)
 
 
-def _ternary(num: int, total: int) -> str:
-    """The `total` ternary digits of the mantissa num, most significant first."""
-    out = []
-    for _ in range(total):
-        num, d = divmod(num, 3)
-        out.append("012"[d])
-    if num != 0:
+def _encode(bits: np.ndarray, digits: int, width: int):
+    """The mantissas of digits * width ternary digits whose digit q + j width
+    (most significant first) is twice bit j of coordinate q of the (..., k)
+    int64 bits, and 0 for q >= k: int64 up to _LIMB digits, else Python
+    ints (an object array) joined from int64 limbs."""
+    n = digits * width
+    ternary = np.zeros((*bits.shape[:-1], digits, width), dtype=np.int64)
+    ternary[..., : bits.shape[-1]] = 2 * ((bits[..., None, :] >> np.arange(digits - 1, -1, -1)[:, None]) & 1)
+    ternary = ternary.reshape(*bits.shape[:-1], n)
+    if n <= _LIMB:
+        return ternary @ _POWERS[-n:]
+    limbs = np.pad(ternary, [(0, 0)] * (ternary.ndim - 1) + [(-n % _LIMB, 0)])
+    limbs = limbs.reshape(*bits.shape[:-1], -1, _LIMB) @ _POWERS
+    return limbs.astype(object) @ [3 ** (_LIMB * k) for k in range(limbs.shape[-1] - 1, -1, -1)]
+
+
+def _unpack(mantissa, total: int) -> np.ndarray:
+    """(..., total) base-3 digits, most significant first, of int64
+    mantissas, or of one Python int split by divmod into int64 limbs; a
+    mantissa past 3^total - 1 is refused."""
+    held = np.asarray(mantissa)
+    if not np.all((held >= 0) & (held < 3**total)):
         raise EncodingError("value out of range for the digit budget")
-    return "".join(reversed(out))
+    if total <= _LIMB:
+        return held.astype(np.int64)[..., None] // _POWERS[-total:] % 3
+    rest, limbs = int(mantissa), []
+    for _ in range(-(-total // _LIMB)):
+        rest, limb = divmod(rest, 3**_LIMB)
+        limbs.insert(0, limb)
+    return (np.array(limbs)[:, None] // _POWERS % 3).reshape(-1)[-total:]
+
+
+def _decode(mantissa, digits: int, width: int, strict: bool) -> np.ndarray:
+    """(..., width) coordinates of mantissas of digits * width ternary
+    digits, the inverse of _encode: coordinate q reads digits q, q + width,
+    ... as its bits, 2 as 1 and 0 as 0, and a digit 1, off the Cantor set,
+    raises EncodingError when strict and reads as 0 otherwise."""
+    ternary = _unpack(mantissa, digits * width)
+    if strict and np.any(ternary == 1):
+        raise EncodingError("ternary digit 1 found; not a Cantor encoding")
+    bits = (ternary // 2).reshape(*ternary.shape[:-1], digits, width)
+    return 2 ** np.arange(digits - 1, -1, -1) @ bits / 2**digits
+
+
+def _psi(bits: np.ndarray, digits: int, stride: int) -> np.ndarray:
+    """float(psi_strided) at each of the int64 coordinate bits, as float64:
+    the mantissa over 3^(digits stride), rounded once."""
+    return np.asarray(_encode(bits[..., None], digits, stride) / 3 ** (digits * stride), dtype=np.float64)
 
 
 def _mantissa(u, total: int):
@@ -130,15 +171,6 @@ def _mantissa(u, total: int):
     min(round(clip(u, 0, 1) 3^total), 3^total - 1), clipped after rounding."""
     base = 3**total
     return np.minimum(np.maximum(np.rint(u * base), 0.0), base - 1)
-
-
-def _coords(ternary: str, width: int) -> np.ndarray:
-    """(width,) coordinates of a strided digit string: coordinate q reads
-    digits q, q + width, q + 2 width, ... as its binary expansion, most
-    significant first, with ternary 2 as bit 1 and anything else as 0."""
-    bits = ternary.replace("1", "0").replace("2", "1")
-    scale = 2 ** (len(ternary) // width)
-    return np.array([int(bits[q::width], 2) / scale for q in range(width)])
 
 
 def _check_float_budget(total: int) -> None:
@@ -150,56 +182,25 @@ def _check_float_budget(total: int) -> None:
         )
 
 
-def psi_encode(x: float, cfg: DigitConfig) -> float:
-    """Cantor-set digit map: sum_j 2 a_j 3^(-j) over the retained digits.
+def psi_encode(x, cfg: DigitConfig):
+    """Cantor-set digit map: sum_j 2 a_j 3^(-j) over the retained digits,
+    elementwise (a float for a scalar x, an array for an array).
 
     Monotone non-decreasing in x; dyadic rationals take their terminating
     expansion, so psi(1/2) = 2/3.
     """
-    return _psi_float(x, cfg, 1)
-
-
-def psi_decode(c: float, cfg: DigitConfig) -> float:
-    """Inverse of psi_encode on valid truncated Cantor values.
-
-    Recovers x to precision 2^(-digits); a ternary digit equal to 1 means
-    the value is not in the truncated Cantor set and raises EncodingError.
-    The float value holds the digits only while 3^digits < 2^52.
-    """
-    if not (0.0 <= c <= 1.0):
-        raise EncodingError(f"Cantor values live in [0, 1], got {c}")
-    _check_float_budget(cfg.digits)
-    scaled = c * 3.0**cfg.digits
-    num = round(scaled)
-    if abs(scaled - num) > 1e-6 * max(1.0, abs(scaled)):
-        raise EncodingError("value is not a truncated Cantor encoding")
-    ternary = _ternary(num, cfg.digits)
-    if "1" in ternary:
-        raise EncodingError("ternary digit 1 found; not a Cantor encoding")
-    return float(_coords(ternary, 1)[0])
-
-
-def _psi_ternary(x: float, cfg: DigitConfig, stride: int) -> str:
-    """The ternary digits of psi_strided(x, cfg, stride), most significant
-    first; the stride is checked by psi_strided, not on every call."""
-    return ("0" * (stride - 1)).join(_bits(float(x), cfg.digits).replace("1", "2"))
-
-
-def _psi_float(x: float, cfg: DigitConfig, stride: int) -> float:
-    """float(psi_strided(x, cfg, stride)) without the Fraction: int / int
-    rounds the same rational correctly, so the double is the same."""
-    ternary = _psi_ternary(x, cfg, stride)
-    return int(ternary, 3) / 3 ** len(ternary)
+    return _psi(_bits(x, cfg.digits), cfg.digits, 1)[()]
 
 
 def psi_strided(x: float, cfg: DigitConfig, stride: int) -> Fraction:
     """Stride-aware digit map: digit j lands at ternary position 1+(j-1)*stride.
 
-    This is the per-coordinate encoder the aggregation uses; stride equals
-    the flattened sequence width T(m+1), and stride 1 recovers psi_encode.
+    The exact value of the per-coordinate encoder the aggregation uses, at
+    stride T(m+1); stride 1 recovers psi_encode.
     """
-    ternary = _psi_ternary(x, cfg, _size(stride, "stride"))
-    return Fraction(int(ternary, 3), 3 ** len(ternary))
+    stride = _size(stride, "stride")
+    mantissa = _encode(_bits(float(x), cfg.digits)[None], cfg.digits, stride)
+    return Fraction(int(mantissa), 3 ** (cfg.digits * stride))
 
 
 def aggregate_R(s: SequenceSample, cfg: DigitConfig) -> RAggregate:
@@ -210,15 +211,12 @@ def aggregate_R(s: SequenceSample, cfg: DigitConfig) -> RAggregate:
     3 * 3^(-(i-1)(m+1)) * 3^(-p) of the aggregation shift each stride-width
     encoding into its own residue class, so digits never collide.
     """
-    total = s.t_len * (s.m + 1) * cfg.digits
+    width = s.t_len * (s.m + 1)
+    total = width * cfg.digits
     if total > 4096:
-        raise PrecisionBudgetExceeded(
-            f"{total} ternary digits exceed the supported packing budget"
-        )
-    columns = [_bits(float(x), cfg.digits) for x in s.flat()]
-    ternary = "".join(map("".join, zip(*columns))).replace("1", "2")
-    value = int(ternary, 3) / 3**total
-    return RAggregate(t_len=s.t_len, m=s.m, digits=cfg.digits, ternary=ternary, value=value)
+        raise PrecisionBudgetExceeded(f"{total} ternary digits exceed the supported packing budget")
+    mantissa = int(_encode(_bits(s.flat(), cfg.digits), cfg.digits, width))
+    return RAggregate(t_len=s.t_len, m=s.m, digits=cfg.digits, mantissa=mantissa, value=mantissa / 3**total)
 
 
 def decode_sequence(r, t_len: int, m: int, cfg: DigitConfig) -> SequenceSample:
@@ -234,24 +232,21 @@ def decode_sequence(r, t_len: int, m: int, cfg: DigitConfig) -> SequenceSample:
     if isinstance(r, RAggregate):
         if (r.t_len, r.m, r.digits) != (t_len, m, cfg.digits):
             raise EncodingError("aggregate shape does not match the declared (T, m, digits)")
-        ternary = r.ternary
+        mantissa = r.mantissa
     else:
         r = float(r)
         if not (0.0 <= r <= 1.0):
             raise EncodingError(f"aggregate values live in [0, 1], got {r}")
         _check_float_budget(total)
-        ternary = _ternary(round(r * 3**total), total)
-    if len(ternary) != total:
-        raise EncodingError("digit stream length does not match the declared shape")
-    if "1" in ternary:
-        raise EncodingError("ternary digit 1 found; not a Cantor encoding")
-    return SequenceSample(t_len=t_len, m=m, elements=_coords(ternary, width).reshape(t_len, m + 1))
+        mantissa = round(r * 3**total)
+    elements = _decode(mantissa, cfg.digits, width, strict=True)
+    return SequenceSample(t_len=t_len, m=m, elements=elements.reshape(t_len, m + 1))
 
 
-def relaxed_decode(u: float, t_len: int, m: int, cfg: DigitConfig) -> np.ndarray:
-    """(T, m+1) coordinates decoded from an arbitrary scalar in [0, 1].
+def relaxed_decode(u, t_len: int, m: int, cfg: DigitConfig) -> np.ndarray:
+    """(..., T, m+1) coordinates decoded from each scalar of u in [0, 1].
 
-    The scalar is rounded to the nearest integer mantissa first, so every
+    Each scalar is rounded to the nearest integer mantissa first, so every
     exact aggregate value sits in the interior of its decoding plateau
     (otherwise values with an all-zero digit tail would be jump points,
     decoding differently from one side).  Digits are read 2 -> 1, else 0;
@@ -260,13 +255,15 @@ def relaxed_decode(u: float, t_len: int, m: int, cfg: DigitConfig) -> np.ndarray
     digits only while 3^(T(m+1) digits) < 2^52.  A NaN or a u outside
     [0, 1] raises EncodingError, as in decode_sequence.
     """
-    if not 0.0 <= u <= 1.0:
-        raise EncodingError(f"aggregate values live in [0, 1], got {u}")
+    u = np.asarray(u, dtype=np.float64)
+    inside = (u >= 0.0) & (u <= 1.0)
+    if not inside.all():
+        raise EncodingError(f"aggregate values live in [0, 1], got {u[~inside].flat[0]}")
     t_len, m = _size(t_len, "t_len"), _size(m, "m", 0)
     width = t_len * (m + 1)
-    total = width * cfg.digits
-    _check_float_budget(total)
-    return _coords(_ternary(int(_mantissa(float(u), total)), total), width).reshape(t_len, m + 1)
+    _check_float_budget(width * cfg.digits)
+    coordinates = _decode(_mantissa(u, width * cfg.digits).astype(np.int64), cfg.digits, width, strict=False)
+    return coordinates.reshape(*u.shape, t_len, m + 1)
 
 
 def apply_sequence_function(f, elements: np.ndarray) -> np.ndarray:
@@ -291,7 +288,5 @@ def reference_seq2seq(f, s: SequenceSample, cfg: DigitConfig) -> list[np.ndarray
     round trip of the aggregation; by construction this equals f applied to
     the digit-truncated inputs.
     """
-    r = aggregate_R(s, cfg)
-    truncated = decode_sequence(r, s.t_len, s.m, cfg)
-    out = apply_sequence_function(f, truncated.elements)
-    return [out[i] for i in range(s.t_len)]
+    truncated = decode_sequence(aggregate_R(s, cfg), s.t_len, s.m, cfg)
+    return list(apply_sequence_function(f, truncated.elements))

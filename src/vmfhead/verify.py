@@ -384,7 +384,7 @@ def _seq2seq_checks(results):
     def psi_monotone():
         cfg = DigitConfig(digits=10)
         xs = np.linspace(0.0, 1.0, 10_001)
-        vals = np.array([psi_encode(float(x), cfg) for x in xs])
+        vals = psi_encode(xs, cfg)
         ok = bool(np.all(np.diff(vals) >= 0.0))
         return ok, "digit map non-decreasing on 10^4-point grid"
 

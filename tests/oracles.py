@@ -1,5 +1,10 @@
 """Oracles the tests share, kept out of the library they check."""
 
+import math
+from fractions import Fraction
+
+import numpy as np
+
 from vmfhead.errors import DomainError
 
 
@@ -22,3 +27,32 @@ def gegenbauer(k: int, alpha: float, t: float) -> float:
     for n in range(2, k + 1):
         q_prev, q = q, (2.0 * t * (n + alpha - 1.0) * q - (n + 2.0 * alpha - 2.0) * q_prev) / n
     return q
+
+
+def aggregate_oracle(elements, digits: int) -> Fraction:
+    """sum over coordinates q and digits j of 2 b 3^-(1 + q + j width), with
+    b bit j of floor(x 2^digits) (x = 1 keeps all ones)."""
+    flat = [float(x) for x in np.ravel(elements)]
+    width, total = len(flat), len(flat) * digits
+    num = 0
+    for q, x in enumerate(flat):
+        n = min(math.floor(x * 2**digits), 2**digits - 1)
+        for j in range(digits):
+            b = (n >> (digits - 1 - j)) & 1
+            num += 2 * b * 3 ** (total - 1 - q - j * width)
+    return Fraction(num, 3**total)
+
+
+def relaxed_decode_oracle(u: float, width: int, digits: int) -> list[Fraction]:
+    """The width coordinates read from the scalar u in [0, 1]: u is rounded
+    to the nearest integer mantissa of width * digits ternary digits (ties
+    to even, as a double product, capped at 3^total - 1), and coordinate q
+    sums 2^-(j+1) over the j whose digit q + j width, counted from the most
+    significant, is 2."""
+    total = width * digits
+    mantissa = min(round(u * 3**total), 3**total - 1)
+    ternary = []
+    for _ in range(total):
+        mantissa, d = divmod(mantissa, 3)
+        ternary.insert(0, d)
+    return [sum(Fraction(int(ternary[q + j * width] == 2), 2 ** (j + 1)) for j in range(digits)) for q in range(width)]

@@ -356,6 +356,19 @@ class TestHeadLayout:
             assert np.array_equal(means, results[0][0])
             assert np.array_equal(log_mass, results[0][1])
 
+    def test_strided_input_is_held_c_contiguous(self):
+        """A head built on strided views, as a full-mode decoder's value
+        columns are, holds C-contiguous anchors and values, and its pruned
+        groups give the bits of a head built on contiguous copies."""
+        anchors = equal_area_partition(2, 16384).centers()
+        values = anchors[:, ::-1] + 0.5
+        pts = uniform_sphere_sample(2, 600, seed=191)
+        cp = att.ControlPoints(m=2, lam=2000.0, p_alpha=_strided(anchors), p_beta=_strided(values))
+        assert cp.p_alpha.flags.c_contiguous and cp.p_beta.flags.c_contiguous
+        assert cp._blocks is not None
+        contiguous = att.ControlPoints(m=2, lam=2000.0, p_alpha=anchors.copy(), p_beta=values.copy())
+        assert np.array_equal(att.split_head_batch(cp, pts), att.split_head_batch(contiguous, pts))
+
     def test_wide_head_pin(self, digest):
         cp = pfx.synthesize_prefix(pfx.make_target("identity", 2), 16384, 32.0)
         assert cp._blocks is None

@@ -149,6 +149,7 @@ class TestSettingsContract:
             ("samples", True, "n_samples must be an integer >= 1, got True"),
             ("seed", 1.5, "seed must be an integer >= 0, got 1.5"),
             ("lam", "8", "lam must be finite and > 0, got '8'"),
+            ("target", ["identity"], f"unknown target ['identity']; known: {', '.join(pfx.target_names())}"),
         ],
     )
     def test_approximate_config_refused(self, capsys, tmp_path, key, value, message):
@@ -158,7 +159,13 @@ class TestSettingsContract:
 
     @pytest.mark.parametrize(
         "key, value, message",
-        [("ns", [64, 64.5], "ns must be an integer >= 1, got 64.5"), ("lambdas", [True], "lambdas must be finite and > 0, got True")],
+        [
+            ("ns", [64, 64.5], "ns must be an integer >= 1, got 64.5"),
+            ("lambdas", [True], "lambdas must be finite and > 0, got True"),
+            ("ns", 64, "ns must be a list, got 64"),
+            ("lambdas", "8", "lambdas must be a list, got '8'"),
+            ("target", ["identity"], f"unknown target ['identity']; known: {', '.join(pfx.target_names())}"),
+        ],
     )
     def test_sweep_config_refused(self, capsys, tmp_path, key, value, message):
         cfg = {"target": "identity", "ns": [64], "lambdas": [8], "samples": 64, key: value}

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import aggregate_oracle, relaxed_decode_oracle
 
 from vmfhead.attention import TransformerStack, classical_head, transformer_eval
 from vmfhead.errors import DomainError, EncodingError, InstanceTooLarge, PrecisionBudgetExceeded
@@ -19,14 +20,13 @@ from vmfhead.seq2seq import (
     aggregate_R,
     build_seq2seq_transformer,
     decode_sequence,
-    psi_decode,
     psi_encode,
     psi_strided,
     reference_seq2seq,
     sequence_mean,
 )
 from vmfhead.seq2seq.assembly import _GAP, _summation_error_bound
-from vmfhead.seq2seq.encoding import _mantissa, _psi_float, relaxed_decode
+from vmfhead.seq2seq.encoding import _bits, _mantissa, _psi, relaxed_decode
 
 
 def seq_mean(elements):
@@ -57,30 +57,6 @@ class TestPsi:
         xs = np.linspace(0.0, 1.0, 10_001)
         vals = np.array([psi_encode(float(x), cfg) for x in xs])
         assert np.all(np.diff(vals) >= 0.0)
-
-    def test_decode_round_trip(self):
-        cfg = DigitConfig(digits=8)
-        for x in (0.0, 0.25, 0.5, 0.75):
-            assert psi_decode(psi_encode(x, cfg), cfg) == x
-        np.testing.assert_allclose(psi_decode(2.0 / 3.0, cfg), 0.5)
-
-    def test_decode_rejects_middle_digits(self):
-        cfg = DigitConfig(digits=4)
-        with pytest.raises(EncodingError):
-            psi_decode(1.0 / 3.0 + 1.0 / 81.0, cfg)
-
-    def test_decode_float_budget(self):
-        # 3^32 < 2^52 <= 3^33: 32 digits round-trip through the float, and 33
-        # or more are refused, where decoding used to return a wrong value or
-        # report a ternary digit 1.
-        cfg = DigitConfig(digits=32)
-        for x in np.random.default_rng(14).random(200):
-            assert psi_decode(psi_encode(float(x), cfg), cfg) == math.floor(x * 2**32) / 2**32
-        for digits in (33, 36, 40):
-            cfg = DigitConfig(digits=digits)
-            for x in (0.0, 0.3, 0.7):
-                with pytest.raises(PrecisionBudgetExceeded):
-                    psi_decode(psi_encode(x, cfg), cfg)
 
     def test_relaxed_decode_float_budget(self):
         """relaxed_decode refuses past 3^total >= 2^52, where at T=2, m=1
@@ -116,9 +92,8 @@ class TestPsi:
         dyadic input of every digit budget from 1 to 12."""
         for digits in range(1, 13):
             cfg = DigitConfig(digits=digits)
-            for k in range(2**digits + 1):
-                x = k / 2**digits
-                assert _psi_float(x, cfg, stride) == float(psi_strided(x, cfg, stride))
+            xs = np.arange(2**digits + 1) / 2**digits
+            assert _psi(_bits(xs, digits), digits, stride).tolist() == [float(psi_strided(x, cfg, stride)) for x in xs]
 
     @pytest.mark.parametrize("total", [1, 4, 12, 24, 32])
     def test_mantissa_is_the_clipped_rounding(self, total):
@@ -200,20 +175,6 @@ class TestAggregation:
             np.testing.assert_allclose(aggregate_R(s, cfg).value, direct, rtol=1e-12)
 
 
-def _oracle_aggregate(elements, digits: int) -> Fraction:
-    """sum over coordinates q and digits j of 2 b 3^-(1 + q + j width), with
-    b bit j of floor(x 2^digits) (x = 1 keeps all ones)."""
-    flat = [float(x) for x in np.ravel(elements)]
-    width, total = len(flat), len(flat) * digits
-    num = 0
-    for q, x in enumerate(flat):
-        n = min(math.floor(x * 2**digits), 2**digits - 1)
-        for j in range(digits):
-            b = (n >> (digits - 1 - j)) & 1
-            num += 2 * b * 3 ** (total - 1 - q - j * width)
-    return Fraction(num, 3**total)
-
-
 @st.composite
 def _sequences(draw):
     digits = draw(st.integers(1, 40))
@@ -231,7 +192,7 @@ class TestAggregateProperty:
         s, cfg = case
         total = s.t_len * (s.m + 1) * cfg.digits
         r = aggregate_R(s, cfg)
-        oracle = _oracle_aggregate(s.elements, cfg.digits)
+        oracle = aggregate_oracle(s.elements, cfg.digits)
         assert r.value == float(oracle)
         assert len(r.ternary_string()) == total
         assert Fraction(int(r.ternary_string(), 3), 3**total) == oracle
@@ -241,12 +202,47 @@ class TestAggregateProperty:
         if 3**total < 2**52:
             assert np.array_equal(decode_sequence(r.value, s.t_len, s.m, cfg).elements, truncated)
         k = data.draw(st.integers(0, total - 1))
-        broken = r.ternary[:k] + "1" + r.ternary[k + 1 :]
+        ternary = r.ternary_string()
+        broken = int(ternary[:k] + "1" + ternary[k + 1 :], 3)
         with pytest.raises(EncodingError):
-            decode_sequence(dataclasses.replace(r, ternary=broken), s.t_len, s.m, cfg)
+            decode_sequence(dataclasses.replace(r, mantissa=broken), s.t_len, s.m, cfg)
         if 3**total < 2**52:
             with pytest.raises(EncodingError):
-                decode_sequence(int(broken, 3) / 3**total, s.t_len, s.m, cfg)
+                decode_sequence(broken / 3**total, s.t_len, s.m, cfg)
+
+
+class TestCodecOnArrays:
+    """The integer codec on arrays, the path the hybrid oracles and the
+    full-mode build take, equals the per-element Fraction oracles."""
+
+    @settings(max_examples=40)
+    @given(st.integers(1, 40), st.integers(1, 8), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16))
+    def test_psi(self, digits, stride, xs):
+        """Exact in psi_strided, rounded once in the float view, at digit
+        budgets on both sides of the int64 limb (33 ternary digits)."""
+        cfg = DigitConfig(digits)
+        values = _psi(_bits(np.array(xs), digits), digits, stride).tolist()
+        for x, value in zip(xs, values):
+            exact = aggregate_oracle([x] + [0.0] * (stride - 1), digits)
+            assert psi_strided(x, cfg, stride) == exact
+            assert value == float(exact)
+        if stride == 1:
+            assert psi_encode(np.array(xs), cfg).tolist() == values
+
+    @settings(max_examples=40)
+    @given(st.integers(1, 4), st.integers(0, 2), st.data())
+    def test_relaxed_decode(self, t_len, m, data):
+        """Every float budget the decoder admits (3^total < 2^52), at
+        arbitrary scalars and at exact mantissas, where a digit 1 reads 0."""
+        width = t_len * (m + 1)
+        digits = data.draw(st.integers(1, 32 // width))
+        total = width * digits
+        mantissas = st.integers(0, 3**total - 1).map(lambda k: k / 3**total)
+        us = data.draw(st.lists(st.one_of(st.floats(0.0, 1.0), mantissas), min_size=1, max_size=16))
+        got = relaxed_decode(np.array(us), t_len, m, DigitConfig(digits))
+        assert got.shape == (len(us), t_len, m + 1)
+        for u, row in zip(us, got.reshape(len(us), width).tolist()):
+            assert row == [float(c) for c in relaxed_decode_oracle(u, width, digits)]
 
 
 class TestReference:
@@ -322,7 +318,7 @@ class TestStackAssembly:
                         record = []
                         transformer_eval(head, stack.encode_inputs(s), record=record)
                         agg = aggregate_R(s, cfg)
-                        exact = Fraction(int(agg.ternary, 3), 3 ** len(agg.ternary))
+                        exact = Fraction(agg.mantissa, 3 ** (q * digits))
                         for val in record[1]["attention"][:, stack.layout.val]:
                             assert abs(Fraction(float(val)) - exact) <= Fraction(_summation_error_bound(q))
                     shapes += 1
