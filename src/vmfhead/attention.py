@@ -10,11 +10,11 @@ head reproduces the split head exactly as the input-input suppression
 constant M goes to -inf.  A sharp head skips the anchors certified to carry
 under one rounding unit of its softmax (_head_softmax).  A stack is a tuple
 of layers, each evaluated by its own attend.  A TransformerLayer is the
-classical head over its prefix tokens.  The sequence stack's other layers
-evaluate the certified form of their token form, which they build on
-demand: a layer that holds its kernel control points once (the full-mode
-encoder and decoders) evaluates them as a ControlPoints head with one value
-column per bank, and a hybrid-mode pass-through head returns W_V x.
+classical head over its prefix tokens.  Heads whose token form is certified
+evaluate the certified form: a universal artifact its split head times
+S / (S + e^M) (universal_head_batch), a full-mode sequence encoder or decoder
+its control points as one ControlPoints head with a value column per bank,
+and a hybrid-mode pass-through head W_V x.
 """
 
 from __future__ import annotations
@@ -50,11 +50,13 @@ __all__ = [
     "split_head",
     "split_head_batch",
     "log_prefix_mass",
+    "universal_head_batch",
     "classical_head",
     "lift",
     "project",
     "build_universal_head",
     "assemble_prefix_tokens",
+    "universal_control_points",
     "default_suppression",
     "transformer_eval",
     "export_prefix_artifact",
@@ -179,11 +181,7 @@ class OracleStage:
 
 @dataclass(frozen=True)
 class TransformerLayer:
-    """One prefixed attention head followed by its MLP stages.
-
-    The prefix is fixed while inputs vary, so the value rows of its tokens
-    are a constant of the layer (_prefix_values), built on first use.
-    """
+    """One prefixed attention head followed by its MLP stages."""
 
     params: AttentionHeadParams
     prefix: PrefixTokens
@@ -205,42 +203,28 @@ class TransformerLayer:
         if width != self.params.d:
             raise DimensionMismatch("MLP must end back at the head dimension")
 
-    @cached_property
-    def _prefix_values(self) -> np.ndarray:
-        """The read-only (N, d + 1) value rows [tokens @ W_V^T | 1] of the
-        prefix (_softmax), built on first use and freed with the layer."""
-        rows = np.empty((self.prefix.n_tokens, self.params.d + 1))
-        np.matmul(self.prefix.tokens, self.params.W_V.T, out=rows[:, :-1])
-        rows[:, -1] = 1.0
-        rows.setflags(write=False)
-        return rows
-
     def attend(self, X: np.ndarray) -> np.ndarray:
         """The (T, d) outputs of the head at the (T, d) finite inputs X: the
         one kernel behind classical_head and transformer_eval.
 
         Position k attends over the N prefix tokens and the T inputs, c
         ranging over [tokens; X], with logits (x_k H) c and value rows
-        [W_V c | 1] (_softmax).  A prefix longer than the inputs is a
-        product of its own, so its cached value rows are not copied; a
-        shorter one is copied above the inputs' rows into one product.
+        [W_V c | 1], in one softmax product (_softmax).
         """
         if X.shape[1] != self.params.d:
             raise DimensionMismatch("inputs, prefix, and params disagree on d")
-        tokens, prefix_values = self.prefix.tokens, self._prefix_values
+        tokens, W_V = self.prefix.tokens, self.params.W_V
         # np.dot: the BLAS product of @ with less call overhead, felt by tiny heads
         XH = np.dot(X, self.params.H)
         n, t = tokens.shape[0], X.shape[0]
         logits = np.empty((t, n + t))
         np.matmul(XH, tokens.T, out=logits[:, :n])
         logits[:, n:] = np.dot(XH, X.T)
-        copied = n if n <= t else 0
-        values = np.empty((copied + t, X.shape[1] + 1))
-        if copied:
-            values[:copied] = prefix_values
-        np.matmul(X, self.params.W_V.T, out=values[copied:, :-1])
-        values[copied:, -1] = 1.0
-        return (_softmax(logits, values) if n <= t else _softmax(logits, prefix_values, tail=values))[0]
+        values = np.empty((n + t, X.shape[1] + 1))
+        np.matmul(tokens, W_V.T, out=values[:n, :-1])
+        np.matmul(X, W_V.T, out=values[n:, :-1])
+        values[:, -1] = 1.0
+        return _softmax(logits, values)[0]
 
 
 @dataclass(frozen=True)
@@ -307,12 +291,12 @@ def _pruning_pays(kept: float, n_points: int) -> bool:
     return _GATHER_COST * kept + _GROUP_COST < n_points
 
 
-def _softmax(logits: np.ndarray, values: np.ndarray, span: float | None = math.inf, tail=None) -> tuple:
+def _softmax(logits: np.ndarray, values: np.ndarray, span: float | None = math.inf) -> tuple:
     """(weighted value mean, row sum, shift) of the softmax rows of an
     (n, K) logit tile over (K, k + 1) value rows [v | 1]: the one evaluator
     behind every head.  The logits become the weights e^(logits - shift) in
-    place, and one product with [v | 1] (tail, where given, holds the rows
-    of the last columns) gives the weighted sums and the row sum.
+    place, and one product with [v | 1] gives the weighted sums and the row
+    sum.
 
     span None means the caller certifies that no shift is needed
     (ControlPoints._zero_shift).  Otherwise each row is shifted by its max;
@@ -334,10 +318,7 @@ def _softmax(logits: np.ndarray, values: np.ndarray, span: float | None = math.i
     np.exp(logits, out=logits)
     if floored:
         logits -= _FLOOR_WEIGHT
-    k = values.shape[0]
-    acc = logits[:, :k] @ values
-    if tail is not None:
-        acc += logits[:, k:] @ tail
+    acc = logits @ values
     return acc[:, :-1] / acc[:, -1:], acc[:, -1], shift
 
 
@@ -591,12 +572,10 @@ def classical_head(inputs, prefix: PrefixTokens, params: AttentionHeadParams):
 
     Position k attends over all N prefix tokens and all T input positions
     with logits x_k^T H c and values W_V c.  Returns the (T, d) array of
-    per-position outputs.  A one-off call: it evaluates a transient
-    TransformerLayer (TransformerLayer.attend), so the prefix value rows
-    are built anew each time; repeated calls on one prefix should go
-    through transformer_eval.  It is also the token form against which a
-    layer that holds its control points once is checked, on the tokens and
-    parameters that layer builds on demand.
+    per-position outputs, from a transient TransformerLayer's attend.  It
+    is the token form against which every certified form is checked: the
+    universal head (universal_head_batch) and the sequence-stack layers that
+    build their tokens and parameters on demand.
     """
     return TransformerLayer(params=params, prefix=prefix).attend(_as_inputs(inputs))
 
@@ -675,6 +654,38 @@ def assemble_prefix_tokens(cp: ControlPoints, M: float, augmented: bool = False)
     return PrefixTokens(d=d, tokens=tokens, M=float(M), augmented=augmented)
 
 
+def universal_control_points(prefix: PrefixTokens, params: AttentionHeadParams, m: int, lam: float) -> ControlPoints:
+    """The inverse of assemble_prefix_tokens: p_alpha the key block over lam,
+    p_beta the value block.  Refused with DomainError unless (prefix,
+    params) is universal: H and W_V are build_universal_head(m, M,
+    augmented) bit for bit, and the tokens' query block (and, augmented,
+    their last slot) is zero."""
+    universal = build_universal_head(m, prefix.M, prefix.augmented)
+    matrices = params.H.tobytes(), params.W_V.tobytes()
+    if prefix.d != universal.d or matrices != (universal.H.tobytes(), universal.W_V.tobytes()):
+        raise DomainError("H and W_V are not the universal head build_universal_head(m, M, augmented)")
+    b = m + 1
+    if np.any(prefix.tokens[:, :b]) or np.any(prefix.tokens[:, 3 * b :]):
+        raise DomainError("prefix tokens are not (0, lam p_alpha, p_beta): a query block or last slot is nonzero")
+    key, value = prefix.tokens[:, b : 2 * b], prefix.tokens[:, 2 * b : 3 * b]
+    return ControlPoints(m=m, lam=lam, p_alpha=key / _positive(lam, "lam"), p_beta=value)
+
+
+def universal_head_batch(cp: ControlPoints, points, M: float) -> np.ndarray:
+    """The (n, m+1) projected outputs of the universal classical head over
+    cp's prefix tokens (assemble_prefix_tokens) at an (n, m+1) batch of
+    unit vectors, each its own one-input sequence: split * S / (S + e^M),
+    S the prefix mass at x (suppression_gap), from one _head_softmax call.
+    """
+    if not -math.inf < M < 0:
+        raise DomainError("suppression constant M must be negative and finite")
+    mean, rowsum, shift = _head_softmax(cp, points)
+    # e^(M - ln S) overflows only where S e^-M < e^-709; the output is then
+    # 0, against an exact value below |mean| e^-709
+    with np.errstate(over="ignore"):
+        return mean / (1.0 + np.exp(M - shift - np.log(rowsum)))[:, None]
+
+
 def suppression_gap(cp: ControlPoints, x, M: float, t_inputs: int = 1) -> float:
     """Exact relative gap between the universal classical head and the split
     head at finite M.
@@ -721,9 +732,8 @@ def transformer_eval(stack: TransformerStack, inputs, record: list | None = None
     and return the (T, d) array of final states.
 
     Each head is its layer's attend: for a TransformerLayer the classical
-    head, evaluated with the layer's cached prefix value rows, so a stack
-    computes those once however many inputs it sees.  When a record list
-    is given, one {"attention", "after_mlp"} dict of (T, d) state arrays is
+    head over its prefix tokens and the inputs.  When a record list is
+    given, one {"attention", "after_mlp"} dict of (T, d) state arrays is
     appended to it per layer.
     """
     X = _as_inputs(inputs)

@@ -199,16 +199,12 @@ def _cmd_import_prefix(args) -> int:
     if args.eval_target:
         samples, seed = _settings(args, samples=1024, seed=0)
         target = pfx.make_target(args.eval_target, m)
-
-        # Each point is its own one-input sequence (inputs attend to each
-        # other); one layer keeps the prefix value rows across them.
-        head = att.TransformerStack(layers=(att.TransformerLayer(params=params, prefix=prefix),))
-
-        def approx(pts):
-            outs = [att.transformer_eval(head, att.lift(x, prefix.augmented))[0] for x in pts]
-            return np.stack([att.project(out, m + 1) for out in outs])
-
-        sup, mean = pfx.sup_error_estimate(target, approx, samples, _stage_seed(seed, 1))
+        # Each point is its own one-input sequence, evaluated in the
+        # certified form of the universal head, all in one batch.
+        cp = att.universal_control_points(prefix, params, m, lam)
+        sup, mean = pfx.sup_error_estimate(
+            target, lambda pts: att.universal_head_batch(cp, pts, prefix.M), samples, _stage_seed(seed, 1)
+        )
         payload["sup_error"] = sup
         payload["mean_error"] = mean
     print(json.dumps(payload))
@@ -286,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("import-prefix", parents=[estimate], help="load an artifact (optionally re-evaluate)")
     p.add_argument("path")
-    p.add_argument("--eval-target", help="re-evaluate the error against this target")
+    p.add_argument("--eval-target", help="re-evaluate a universal artifact's error against this target")
     p.set_defaults(fn=_cmd_import_prefix)
 
     return parser

@@ -28,7 +28,7 @@ from .attention import (
     split_head_batch,
 )
 from .bounds import SmoothnessSpec
-from .errors import DimensionMismatch, DomainError, InstanceTooLarge, _positive, _size
+from .errors import DimensionMismatch, DomainError, _positive, _size
 from .kernel import vmf_log_normalizer
 from .sphere import Partition, equal_area_partition, uniform_sphere_sample
 
@@ -41,7 +41,6 @@ __all__ = [
     "synthesize_prefix",
     "synthesize_core_weights",
     "plan_for_accuracy",
-    "synthesize_for_accuracy",
     "sup_error_estimate",
     "verify_denominator_constancy",
     "element_wise_extend",
@@ -212,7 +211,7 @@ def plan_for_accuracy(f: TargetFunction, epsilon: float, strict: bool = True) ->
 
     Realistic plans are astronomically large (the count scales like
     eps^(-2(m+1)) with an e^(2(m+1)lambda) prefactor), so the count is
-    reported as log10 and execution is gated separately.
+    reported as log10 and the plan is not executed.
     """
     from .bounds import normalized_head_parameters
 
@@ -231,19 +230,6 @@ def plan_for_accuracy(f: TargetFunction, epsilon: float, strict: bool = True) ->
             "f_sup": f.smoothness.f_sup,
         },
     }
-
-
-def synthesize_for_accuracy(
-    f: TargetFunction, epsilon: float, n_cap: int = 10**7, strict: bool = True
-) -> ControlPoints:
-    """Execute a bound-driven plan when its control-point count fits the
-    cap; otherwise refuse (the plan itself is always available)."""
-    plan = plan_for_accuracy(f, epsilon, strict=strict)
-    if not (math.isfinite(plan["n"]) and plan["n"] <= n_cap):
-        raise InstanceTooLarge(
-            f"bound-driven count log10(N) = {plan['log10_n']:.1f} exceeds the cap {n_cap}"
-        )
-    return synthesize_prefix(f, int(math.ceil(plan["n"])), plan["lambda"])
 
 
 def sup_error_estimate(f: TargetFunction, approx, n_samples: int, seed: int):

@@ -413,10 +413,7 @@ def equal_area_partition(m: int, n: int) -> Partition:
     """
     m, n = _size(m, "m"), _size(n, "N")
     directions, radii, locator = _partition_recursive(m, n, {})
-    # Row-wise sqrt(<c, c>) as a stacked matmul rounds like np.linalg.norm of
-    # a single row; norm(axis=1) and einsum differ from it by an ulp.
-    norms = np.sqrt((directions[:, None, :] @ directions[:, :, None])[:, 0, 0])
-    centers = directions / norms[:, None]
+    centers = directions / _row_norms(directions)[:, None]
     return Partition(m, centers, np.full(n, _surface_area(m) / n), np.minimum(radii, _RADIUS_CAP), locator)
 
 
@@ -426,7 +423,9 @@ def _row_norms(g: np.ndarray) -> np.ndarray:
 
     numpy sums a row of fewer than 8 squares left to right, which a fold
     over the columns repeats without an (n, k) temporary of squares; from 8
-    columns on it sums pairwise, so those widths keep numpy's norm.
+    columns on it sums pairwise, so those widths keep numpy's norm.  Neither
+    path calls BLAS, so the bits are the same under every BLAS kernel, which
+    the partition centers rely on (equal_area_partition).
     """
     if g.shape[1] >= 8:
         return np.linalg.norm(g, axis=1)

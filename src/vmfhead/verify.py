@@ -363,7 +363,7 @@ def _prefix_checks(results):
         for lam in (2.0, 8.0, 32.0, 128.0):
             cp = pfx.synthesize_prefix(f, 64, lam)
             prefix = att.assemble_prefix_tokens(cp, -lam - 5.0, False)
-            norms.append(float(np.linalg.norm(prefix.tokens[0, 3:6])))
+            norms.append(float(np.linalg.norm(prefix.tokens[0, cp.m + 1 : 2 * (cp.m + 1)])))
         ok = all(a < b for a, b in zip(norms, norms[1:]))
         return ok, f"key-block norms: {[f'{v:.1f}' for v in norms]}"
 

@@ -330,10 +330,11 @@ def _strided(a):
 
 # Regression pin, not an oracle: SHA-256 (the digest fixture) of
 # split_head_batch of the approx-s2 wide head (the identity on S^2, N =
-# 16384, lam = 32) at uniform_sphere_sample(2, 512, 181), recorded while the
-# dense path still multiplied by the transposed anchor view.  It holds the
-# dense path's bits.
-_WIDE_HEAD_PIN = "e0220bbd6f0113f6841840ee017552c2da0c098794e3922df92a1dd98c073da6"
+# 16384, lam = 32) at uniform_sphere_sample(2, 512, 181), re-recorded when
+# the partition centers were first normalised by _row_norms.  It holds the
+# dense path's bits under OpenBLAS's SkylakeX kernel only: the outputs are
+# gemm sums, which round differently under other kernels.
+_WIDE_HEAD_PIN = "f8685d82cef41fcbec73f0534c3009d2b5de6d5b3c08de00b051596b60334c7f"
 
 
 class TestHeadLayout:
@@ -637,6 +638,68 @@ class TestClassicalHead:
         assert np.all(np.isfinite(out))
 
 
+class TestUniversalArtifact:
+    @settings(max_examples=40)
+    @given(_suppression_case())
+    def test_certified_form_equals_token_form(self, case):
+        """universal_control_points reads the control points back from their
+        tokens, and universal_head_batch over them is the projected
+        classical head, each point its own one-input sequence."""
+        m, n, lam, M, augmented, seed = case
+        anchors = uniform_sphere_sample(m, n, seed)
+        cp = att.ControlPoints(m=m, lam=lam, p_alpha=anchors, p_beta=anchors[:, ::-1] + 2.0)
+        prefix, params = att.assemble_prefix_tokens(cp, M, augmented), att.build_universal_head(m, M, augmented)
+        rebuilt = att.universal_control_points(prefix, params, m, lam)
+        assert rebuilt.p_beta.tobytes() == cp.p_beta.tobytes()
+        # (lam p) / lam is p to within two roundings
+        np.testing.assert_allclose(rebuilt.p_alpha, cp.p_alpha, rtol=0, atol=2.0**-52)
+        pts = uniform_sphere_sample(m, 3, seed + 1)
+        token = [att.project(att.classical_head([att.lift(x, augmented)], prefix, params)[0], m + 1) for x in pts]
+        np.testing.assert_allclose(att.universal_head_batch(rebuilt, pts, M), np.stack(token), rtol=1e-12, atol=0)
+
+    def test_non_universal_refused(self):
+        m, lam, M = 2, 8.0, -20.0
+        cp = random_cp(m, 8, lam, seed=192)
+        for augmented in (False, True):
+            prefix, params = att.assemble_prefix_tokens(cp, M, augmented), att.build_universal_head(m, M, augmented)
+            d = prefix.d
+
+            def with_token(row, col, value):
+                tokens = prefix.tokens.copy()
+                tokens[row, col] = value
+                return att.PrefixTokens(d=d, tokens=tokens, M=M, augmented=augmented)
+
+            H = params.H.copy()
+            H[0, m + 1] = np.nextafter(1.0, 2.0)
+            cases = [
+                (prefix, att.AttentionHeadParams(d=d, H=H, W_V=params.W_V), m, lam),
+                (prefix, att.build_universal_head(m, M - 1.0, augmented), m, lam),
+                (with_token(0, 0, 1e-300), params, m, lam),
+                (with_token(0, m + 1, 2.0 * lam), params, m, lam),
+                (prefix, params, m, 2.0 * lam),
+                (prefix, params, m, 0.0),
+                (prefix, params, m + 1, lam),
+            ]
+            if augmented:
+                cases.append((with_token(1, d - 1, 0.5), params, m, lam))
+            for case in cases:
+                with pytest.raises(DomainError):
+                    att.universal_control_points(*case)
+            assert att.universal_control_points(prefix, params, m, lam).n_points == 8
+
+    def test_head_batch_contract(self):
+        """M must be negative and finite; where the input's mass e^M swamps
+        the prefix mass past the double range the output is 0, not NaN."""
+        cp = att.ControlPoints(m=2, lam=2000.0, p_alpha=[[0.0, 0.0, 1.0]], p_beta=[[1.0, 2.0, 3.0]])
+        pts = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]])
+        for M in (0.0, 1.0, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                att.universal_head_batch(cp, pts, M)
+        out = att.universal_head_batch(cp, pts, -1.0)
+        assert out[0].tolist() == [0.0, 0.0, 0.0]
+        np.testing.assert_allclose(out[1], [1.0, 2.0, 3.0], rtol=1e-15)
+
+
 def _universal_stack():
     m = 2
     d = 3 * (m + 1) + 1
@@ -718,22 +781,7 @@ class TestTransformerEval:
         out = att.transformer_eval(stack, X)
         np.testing.assert_allclose(out, chain_of_heads(stack, X), rtol=0, atol=atol)
 
-    def test_prefix_values_built_once_read_only_and_freed_with_layer(self):
-        stack, X = _universal_stack()
-        layer = stack.layers[0]
-        assert "_prefix_values" not in vars(layer)
-        att.transformer_eval(stack, X)
-        rows = vars(layer)["_prefix_values"]
-        att.transformer_eval(stack, X)
-        assert layer._prefix_values is rows
-        assert not rows.flags.writeable
-        np.testing.assert_array_equal(rows[:, :-1], layer.prefix.tokens @ layer.params.W_V.T)
-        np.testing.assert_array_equal(rows[:, -1], 1.0)
-        refs = weakref.ref(layer), weakref.ref(rows)
-        del stack, layer, rows
-        gc.collect()
-        assert [r() for r in refs] == [None, None]
-
+    def test_full_mode_layers_hold_their_anchors_once(self):
         # A full-mode stack holds its anchors once: every kernel layer
         # shares one anchor array and holds an (N, k) value array, builds
         # its tokens anew on each request, caches none, and frees its head

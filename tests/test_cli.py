@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from vmfhead import attention as att
 from vmfhead import cli
 from vmfhead import kernel as ker
 from vmfhead import prefix as pfx
@@ -268,8 +269,6 @@ class TestArtifactCommands:
         meta = json.loads(out)
         assert meta["d"] == 9 and meta["tokens"] == 64
         # re-export through the library must be bit-identical
-        from vmfhead import attention as att
-
         prefix, params, m, lam = att.import_prefix_artifact(before)
         assert att.export_prefix_artifact(prefix, params, m, lam) == before
 
@@ -280,6 +279,71 @@ class TestArtifactCommands:
         _, out1, _ = run_cli(capsys, argv)
         _, out2, _ = run_cli(capsys, argv)
         assert json.loads(out1)["sup_error"] == json.loads(out2)["sup_error"]
+
+    @pytest.mark.parametrize("augmented", [False, True], ids=["plain", "augmented"])
+    @pytest.mark.parametrize("lam, n", [(16.0, 64), (2000.0, 16384)], ids=["wide", "pruned"])
+    def test_eval_target_equals_token_form(self, capsys, tmp_path, augmented, lam, n):
+        """import-prefix evaluates the universal head's certified form; its
+        errors agree with the dense token form, each sample point its own
+        one-input classical_head call projected to its first block."""
+        path = tmp_path / "artifact.json"
+        argv = ["export-prefix", str(path), "--target", "identity", "--m", "2", "--lam", str(lam), "--n", str(n)]
+        assert run_cli(capsys, argv + ["--augmented"] * augmented)[0] == 0
+        code, out, _ = run_cli(capsys, ["import-prefix", str(path), "--eval-target", "identity", "--samples", "128", "--seed", "5"])
+        assert code == 0
+        payload = json.loads(out)
+
+        prefix, params, m, _ = att.import_prefix_artifact(path.read_text())
+        assert (att.universal_control_points(prefix, params, m, lam)._blocks is not None) == (lam > 16.0)
+
+        def token_form(pts):
+            return np.stack(
+                [att.project(att.classical_head([att.lift(x, augmented)], prefix, params)[0], m + 1) for x in pts]
+            )
+
+        sup, mean = pfx.sup_error_estimate(pfx.make_target("identity", m), token_form, 128, cli._stage_seed(5, 1))
+        assert abs(payload["sup_error"] - sup) <= 1e-12
+        assert abs(payload["mean_error"] - mean) <= 1e-12
+
+    @pytest.mark.parametrize("augmented", [False, True], ids=["plain", "augmented"])
+    def test_eval_target_equals_approximate_report(self, capsys, tmp_path, augmented):
+        path = tmp_path / "artifact.json"
+        settings = ["--samples", "256", "--seed", "11"]
+        argv = ["approximate", "--target", "bump", "--m", "2", "--lam", "16", "--n", "256", "--out-prefix", str(path)]
+        code, out, _ = run_cli(capsys, argv + settings + ["--augmented"] * augmented)
+        assert code == 0
+        report = json.loads(out)
+        code, out, _ = run_cli(capsys, ["import-prefix", str(path), "--eval-target", "bump"] + settings)
+        assert code == 0
+        payload = json.loads(out)
+        assert abs(payload["sup_error"] - report["sup_error"]) <= 1e-12
+        assert abs(payload["mean_error"] - report["mean_error"]) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "augmented, matrix, row, col, entry",
+        [
+            (False, "H", 0, 3, "1.0000000000000002"),
+            (True, "H", 5, 0, "-0.5"),
+            (False, "W_V", 2, 8, "0.0"),
+            (False, "tokens", 3, 0, "1e-300"),
+            (True, "tokens", 0, 9, "0.25"),
+        ],
+        ids=["H coupling entry", "H zero entry", "W_V routing entry", "query block", "augmented last slot"],
+    )
+    def test_eval_target_refuses_non_universal_artifact(self, capsys, tmp_path, augmented, matrix, row, col, entry):
+        path = tmp_path / "artifact.json"
+        argv = ["export-prefix", str(path), "--target", "identity", "--m", "2", "--lam", "8", "--n", "32"]
+        assert run_cli(capsys, argv + ["--augmented"] * augmented)[0] == 0
+        payload = json.loads(path.read_text())
+        assert payload[matrix][row][col] != entry
+        payload[matrix][row][col] = entry
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, ["import-prefix", str(path), "--eval-target", "identity", "--samples", "16"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        # only the evaluation needs the universal form
+        assert run_cli(capsys, ["import-prefix", str(path)])[0] == 0
 
     def test_schema_mismatch_exit_code(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

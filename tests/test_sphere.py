@@ -146,10 +146,11 @@ class TestEqualAreaPartition:
     @pytest.mark.parametrize("n", [1, 2, 3, 4096, 65536])
     def test_circle_centers_match_scalar_trigonometry(self, n):
         """The arc midpoints come out of np.cos / np.sin exactly as out of
-        math.cos / math.sin, each row normalized by its own norm."""
+        math.cos / math.sin, each row divided by its norm sqrt(c*c + s*s)
+        in scalar IEEE arithmetic, which no BLAS kernel rounds."""
         width = 2.0 * math.pi / n
         rows = [np.array([math.cos(k * width + width / 2.0), math.sin(k * width + width / 2.0)]) for k in range(n)]
-        expected = np.array([row / np.linalg.norm(row) for row in rows])
+        expected = np.array([row / math.sqrt(row[0] * row[0] + row[1] * row[1]) for row in rows])
         assert np.array_equal(equal_area_partition(1, n).centers(), expected)
 
     def test_domain(self):
@@ -239,16 +240,17 @@ class TestPartitionBuildsOnce:
 
 
 # Regression pins, not oracles: SHA-256 of (centers, radii, measures), each
-# array's shape and float64 bytes, recorded before sub-partitions were shared
-# between collars.  They hold the construction bit for bit.
+# array's shape and float64 bytes, re-recorded when the centers were first
+# normalised by _row_norms, an elementwise fold that rounds alike under every
+# BLAS kernel.  They hold the construction bit for bit on any machine.
 _PARTITION_PINS = {
-    (8, 2048): "bb3c778a9800d98e0aff497172914e4eff6dbe5c652a1ae08d61296171721174",
-    (4, 2048): "67e9574c4e3fcfa0f4bc183875a595ea6cb305ef1a8dad4ce7319664d8b8c493",
-    (3, 500): "102c282cf2f1fa4cad2a993a85f7951dbecd48145be4c6f9d32099f6a53b23e0",
-    (8, 32): "51061c76db4e08cdcd9a41cc494ae83e20f425c1809e093a4549ea605a29e3eb",
-    (2, 16384): "091e94de2f6d7f86a53d238d1bb2245fcdd2311cb9e1780544d175b5d2aaa2d4",
-    (2, 65536): "79107c95c9c911c5f1829581a2cbd03da972fd30a41698e36d932764de9d9e08",
-    (2, 1024): "4d11612b7e930932c0ca743cca269726fd91d3fb98bd85545881926fdd3b594d",
+    (8, 2048): "73d48ac970cf424ddc99bf0d15dfb9fcf3628119cb0ea2e72d7dfb34e8e859b5",
+    (4, 2048): "b4c2e5eaf6a47c5048af8ac84c81e8c84c809c23c4535ec5926dfda837a5fddd",
+    (3, 500): "dd128ea4b2e4bfa9552c3bed8cc47951b83e8b2e1f63b63f724c3dd3f59cf318",
+    (8, 32): "227f618cd35a1f7753747554eda78fe8b82db38dbf9726bdcbb21bc55fb61847",
+    (2, 16384): "2010a7d24901acccb868e3c2f90c87e0fd8546f6003dffd10147ec597babba70",
+    (2, 65536): "00c7d775b0a7756754b60c27f64de21db2e3a87d6099f86aad898d3810af541b",
+    (2, 1024): "5286b9af2fe3dad34778558e1f5509d871832969249290a19b8d795cc7490760",
 }
 
 
