@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, _positive, _size
+from .errors import DimensionMismatch, DomainError, _positive, _real, _size
 from .sphere import (
     Partition,
     _colat_area,
@@ -160,8 +160,7 @@ class PrefixTokens:
             raise DimensionMismatch("tokens must be a nonempty (N, d) array")
         if not np.all(np.isfinite(t)):
             raise DomainError("tokens must be finite")
-        if not -math.inf < self.M < 0:
-            raise DomainError("suppression constant M must be negative and finite")
+        object.__setattr__(self, "M", _suppression(self.M))
         t.setflags(write=False)
         object.__setattr__(self, "tokens", t)
 
@@ -176,7 +175,6 @@ class OracleStage:
     (T, d) state array to a new one, each row on its own."""
 
     fn: object
-    label: str = "oracle"
 
 
 @dataclass(frozen=True)
@@ -585,13 +583,6 @@ def classical_head(inputs, prefix: PrefixTokens, params: AttentionHeadParams):
 # ---------------------------------------------------------------------------
 
 
-def _block_width(d_aug: int, augmented: bool) -> int:
-    base = d_aug - 1 if augmented else d_aug
-    if base % 3 != 0 or base < 6:
-        raise DimensionMismatch(f"embedding dimension {d_aug} is not 3(m+1)(+1)")
-    return base // 3
-
-
 def lift(x, augmented: bool = False) -> np.ndarray:
     """Embed a sphere point into the first block of the head space.
 
@@ -607,13 +598,18 @@ def lift(x, augmented: bool = False) -> np.ndarray:
     return out
 
 
-def project(y, block: int | None = None) -> np.ndarray:
-    """Read the first block back out of a head-space vector."""
+def project(y, block: int) -> np.ndarray:
+    """Read the first block, of width block = m+1, back out of a head-space
+    vector."""
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1:
         raise DimensionMismatch("project expects a single vector")
-    b = block if block is not None else _block_width(y.size, augmented=(y.size % 3 == 1))
-    return y[:b].copy()
+    return y[:block].copy()
+
+
+def _suppression(M) -> float:
+    """The suppression constant M of a universal head: finite and < 0."""
+    return _real(M, "suppression constant M", high=0.0)
 
 
 def build_universal_head(m: int, M: float, augmented: bool = False) -> AttentionHeadParams:
@@ -626,8 +622,7 @@ def build_universal_head(m: int, M: float, augmented: bool = False) -> Attention
     slot so that the input-input logit is M for every input pair, not
     M <x_i, x_j>.
     """
-    if not -math.inf < M < 0:
-        raise DomainError("suppression constant M must be negative and finite")
+    M = _suppression(M)
     b = _size(m, "m") + 1
     d = 3 * b + (1 if augmented else 0)
     H = np.zeros((d, d))
@@ -677,8 +672,7 @@ def universal_head_batch(cp: ControlPoints, points, M: float) -> np.ndarray:
     unit vectors, each its own one-input sequence: split * S / (S + e^M),
     S the prefix mass at x (suppression_gap), from one _head_softmax call.
     """
-    if not -math.inf < M < 0:
-        raise DomainError("suppression constant M must be negative and finite")
+    M = _suppression(M)
     mean, rowsum, shift = _head_softmax(cp, points)
     # e^(M - ln S) overflows only where S e^-M < e^-709; the output is then
     # 0, against an exact value below |mean| e^-709
@@ -695,8 +689,7 @@ def suppression_gap(cp: ControlPoints, x, M: float, t_inputs: int = 1) -> float:
     gap is T e^M / (S + T e^M).  Evaluated in log domain because at working
     suppression levels the gap sits far below float subtraction resolution.
     """
-    if not -math.inf < M < 0:
-        raise DomainError("suppression constant M must be negative and finite")
+    M = _suppression(M)
     extra = M + math.log(_size(t_inputs, "t_inputs"))
     log_mass = float(log_prefix_mass(cp, as_unit_vector(x)[None, :])[0])
     return math.exp(extra - np.logaddexp(log_mass, extra))

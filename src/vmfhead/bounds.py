@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import DomainError, OverflowWarning, PermissiveModeWarning, _positive, _size
+from .errors import DomainError, OverflowWarning, PermissiveModeWarning, _positive, _real, _size
 from .kernel import vmf_log_normalizer
 from .sphere import cap_area, surface_area
 
@@ -49,8 +49,7 @@ class SmoothnessSpec:
     def __post_init__(self):
         for name in ("L", "C_H", "C_R"):
             object.__setattr__(self, name, _positive(getattr(self, name), name))
-        if not 0 <= self.f_sup < math.inf:
-            raise DomainError(f"f_sup must be finite and >= 0, got {self.f_sup!r}")
+        object.__setattr__(self, "f_sup", _real(self.f_sup, "f_sup", 0.0, ends="[)"))
 
 
 @dataclass(frozen=True)
@@ -159,8 +158,7 @@ def covering_bounds(m: int, delta: float) -> tuple[float, float]:
     upper = Phi(m) / (delta(2-delta))^((m+1)/2) (ball-covering transfer).
     """
     m = _size(m, "m", 8)
-    if not (0.0 < delta < 1.0):
-        raise DomainError(f"covering_bounds requires delta in (0, 1), got {delta}")
+    delta = _real(delta, "delta", 0.0, 1.0)
     lower = surface_area(m) / cap_area(m, delta)
     upper = phi(m) / (delta * (2.0 - delta)) ** ((m + 1) / 2.0)
     return lower, upper

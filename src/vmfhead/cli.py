@@ -154,7 +154,9 @@ def _cmd_seq2seq_demo(args) -> int:
         print(f"error: unknown sequence function {args.f!r}", file=sys.stderr)
         return EXIT_CONFIG
     f = fns[args.f]
-    stack = build_seq2seq_transformer(f, t_len, m, cfg, n_points=args.n, lam=args.lam, mode=args.mode)
+    # Only the sizes given: build_seq2seq_transformer owns the defaults.
+    sizes = {key: value for key, value in (("n_points", args.n), ("lam", args.lam)) if value is not None}
+    stack = build_seq2seq_transformer(f, t_len, m, cfg, mode=args.mode, **sizes)
     rng = np.random.default_rng(args.seed)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["sample", "stage", "position", "values"])
@@ -269,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=int, default=4, help="binary digits per coordinate")
     p.add_argument("--mode", default="hybrid", choices=["hybrid", "full"])
     p.add_argument("--f", default="sequence-mean", help="sequence function (sequence-mean, identity)")
-    p.add_argument("--n", type=int, default=4096, help="control points per head (full mode)")
-    p.add_argument("--lam", type=float, default=2.0e5, help="concentration (full mode)")
+    p.add_argument("--n", type=int, help="control points per head (full mode; default the library's)")
+    p.add_argument("--lam", type=float, help="concentration (full mode; default the library's)")
     p.add_argument("--count", type=int, default=3, help="number of sampled sequences")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_seq2seq_demo)

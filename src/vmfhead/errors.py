@@ -1,6 +1,6 @@
 """Exception types shared across the package; exit_code is the CLI exit
 status: 2 for usage errors (bad arguments, inputs or sizes), 3 for numeric
-failures.  _size and _positive state the scalar-argument contract once."""
+failures.  _size and _real state the scalar-argument contract once."""
 
 import math
 import numbers
@@ -24,10 +24,6 @@ class DegenerateInput(DomainError):
 class DimensionMismatch(VmfheadError):
     """Operands live in incompatible dimensions."""
     exit_code = 2
-
-
-class PoleSingularity(VmfheadError):
-    """The stereographic projection was evaluated at its pole."""
 
 
 class NumericalFailure(VmfheadError):
@@ -71,11 +67,26 @@ def _size(value, name: str, least: int = 1) -> int:
     raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _positive(value, name: str) -> float:
-    """A finite real > 0 as a float (Python or numpy int or float); bools,
-    non-reals, NaN, +-inf and values <= 0 are refused with DomainError."""
+def _real(value, name: str, low: float = -math.inf, high: float = math.inf, ends: str = "()") -> float:
+    """A finite real (Python or numpy int or float) in the interval from low
+    to high, as a float; ends gives its brackets, "(" or "[" then ")" or
+    "]".  Bools, non-reals, NaN, +-inf and values outside the interval are
+    refused with DomainError."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         real = float(value)
-        if 0.0 < real < math.inf:
+        above = low < real or (ends[0] == "[" and real == low)
+        below = real < high or (ends[1] == "]" and real == high)
+        if math.isfinite(real) and above and below:
             return real
-    raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+    if high == math.inf:
+        interval = f"{'>=' if ends[0] == '[' else '>'} {low:g}"
+    elif low == -math.inf:
+        interval = f"{'<=' if ends[1] == ']' else '<'} {high:g}"
+    else:
+        interval = f"in {ends[0]}{low:g}, {high:g}{ends[1]}"
+    raise DomainError(f"{name} must be finite and {interval}, got {value!r}")
+
+
+def _positive(value, name: str) -> float:
+    """A finite real > 0 as a float (_real on (0, inf))."""
+    return _real(value, name, 0.0)

@@ -25,7 +25,6 @@ __all__ = [
     "vmf_log_normalizer",
     "kernel_norm",
     "kernel_eigenvalue",
-    "kernel_eval",
     "kernel_log_eval",
     "convolve_vmf",
 ]
@@ -70,13 +69,6 @@ def kernel_log_eval(kern: VmfKernel, t) -> np.ndarray | float:
         raise DomainError("kernel argument must lie in [-1, 1]")
     out = kern.log_normalizer + kern.lam * tt
     return float(out) if np.isscalar(t) or tt.ndim == 0 else out
-
-
-def kernel_eval(kern: VmfKernel, t) -> np.ndarray | float:
-    """K(t) in linear scale; saturates to inf past the exp range (use the
-    log variant for lambda beyond ~700)."""
-    log_val = kernel_log_eval(kern, t)
-    return np.exp(log_val) if isinstance(log_val, np.ndarray) else math.exp(min(log_val, 709.0)) if log_val < 709.0 else math.inf
 
 
 @functools.cache

@@ -28,7 +28,7 @@ from .attention import (
     split_head_batch,
 )
 from .bounds import SmoothnessSpec
-from .errors import DimensionMismatch, DomainError, _positive, _size
+from .errors import DimensionMismatch, DomainError, _positive, _real, _size
 from .kernel import vmf_log_normalizer
 from .sphere import Partition, equal_area_partition, uniform_sphere_sample
 
@@ -85,8 +85,8 @@ class ApproximationReport:
     wall_time_ms: float
 
     def __post_init__(self):
-        if self.sup_error < 0 or self.mean_error < 0:
-            raise DomainError("errors must be nonnegative")
+        for name in ("sup_error", "mean_error"):
+            object.__setattr__(self, name, _real(getattr(self, name), name, 0.0, ends="[)"))
         object.__setattr__(self, "samples", _size(self.samples, "samples"))
 
     def row(self) -> dict:

@@ -408,7 +408,7 @@ def _psi_oracle(lay: _Layout, cfg: DigitConfig):
         out[:, lay.val] = weights[_positions(lay, states)] * psi
         return out
 
-    return OracleStage(fn=fn, label="digit-encoder")
+    return OracleStage(fn=fn)
 
 
 def _decoder_oracles(lay: _Layout, f, t_len: int, m: int, cfg: DigitConfig) -> list[OracleStage]:
@@ -436,7 +436,7 @@ def _decoder_oracles(lay: _Layout, f, t_len: int, m: int, cfg: DigitConfig) -> l
                 out[row, lay.val] = decoded(round(states.item(row, lay.val) * base))[i0, position.item(row) % (m + 1)]
             return out
 
-        return OracleStage(fn=fn, label=f"decoder-{i0}")
+        return OracleStage(fn=fn)
 
     return [oracle(i0) for i0 in range(t_len)]
 

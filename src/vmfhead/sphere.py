@@ -1,7 +1,8 @@
 """Geometry of the unit hypersphere S^m in R^(m+1).
 
-Points, geodesics, cap areas, equal-measure zonal partitions, uniform
-sampling, and the stereographic maps between the sphere and flat space.
+Unit-vector checks, cap areas, equal-measure zonal partitions, uniform
+sampling, and the batch stereographic maps between the sphere and flat
+space.
 The zonal partition follows the recursive cap/collar scheme: polar caps of
 the target cell area, collars whose colatitude boundaries are refit so each
 collar holds an integer number of exactly equal-measure cells, and a
@@ -11,28 +12,24 @@ recursive partition of S^(m-1) inside each collar.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch, DomainError, PoleSingularity, _size
+from .errors import DegenerateInput, DimensionMismatch, _real, _size
 from .specialfn import log_gamma, reg_inc_beta
 
 __all__ = [
-    "SpherePoint",
     "check_finite_unit",
     "Partition",
-    "project_to_sphere",
-    "geodesic_distance",
     "surface_area",
     "cap_area",
     "cap_colatitude",
     "equal_area_partition",
     "uniform_sphere_sample",
-    "stereographic",
-    "stereographic_inverse",
+    "stereographic_batch",
+    "stereographic_inverse_batch",
 ]
 
 _UNIT_TOL = 1e-12
@@ -48,57 +45,12 @@ def check_finite_unit(points: np.ndarray) -> np.ndarray:
     return points
 
 
-@dataclass(frozen=True)
-class SpherePoint:
-    """A unit vector in R^(m+1); the domain element of every target function."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=np.float64)
-        if c.ndim != 1 or c.size < 2:
-            raise DimensionMismatch("a sphere point needs at least 2 coordinates")
-        check_finite_unit(c)
-        c.setflags(write=False)
-        object.__setattr__(self, "coords", c)
-
-    @property
-    def m(self) -> int:
-        return self.coords.size - 1
-
-
 def as_unit_vector(x) -> np.ndarray:
-    """Coerce a SpherePoint or array-like to a validated unit vector."""
-    if isinstance(x, SpherePoint):
-        return x.coords
+    """Coerce an array-like to a validated unit vector."""
     c = np.asarray(x, dtype=np.float64)
     if c.ndim != 1 or c.size < 2:
         raise DimensionMismatch("expected a single vector of length >= 2")
     return check_finite_unit(c)
-
-
-def project_to_sphere(v) -> SpherePoint:
-    """Normalize a nonzero vector onto S^m."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size < 2:
-        raise DimensionMismatch("expected a vector of length >= 2")
-    n = np.linalg.norm(v)
-    if n == 0.0 or not np.isfinite(n):
-        raise DegenerateInput("cannot project a zero or non-finite vector")
-    return SpherePoint(v / n)
-
-
-def geodesic_distance(x, y) -> float:
-    """Great-circle distance arccos(<x, y>) in [0, pi].
-
-    The inner product is clamped to [-1, 1] before arccos as a
-    floating-point guard.
-    """
-    xv = as_unit_vector(x)
-    yv = as_unit_vector(y)
-    if xv.size != yv.size:
-        raise DimensionMismatch(f"dimension mismatch: {xv.size} vs {yv.size}")
-    return float(math.acos(min(1.0, max(-1.0, float(np.dot(xv, yv))))))
 
 
 def surface_area(m: int) -> float:
@@ -130,9 +82,7 @@ def _cap_measure(m: int, s2: float, c: float) -> float:
 def cap_area(m: int, delta: float) -> float:
     """Area of the cap {y : <y, pole> >= 1 - delta} for delta in (0, 1]:
     colatitude phi = arccos(1 - delta), so sin^2 phi = delta(2 - delta)."""
-    m = _size(m, "m")
-    if not (0.0 < delta <= 1.0):
-        raise DomainError(f"cap_area requires delta in (0, 1], got {delta}")
+    m, delta = _size(m, "m"), _real(delta, "delta", 0.0, 1.0, "(]")
     return _cap_measure(m, delta * (2.0 - delta), 1.0 - delta)
 
 
@@ -152,8 +102,7 @@ def cap_colatitude(m: int, area: float) -> float:
     """
     m = _size(m, "m")
     w = _surface_area(m)
-    if not (0.0 <= area <= w * (1.0 + 1e-12)):
-        raise DomainError(f"cap area {area} outside [0, {w}]")
+    area = _real(area, "cap area", 0.0, w * (1.0 + 1e-12), "[]")
     if area <= 0.0:
         return 0.0
     if area >= w:
@@ -219,55 +168,12 @@ class Partition:
     def radii(self) -> np.ndarray:
         return self._radii
 
-    def locate(self, x) -> int:
-        """Index of the cell containing a point: one row of locate_batch."""
-        xv = as_unit_vector(x)
-        if xv.size != self.m + 1:
-            raise DimensionMismatch("point dimension does not match partition")
-        return int(self.locate_batch(xv[None])[0])
-
     def locate_batch(self, points) -> np.ndarray:
         """Cell indices for an (n, m+1) array of unit vectors."""
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.m + 1:
             raise DimensionMismatch("points must have shape (n, m+1)")
         return self._locator.locate_batch(check_finite_unit(pts))
-
-    def to_json(self) -> str:
-        payload = {
-            "m": self.m,
-            "cells": [
-                {
-                    "center": [repr(float(v)) for v in c],
-                    "measure": repr(float(w)),
-                    "radius_bound": repr(float(r)),
-                }
-                for c, w, r in zip(self._centers, self._measures, self._radii)
-            ],
-        }
-        return json.dumps(payload)
-
-    @staticmethod
-    def from_json(text: str) -> "Partition":
-        """Inverse of to_json.  The payload is rebuilt as
-        equal_area_partition(m, N), so the copy keeps the zonal locator, and
-        is refused unless its arrays equal the rebuilt ones bit for bit."""
-        try:
-            payload = json.loads(text)
-            m = int(payload["m"])
-            cells = payload["cells"]
-            centers = np.array([[float(v) for v in c["center"]] for c in cells], dtype=np.float64)
-            measures = np.array([float(c["measure"]) for c in cells])
-            radii = np.array([float(c["radius_bound"]) for c in cells])
-        except (KeyError, TypeError, ValueError):
-            raise DomainError("partition payload has missing keys, ragged rows or non-numeric entries") from None
-        part = equal_area_partition(m, len(cells))
-        if not all(
-            a.shape == b.shape and a.tobytes() == b.tobytes()
-            for a, b in ((centers, part.centers()), (measures, part.measures()), (radii, part.radii()))
-        ):
-            raise DomainError("zonal partition payload differs from equal_area_partition(m, N)")
-        return part
 
 
 class _ZonalLocator:
@@ -468,16 +374,3 @@ def stereographic_inverse_batch(y: np.ndarray) -> np.ndarray:
     """The rows (2y, |y|^2 - 1) / (|y|^2 + 1) on S^m of an (n, m) array."""
     s = np.einsum("ij,ij->i", y, y)[:, None]
     return np.concatenate([2.0 * y / (s + 1.0), (s - 1.0) / (s + 1.0)], axis=1)
-
-
-def stereographic(x) -> np.ndarray:
-    """Stereographic projection (x_1..x_m) / (1 - x_{m+1}) from the pole."""
-    xv = as_unit_vector(x)
-    if xv[-1] >= 1.0 - 1e-15:
-        raise PoleSingularity("stereographic projection undefined at the pole")
-    return stereographic_batch(xv[None])[0]
-
-
-def stereographic_inverse(y) -> SpherePoint:
-    """Inverse stereographic map R^m -> S^m; 0 maps to the south pole (0, ..., 0, -1)."""
-    return project_to_sphere(stereographic_inverse_batch(np.atleast_1d(np.asarray(y, dtype=np.float64))[None])[0])

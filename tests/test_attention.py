@@ -328,14 +328,6 @@ def _strided(a):
     return wide[:, ::2]
 
 
-# Regression pin, not an oracle: SHA-256 (the digest fixture) of
-# split_head_batch of the approx-s2 wide head (the identity on S^2, N =
-# 16384, lam = 32) at uniform_sphere_sample(2, 512, 181), re-recorded when
-# the partition centers were first normalised by _row_norms.  It holds the
-# dense path's bits under OpenBLAS's SkylakeX kernel only: the outputs are
-# gemm sums, which round differently under other kernels.
-_WIDE_HEAD_PIN = "f8685d82cef41fcbec73f0534c3009d2b5de6d5b3c08de00b051596b60334c7f"
-
 
 class TestHeadLayout:
     @pytest.mark.parametrize("lam, indexed", [(32.0, False), (2000.0, True)], ids=["dense", "indexed"])
@@ -370,10 +362,17 @@ class TestHeadLayout:
         contiguous = att.ControlPoints(m=2, lam=2000.0, p_alpha=anchors.copy(), p_beta=values.copy())
         assert np.array_equal(att.split_head_batch(cp, pts), att.split_head_batch(contiguous, pts))
 
-    def test_wide_head_pin(self, digest):
+    def test_wide_head_pin(self):
+        """Oracle check, not a regression pin: the approx-s2 wide head (the
+        identity on S^2, N = 16384, lam = 32), evaluated densely, agrees with
+        plain_softmax to 1e-12.  Its outputs are gemm sums, whose bits differ
+        between BLAS kernels; bitwise layout invariance on one kernel is
+        test_control_point_layout_is_bitwise_irrelevant's."""
         cp = pfx.synthesize_prefix(pfx.make_target("identity", 2), 16384, 32.0)
         assert cp._blocks is None
-        assert digest([att.split_head_batch(cp, uniform_sphere_sample(2, 512, 181))]) == _WIDE_HEAD_PIN
+        pts = uniform_sphere_sample(2, 512, 181)
+        means, _ = plain_softmax(cp.p_alpha, cp.p_beta, cp.lam, pts)
+        np.testing.assert_allclose(att.split_head_batch(cp, pts), means, rtol=0, atol=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -478,11 +477,6 @@ class TestLiftProject:
         lifted = att.lift(x, augmented=True)
         assert lifted[-1] == 1.0
         assert lifted.size == 10
-
-    def test_project_infers_layout(self):
-        x = uniform_sphere_sample(2, 1, seed=15)[0]
-        np.testing.assert_array_equal(att.project(att.lift(x, True)), x)
-        np.testing.assert_array_equal(att.project(att.lift(x, False)), x)
 
 
 class TestUniversalHead:

@@ -255,6 +255,14 @@ class TestSeq2SeqDemo:
             for value in line.split(",")[3].split():
                 float(value)
 
+    def test_full_mode_sizes_default_to_the_library(self, capsys):
+        """Without --n and --lam, full mode builds at build_seq2seq_transformer's
+        own defaults, N = 4096 and lam = 2e5."""
+        argv = ["seq2seq-demo", "--t", "2", "--m", "0", "--digits", "2", "--mode", "full", "--count", "2"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert (0, out) == run_cli(capsys, argv + ["--n", "4096", "--lam", "200000"])[:2]
+
 
 class TestArtifactCommands:
     def test_export_import_round_trip(self, capsys, tmp_path):

@@ -1,6 +1,6 @@
 """One input contract: NaN, infinite, non-unit and ragged inputs are refused
 with a typed error at every entry point, and so are sizes that are not
-integers and positive reals that are not finite and > 0."""
+integers and reals that are not finite or lie outside their interval."""
 
 import json
 import math
@@ -17,7 +17,6 @@ from vmfhead.seq2seq import DigitConfig, SequenceSample, aggregate_R, build_seq2
 from vmfhead.seq2seq.encoding import decode_sequence, psi_strided, relaxed_decode
 from vmfhead.specialfn import bessel_ratio, log_bessel_i
 from vmfhead.sphere import (
-    SpherePoint,
     as_unit_vector,
     cap_area,
     cap_colatitude,
@@ -77,8 +76,6 @@ def with_entry(value):
 
 
 CASES = {
-    "sphere point NaN": lambda: SpherePoint(NAN_POINT),
-    "sphere point inf": lambda: SpherePoint(np.array([np.inf, 0.0, 0.0])),
     "unit vector NaN": lambda: as_unit_vector(NAN_POINT),
     "anchor NaN": lambda: control_points(p_alpha=np.vstack([ANCHORS[:-1], NAN_POINT])),
     "anchor non-unit": lambda: control_points(p_alpha=2.0 * ANCHORS),
@@ -145,7 +142,6 @@ CASES = {
     "surface_area m bool": lambda: surface_area(True),
     "cap_colatitude m float": lambda: cap_colatitude(2.5, 1.0),
     "kernel_log_eval t NaN": lambda: ker.kernel_log_eval(KERNEL, math.nan),
-    "kernel_eval t NaN entry": lambda: ker.kernel_eval(KERNEL, np.array([0.5, np.nan])),
     "default_suppression lambda inf": lambda: att.default_suppression(INF, 4),
     "default_suppression N zero": lambda: att.default_suppression(4.0, 0),
     "default_suppression N float": lambda: att.default_suppression(4.0, 4.0),
@@ -170,6 +166,21 @@ CASES = {
     "sup_error_estimate n_samples float": lambda: pfx.sup_error_estimate(IDENTITY, np.copy, 10.0, 1),
     "psi_strided stride float": lambda: psi_strided(0.5, CFG, 1.5),
     "decode_sequence t_len float": lambda: decode_sequence(0.5, 2.0, 0, CFG),
+    "suppression M string": lambda: att.PrefixTokens(d=2, tokens=np.zeros((1, 2)), M="x", augmented=False),
+    "universal head M None": lambda: att.build_universal_head(2, None),
+    "universal_head_batch M list": lambda: att.universal_head_batch(control_points(), ANCHORS, [-1.0]),
+    "suppression_gap M string": lambda: att.suppression_gap(control_points(), ANCHORS[0], "-5"),
+    "smoothness f_sup bool": lambda: bnd.SmoothnessSpec(1, 1, 1, True),
+    "smoothness f_sup string": lambda: bnd.SmoothnessSpec(1, 1, 1, "1"),
+    "log_bessel_i order bool": lambda: log_bessel_i(True, 2.0),
+    "log_bessel_i order string": lambda: log_bessel_i("x", 2.0),
+    "cap_area delta bool": lambda: cap_area(2, True),
+    "cap_area delta string": lambda: cap_area(2, "0.5"),
+    "cap_colatitude area bool": lambda: cap_colatitude(2, True),
+    "cap_colatitude area string": lambda: cap_colatitude(2, "1.0"),
+    "covering_bounds delta string": lambda: bnd.covering_bounds(8, "0.3"),
+    "report sup_error NaN": lambda: pfx.ApproximationReport("x", 2, 1.0, 4, math.nan, 0.0, 10, 0, 1.0),
+    "report mean_error NaN": lambda: pfx.ApproximationReport("x", 2, 1.0, 4, 0.1, math.nan, 10, 0, 1.0),
 }
 
 ENCODING_CASES = {
@@ -250,7 +261,7 @@ def test_valid_inputs_still_accepted():
     assert (type(kern.m), type(kern.lam), kern.log_normalizer) == (int, float, KERNEL.log_normalizer)
     assert ker.kernel_norm(i2, 4) == ker.kernel_norm(2, 4.0)
     assert ker.kernel_eigenvalue(i2, np.int64(3), 4) == ker.kernel_eigenvalue(2, 3, 4.0)
-    assert bnd.SmoothnessSpec(1, 1, 1, 1) == SPEC
+    assert bnd.SmoothnessSpec(1, 1, 1, 1) == SPEC and type(bnd.SmoothnessSpec(1, 1, 1, np.int64(0)).f_sup) is float
     assert bnd.lambda_for_accuracy(np.float64(0.5), SPEC, i8) == bnd.lambda_for_accuracy(0.5, SPEC, 8)
     assert bnd.prefix_length_bound(4, 0.1, SPEC, i8) == bnd.prefix_length_bound(4.0, 0.1, SPEC, 8)
     assert bnd.phi(i8) == bnd.phi(8) and bnd.covering_bounds(i8, 0.3) == bnd.covering_bounds(8, 0.3)

@@ -10,7 +10,6 @@ from vmfhead.kernel import (
     VmfKernel,
     convolve_vmf,
     kernel_eigenvalue,
-    kernel_eval,
     kernel_log_eval,
     kernel_norm,
     vmf_log_normalizer,
@@ -117,29 +116,31 @@ class TestEigenvalues:
 
 
 class TestKernelEval:
+    """K(t) in linear scale is exp of kernel_log_eval."""
+
     def test_examples(self):
         kern = VmfKernel(2, 1.0)
-        np.testing.assert_allclose(kernel_eval(kern, 0.0), 1.0 / math.sinh(1.0), rtol=1e-12)
-        np.testing.assert_allclose(kernel_eval(kern, 1.0), math.e / math.sinh(1.0), rtol=1e-12)
+        np.testing.assert_allclose(math.exp(kernel_log_eval(kern, 0.0)), 1.0 / math.sinh(1.0), rtol=1e-12)
+        np.testing.assert_allclose(math.exp(kernel_log_eval(kern, 1.0)), math.e / math.sinh(1.0), rtol=1e-12)
 
     def test_monotone_and_log_variant(self):
         kern = VmfKernel(3, 7.0)
         ts = np.linspace(-1, 1, 101)
-        vals = kernel_eval(kern, ts)
-        assert np.all(np.diff(vals) > 0)
-        np.testing.assert_allclose(np.log(vals), kernel_log_eval(kern, ts), atol=1e-12)
+        logs = kernel_log_eval(kern, ts)
+        assert np.all(np.diff(np.exp(logs)) > 0)
+        np.testing.assert_allclose(logs - kern.log_normalizer, 7.0 * ts, atol=1e-12)
 
     def test_log_domain_at_extreme_concentration(self):
         # The normalizer cancels e^lam at t = 1: K(1) ~ 2 lam for m = 2, so
         # even huge concentrations stay finite through the log path.
         kern = VmfKernel(2, 3000.0)
         assert math.isfinite(kernel_log_eval(kern, 1.0))
-        np.testing.assert_allclose(kernel_eval(kern, 1.0), 6000.0, rtol=1e-9)
+        np.testing.assert_allclose(math.exp(kernel_log_eval(kern, 1.0)), 6000.0, rtol=1e-9)
 
     def test_domain(self):
         kern = VmfKernel(2, 1.0)
         with pytest.raises(DomainError):
-            kernel_eval(kern, 1.5)
+            kernel_log_eval(kern, 1.5)
 
 
 class TestEigenvalueQuadrature:

@@ -8,8 +8,9 @@ import pytest
 import scipy.special as sp
 
 from oracles import gegenbauer
-from vmfhead.errors import DomainError
-from vmfhead.specialfn import BesselOrder, bessel_ratio, log_bessel_i, log_gamma, reg_inc_beta
+import vmfhead.specialfn as spf
+from vmfhead.errors import DomainError, NumericalFailure
+from vmfhead.specialfn import bessel_ratio, log_bessel_i, log_gamma, reg_inc_beta
 
 mp.mp.dps = 40
 
@@ -51,6 +52,14 @@ class TestRegIncBeta:
             reg_inc_beta(1.5, 1.0, 1.0)
         with pytest.raises(DomainError):
             reg_inc_beta(0.5, -1.0, 1.0)
+
+    def test_non_convergence_is_a_numeric_failure(self, monkeypatch):
+        """A continued fraction cut off before it converges raises
+        NumericalFailure (CLI exit 3), not a domain error."""
+        monkeypatch.setattr(spf, "_BETACF_MAX_ITER", 1)
+        with pytest.raises(NumericalFailure) as info:
+            reg_inc_beta(0.3, 2.0, 2.5)
+        assert info.value.exit_code == 3
 
 
 class TestGegenbauer:
@@ -108,8 +117,6 @@ class TestLogBesselI:
             log_bessel_i(1.0, 0.0)
         with pytest.raises(DomainError):
             log_bessel_i(-1.0, 1.0)
-        with pytest.raises(DomainError):
-            BesselOrder(-0.5)
 
 
 class TestBesselRatio:
