@@ -142,14 +142,14 @@ def convolve_vmf(f, kern: VmfKernel, x, n_samples: int, seed: int):
     the mean and the ddof=1 standard deviation are taken along its
     contiguous rows, so numpy sums each component pairwise.
 
-    Raises DomainError for fewer than 100 samples, a point whose dimension
-    is not m+1, or non-finite values of f; DimensionMismatch for an output
-    of f of any other shape.
+    Raises DomainError for fewer than 100 samples or non-finite values of f;
+    DimensionMismatch for a point whose dimension is not m+1 or an output of
+    f of any other shape.
     """
     n_samples = _size(n_samples, "n_samples", 100)
     xv = as_unit_vector(x)
     if xv.size != kern.m + 1:
-        raise DomainError("point dimension does not match kernel dimension")
+        raise DimensionMismatch("point dimension does not match kernel dimension")
     ys = uniform_sphere_sample(kern.m, n_samples, seed)
     t = ys @ xv
     np.clip(t, -1.0, 1.0, out=t)

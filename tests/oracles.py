@@ -8,6 +8,12 @@ import numpy as np
 from vmfhead.errors import DomainError
 
 
+def langevin(lam: float) -> float:
+    """coth(lam) - 1/lam = I_{3/2}(lam) / I_{1/2}(lam): on S^2 the kernel's
+    first eigenvalue, so (K*id)(x) = langevin(lam) x."""
+    return 1.0 / math.tanh(lam) - 1.0 / lam
+
+
 def gegenbauer(k: int, alpha: float, t: float) -> float:
     """Gegenbauer polynomial Q_k^alpha(t) by the three-term recurrence.
 

@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+from oracles import langevin
 
 from vmfhead import attention as att
 from vmfhead import bounds as bnd
@@ -50,7 +51,7 @@ def test_02_closed_form_anchors():
         c3 = math.exp(ker.vmf_log_normalizer(2, lam))
         assert abs(c3 * math.sinh(lam) / lam - 1.0) <= 1e-10
         a1 = ker.kernel_eigenvalue(2, 1, lam)
-        assert abs(a1 - (1.0 / math.tanh(lam) - 1.0 / lam)) <= 1e-10
+        assert abs(a1 - langevin(lam)) <= 1e-10
     _report(2, "closed-form anchors (m=2)")
 
 

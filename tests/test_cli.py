@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, determinism, exit codes, fault injection."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -236,6 +237,33 @@ class TestVerify:
         assert code == 4
         payload = json.loads(out)
         assert payload["n_failed"] >= 1
+
+    @staticmethod
+    def failed_checks(capsys, suite):
+        code, out, _ = run_cli(capsys, ["verify", "--suite", suite, "--json"])
+        assert code == 4
+        return {c["name"] for c in json.loads(out)["checks"] if not c["passed"]}
+
+    def test_split_head_concentration_fault_detected(self, capsys, monkeypatch):
+        """A split head evaluated at 0.95 lambda reads about 5e-3 against the
+        exact convolution, above its 1e-3 tolerance."""
+        original = att.split_head_batch
+        monkeypatch.setattr(
+            att, "split_head_batch", lambda cp, points: original(dataclasses.replace(cp, lam=0.95 * cp.lam), points)
+        )
+        assert "convolution consistency" in self.failed_checks(capsys, "prefix")
+
+    def test_convolution_kernel_fault_detected(self, capsys, monkeypatch):
+        """convolve_vmf convolving with the kernel at 2 lambda fails the
+        Monte-Carlo eigenfunction check, the one verify check that still
+        calls it."""
+        original = ker.convolve_vmf
+        monkeypatch.setattr(
+            ker,
+            "convolve_vmf",
+            lambda f, kern, x, n, seed: original(f, ker.VmfKernel(kern.m, 2.0 * kern.lam), x, n, seed),
+        )
+        assert "harmonic eigenfunction property (MC)" in self.failed_checks(capsys, "kernel")
 
     def test_unknown_suite_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

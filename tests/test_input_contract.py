@@ -133,7 +133,6 @@ CASES = {
     "transformer_eval input NaN": lambda: att.transformer_eval(STACK, [[0.0, 1.0], [0.0, np.nan]]),
     "convolve_vmf f NaN": lambda: convolve(lambda ys: np.where(ys > 0.9, np.nan, ys)),
     "convolve_vmf f inf": lambda: convolve(lambda ys: np.where(ys[:, 0] > 0.0, np.inf, ys[:, 0])),
-    "convolve_vmf point dimension": lambda: ker.convolve_vmf(lambda ys: ys, KERNEL, [0.0, 1.0], 128, seed=0),
     "sphere sample count float": lambda: uniform_sphere_sample(2, 3.0, 1),
     "sphere sample m bool": lambda: uniform_sphere_sample(True, 3, 1),
     "cap_area m float": lambda: cap_area(2.5, 0.3),
@@ -203,6 +202,7 @@ MISMATCH_CASES = {
     "convolve_vmf f short output": lambda: convolve(lambda ys: ys[1:]),
     "convolve_vmf f scalar output": lambda: convolve(lambda ys: 0.7),
     "convolve_vmf f transposed output": lambda: convolve(lambda ys: ys.T),
+    "convolve_vmf point dimension": lambda: ker.convolve_vmf(lambda ys: ys, KERNEL, [0.0, 1.0], 128, seed=0),
 }
 
 

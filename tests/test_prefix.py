@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import langevin
 
 from vmfhead import attention as att
 from vmfhead import prefix as pfx
@@ -166,6 +167,27 @@ class TestConvolutionConsistency:
             est, _ = convolve_vmf(lambda ys: ys, kern, x, 150_000, seed=1100 + i)
             worst = max(worst, float(np.max(np.abs(att.split_head(cp, x) - est))))
         assert worst <= 0.03
+
+
+class TestIdentityAccuracyOracle:
+    """On S^2 the split head for the identity tracks (K*id)(x) = A(lam) x,
+    A = coth lam - 1/lam, so its error is the smoothing bias 1 - A(lam) plus
+    a discretisation error that N makes small.  The seeded mean and sup
+    error over 1024 samples must lie within the stated relative tolerances
+    of that limit; measured: mean 3.7e-6, 6.7e-7, 3.2e-5 and sup 1.4e-4,
+    1.4e-4, 3.0e-2 for the three cases."""
+
+    @pytest.mark.parametrize(
+        "lam, n, mean_rtol, sup_rtol",
+        [(8.0, 4096, 1e-5, 3e-4), (32.0, 16384, 1e-5, 3e-4), (2000.0, 65536, 1e-4, 0.05)],
+    )
+    def test_error_matches_smoothing_bias(self, lam, n, mean_rtol, sup_rtol):
+        f = pfx.make_target("identity", 2)
+        cp = pfx.synthesize_prefix(f, n, lam)
+        sup, mean = pfx.sup_error_estimate(f, lambda p: att.split_head_batch(cp, p), 1024, seed=7)
+        limit = 1.0 - langevin(lam)
+        assert abs(mean - limit) <= mean_rtol * limit
+        assert abs(sup - limit) <= sup_rtol * limit
 
 
 class TestElementWiseExtension:
