@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NumericalFailure, _positive, _size
-from .sphere import as_unit_vector, surface_area, uniform_sphere_sample
+from .sphere import _row_norms, as_unit_vector, surface_area
 from .specialfn import _ratio_product, log_bessel_i
 
 __all__ = [
@@ -129,40 +129,79 @@ def kernel_eigenvalue(m: int, k: int, lam: float) -> float:
     return _ratio_product((m - 1) / 2.0, lam, k) if k else 1.0
 
 
+def _vmf_sample(kern: VmfKernel, x: np.ndarray, count: int, seed: int) -> np.ndarray:
+    """(count, m+1) draws from vMF(x, lambda) on S^m, whose density is K(<x, y>).
+
+    Wood's (1994) rejection sampler, for every m: t = <x, y> is accepted
+    from the proposal t = (1 - (1+b) z) / (1 - (1-b) z), z ~ Beta(m/2, m/2)
+    and b = m / (2 lambda + sqrt(4 lambda^2 + m^2)), and
+    y = t x + sqrt(1 - t^2) u with u uniform on the unit sphere orthogonal
+    to x.  z = g1 / (g1 + g2) for two Gamma(m/2) draws, which gives
+    1 - t = 2 b g1 / (g2 + b g1) directly, so t keeps its precision near 1
+    at any lambda.  Deterministic given the seed.
+    """
+    m, lam = kern.m, kern.lam
+    rng = np.random.default_rng(seed)
+    b = m / (2.0 * lam + math.hypot(2.0 * lam, m))
+    q = 2.0 * b / (1.0 + b)  # 1 - x0, x0 the proposal's mode
+    # Accept 1 - t = d when lam (q - d) + m ln((1 - x0 t) / (1 - x0^2)) >= ln u.
+    log_floor = m * math.log(2.0 - q)
+    d = np.empty(count)
+    filled = 0
+    while filled < count:
+        g = rng.standard_gamma(0.5 * m, (2, count - filled))
+        log_u = np.log(rng.random(count - filled))
+        draw = 2.0 * b * g[0] / (g[1] + b * g[0])
+        keep = draw[lam * (q - draw) + m * np.log1p((1.0 - q) * draw / q) - log_floor >= log_u]
+        d[filled : filled + keep.size] = keep
+        filled += keep.size
+    # Rows: x, then an orthonormal basis of its complement.
+    frame = np.linalg.svd(x[None, :])[2]
+    frame[0] = x
+    u = rng.standard_normal((count, m))
+    u *= (np.sqrt(d * (2.0 - d)) / _row_norms(u))[:, None]
+    return np.column_stack([1.0 - d, u]) @ frame
+
+
 def convolve_vmf(f, kern: VmfKernel, x, n_samples: int, seed: int):
     """Monte-Carlo estimate of the spherical convolution (K * f)(x).
 
-    (K*f)(x) = (1/w_m) int K(<x,y>) f(y) dw_m(y) = E_{y~U(S^m)}[K(<x,y>) f(y)],
-    so a uniform sample average is unbiased.  ``f`` maps the (n, m+1) sample
-    array to an (n,) array (one output component) or an (n, k) array (k
-    components).  Returns (estimate, standard error), both of shape (k,)
-    (k = 1 for an (n,) output).
+    K(<x, .>) is the density of vMF(x, lambda) against the normalized
+    measure of S^m, so (K*f)(x) = (1/w_m) int K(<x,y>) f(y) dw_m(y) =
+    E_{y~vMF(x,lambda)}[f(y)]: the estimate is the plain mean of f at
+    n_samples draws from the kernel itself (_vmf_sample), and the standard
+    error is std(f, ddof=1) / sqrt(n_samples).  Drawing y uniformly and
+    weighting by K(<x,y>) would be unbiased too, but the weights vary by a
+    factor e^(2 lambda) over the sphere, which multiplies the variance:
+    for f(y) = y at lambda = 10 on S^2 the worst component's per-draw
+    variance is about 7.9 weighted against 0.09 sampled.
 
-    The weighted values are written once into a (k, n) row-major buffer, and
-    the mean and the ddof=1 standard deviation are taken along its
-    contiguous rows, so numpy sums each component pairwise.
+    ``f`` maps the (n, m+1) sample array to an (n,) array (one output
+    component) or an (n, k) array (k >= 1 components).  Returns (estimate,
+    standard error), both of shape (k,) (k = 1 for an (n,) output).  The
+    values are copied once into a (k, n) row-major buffer, and the mean
+    and the ddof=1 standard deviation are taken along its contiguous rows,
+    so numpy sums each component pairwise.
 
     Raises DomainError for fewer than 100 samples or non-finite values of f;
     DimensionMismatch for a point whose dimension is not m+1 or an output of
-    f of any other shape.
+    f of any other shape, k = 0 included.
     """
     n_samples = _size(n_samples, "n_samples", 100)
     xv = as_unit_vector(x)
     if xv.size != kern.m + 1:
         raise DimensionMismatch("point dimension does not match kernel dimension")
-    ys = uniform_sphere_sample(kern.m, n_samples, seed)
-    t = ys @ xv
-    np.clip(t, -1.0, 1.0, out=t)
-    weights = np.exp(kernel_log_eval(kern, t))
+    ys = _vmf_sample(kern, xv, n_samples, seed)
     fy = np.asarray(f(ys), dtype=np.float64)
     if fy.ndim == 1:
         fy = fy[:, None]
-    if fy.ndim != 2 or fy.shape[0] != n_samples:
-        raise DimensionMismatch(f"f must return an ({n_samples},) or ({n_samples}, k) array, got shape {fy.shape}")
+    if fy.ndim != 2 or fy.shape[0] != n_samples or fy.shape[1] == 0:
+        raise DimensionMismatch(
+            f"f must return an ({n_samples},) or ({n_samples}, k) array with k >= 1, got shape {fy.shape}"
+        )
     if not np.all(np.isfinite(fy)):
         raise DomainError("f returned a non-finite value")
-    vals = np.empty((fy.shape[1], n_samples))
-    np.multiply(fy.T, weights, out=vals)
+    vals = fy.T.copy()
     # vals.mean(axis=1) and vals.std(axis=1, ddof=1), the second in place.
     est = vals.sum(axis=1) / n_samples
     vals -= est[:, None]

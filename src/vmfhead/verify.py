@@ -86,13 +86,15 @@ def _kernel_checks(results):
         return worst <= 1e-10, f"max closed-form deviation = {worst:.3e}"
 
     def funk_hecke_mc():
+        # 6,000 vMF draws per point is the fewest (in thousands) from which
+        # convolve_vmf at 1.1 lam reads at least 6 sigma (6.27 here).
         lam = 10.0
         kern = ker.VmfKernel(2, lam)
         a1 = ker.kernel_eigenvalue(2, 1, lam)
         xs = sph.uniform_sphere_sample(2, 5, seed=424242)
         worst_sigma = 0.0
         for i, x in enumerate(xs):
-            est, sem = ker.convolve_vmf(lambda ys: ys, kern, x, 200_000, seed=1000 + i)
+            est, sem = ker.convolve_vmf(lambda ys: ys, kern, x, 6_000, seed=1000 + i)
             dev = np.abs(est - a1 * x)
             worst_sigma = max(worst_sigma, float(np.max(dev / sem)))
         return worst_sigma <= 4.0, f"max |dev|/sem = {worst_sigma:.2f}"

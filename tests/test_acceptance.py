@@ -72,17 +72,19 @@ def test_03_eigenvalue_sandwich():
 
 def test_04_harmonic_convolution_oracle():
     """Monte-Carlo convolution of the first coordinate lands within 3
-    standard errors of the eigenvalue prediction at 20 points."""
+    standard errors of the eigenvalue prediction at 20 points.  200,000
+    draws from the kernel give each point a standard error at or below the
+    one 10^6 uniform, kernel-weighted draws gave (at most 0.95 of it)."""
     t0 = time.perf_counter()
     lam = 10.0
     kern = ker.VmfKernel(2, lam)
     a1 = ker.kernel_eigenvalue(2, 1, lam)
     xs = uniform_sphere_sample(2, 20, seed=777)
     for i, x in enumerate(xs):
-        est, sem = ker.convolve_vmf(lambda ys: ys[:, :1], kern, x, 10**6, seed=9000 + i)
+        est, sem = ker.convolve_vmf(lambda ys: ys[:, :1], kern, x, 200_000, seed=9000 + i)
         assert abs(est[0] - a1 * x[0]) <= 3.0 * sem[0], (i, est[0], a1 * x[0], sem[0])
     assert time.perf_counter() - t0 < 30.0
-    _report(4, "first-harmonic convolution oracle (1e6 samples, < 30 s)")
+    _report(4, "first-harmonic convolution oracle (2e5 samples, < 30 s)")
 
 
 def test_05_concentration_taylor_limit():

@@ -254,16 +254,18 @@ class TestVerify:
         assert "convolution consistency" in self.failed_checks(capsys, "prefix")
 
     def test_convolution_kernel_fault_detected(self, capsys, monkeypatch):
-        """convolve_vmf convolving with the kernel at 2 lambda fails the
-        Monte-Carlo eigenfunction check, the one verify check that still
-        calls it."""
+        """convolve_vmf convolving with the kernel at 2 lambda or at 1.1
+        lambda fails the Monte-Carlo eigenfunction check, the one verify
+        check that still calls it (1.1 lambda reads 6.84 sigma against its
+        4 sigma bound)."""
         original = ker.convolve_vmf
-        monkeypatch.setattr(
-            ker,
-            "convolve_vmf",
-            lambda f, kern, x, n, seed: original(f, ker.VmfKernel(kern.m, 2.0 * kern.lam), x, n, seed),
-        )
-        assert "harmonic eigenfunction property (MC)" in self.failed_checks(capsys, "kernel")
+        for scale in (2.0, 1.1):
+            monkeypatch.setattr(
+                ker,
+                "convolve_vmf",
+                lambda f, kern, x, n, seed: original(f, ker.VmfKernel(kern.m, scale * kern.lam), x, n, seed),
+            )
+            assert "harmonic eigenfunction property (MC)" in self.failed_checks(capsys, "kernel"), scale
 
     def test_unknown_suite_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -202,6 +202,7 @@ MISMATCH_CASES = {
     "convolve_vmf f short output": lambda: convolve(lambda ys: ys[1:]),
     "convolve_vmf f scalar output": lambda: convolve(lambda ys: 0.7),
     "convolve_vmf f transposed output": lambda: convolve(lambda ys: ys.T),
+    "convolve_vmf f empty output": lambda: convolve(lambda ys: ys[:, :0]),
     "convolve_vmf point dimension": lambda: ker.convolve_vmf(lambda ys: ys, KERNEL, [0.0, 1.0], 128, seed=0),
 }
 

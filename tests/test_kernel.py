@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 from oracles import langevin
+from scipy.stats import kstest
 
+from vmfhead import kernel
 from vmfhead.errors import DomainError, NumericalFailure
 from vmfhead.kernel import (
     VmfKernel,
@@ -53,8 +55,6 @@ class TestKernelNorm:
 
     def test_node_cap_raises(self, monkeypatch):
         """Past the largest rule it may build, kernel_norm refuses."""
-        from vmfhead import kernel
-
         monkeypatch.setattr(kernel, "_MAX_NODES", 200)
         with pytest.raises(NumericalFailure):
             kernel_norm(3, 100.0)
@@ -66,8 +66,6 @@ class TestKernelNorm:
     def test_gauss_legendre_rules_built_once(self):
         """The quadrature rules are cached read-only arrays, bitwise equal
         to numpy's, and kernel_norm builds none twice."""
-        from vmfhead import kernel
-
         for n in (200, 400):
             rule = kernel._gauss_legendre(n)
             assert kernel._gauss_legendre(n) is rule
@@ -166,10 +164,13 @@ class TestEigenvalueQuadrature:
 
 class TestConvolution:
     def test_constant_preserved(self):
+        """The kernel has unit mass, and a constant f has no variance under
+        draws from it: the estimate is the constant to rounding."""
         kern = VmfKernel(2, 5.0)
         x = uniform_sphere_sample(2, 1, seed=1)[0]
         est, sem = convolve_vmf(lambda ys: np.full((len(ys), 1), 0.7), kern, x, 50_000, seed=2)
-        assert abs(est[0] - 0.7) <= 3 * sem[0]
+        assert abs(est[0] - 0.7) <= 1e-15 * 0.7
+        assert sem[0] <= 1e-15
 
     def test_degree_one_eigenfunction(self):
         lam = 10.0
@@ -210,17 +211,53 @@ class TestConvolution:
     )
     def test_matches_column_mean_and_std(self, f):
         """Row-major reductions agree with the per-column mean and ddof=1
-        std of the (n, k) weighted values, summed in another order."""
+        std of the (n, k) values of f at the same vMF draws, summed in
+        another order."""
         n, kern, x = 20_000, VmfKernel(2, 10.0), np.array([0.6, 0.0, 0.8])
-        ys = uniform_sphere_sample(2, n, seed=7)
-        fy = np.asarray(f(ys), dtype=np.float64).reshape(n, -1)
-        vals = np.exp(kernel_log_eval(kern, np.clip(ys @ x, -1.0, 1.0)))[:, None] * fy
+        fy = np.asarray(f(kernel._vmf_sample(kern, x, n, seed=7)), dtype=np.float64).reshape(n, -1)
         est, sem = convolve_vmf(f, kern, x, n, seed=7)
         assert est.shape == sem.shape == (fy.shape[1],)
-        np.testing.assert_allclose(est, vals.mean(axis=0), rtol=1e-12)
-        np.testing.assert_allclose(sem, vals.std(axis=0, ddof=1) / math.sqrt(n), rtol=1e-12)
+        np.testing.assert_allclose(est, fy.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(sem, fy.std(axis=0, ddof=1) / math.sqrt(n), rtol=1e-12)
 
     def test_requires_samples(self):
         kern = VmfKernel(2, 1.0)
         with pytest.raises(DomainError):
             convolve_vmf(lambda ys: ys, kern, np.array([1.0, 0, 0]), 10, seed=0)
+
+
+def _vmf_cosine_cdf_s2(lam):
+    """Exact CDF of t = <x, y> for y ~ vMF(x, lam) on S^2:
+    (e^(lam t) - e^-lam) / (e^lam - e^-lam), scaled by e^-lam so that it
+    does not overflow."""
+    return lambda t: (np.exp(lam * (t - 1.0)) - math.exp(-2.0 * lam)) / -math.expm1(-2.0 * lam)
+
+
+class TestVmfSample:
+    """convolve_vmf's sampler, against the exact law of <x, y>."""
+
+    @pytest.mark.parametrize("m, lam", [(1, 3.0), (2, 0.5), (3, 1e4), (8, 10.0)])
+    def test_unit_and_deterministic(self, m, lam):
+        kern, x = VmfKernel(m, lam), uniform_sphere_sample(m, 1, seed=20)[0]
+        ys = kernel._vmf_sample(kern, x, 5_000, seed=21)
+        assert ys.shape == (5_000, m + 1)
+        np.testing.assert_allclose(np.linalg.norm(ys, axis=1), 1.0, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(kernel._vmf_sample(kern, x, 5_000, seed=21), ys)
+
+    @pytest.mark.parametrize("lam", [0.5, 10.0, 1000.0])
+    def test_cosine_law_on_s2(self, lam):
+        """Kolmogorov-Smirnov statistic of 100,000 cosines against the exact
+        CDF, below the 0.1% critical value 1.95 / sqrt(n); the sampler run at
+        1.1 lam exceeds it at every lam here."""
+        n, x = 100_000, uniform_sphere_sample(2, 1, seed=22)[0]
+        t = kernel._vmf_sample(VmfKernel(2, lam), x, n, seed=23) @ x
+        assert kstest(t, _vmf_cosine_cdf_s2(lam)).statistic <= 1.95 / math.sqrt(n)
+
+    @pytest.mark.parametrize("m", [2, 3, 8])
+    def test_mean_cosine_is_first_eigenvalue(self, m):
+        """E<x, y> = I_{(m+1)/2}(lam) / I_{(m-1)/2}(lam), the kernel's first
+        convolution eigenvalue."""
+        n, lam, x = 100_000, 10.0, uniform_sphere_sample(m, 1, seed=24)[0]
+        t = kernel._vmf_sample(VmfKernel(m, lam), x, n, seed=25) @ x
+        sem = t.std(ddof=1) / math.sqrt(n)
+        assert abs(t.mean() - kernel_eigenvalue(m, 1, lam)) <= 4 * sem
