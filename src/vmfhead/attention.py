@@ -14,7 +14,8 @@ classical head over its prefix tokens.  Heads whose token form is certified
 evaluate the certified form: a universal artifact its split head times
 S / (S + e^M) (universal_head_batch), a full-mode sequence encoder or decoder
 its control points as one ControlPoints head with a value column per bank,
-and a hybrid-mode pass-through head W_V x.
+each row over the anchors of its own circle window, and a hybrid-mode
+pass-through head W_V x.
 """
 
 from __future__ import annotations
@@ -291,10 +292,12 @@ def _pruning_pays(kept: float, n_points: int) -> bool:
 
 def _softmax(logits: np.ndarray, values: np.ndarray, span: float | None = math.inf) -> tuple:
     """(weighted value mean, row sum, shift) of the softmax rows of an
-    (n, K) logit tile over (K, k + 1) value rows [v | 1]: the one evaluator
-    behind every head.  The logits become the weights e^(logits - shift) in
-    place, and one product with [v | 1] gives the weighted sums and the row
-    sum.
+    (n, K) logit tile over (K, k + 1) value rows [v | 1], or over an
+    (n, K, k + 1) stack of them, one per row: the one evaluator behind every
+    head.  The logits become the weights e^(logits - shift) in place, and
+    one product with [v | 1] gives the weighted sums and the row sum; with a
+    stack, each row's product is its own matrix product in a batched
+    matmul, so no row's result depends on the other rows.
 
     span None means the caller certifies that no shift is needed
     (ControlPoints._zero_shift).  Otherwise each row is shifted by its max;
@@ -316,7 +319,7 @@ def _softmax(logits: np.ndarray, values: np.ndarray, span: float | None = math.i
     np.exp(logits, out=logits)
     if floored:
         logits -= _FLOOR_WEIGHT
-    acc = logits @ values
+    acc = logits @ values if values.ndim == 2 else np.matmul(logits[:, None], values)[:, 0]
     return acc[:, :-1] / acc[:, -1:], acc[:, -1], shift
 
 
@@ -600,10 +603,12 @@ def lift(x, augmented: bool = False) -> np.ndarray:
 
 def project(y, block: int) -> np.ndarray:
     """Read the first block, of width block = m+1, back out of a head-space
-    vector."""
+    vector; a non-finite y, or a block wider than y, is refused."""
     y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1:
-        raise DimensionMismatch("project expects a single vector")
+    if y.ndim != 1 or _size(block, "block") > y.size:
+        raise DimensionMismatch("project expects a single vector at least one block wide")
+    if not np.isfinite(y).all():
+        raise DomainError("project expects a finite vector")
     return y[:block].copy()
 
 

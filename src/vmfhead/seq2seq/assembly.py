@@ -22,7 +22,14 @@ builds its token form on demand and holds no arrays (_PassThroughLayer).
 "full" synthesizes the encoder and decoder heads as kernel prefixes over
 the circle, embedding scalars into S^1 by the inverse stereographic map;
 each such head holds its anchors once, its banks as value columns, and
-builds its token form on demand (_KernelBankLayer).
+builds its token form on demand (_KernelBankLayer).  The anchors are the
+centres of N equal arcs, so a row's softmax mass lies in the window of
+2w + 1 anchors around the arc that holds it, w = ceil(reach / delta) + 1
+for delta = 2 pi / N and reach = arccos(cos(delta / 2) - tau_N / lam):
+the anchors past it carry under 2^-53 of the row sum.  Each row is
+evaluated over its window, found from its angle by arithmetic, so the
+cost of a sequence does not grow with N (31 anchors a row at N = 4096
+and lam = 2e5, 29 at N = 2^20 and lam = 1.9e10).
 """
 
 from __future__ import annotations
@@ -40,11 +47,12 @@ from ..attention import (
     PrefixTokens,
     TransformerLayer,
     TransformerStack,
-    split_head_batch,
+    _prune_margin,
+    _softmax,
     transformer_eval,
 )
-from ..errors import DimensionMismatch, DomainError, InstanceTooLarge, _positive, _size
-from ..sphere import equal_area_partition, stereographic_batch, stereographic_inverse_batch
+from ..errors import DegenerateInput, DimensionMismatch, DomainError, InstanceTooLarge, _positive, _size
+from ..sphere import equal_area_partition
 from .encoding import (
     DigitConfig,
     SequenceSample,
@@ -71,6 +79,21 @@ def _summation_error_bound(q: int) -> float:
     the weighted sum, 2q for the row sum of 2q terms, 1 for their quotient
     and 1 for the decoder's rescale, with one to spare."""
     return (3 * q + 13) * _UNIT_ROUNDOFF
+
+
+def _stereographic(x: np.ndarray) -> np.ndarray:
+    """The chart points x[:m] / (1 - x[m]) of the rows of an (n, m+1) array
+    of sphere points; a row at the pole gives inf or NaN, which the build
+    masks."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return x[:, :-1] / (1.0 - x[:, -1:])
+
+
+def _stereographic_inverse(y: np.ndarray) -> np.ndarray:
+    """The sphere points (2y, |y|^2 - 1) / (|y|^2 + 1) of the rows of an
+    (n, m) array of finite chart points."""
+    s = np.einsum("ij,ij->i", y, y)[:, None]
+    return np.concatenate([2.0 * y / (s + 1.0), (s - 1.0) / (s + 1.0)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -169,7 +192,7 @@ def _stage_sphere_lookup(lay: _Layout):
     """
     q, d, knots = lay.q, lay.d, _LOOKUP_KNOTS
     ts = np.linspace(0.0, 1.0, knots + 1)
-    comps = stereographic_inverse_batch(ts[:, None])  # (knots+1, 2)
+    comps = _stereographic_inverse(ts[:, None])  # (knots+1, 2)
     hidden = knots + q + 2
     a1 = np.zeros((hidden, d))
     b1 = np.zeros(hidden)
@@ -318,6 +341,22 @@ def _kernel_tokens(lay: _Layout, anchors: np.ndarray, value_bank: dict[int, np.n
     return PrefixTokens(d=lay.d, tokens=tokens, M=-(lam + _GAP), augmented=False)
 
 
+def _window_half_width(n_points: int, lam: float) -> int:
+    """Half-width w, in anchors, of the circle window over which a
+    full-mode head evaluates a row (_KernelBankLayer).  The anchors are the
+    centres (j + 1/2) delta, delta = 2 pi / N, so the nearest lies within
+    delta / 2 of the row and the row max is at least lam cos(delta / 2).
+    Anchors farther than reach = arccos(cos(delta / 2) - tau_N / lam) from
+    the row sit more than tau_N below it and carry under 2^-53 of the row
+    sum together (_prune_margin).  The first anchor outside the window lies
+    more than (w + 1/2) delta from the row, and w = ceil(reach / delta) + 1
+    keeps one anchor of slack for the rounding of the row's angle and its
+    floor."""
+    delta = 2.0 * math.pi / n_points
+    reach = math.acos(max(-1.0, math.cos(0.5 * delta) - _prune_margin(n_points) / lam))
+    return math.ceil(reach / delta) + 1
+
+
 @dataclass(frozen=True)
 class _KernelBankLayer:
     """A full-mode encoder or decoder head that holds its anchors once.
@@ -329,6 +368,10 @@ class _KernelBankLayer:
     values per distinct bank: column columns[q] serves position q, and a
     position whose entry is -1 passes through.  prefix and params build
     the token form on demand, for export, pins and classical_head.
+
+    Precondition: the anchors are the N centres of the circle partition,
+    equal_area_partition(1, N), in order: anchor j at angle (j + 1/2) delta,
+    delta = 2 pi / N, as build_seq2seq_transformer makes them.
 
     Routing certificate.  Take a row at position q (one-hot e_q, constant
     1) with sphere slot z, |z| <= 1.  In the token form its logits are
@@ -345,11 +388,25 @@ class _KernelBankLayer:
     over the anchors at z, with values its bank's column, the one-hot e_q
     and the constant 1, and nothing else; a pass-through row's output is
     W_V x, which is x for the states the stack feeds it (zeros in the
-    token slots).  attend evaluates exactly that: one split head over
-    z / |z| for the attended rows, each taking its own column, the other
-    rows copied.  Normalising z, which the circle lookup leaves up to about
-    1e-7 short of unit norm, scales the head's effective lam by 1 / |z|
-    against the token form's; the two agree to rounding otherwise.
+    token slots).
+
+    Window certificate.  Within the split head, the row at angle theta of
+    z lies in cell k = floor(theta / delta) mod N, and every anchor more
+    than w = _window_half_width(N, lam) cells from k is farther than reach
+    from z: its logit sits more than tau_N below the row max, and all of
+    them together carry under 2^-53 of the row sum.  So the row is
+    evaluated over the 2w + 1 anchors k - w, ..., k + w (mod N), or over all
+    N anchors, each once, where 2w + 1 >= N: 31 anchors at N = 4096 and
+    lam = 2e5, 29 at N = 2^20 and lam = 1.9e10.  No index is built and no
+    dense (rows, N) tile either; each row's logits and its own value column
+    go to attention._softmax as one (n, K, 2) stack.
+
+    attend evaluates exactly that, each attended row on its own over its
+    window at z / |z|, the other rows copied; a NaN, infinite or zero
+    sphere slot on an attended row is refused with DegenerateInput.
+    Normalising z, which the circle lookup leaves up to about 1e-7 short of
+    unit norm, scales the head's effective lam by 1 / |z| against the token
+    form's; the two agree to rounding otherwise.
     """
 
     layout: _Layout
@@ -372,7 +429,7 @@ class _KernelBankLayer:
     def attend(self, X: np.ndarray) -> np.ndarray:
         """The (Q, d) outputs of the head at the (Q, d) states X (see the
         class docstring); each row reads its position from its one-hot."""
-        lay = self.layout
+        lay, head = self.layout, self.head
         if X.shape[1] != lay.d:
             raise DimensionMismatch("states and layer disagree on d")
         position = X[:, lay.oh].argmax(axis=1)
@@ -380,12 +437,26 @@ class _KernelBankLayer:
         rows = (column >= 0).nonzero()[0]
         position, column = position[rows], column[rows]
         z = X.take(rows, axis=0)[:, lay.z]
-        z /= np.sqrt(np.einsum("ij,ij->i", z, z))[:, None]
+        norm = np.hypot(z[:, 0], z[:, 1])
+        if not np.all((norm > 0.0) & (norm < math.inf)):
+            raise DegenerateInput("an attended state's sphere slot must be finite and nonzero")
+        z /= norm[:, None]
+        n, lam = head.n_points, head.lam
+        w = _window_half_width(n, lam)
+        if 2 * w + 1 < n:
+            cell = np.floor(np.arctan2(z[:, 1], z[:, 0]) / (2.0 * math.pi / n)).astype(np.intp)
+            window = (cell[:, None] + np.arange(-w, w + 1)) % n
+        else:
+            window = np.broadcast_to(np.arange(n), (rows.size, n))
+        logits = np.matmul(head.p_alpha[window], lam * z[:, :, None])[:, :, 0]
+        values = np.empty((*window.shape, 2))
+        values[:, :, 0] = head.p_beta[window, column[:, None]]
+        values[:, :, 1] = 1.0
         out = X.copy()
         out[rows] = 0.0
         out[rows, lay.oh.start + position] = 1.0
         out[rows, lay.c1] = 1.0
-        out[rows, lay.val] = split_head_batch(self.head, z)[np.arange(rows.size), column]
+        out[rows, lay.val] = _softmax(logits, values, 2.0 * lam)[0][:, 0]
         return out
 
 
@@ -394,18 +465,15 @@ class _KernelBankLayer:
 # ---------------------------------------------------------------------------
 
 
-def _positions(lay: _Layout, states: np.ndarray) -> np.ndarray:
-    """Each state's virtual position, read from its own one-hot."""
-    return states[:, lay.oh].argmax(axis=1)
-
-
 def _psi_oracle(lay: _Layout, cfg: DigitConfig):
+    """The encoder stage: each state's psi, weighted by 3^-q for the
+    position q its one-hot holds."""
     weights = np.array([3.0 ** (-q0) for q0 in range(lay.q)])
 
     def fn(states):
         out = states.copy()
         psi = _psi(_bits(states[:, lay.val], cfg.digits), cfg.digits, lay.q)
-        out[:, lay.val] = weights[_positions(lay, states)] * psi
+        out[:, lay.val] = weights[states[:, lay.oh].argmax(axis=1)] * psi
         return out
 
     return OracleStage(fn=fn)
@@ -418,7 +486,9 @@ def _decoder_oracles(lay: _Layout, f, t_len: int, m: int, cfg: DigitConfig) -> l
     build keeps them all within half a digit gap of the exact aggregate, so
     they round to its ternary mantissa round(r 3^total), as decode_sequence
     takes a float.  The stages share one cache keyed by that mantissa: a
-    sequence is decoded from it, and f applied, once.
+    sequence is decoded from it, and f applied, once.  Each row reads its
+    position from its own one-hot, and only the rows at element i0's
+    positions are written.
     """
     base = 3 ** (lay.q * cfg.digits)
 
@@ -429,11 +499,14 @@ def _decoder_oracles(lay: _Layout, f, t_len: int, m: int, cfg: DigitConfig) -> l
         return out
 
     def oracle(i0: int) -> OracleStage:
+        first = i0 * (m + 1)
+        element = range(first, first + m + 1)
+
         def fn(states):
             out = states.copy()
-            position = _positions(lay, states)
-            for row in (position // (m + 1) == i0).nonzero()[0].tolist():
-                out[row, lay.val] = decoded(round(states.item(row, lay.val) * base))[i0, position.item(row) % (m + 1)]
+            for row, q0 in enumerate(states[:, lay.oh].argmax(axis=1).tolist()):
+                if q0 in element:
+                    out[row, lay.val] = decoded(round(states.item(row, lay.val) * base)).item(i0, q0 - first)
             return out
 
         return OracleStage(fn=fn)
@@ -469,7 +542,7 @@ class Seq2SeqStack:
         lay = self.layout
         states = np.zeros((lay.q, lay.d))
         if self.mode == "full":
-            states[:, lay.z] = stereographic_inverse_batch(s.flat()[:, None])
+            states[:, lay.z] = _stereographic_inverse(s.flat()[:, None])
         else:
             states[:, lay.val] = s.flat()
         states[:, lay.oh] = np.eye(lay.q)
@@ -543,7 +616,7 @@ def build_seq2seq_transformer(
         # psi is taken once per bit level, relaxed_decode once per rounded
         # mantissa and f once per decoded sequence, then gathered back.
         anchors = equal_area_partition(1, n_points).centers()
-        chart = np.where(1.0 - anchors[:, 1] < 1e-12, 1.0, np.clip(stereographic_batch(anchors)[:, 0], 0.0, 1.0))
+        chart = np.where(1.0 - anchors[:, 1] < 1e-12, 1.0, np.clip(_stereographic(anchors)[:, 0], 0.0, 1.0))
         psi_values = _psi(np.arange(2**cfg.digits), cfg.digits, width)[_bits(chart, cfg.digits)]
         _, first, level = np.unique(_mantissa(chart, width * cfg.digits), return_index=True, return_inverse=True)
         decoded = relaxed_decode(chart[first], t_len, m, cfg).reshape(first.size, width)

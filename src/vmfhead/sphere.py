@@ -1,8 +1,7 @@
 """Geometry of the unit hypersphere S^m in R^(m+1).
 
-Unit-vector checks, cap areas, equal-measure zonal partitions, uniform
-sampling, and the batch stereographic maps between the sphere and flat
-space.
+Unit-vector checks, cap areas, equal-measure zonal partitions and uniform
+sampling.
 The zonal partition follows the recursive cap/collar scheme: polar caps of
 the target cell area, collars whose colatitude boundaries are refit so each
 collar holds an integer number of exactly equal-measure cells, and a
@@ -28,8 +27,6 @@ __all__ = [
     "cap_colatitude",
     "equal_area_partition",
     "uniform_sphere_sample",
-    "stereographic_batch",
-    "stereographic_inverse_batch",
 ]
 
 _UNIT_TOL = 1e-12
@@ -362,15 +359,3 @@ def uniform_sphere_sample(m: int, count: int, seed: int) -> np.ndarray:
         bad = norms == 0
     g /= norms[:, None]
     return g
-
-
-def stereographic_batch(x: np.ndarray) -> np.ndarray:
-    """The projections x[:m] / (1 - x[m]) of the rows of an (n, m+1) array; a row at the pole gives inf or NaN."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return x[:, :-1] / (1.0 - x[:, -1:])
-
-
-def stereographic_inverse_batch(y: np.ndarray) -> np.ndarray:
-    """The rows (2y, |y|^2 - 1) / (|y|^2 + 1) on S^m of an (n, m) array."""
-    s = np.einsum("ij,ij->i", y, y)[:, None]
-    return np.concatenate([2.0 * y / (s + 1.0), (s - 1.0) / (s + 1.0)], axis=1)

@@ -180,6 +180,9 @@ CASES = {
     "covering_bounds delta string": lambda: bnd.covering_bounds(8, "0.3"),
     "report sup_error NaN": lambda: pfx.ApproximationReport("x", 2, 1.0, 4, math.nan, 0.0, 10, 0, 1.0),
     "report mean_error NaN": lambda: pfx.ApproximationReport("x", 2, 1.0, 4, 0.1, math.nan, 10, 0, 1.0),
+    "project y NaN": lambda: att.project(np.full(9, np.nan), 3),
+    "project y inf": lambda: att.project(np.array([0.0, 1.0, 0.0, np.inf]), 2),
+    "project y -inf in the block": lambda: att.project(np.array([-np.inf, 0.0, 0.0]), 2),
 }
 
 ENCODING_CASES = {
@@ -204,6 +207,7 @@ MISMATCH_CASES = {
     "convolve_vmf f transposed output": lambda: convolve(lambda ys: ys.T),
     "convolve_vmf f empty output": lambda: convolve(lambda ys: ys[:, :0]),
     "convolve_vmf point dimension": lambda: ker.convolve_vmf(lambda ys: ys, KERNEL, [0.0, 1.0], 128, seed=0),
+    "project block wider than y": lambda: att.project(np.zeros(3), 4),
 }
 
 
@@ -236,6 +240,7 @@ def test_valid_inputs_still_accepted():
     SequenceSample(1, 0, np.array([[0.0]]))
     assert np.all(np.isfinite(att.classical_head([[0.0, 1.0], [1.0, 0.0]], PREFIX, PARAMS)))
     assert np.all(np.isfinite(att.transformer_eval(STACK, [0.0, 1.0])))
+    np.testing.assert_array_equal(att.project(np.arange(4.0), 4), np.arange(4.0))
     assert convolve(lambda ys: ys)[0].shape == (3,)
     assert convolve(lambda ys: ys[:, 0])[0].shape == (1,)
     numpy_sized = equal_area_partition(np.int64(2), np.int32(16))

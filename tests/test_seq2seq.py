@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import aggregate_oracle, relaxed_decode_oracle
 
-from vmfhead.attention import TransformerStack, classical_head, transformer_eval
-from vmfhead.errors import DomainError, EncodingError, InstanceTooLarge, PrecisionBudgetExceeded
+from vmfhead.attention import ControlPoints, TransformerStack, classical_head, split_head_batch, transformer_eval
+from vmfhead.errors import DegenerateInput, DomainError, EncodingError, InstanceTooLarge, PrecisionBudgetExceeded
 from vmfhead.sphere import equal_area_partition
 from vmfhead.seq2seq import (
     DigitConfig,
@@ -25,7 +25,15 @@ from vmfhead.seq2seq import (
     reference_seq2seq,
     sequence_mean,
 )
-from vmfhead.seq2seq.assembly import _GAP, _summation_error_bound
+from vmfhead.seq2seq.assembly import (
+    _GAP,
+    _KernelBankLayer,
+    _Layout,
+    _stereographic,
+    _stereographic_inverse,
+    _summation_error_bound,
+    _window_half_width,
+)
 from vmfhead.seq2seq.encoding import _bits, _mantissa, _psi, relaxed_decode
 
 
@@ -558,6 +566,111 @@ def test_bank_layer_is_its_token_form(shape):
             np.testing.assert_allclose(out[attended], token[attended], rtol=0, atol=scaled)
 
 
+def _bank_layer(n_points: int, lam: float, seed: int = 0) -> _KernelBankLayer:
+    """A two-position kernel layer over the circle partition's N centres,
+    each position taking its own column of uniform random values, so the
+    bank's values change from every anchor to the next."""
+    anchors = equal_area_partition(1, n_points).centers()
+    values = np.random.default_rng(seed).random((n_points, 2))
+    head = ControlPoints(1, lam, anchors, values)
+    return _KernelBankLayer(layout=_Layout(q=2), head=head, columns=np.arange(2), encoder=False)
+
+
+def _bank_states(layer: _KernelBankLayer, theta: np.ndarray) -> np.ndarray:
+    """States at the angles theta, alternating between the two positions."""
+    lay = layer.layout
+    X = np.zeros((theta.size, lay.d))
+    X[:, lay.z] = np.column_stack([np.cos(theta), np.sin(theta)])
+    X[np.arange(theta.size), lay.oh.start + np.arange(theta.size) % 2] = 1.0
+    X[:, lay.c1] = 1.0
+    return X
+
+
+def _window_angles(n_points: int) -> np.ndarray:
+    """Angle 0, just below 2 pi, cell boundaries j delta (pi among them)
+    and seeded random angles."""
+    delta = 2.0 * math.pi / n_points
+    cells = np.array([1, 2, n_points // 4, n_points // 2, n_points - 1])
+    rng = np.random.default_rng(n_points)
+    return np.concatenate([[0.0, np.nextafter(2.0 * math.pi, 0.0)], cells * delta, rng.uniform(0.0, 2.0 * math.pi, 8)])
+
+
+def _assert_window_is_dense_head(layer: _KernelBankLayer) -> None:
+    """The layer's output at _window_angles equals split_head_batch on its
+    head, each row's own column, within the logit-rounding bound
+    e^(2 delta) - 1, delta = 2^-50 (3 lam + 2 _GAP)."""
+    lay, lam = layer.layout, layer.head.lam
+    theta = _window_angles(layer.head.n_points)
+    X = _bank_states(layer, theta)
+    dense = split_head_batch(layer.head, X[:, lay.z] / np.linalg.norm(X[:, lay.z], axis=1)[:, None])
+    expected = dense[np.arange(theta.size), np.arange(theta.size) % 2]
+    rounding = math.expm1(2.0 * 2.0**-50 * (3.0 * lam + 2.0 * _GAP))
+    np.testing.assert_allclose(layer.attend(X)[:, lay.val], expected, rtol=0, atol=rounding)
+
+
+class TestCircleWindow:
+    """The window certificate of the full-mode kernel layers: each row is
+    evaluated over the 2w + 1 anchors around its cell (all N where they
+    cover the circle), and the anchors left out carry under 2^-53 of its
+    row sum."""
+
+    @pytest.mark.parametrize("lam", [2.0e3, 2.0e5, 2.0e9])
+    @pytest.mark.parametrize("n_points", [64, 1026, 4094, 4096, 2**18])
+    def test_window_agrees_with_dense_head(self, n_points, lam):
+        """Against split_head_batch on the same head (all N anchors, or
+        those its block index keeps), within the logit-rounding bound of
+        test_bank_layer_is_its_token_form: logits within
+        delta = 2^-50 (3 lam + 2 _GAP) of exact move a mean of values in
+        [0, 1] by at most e^(2 delta) - 1.  A window of half the certified
+        half-width is off by 1e-7 to 3e-7 at lam = 2e3 and N >= 1026,
+        against a bound of 1.4e-11."""
+        _assert_window_is_dense_head(_bank_layer(n_points, lam))
+
+    @pytest.mark.parametrize("n_points, lam", [(4096, 2.0e5), (1026, 2.0e3), (64, 20.0)])
+    def test_row_alone_equals_batch(self, n_points, lam):
+        """No row's result depends on the other rows: each row of a batch
+        gives the same bits when it is evaluated alone."""
+        layer = _bank_layer(n_points, lam, seed=1)
+        X = _bank_states(layer, _window_angles(n_points))
+        out = layer.attend(X)
+        for i in range(X.shape[0]):
+            assert layer.attend(X[i : i + 1]).tobytes() == out[i : i + 1].tobytes()
+
+    @pytest.mark.parametrize("z", [(math.nan, 1.0), (math.inf, 0.0), (0.0, -math.inf), (0.0, 0.0)], ids=["NaN", "inf", "-inf", "zero"])
+    def test_degenerate_sphere_slot_refused(self, z):
+        layer = _bank_layer(64, 2.0e3)
+        X = _bank_states(layer, np.array([0.5, 1.5]))
+        X[1, layer.layout.z] = z
+        with pytest.raises(DegenerateInput):
+            layer.attend(X)
+
+    @pytest.mark.parametrize("n_points, lam", [(15, 25.0), (16, 1.0), (64, 2.0)])
+    def test_covering_window_uses_each_anchor_once(self, n_points, lam):
+        """Where 2w + 1 >= N (= N at N = 15, N + 3 at lam <= tau_N / 2) the
+        window is the whole circle, each anchor once: the head equals the
+        dense split head within the logit-rounding bound.  Counting the
+        N + 3 anchors of k - w, ..., k + w instead weighs three anchors
+        near the antipode twice; at lam = 1 or 2 they carry e^-2 lam of the
+        row max each, and the head moves by about 1e-2 at N = 16 and 1e-3 at
+        N = 64."""
+        assert 2 * _window_half_width(n_points, lam) + 1 >= n_points
+        _assert_window_is_dense_head(_bank_layer(n_points, lam, seed=2))
+
+    def test_largest_admitted_n_builds_no_block_index(self):
+        """At N = 2^20 and lam = 1.9e10 the (3, 0, 3) stack meets the
+        reference at 1e-2, and its heads never build the block index that
+        split_head_batch would build on first use."""
+        cfg = DigitConfig(digits=3)
+        stack = build_seq2seq_transformer(sequence_mean, 3, 0, cfg, n_points=2**20, lam=1.9e10, mode="full")
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            s = SequenceSample(3, 0, rng.random((3, 1)))
+            ref = np.stack(reference_seq2seq(sequence_mean, s, cfg))
+            assert float(np.max(np.abs(stack.evaluate(s) - ref))) <= 1e-2
+        banks = [layer for i, layer in enumerate(stack.transformer.layers) if i != 1]
+        assert len(banks) == 4 and all("_blocks" not in vars(layer.head) for layer in banks)
+
+
 @pytest.mark.parametrize("shape", [(8, 0, 3), (2, 1, 4), (3, 2, 2), (1, 0, 8)], ids=lambda shape: "T{}-m{}-digits{}".format(*shape))
 def test_passthrough_layer_is_its_token_form(shape):
     """The routing certificate of the hybrid pass-through heads, on the
@@ -614,3 +727,21 @@ class TestHybridDecodesOnce:
             out = stack.evaluate(s)
             assert calls == [(t_len, m + 1)] * (i + 1)
             np.testing.assert_array_equal(out, np.stack(reference_seq2seq(seq_mean, s, cfg)))
+
+
+class TestStereographic:
+    """The chart maps between the circle and the scalars, private to the
+    stack's build (in any dimension m)."""
+
+    def test_zero_maps_to_south_pole(self):
+        np.testing.assert_array_equal(_stereographic_inverse(np.zeros((1, 3))), [[0, 0, 0, -1]])
+
+    def test_circle_example(self):
+        np.testing.assert_allclose(_stereographic(np.array([[1.0, 0.0]])), [[1.0]], atol=1e-15)
+
+    def test_round_trip(self):
+        rng = np.random.default_rng(11)
+        y = rng.normal(size=(100, 3)) * rng.uniform(0.1, 5, size=(100, 1))
+        p = _stereographic_inverse(y)
+        assert np.all(np.abs(np.linalg.norm(p, axis=1) - 1.0) <= 1e-12)
+        np.testing.assert_allclose(_stereographic(p), y, atol=1e-10)

@@ -1,4 +1,4 @@
-"""Sphere geometry: caps, partitions, sampling, chart maps."""
+"""Sphere geometry: caps, partitions, sampling."""
 
 import functools
 import math
@@ -16,8 +16,6 @@ from vmfhead.sphere import (
     cap_area,
     cap_colatitude,
     equal_area_partition,
-    stereographic_batch,
-    stereographic_inverse_batch,
     surface_area,
     uniform_sphere_sample,
 )
@@ -293,18 +291,3 @@ class TestUniformSampling:
     def test_domain(self):
         with pytest.raises(DomainError):
             uniform_sphere_sample(2, 0, seed=0)
-
-
-class TestStereographic:
-    def test_zero_maps_to_south_pole(self):
-        np.testing.assert_array_equal(stereographic_inverse_batch(np.zeros((1, 3))), [[0, 0, 0, -1]])
-
-    def test_circle_example(self):
-        np.testing.assert_allclose(stereographic_batch(np.array([[1.0, 0.0]])), [[1.0]], atol=1e-15)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(11)
-        y = rng.normal(size=(100, 3)) * rng.uniform(0.1, 5, size=(100, 1))
-        p = stereographic_inverse_batch(y)
-        assert np.all(np.abs(np.linalg.norm(p, axis=1) - 1.0) <= 1e-12)
-        np.testing.assert_allclose(stereographic_batch(p), y, atol=1e-10)
