@@ -324,18 +324,16 @@ def _softmax(logits: np.ndarray, values: np.ndarray, span: float | None = math.i
 
 
 class _BlockIndex(NamedTuple):
-    """Anchors grouped by the cells of a coarse zonal partition `part`:
-    block b holds the anchors order[offsets[b]:offsets[b+1]], all within
-    radii[b] of the unit vector centers[b].  levels holds the coarser
-    query groupings (_group_cells), finest first, as (cells, anchors within
-    reach of a cell) pairs."""
+    """Anchors grouped by the cells of a coarse zonal partition: block b
+    holds the anchors order[offsets[b]:offsets[b+1]], all within radii[b]
+    of the unit vector centers[b].  Queries are grouped by the cells of
+    `groups`, chosen with the index (_block_index)."""
 
-    part: Partition
+    groups: Partition
     order: np.ndarray
     offsets: np.ndarray
     centers: np.ndarray
     radii: np.ndarray
-    levels: tuple
 
 
 def _prune_margin(n_points: int) -> float:
@@ -355,10 +353,10 @@ def _block_index(cp: ControlPoints) -> _BlockIndex | None:
     equal-measure anchors in that cap must be small enough to beat a dense
     evaluation.
 
-    The query groupings coarser than the blocks have cells of twice, four
-    times, ... the block radius, up to the reach, so a cell is no wider than
-    the cap a query keeps; a group in a cell of radius r keeps at most the
-    anchors within reach + r of its center.
+    Queries are grouped by the coarsest cells, of twice, four times, ...
+    the block radius up to the reach, whose queries' kept anchors (those
+    within reach + r of a cell's center, for cells of radius r) still pass
+    _pruning_pays; where none do, by the blocks' own cells.
     """
     n, w = cp.n_points, surface_area(cp.m)
     n_blocks = max(1, round(n / _BLOCK_SIZE))
@@ -371,12 +369,9 @@ def _block_index(cp: ControlPoints) -> _BlockIndex | None:
         return None
     if not _pruning_pays(n * _colat_area(cp.m, reach) / w, n):
         return None
-    levels, width = [], 2.0 * block
-    while width <= reach:
-        kept = n * _colat_area(cp.m, reach + width) / w
-        if not _pruning_pays(kept, n):
-            break
-        levels.append((max(1, round(w / _colat_area(cp.m, width))), kept))
+    cells, width = n_blocks, 2.0 * block
+    while width <= reach and _pruning_pays(n * _colat_area(cp.m, reach + width) / w, n):
+        cells = max(1, round(w / _colat_area(cp.m, width)))
         width *= 2.0
     part = equal_area_partition(cp.m, n_blocks)
     cell = part.locate_batch(cp.p_alpha)
@@ -385,23 +380,8 @@ def _block_index(cp: ControlPoints) -> _BlockIndex | None:
     dots = np.einsum("ij,ij->i", cp.p_alpha, part.centers()[cell])
     angle = np.arccos(np.clip(dots, -1.0, 1.0))
     radii = np.maximum.reduceat(angle[order], starts) + _ANGLE_SLACK
-    return _BlockIndex(part, order, np.append(starts, n), part.centers()[used], radii, tuple(levels))
-
-
-def _group_cells(cp: ControlPoints, n: int) -> Partition:
-    """The partition whose cells group n queries of an indexed head: the
-    finest level of the index (_block_index) whose cells hold enough
-    queries that their evaluation work over a cell's reach covers the fixed
-    cost of the cells' groups, n K >= G (_GROUP_COST + _GATHER_COST K) for
-    G cells of K anchors each, else the index's own partition.
-
-    Finer cells keep fewer anchors per query; a group's fixed cost is paid
-    once per cell, so coarser cells pay only with enough queries in each.
-    """
-    for cells, kept in cp._blocks.levels:
-        if n * kept >= cells * (_GROUP_COST + _GATHER_COST * kept):
-            return equal_area_partition(cp.m, cells)
-    return cp._blocks.part
+    groups = part if cells == n_blocks else equal_area_partition(cp.m, cells)
+    return _BlockIndex(groups, order, np.append(starts, n), part.centers()[used], radii)
 
 
 def _softmax_rows(cp: ControlPoints, pts: np.ndarray, rows: np.ndarray, out: tuple, kept=None) -> None:
@@ -469,24 +449,16 @@ def _head_softmax(cp: ControlPoints, points) -> tuple:
     Every evaluation goes through the tiled _softmax_rows, so memory stays
     at one cache-sized tile whatever n and N.  A head without a block index
     (_block_index) evaluates every anchor.  With one, the queries are
-    sorted by their group cell (_group_cells) and walked in tiles of
-    max(2, _TILE_BYTES // 8B) rows for B blocks.  In a tile each query gets
-    a lower bound L on its row max from the blocks and keeps only blocks
-    whose best possible logit reaches L - tau_N (_prune_margin), so the
-    dropped terms sum to under 2^-53 of the row sum.  The tile's queries
-    are evaluated in groups that share their cell, each group over the
-    union of the blocks its queries keep, or densely where that union is
-    too large for pruning to pay (_pruning_pays); a lone query joins the
-    group after it (or, last, the one before), so no group is a single row.
-
-    A group costs a fixed _GROUP_COST plus _GATHER_COST per kept anchor,
-    once, and one logit and exp per query and kept anchor.  Small batches
-    are grouped by the blocks' own cells, the finest, so each query
-    evaluates few anchors.  A batch with enough queries per cell to pay
-    for the groups' fixed costs is grouped by coarser cells, up to the
-    reach a query keeps (about 16 queries per cell on the sharp approx-s2
-    head at 1024 queries, against 2.5 per block cell), trading fewer
-    groups for more anchors per query.
+    sorted by their cell of the index's query grouping (_BlockIndex.groups)
+    and walked in tiles of max(2, _TILE_BYTES // 8B) rows for B blocks.  In
+    a tile each query gets a lower bound L on its row max from the blocks
+    and keeps only blocks whose best possible logit reaches L - tau_N
+    (_prune_margin), so the dropped terms sum to under 2^-53 of the row
+    sum.  The tile's queries are evaluated in groups that share their cell,
+    each group over the union of the blocks its queries keep, or densely
+    where that union is too large for pruning to pay (_pruning_pays); a
+    lone query joins the group after it (or, last, the one before), so no
+    group is a single row.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != cp.m + 1:
@@ -499,7 +471,7 @@ def _head_softmax(cp: ControlPoints, points) -> tuple:
         _softmax_rows(cp, pts, np.arange(n), out)
         return out
     tau = _prune_margin(cp.n_points)
-    cell = _group_cells(cp, n).locate_batch(pts)
+    cell = blocks.groups.locate_batch(pts)
     by_cell = np.argsort(cell, kind="stable")
     for start, stop in _tiles(n, max(2, _TILE_BYTES // (8 * blocks.radii.size))):
         tile = by_cell[start:stop]

@@ -142,11 +142,18 @@ def _lgamma_vec(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_bessel_i_asymptotic(nu: float, lam: float) -> float:
-    """Large-argument expansion ln I_nu(lam) ~ lam - ln(2 pi lam)/2 + ln S.
+def _hankel(nu: float, lam: float) -> bool:
+    """Whether lam is large enough against order nu for the large-argument
+    expansion (_hankel_sum) to give I_nu(lam) to full precision."""
+    return lam >= 4000.0 and lam >= 4.0 * nu * nu
+
+
+def _hankel_sum(nu: float, lam: float) -> float:
+    """S in the large-argument expansion I_nu(lam) ~ e^lam S / sqrt(2 pi lam).
 
     S is the Hankel correction series in inverse powers of lam; summation
-    stops at the smallest term, which for lam >> nu^2 is far below 1e-12.
+    stops at the smallest term, which where _hankel holds is below a
+    rounding unit of the sum.
     """
     mu = 4.0 * nu * nu
     total = 1.0
@@ -160,7 +167,7 @@ def _log_bessel_i_asymptotic(nu: float, lam: float) -> float:
         prev_abs = abs(term)
         if abs(term) < 1e-18 * abs(total):
             break
-    return lam - 0.5 * math.log(2.0 * math.pi * lam) + math.log(total)
+    return total
 
 
 def log_bessel_i(nu, lam: float) -> float:
@@ -168,30 +175,42 @@ def log_bessel_i(nu, lam: float) -> float:
 
     Uses the all-positive ascending series with log-sum-exp for small and
     moderate arguments and the large-argument expansion once lam dominates
-    nu^2, so the value never overflows.
+    nu^2 (_hankel), so the value never overflows.
     """
     nu, lam = _order(nu), _positive(lam, "lam")
-    if lam >= 4000.0 and lam >= 4.0 * nu * nu:
-        return _log_bessel_i_asymptotic(nu, lam)
+    if _hankel(nu, lam):
+        return lam - 0.5 * math.log(2.0 * math.pi * lam) + math.log(_hankel_sum(nu, lam))
     return _log_bessel_i_series(nu, lam)
 
 
 def bessel_ratio(nu, lam: float) -> float:
     """Ratio I_{nu+1}(lam) / I_nu(lam), strictly inside (0, 1): the k = 1
-    case of _ratio_product.  Relative error is at the 1e-13 level."""
+    case of _ratio_product.  Relative error is at the 1e-13 level below the
+    large-argument switch (_hankel) and a few units of rounding above it.
+    Past lam of about 1e16 the ratio is within one rounding unit of 1 and
+    is returned as the largest double below 1."""
     return _ratio_product(_order(nu), _positive(lam, "lam"), 1)
 
 
 def _ratio_product(nu: float, lam: float, k: int) -> float:
-    """I_{nu+k}(lam) / I_nu(lam) as the product r_nu r_{nu+1} ... r_{nu+k-1}
-    of the ratios r_v = I_{v+1}/I_v, taken in that order.
+    """I_{nu+k}(lam) / I_nu(lam), in O(k + lam) steps below the large-argument
+    switch and O(1) above it.
 
-    One backward recurrence r_v = 1 / (2(v+1)/lam + r_{v+1}) yields all k
-    (forward recurrence is unstable for I).  It is seeded past order
-    nu+k-1 at a depth that grows with lam by the classical ratio lower
+    Where the expansion holds for both orders (_hankel at nu + k) the ratio
+    is S_{nu+k}(lam) / S_nu(lam) (_hankel_sum): the factors e^lam /
+    sqrt(2 pi lam) cancel exactly.  Below it, the ratio is the product
+    r_nu r_{nu+1} ... r_{nu+k-1} of the ratios r_v = I_{v+1}/I_v, taken in
+    that order, all k read off one backward recurrence r_v = 1 / (2(v+1)/lam
+    + r_{v+1}) (forward recurrence is unstable for I).  It is seeded past
+    order nu+k-1 at a depth that grows with lam by the classical ratio lower
     bound lam / (v+1 + sqrt(lam^2 + (v+1)^2)), so r_{nu+k-1} is computed as
-    bessel_ratio computes it and the lower orders run deeper still.
+    bessel_ratio computes it and the lower orders run deeper still; at the
+    switch, lam = 4000, that is about 5,500 steps.
     """
+    # Mathematically every ratio is in (0, 1); the clamps defend against
+    # rounding at extreme arguments only.
+    if _hankel(nu + k, lam):
+        return min(_hankel_sum(nu + k, lam) / _hankel_sum(nu, lam), 1.0 - 1e-16)
     depth = int(40 + 1.3 * lam + 4.0 * math.sqrt(lam)) + k - 1
     v = nu + depth
     r = lam / ((v + 1.0) + math.hypot(lam, v + 1.0))
@@ -200,7 +219,5 @@ def _ratio_product(nu: float, lam: float, k: int) -> float:
     ratios = []
     for i in range(k, 0, -1):
         r = 1.0 / (2.0 * (nu + i) / lam + r)
-        # Mathematically r is in (0, 1); clamp defends against rounding at
-        # extreme arguments only.
         ratios.append(min(max(r, 5e-324), 1.0 - 1e-16))
     return math.prod(reversed(ratios))

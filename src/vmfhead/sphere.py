@@ -221,7 +221,9 @@ def _partition_circle(n: int):
     """n equal arcs of the circle; returns (centers, radii, locator)."""
     width = 2.0 * math.pi / n
     mids = np.arange(n) * width + width / 2.0
-    centers = np.column_stack([np.cos(mids), np.sin(mids)])
+    centers = np.empty((n, 2))
+    np.cos(mids, out=centers[:, 0])
+    np.sin(mids, out=centers[:, 1])
     return centers, np.full(n, min(width / 2.0, math.pi)), _ArcLocator(n)
 
 
@@ -315,8 +317,10 @@ def equal_area_partition(m: int, n: int) -> Partition:
     else is refused with DomainError.
     """
     m, n = _size(m, "m"), _size(n, "N")
-    directions, radii, locator = _partition_recursive(m, n, {})
-    centers = directions / _row_norms(directions)[:, None]
+    centers, radii, locator = _partition_recursive(m, n, {})
+    # the top-level directions are always freshly built, never a shared
+    # sub-partition, so they are normalized in place
+    centers /= _row_norms(centers)[:, None]
     return Partition(m, centers, np.full(n, _surface_area(m) / n), np.minimum(radii, _RADIUS_CAP), locator)
 
 

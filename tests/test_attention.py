@@ -397,9 +397,9 @@ def _spied_means(monkeypatch, cp, pts):
 
 # Regression pins, not oracles: (seed, _softmax_rows calls, evaluated
 # (query, anchor) pairs) of the sharp head at uniform_sphere_sample(2, n,
-# seed), recorded while queries were grouped by the blocks' own cells.  A
-# small batch must not do more work than that.
-_SMALL_BATCH_PINS = {64: (182, 31, 199150), 256: (183, 120, 692896)}
+# seed), recorded with the one query grouping _block_index chooses (its 64
+# cells).  A small batch must not do more work than that.
+_SMALL_BATCH_PINS = {64: (182, 26, 200923), 256: (183, 60, 849391)}
 
 
 class TestQueryGroups:
@@ -433,7 +433,7 @@ class TestQueryGroups:
     def test_one_cell_batch(self, sharp_head, n):
         """n queries within 1e-3 rad of one group cell's center, so all in
         that cell: one group per tile."""
-        cells = att._group_cells(sharp_head, n)
+        cells = sharp_head._blocks.groups
         noise = 1e-3 * np.random.default_rng(193).normal(size=(n, 3))
         pts = cells.centers()[10] + noise
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
@@ -452,14 +452,22 @@ class TestQueryGroups:
         np.testing.assert_allclose(att.split_head_batch(sharp_head, pts), expected, rtol=0, atol=1e-12)
         np.testing.assert_allclose(att.log_prefix_mass(sharp_head, pts), log_mass, rtol=1e-12, atol=1e-12)
 
-    def test_coarser_cells_only_for_large_batches(self, sharp_head):
-        """Small batches keep the blocks' own cells; large ones get coarser
-        cells, never wider than the reach a query keeps."""
-        blocks = sharp_head._blocks
-        assert att._group_cells(sharp_head, 256) is blocks.part
-        assert [cells for cells, _ in blocks.levels] == [256, 64]
-        assert att._group_cells(sharp_head, 1024).n_cells == 64
-        assert att._group_cells(sharp_head, 8192).n_cells == 256
+    def test_one_grouping_chosen_with_the_index(self, sharp_head, monkeypatch):
+        """The index picks the query cells once: the coarsest whose kept
+        anchors still pay (64 on the sharp S^2 head), else the blocks' own
+        cells (the S^3 head at N = 20000, lam = 1e4, which has no coarser
+        level).  No call after the first builds a partition."""
+        anchors = equal_area_partition(3, 20000).centers()
+        s3 = att.ControlPoints(m=3, lam=1e4, p_alpha=anchors, p_beta=anchors)
+        indexes = sharp_head._blocks, s3._blocks
+        built = []
+        monkeypatch.setattr(att, "equal_area_partition", lambda *a: built.append(a) or equal_area_partition(*a))
+        for n in (2, 256, 1024, 8192):
+            att.split_head_batch(sharp_head, uniform_sphere_sample(2, n, 195))
+        att.split_head_batch(s3, uniform_sphere_sample(3, 1024, 196))
+        assert built == []
+        assert indexes[0].groups.n_cells == 64
+        assert indexes[1].groups.n_cells == indexes[1].radii.size == 312
 
 
 class TestLiftProject:

@@ -2,12 +2,17 @@
 with a typed error at every entry point, and so are sizes that are not
 integers and reals that are not finite or lie outside their interval."""
 
+import ast
+import importlib
 import json
 import math
+import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vmfhead
 from vmfhead import attention as att
 from vmfhead import bounds as bnd
 from vmfhead import kernel as ker
@@ -209,6 +214,71 @@ MISMATCH_CASES = {
     "convolve_vmf point dimension": lambda: ker.convolve_vmf(lambda ys: ys, KERNEL, [0.0, 1.0], 128, seed=0),
     "project block wider than y": lambda: att.project(np.zeros(3), 4),
 }
+
+
+# Public callables that no case above names, each with where its input
+# contract is held or why it has none.
+EXEMPT = {
+    "check_finite_unit": "the unit check itself, reached by every NaN and non-unit case above",
+    "Partition": "built only by equal_area_partition, whose size and locate_batch cases are above",
+    "log_gamma": "test_specialfn.py TestLogGamma::test_domain",
+    "reg_inc_beta": "test_specialfn.py TestRegIncBeta::test_domain",
+    "PrefixLengthBound": "a record returned by prefix_length_bound and normalized_head_parameters",
+    "normalized_head_parameters": "test_bounds.py TestNormalizedHeadParameters::test_domain",
+    "OracleStage": "holds a stage function only the hybrid build makes; takes no array",
+    "core_head": "its one query goes through as_unit_vector ('unit vector NaN')",
+    "core_head_log": "its one query goes through as_unit_vector ('unit vector NaN')",
+    "log_prefix_mass": "the batch check of split_head_batch ('batch row NaN', 'batch row non-unit')",
+    "lift": "its point goes through as_unit_vector ('unit vector NaN')",
+    "universal_control_points": "test_attention.py TestUniversalArtifact::test_non_universal_refused",
+    "TargetFunction": "built by make_target, whose m case is above",
+    "target_names": "takes no argument",
+    "synthesize_core_weights": "lam through vmf_log_normalizer ('vmf_log_normalizer lambda inf')",
+    "plan_for_accuracy": "test_prefix.py TestBoundDrivenMode::test_strict_mode_dimension_guard",
+    "verify_denominator_constancy": "a validated ControlPoints, n_samples as in sup_error_estimate's case",
+    "element_wise_extend": "a validated ControlPoints, M as in 'universal head M -inf'",
+    "RAggregate": "an exact record built by aggregate_R; decode_sequence checks its shape",
+    "aggregate_R": "takes a SequenceSample and a DigitConfig, both with cases above",
+    "psi_encode": "test_seq2seq.py TestPsi::test_domain",
+    "apply_sequence_function": "test_seq2seq.py TestFullModeBuild::test_refusals (wrongly shaped outputs)",
+    "reference_seq2seq": "takes a SequenceSample and a DigitConfig; f's output through apply_sequence_function",
+    "Seq2SeqStack": "test_seq2seq.py TestStackAssembly::test_encode_shape_guard",
+    "run_suite": "takes a suite name only; an unknown one raises DomainError",
+}
+
+
+def _names_in_cases() -> set:
+    """Every name and attribute the case tables use, following the helper
+    functions and constants of this file that they call."""
+    tree = ast.parse(Path(__file__).read_text())
+    definitions = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            definitions[node.name] = node
+        elif isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            definitions[node.targets[0].id] = node.value
+    names, todo = set(), ["CASES", "ENCODING_CASES", "MISMATCH_CASES"]
+    while todo:
+        for node in ast.walk(definitions[todo.pop()]):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name is not None and name not in names:
+                names.add(name)
+                if name in definitions:
+                    todo.append(name)
+    return names
+
+
+def _public_callables() -> set:
+    modules = (importlib.import_module(info.name) for info in pkgutil.walk_packages(vmfhead.__path__, "vmfhead."))
+    return {name for module in modules for name in getattr(module, "__all__", ()) if callable(getattr(module, name))}
+
+
+def test_every_public_callable_has_a_case_or_an_exemption():
+    """A public name added without a case or an exemption fails here, and
+    so does an exemption left behind by a case or a deleted name."""
+    public, named = _public_callables(), _names_in_cases()
+    assert sorted(public - named - EXEMPT.keys()) == []
+    assert sorted(EXEMPT.keys() - (public - named)) == []
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

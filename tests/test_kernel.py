@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from oracles import langevin
@@ -105,6 +106,33 @@ class TestEigenvalues:
         separate bessel_ratio recurrences, which it replaced."""
         ref = math.prod(bessel_ratio((m - 1) / 2.0 + j, lam) for j in range(k))
         assert abs(kernel_eigenvalue(m, k, lam) - ref) <= 1e-15 * ref
+
+    @pytest.mark.parametrize("m", [2, 3, 8, 16, 25, 41, 61])
+    def test_across_the_large_argument_switch(self, m):
+        """Against mpmath at 50 digits, for nu = (m-1)/2, from just below the
+        switch (lam >= 4000 and lam >= 4 (nu+k)^2), where the recurrence
+        gives the ratio, to lam = 1e10, where the Hankel sums give it."""
+        nu = (m - 1) / 2.0
+        with mp.workdps(50):
+            for k in (1, 3, 10):
+                switch = max(4000.0, 4.0 * (nu + k) ** 2)
+                for lam in (0.999 * switch, switch, 1.001 * switch, 1e5, 1e8, 1e10):
+                    ref = mp.besseli(nu + k, lam) / mp.besseli(nu, lam)
+                    assert abs(kernel_eigenvalue(m, k, lam) - ref) <= 1e-14 * ref, (k, lam)
+
+    def test_m2_closed_form_at_large_lam(self):
+        """On S^2, a_1 is coth lam - 1/lam to 1e-15 from the switch to
+        lam = 1e15, each value in O(1) work."""
+        for lam in np.geomspace(4e3, 1e15, 60):
+            assert abs(kernel_eigenvalue(2, 1, lam) - langevin(lam)) <= 1e-15 * langevin(lam), lam
+
+    def test_strictly_below_one_at_any_lam(self):
+        """Past lam of about 1e16 a_1 rounds to 1; it is returned as the
+        largest double below 1 (bessel_ratio's docstring)."""
+        below_one = math.nextafter(1.0, 0.0)
+        for lam in (1e16, 1e17, 1e300):
+            assert kernel_eigenvalue(2, 1, lam) == bessel_ratio(0.5, lam) == below_one
+        assert 0.0 < kernel_eigenvalue(8, 10, 1e15) < 1.0
 
     def test_specific_sandwich_example(self):
         a = kernel_eigenvalue(8, 3, 10.0)

@@ -145,6 +145,14 @@ class TestBesselRatio:
                 ref = float(mp.besseli(nu + 1, lam) / mp.besseli(nu, lam))
                 assert abs(bessel_ratio(nu, lam) - ref) <= 1e-12 * ref, (nu, lam)
 
+    def test_order_zero_across_the_large_argument_switch(self):
+        """nu = 0, which no kernel_eigenvalue reaches, against mpmath at 50
+        digits on both sides of the switch at lam = 4000."""
+        with mp.workdps(50):
+            for lam in (3996.0, 4000.0, 4004.0, 1e5, 1e10):
+                ref = float(mp.besseli(1, lam) / mp.besseli(0, lam))
+                assert abs(bessel_ratio(0.0, lam) - ref) <= 1e-14 * ref, lam
+
     def test_decreasing_in_order(self):
         for lam in (0.3, 2.0, 40.0):
             vals = [bessel_ratio(nu, lam) for nu in np.arange(0.0, 12.0, 0.5)]

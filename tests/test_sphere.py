@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -111,6 +112,20 @@ class TestEqualAreaPartition:
         rows = [np.array([math.cos(k * width + width / 2.0), math.sin(k * width + width / 2.0)]) for k in range(n)]
         expected = np.array([row / math.sqrt(row[0] * row[0] + row[1] * row[1]) for row in rows])
         assert np.array_equal(equal_area_partition(1, n).centers(), expected)
+
+    def test_circle_partition_peak_memory(self):
+        """equal_area_partition(1, 2^20) keeps 32 MiB (centers, cell areas,
+        radii) and peaks below 48 MiB: cos and sin are written into the
+        centers and the directions are normalized in place, so no stacked
+        or divided copy of the centers is ever alive beside them."""
+        tracemalloc.start()
+        try:
+            part = equal_area_partition(1, 2**20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert part.n_cells == 2**20
+        assert peak < 48 * 2**20
 
     def test_domain(self):
         with pytest.raises(DomainError):
