@@ -13,9 +13,10 @@ of layers, each evaluated by its own attend.  A TransformerLayer is the
 classical head over its prefix tokens.  Heads whose token form is certified
 evaluate the certified form: a universal artifact its split head times
 S / (S + e^M) (universal_head_batch), a full-mode sequence encoder or decoder
-its control points as one ControlPoints head with a value column per bank,
-each row over the anchors of its own circle window, and a hybrid-mode
-pass-through head W_V x.
+the split head over its shared circle anchors with a value column per
+bank, each row over the anchors of its own circle window, and a
+hybrid-mode pass-through head W_V x.  A TransformerLayer's MLP stages are
+affine pairs; a pass-through head's are functions of the state array.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "ControlPoints",
     "AttentionHeadParams",
     "PrefixTokens",
-    "OracleStage",
     "TransformerLayer",
     "TransformerStack",
     "core_head",
@@ -162,20 +162,15 @@ class PrefixTokens:
         if not np.all(np.isfinite(t)):
             raise DomainError("tokens must be finite")
         object.__setattr__(self, "M", _suppression(self.M))
+        if not isinstance(self.augmented, (bool, np.bool_)):
+            raise DomainError(f"augmented must be a bool, got {self.augmented!r}")
+        object.__setattr__(self, "augmented", bool(self.augmented))
         t.setflags(write=False)
         object.__setattr__(self, "tokens", t)
 
     @property
     def n_tokens(self) -> int:
         return self.tokens.shape[0]
-
-
-@dataclass(frozen=True)
-class OracleStage:
-    """Exact stage injected in place of an MLP (hybrid builds): fn maps the
-    (T, d) state array to a new one, each row on its own."""
-
-    fn: object
 
 
 @dataclass(frozen=True)
@@ -191,10 +186,10 @@ class TransformerLayer:
             raise DimensionMismatch("prefix and head parameters disagree on d")
         width = self.params.d
         for stage in self.mlp:
-            if isinstance(stage, OracleStage):
-                width = self.params.d  # oracle stages map states to states
-                continue
-            a, b = stage
+            try:
+                a, b = stage
+            except (TypeError, ValueError):
+                raise DimensionMismatch("an MLP stage must be an affine pair (A, b)") from None
             a = np.asarray(a)
             if a.ndim != 2 or a.shape[1] != width or np.asarray(b).shape != (a.shape[0],):
                 raise DimensionMismatch("MLP stage shapes do not chain")
@@ -336,10 +331,13 @@ class _BlockIndex(NamedTuple):
     radii: np.ndarray
 
 
-def _prune_margin(n_points: int) -> float:
-    """tau_N = 53 ln 2 + ln N: anchors whose logits all sit more than tau_N
-    below the row max carry under 2^-53 of the row sum together."""
-    return 53.0 * math.log(2.0) + math.log(n_points)
+def _reach(lam: float, n_points: int, nearest):
+    """arccos(cos(nearest) - tau_N / lam) elementwise, tau_N = 53 ln 2 + ln N:
+    where an anchor lies within the angle nearest of a row, so its max logit
+    is at least lam cos(nearest), the anchors farther than this from the
+    row sit more than tau_N below it and carry under 2^-53 of its sum."""
+    tau = 53.0 * math.log(2.0) + math.log(n_points)
+    return np.arccos(np.clip(np.cos(nearest) - tau / lam, -1.0, 1.0))
 
 
 def _block_index(cp: ControlPoints) -> _BlockIndex | None:
@@ -360,11 +358,8 @@ def _block_index(cp: ControlPoints) -> _BlockIndex | None:
     """
     n, w = cp.n_points, surface_area(cp.m)
     n_blocks = max(1, round(n / _BLOCK_SIZE))
-    tau = _prune_margin(n)
-    if not cp.lam > tau:
-        return None
     block = cap_colatitude(cp.m, w / n_blocks)
-    reach = math.acos(1.0 - tau / cp.lam) + 2.0 * block
+    reach = float(_reach(cp.lam, n, 0.0)) + 2.0 * block
     if not reach < 0.5 * math.pi:
         return None
     if not _pruning_pays(n * _colat_area(cp.m, reach) / w, n):
@@ -453,7 +448,7 @@ def _head_softmax(cp: ControlPoints, points) -> tuple:
     and walked in tiles of max(2, _TILE_BYTES // 8B) rows for B blocks.  In
     a tile each query gets a lower bound L on its row max from the blocks
     and keeps only blocks whose best possible logit reaches L - tau_N
-    (_prune_margin), so the dropped terms sum to under 2^-53 of the row
+    (_reach), so the dropped terms sum to under 2^-53 of the row
     sum.  The tile's queries are evaluated in groups that share their cell,
     each group over the union of the blocks its queries keep, or densely
     where that union is too large for pruning to pay (_pruning_pays); a
@@ -470,7 +465,6 @@ def _head_softmax(cp: ControlPoints, points) -> tuple:
     if blocks is None or not n:
         _softmax_rows(cp, pts, np.arange(n), out)
         return out
-    tau = _prune_margin(cp.n_points)
     cell = blocks.groups.locate_batch(pts)
     by_cell = np.argsort(cell, kind="stable")
     for start, stop in _tiles(n, max(2, _TILE_BYTES // (8 * blocks.radii.size))):
@@ -479,9 +473,9 @@ def _head_softmax(cp: ControlPoints, points) -> tuple:
         # Every anchor of block b lies within theta_b + r_b of x, so
         # L = lam cos(min_b (theta_b + r_b)) is at most the row max; no anchor
         # of b comes closer than theta_b - r_b, so b can reach L - tau only if
-        # theta_b - r_b <= arccos(L / lam - tau / lam).
+        # theta_b - r_b <= arccos(L / lam - tau / lam) (_reach).
         nearest_far = np.minimum((theta + blocks.radii).min(axis=1), math.pi)
-        reach = np.arccos(np.clip(np.cos(nearest_far) - tau / cp.lam, -1.0, 1.0))
+        reach = _reach(cp.lam, cp.n_points, nearest_far)
         keep = theta - blocks.radii <= reach[:, None]
         cuts = [0]
         for cut in np.flatnonzero(np.diff(cell[tile])) + 1:
@@ -683,10 +677,12 @@ def default_suppression(lam: float, n_points: int, extra: float = 30.0) -> float
 # ---------------------------------------------------------------------------
 
 def _apply_mlp(X: np.ndarray, stages) -> np.ndarray:
+    """X through the stages: functions of the (T, d) state array (a hybrid
+    stack's exact stages) and affine pairs, a ReLU between consecutive pairs."""
     prev_affine = False
     for stage in stages:
-        if isinstance(stage, OracleStage):
-            X = np.asarray(stage.fn(X), dtype=np.float64)
+        if callable(stage):
+            X = np.asarray(stage(X), dtype=np.float64)
             prev_affine = False
             continue
         A, b = stage
@@ -763,7 +759,7 @@ def import_prefix_artifact(text: str):
     try:
         d, m = _size(payload["d"], "d"), _size(payload["m"], "m")
         rows = payload["tokens"], payload["H"], payload["W_V"], [[payload["M"], payload["lambda"]]]
-        augmented = bool(payload["augmented"])
+        augmented = payload["augmented"]
     except KeyError as exc:
         raise DomainError(f"prefix artifact has no {exc.args[0]!r} entry") from None
     tokens, H, W, scalars = map(_dec_mat, rows)

@@ -235,14 +235,17 @@ def plan_for_accuracy(f: TargetFunction, epsilon: float, strict: bool = True) ->
 def sup_error_estimate(f: TargetFunction, approx, n_samples: int, seed: int):
     """(sup, mean) of ||f(x) - approx(x)||_2 over uniform samples.
 
-    approx takes an (n, m+1) batch and returns an (n, m+1) batch.  The
-    sample stream is nested: a larger n_samples extends the same sequence,
-    so the sup estimate can only grow with more samples.  Both values are
-    lower bounds on the true sup norm.  approx is called once, on the
-    whole batch.
+    approx takes an (n, m+1) batch and returns an (n, m+1) batch; any other
+    shape is refused with DimensionMismatch.  The sample stream is nested:
+    a larger n_samples extends the same sequence, so the sup estimate can
+    only grow with more samples.  Both values are lower bounds on the true
+    sup norm.  approx is called once, on the whole batch.
     """
     pts = uniform_sphere_sample(f.m, _size(n_samples, "n_samples"), seed)
-    errs = np.linalg.norm(f(pts) - np.atleast_2d(approx(pts)), axis=1)
+    exact, approximated = f(pts), approx(pts)
+    if np.shape(approximated) != pts.shape:
+        raise DimensionMismatch("approx must return an (n, m+1) batch")
+    errs = np.linalg.norm(exact - approximated, axis=1)
     return float(errs.max()), float(errs.mean())
 
 

@@ -36,18 +36,16 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..attention import (
     AttentionHeadParams,
-    ControlPoints,
-    OracleStage,
     PrefixTokens,
     TransformerLayer,
     TransformerStack,
-    _prune_margin,
+    _reach,
     _softmax,
     transformer_eval,
 )
@@ -348,13 +346,12 @@ def _window_half_width(n_points: int, lam: float) -> int:
     delta / 2 of the row and the row max is at least lam cos(delta / 2).
     Anchors farther than reach = arccos(cos(delta / 2) - tau_N / lam) from
     the row sit more than tau_N below it and carry under 2^-53 of the row
-    sum together (_prune_margin).  The first anchor outside the window lies
-    more than (w + 1/2) delta from the row, and w = ceil(reach / delta) + 1
-    keeps one anchor of slack for the rounding of the row's angle and its
-    floor."""
+    sum together (attention._reach).  The first anchor outside the window
+    lies more than (w + 1/2) delta from the row, and w = ceil(reach /
+    delta) + 1 keeps one anchor of slack for the rounding of the row's
+    angle and its floor."""
     delta = 2.0 * math.pi / n_points
-    reach = math.acos(max(-1.0, math.cos(0.5 * delta) - _prune_margin(n_points) / lam))
-    return math.ceil(reach / delta) + 1
+    return math.ceil(_reach(lam, n_points, 0.5 * delta) / delta) + 1
 
 
 @dataclass(frozen=True)
@@ -363,11 +360,13 @@ class _KernelBankLayer:
 
     The paper's head attends over one bank of (lam anchor, value, tag)
     prefix tokens per position it serves (_kernel_tokens), and the encoder's
-    banks are identical.  This layer holds the anchors once, in head =
-    ControlPoints(1, lam, anchors, values) with one column of its (N, k)
-    values per distinct bank: column columns[q] serves position q, and a
-    position whose entry is -1 passes through.  prefix and params build
-    the token form on demand, for export, pins and classical_head.
+    banks are identical.  This layer holds the concentration lam, the (N, 2)
+    anchors (one array, shared by every layer of a stack) and an (N, k)
+    array of values, one column per distinct bank, both read-only: column
+    columns[q] serves position q, and a position whose entry is -1 passes
+    through.  half_width, the window's w, is derived once from N and lam.
+    prefix and params build the token form on demand, for export, pins and
+    classical_head.
 
     Precondition: the anchors are the N centres of the circle partition,
     equal_area_partition(1, N), in order: anchor j at angle (j + 1/2) delta,
@@ -392,9 +391,9 @@ class _KernelBankLayer:
 
     Window certificate.  Within the split head, the row at angle theta of
     z lies in cell k = floor(theta / delta) mod N, and every anchor more
-    than w = _window_half_width(N, lam) cells from k is farther than reach
-    from z: its logit sits more than tau_N below the row max, and all of
-    them together carry under 2^-53 of the row sum.  So the row is
+    than w = half_width (_window_half_width) cells from k is farther than
+    reach from z: its logit sits more than tau_N below the row max, and all
+    of them together carry under 2^-53 of the row sum.  So the row is
     evaluated over the 2w + 1 anchors k - w, ..., k + w (mod N), or over all
     N anchors, each once, where 2w + 1 >= N: 31 anchors at N = 4096 and
     lam = 2e5, 29 at N = 2^20 and lam = 1.9e10.  No index is built and no
@@ -410,26 +409,34 @@ class _KernelBankLayer:
     """
 
     layout: _Layout
-    head: ControlPoints
+    lam: float
+    anchors: np.ndarray  # (N, 2) circle partition centres
+    values: np.ndarray  # (N, k) value columns
     columns: np.ndarray  # (q,) value column of each position, -1: pass-through
     encoder: bool
     mlp: tuple = ()
+    half_width: int = field(init=False)
+
+    def __post_init__(self):
+        self.anchors.setflags(write=False)
+        self.values.setflags(write=False)
+        object.__setattr__(self, "half_width", _window_half_width(self.anchors.shape[0], self.lam))
 
     @property
     def params(self) -> AttentionHeadParams:
         if self.encoder:
-            return _encoder_layer_params(self.layout, self.head.lam)
-        return _decoder_layer_params(self.layout, self.head.lam, np.flatnonzero(self.columns >= 0).tolist())
+            return _encoder_layer_params(self.layout, self.lam)
+        return _decoder_layer_params(self.layout, self.lam, np.flatnonzero(self.columns >= 0).tolist())
 
     @property
     def prefix(self) -> PrefixTokens:
-        banks = {q0: self.head.p_beta[:, c] for q0, c in enumerate(self.columns.tolist()) if c >= 0}
-        return _kernel_tokens(self.layout, self.head.p_alpha, banks, self.head.lam)
+        banks = {q0: self.values[:, c] for q0, c in enumerate(self.columns.tolist()) if c >= 0}
+        return _kernel_tokens(self.layout, self.anchors, banks, self.lam)
 
     def attend(self, X: np.ndarray) -> np.ndarray:
         """The (Q, d) outputs of the head at the (Q, d) states X (see the
         class docstring); each row reads its position from its one-hot."""
-        lay, head = self.layout, self.head
+        lay = self.layout
         if X.shape[1] != lay.d:
             raise DimensionMismatch("states and layer disagree on d")
         position = X[:, lay.oh].argmax(axis=1)
@@ -441,16 +448,15 @@ class _KernelBankLayer:
         if not np.all((norm > 0.0) & (norm < math.inf)):
             raise DegenerateInput("an attended state's sphere slot must be finite and nonzero")
         z /= norm[:, None]
-        n, lam = head.n_points, head.lam
-        w = _window_half_width(n, lam)
+        n, lam, w = self.anchors.shape[0], self.lam, self.half_width
         if 2 * w + 1 < n:
             cell = np.floor(np.arctan2(z[:, 1], z[:, 0]) / (2.0 * math.pi / n)).astype(np.intp)
             window = (cell[:, None] + np.arange(-w, w + 1)) % n
         else:
             window = np.broadcast_to(np.arange(n), (rows.size, n))
-        logits = np.matmul(head.p_alpha[window], lam * z[:, :, None])[:, :, 0]
+        logits = np.matmul(self.anchors[window], lam * z[:, :, None])[:, :, 0]
         values = np.empty((*window.shape, 2))
-        values[:, :, 0] = head.p_beta[window, column[:, None]]
+        values[:, :, 0] = self.values[window, column[:, None]]
         values[:, :, 1] = 1.0
         out = X.copy()
         out[rows] = 0.0
@@ -476,10 +482,10 @@ def _psi_oracle(lay: _Layout, cfg: DigitConfig):
         out[:, lay.val] = weights[states[:, lay.oh].argmax(axis=1)] * psi
         return out
 
-    return OracleStage(fn=fn)
+    return fn
 
 
-def _decoder_oracles(lay: _Layout, f, t_len: int, m: int, cfg: DigitConfig) -> list[OracleStage]:
+def _decoder_oracles(lay: _Layout, f, t_len: int, m: int, cfg: DigitConfig) -> list:
     """The T decoder stages, element i0 writing row i0 of f(decoded).
 
     The summation layer rounds each row's aggregate r its own way, but the
@@ -498,20 +504,15 @@ def _decoder_oracles(lay: _Layout, f, t_len: int, m: int, cfg: DigitConfig) -> l
         out.setflags(write=False)
         return out
 
-    def oracle(i0: int) -> OracleStage:
+    def stage(i0: int, states: np.ndarray) -> np.ndarray:
         first = i0 * (m + 1)
-        element = range(first, first + m + 1)
+        out = states.copy()
+        for row, q0 in enumerate(states[:, lay.oh].argmax(axis=1).tolist()):
+            if first <= q0 <= first + m:
+                out[row, lay.val] = decoded(round(states.item(row, lay.val) * base)).item(i0, q0 - first)
+        return out
 
-        def fn(states):
-            out = states.copy()
-            for row, q0 in enumerate(states[:, lay.oh].argmax(axis=1).tolist()):
-                if q0 in element:
-                    out[row, lay.val] = decoded(round(states.item(row, lay.val) * base)).item(i0, q0 - first)
-            return out
-
-        return OracleStage(fn=fn)
-
-    return [oracle(i0) for i0 in range(t_len)]
+    return [functools.partial(stage, i0) for i0 in range(t_len)]
 
 
 # ---------------------------------------------------------------------------
@@ -627,10 +628,7 @@ def build_seq2seq_transformer(
         positional = np.array([3.0 * 3.0 ** (-(q0 // (m + 1)) * (m + 1)) for q0 in range(width)])
         # The encoder's banks are all psi: one column serves every position.
         encoder = _KernelBankLayer(
-            layout=lay,
-            head=ControlPoints(1, lam, anchors, psi_values[:, None]),
-            columns=np.zeros(width, dtype=np.intp),
-            encoder=True,
+            lay, lam, anchors, psi_values[:, None], columns=np.zeros(width, dtype=np.intp), encoder=True,
             mlp=tuple(_stage_scale_by_position(lay, contraction) + _stage_scale_by_position(lay, positional)),
         )
         lookup = _stage_sphere_lookup(lay)
@@ -639,8 +637,7 @@ def build_seq2seq_transformer(
             elem = slice(i0 * (m + 1), (i0 + 1) * (m + 1))
             columns = np.full(width, -1, dtype=np.intp)
             columns[elem] = np.arange(m + 1)
-            head = ControlPoints(1, lam, anchors, outputs[of_anchor, i0])
-            decoders.append(_KernelBankLayer(layout=lay, head=head, columns=columns, encoder=False))
+            decoders.append(_KernelBankLayer(lay, lam, anchors, outputs[of_anchor, i0], columns, encoder=False))
 
     sum_params, sum_prefix = _summation_layer(lay)
     summation = TransformerLayer(params=sum_params, prefix=sum_prefix, mlp=tuple(_stage_affine_recover(lay) + lookup))

@@ -267,11 +267,11 @@ def relaxed_decode(u, t_len: int, m: int, cfg: DigitConfig) -> np.ndarray:
 
 
 def apply_sequence_function(f, elements: np.ndarray) -> np.ndarray:
-    """f(elements) as a float array, refused unless it has the (T, m+1)
-    shape of its input."""
+    """f(elements) as a float array, refused unless it is finite and has
+    the (T, m+1) shape of its input."""
     out = np.asarray(f(elements), dtype=np.float64)
-    if out.shape != elements.shape:
-        raise DomainError("sequence function returned a wrongly shaped output")
+    if out.shape != elements.shape or not np.isfinite(out).all():
+        raise DomainError("sequence function returned a wrongly shaped or non-finite output")
     return out
 
 

@@ -133,13 +133,12 @@ def _log_bessel_i_series(nu: float, lam: float) -> float:
         n_terms *= 2
 
 
+_lgamma_object = np.frompyfunc(math.lgamma, 1, 1)
+
+
 def _lgamma_vec(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    flat = x.ravel()
-    res = out.ravel()
-    for i in range(flat.size):
-        res[i] = math.lgamma(flat[i])
-    return out
+    """math.lgamma of each element of x, as float64."""
+    return _lgamma_object(x).astype(np.float64)
 
 
 def _hankel(nu: float, lam: float) -> bool:

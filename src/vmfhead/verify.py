@@ -73,9 +73,9 @@ def _kernel_checks(results):
                     if a > prev * (1 + 1e-12):
                         return False, f"not decreasing at m={m}, k={k}, lam={lam}"
                     if k:  # a_0 and its lower bound are both exactly 1
-                        worst_margin = min(worst_margin, a - lower)
+                        worst_margin = min(worst_margin, (a - lower) / a)
                     prev = a
-        return True, f"min over k >= 1 of (a_k - lower) = {worst_margin:.3e}"
+        return True, f"min over k >= 1 of (a_k - lower) / a_k = {worst_margin:.3e}"
 
     def closed_form_anchors():
         worst = 0.0

@@ -262,7 +262,7 @@ class TestPrunedHead:
         lam = 3000 on S^2.  Its groups are evaluated densely (kept None) and
         agree with a plain softmax to 1e-12."""
         n, lam = 20000, 3000.0
-        radius = 0.5 * math.acos(1.0 - att._prune_margin(n) / lam)
+        radius = 0.5 * float(att._reach(lam, n, 0.0))
         rng = np.random.default_rng(51)
         polar, azimuth = radius * np.sqrt(rng.random(n)), 2.0 * math.pi * rng.random(n)
         anchors = np.stack(
@@ -723,13 +723,14 @@ def _sequence_stack(mode, **kwargs):
 
 def chain_of_heads(stack, X):
     """The stack written out: each layer's public classical_head, then its
-    stages, with a ReLU between consecutive affine maps."""
+    stages, with a ReLU between consecutive affine maps; a callable stage
+    is a stage function of the state array."""
     for layer in stack.layers:
         X = att.classical_head(X, layer.prefix, layer.params)
         prev_affine = False
         for stage in layer.mlp:
-            if isinstance(stage, att.OracleStage):
-                X, prev_affine = stage.fn(X), False
+            if callable(stage):
+                X, prev_affine = stage(X), False
                 continue
             X = (np.maximum(X, 0.0) if prev_affine else X) @ stage[0].T + stage[1]
             prev_affine = True
@@ -785,18 +786,20 @@ class TestTransformerEval:
 
     def test_full_mode_layers_hold_their_anchors_once(self):
         # A full-mode stack holds its anchors once: every kernel layer
-        # shares one anchor array and holds an (N, k) value array, builds
-        # its tokens anew on each request, caches none, and frees its head
-        # (with anything the head cached) with itself.
+        # shares one read-only anchor array and holds a read-only (N, k)
+        # value array, builds its tokens anew on each request, caches none,
+        # and frees its arrays with itself.
         stack, X = _sequence_stack("full", n_points=1024, lam=2.0e4)
         encoder, _, *decoders = stack.layers
-        anchors = encoder.head.p_alpha
-        assert [layer.head.p_beta.shape for layer in (encoder, *decoders)] == [(1024, 1), (1024, 2), (1024, 2)]
-        assert all(layer.head.p_alpha is anchors for layer in decoders)
+        assert [layer.values.shape for layer in (encoder, *decoders)] == [(1024, 1), (1024, 2), (1024, 2)]
+        assert all(layer.anchors is encoder.anchors for layer in decoders)
+        assert all(layer.lam == 2.0e4 for layer in (encoder, *decoders))
+        assert not any(a.flags.writeable for layer in (encoder, *decoders) for a in (layer.anchors, layer.values))
         assert encoder.prefix is not encoder.prefix and encoder.prefix.n_tokens == 4 * 1024
         att.transformer_eval(stack, X)
-        assert set(vars(encoder)) == {"layout", "head", "columns", "encoder", "mlp"}
-        refs = [weakref.ref(encoder), weakref.ref(encoder.head)]
+        fields = {"layout", "lam", "anchors", "values", "columns", "encoder", "mlp", "half_width"}
+        assert all(set(vars(layer)) == fields for layer in (encoder, *decoders))
+        refs = [weakref.ref(encoder), weakref.ref(encoder.values)]
         del stack, encoder, decoders
         gc.collect()
         assert all(r() is None for r in refs)

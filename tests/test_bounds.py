@@ -58,6 +58,17 @@ class TestConcentrationBound:
         assert val == math.inf
         assert any(issubclass(w.category, OverflowWarning) for w in caught)
 
+    def test_overflow_past_the_float_range(self):
+        """At sigma = 1e-80 the denominator is still positive, but ln lambda
+        is about 742, past the double range."""
+        with pytest.warns(OverflowWarning):
+            assert lambda_for_accuracy(1e-80, UNIT, 8) == math.inf
+
+    def test_coarse_accuracy_is_trivial(self):
+        """At sigma = 100, beta = sigma^2 / (8 + 2 sigma) is past 1 and any
+        concentration will do: the bound reports 1."""
+        assert lambda_for_accuracy(100.0, UNIT, 8) == 1.0
+
 
 class TestPrefixLengthBound:
     def test_monotone_in_lambda_and_accuracy(self):
@@ -152,6 +163,11 @@ class TestNormalizedHeadParameters:
         np.testing.assert_allclose(
             nb.log10_n, float(fixtures["bounds"]["normalized_head_eps0.5_m8_unit_log10_n"]), rtol=1e-12
         )
+
+    def test_infinite_concentration(self):
+        with pytest.warns(OverflowWarning):
+            lam, nb = normalized_head_parameters(1e-80, UNIT, 8)
+        assert lam == nb.n == nb.log10_n == math.inf
 
     def test_domain(self):
         with pytest.raises(DomainError):

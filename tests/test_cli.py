@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +133,13 @@ class TestSweep:
         _, out2, _ = run_cli(capsys, argv)
         assert out1 == out2
 
+    def test_out_writes_the_table(self, capsys, tmp_path):
+        """--out writes to its file the table the run prints without it."""
+        argv = ["sweep", "--target", "identity", "--m", "2", "--lambdas", "8", "--ns", "64,128", "--samples", "64"]
+        path = tmp_path / "sweep.csv"
+        assert run_cli(capsys, argv + ["--out", str(path)])[:2] == (0, "")
+        assert path.read_text() == run_cli(capsys, argv)[1]
+
 
 class TestSettingsContract:
     """Config and flag values reach the library's scalar checks unconverted:
@@ -176,6 +185,11 @@ class TestSettingsContract:
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
 
+    def test_config_not_an_object_refused(self, capsys, tmp_path):
+        code, out, err = self.run_config(capsys, tmp_path, "approximate", [self.VALID])
+        assert (code, out) == (2, "")
+        assert err == "error: config file must hold a JSON object\n"
+
     def test_export_prefix_config_refused(self, capsys, tmp_path):
         path = tmp_path / "artifact.json"
         cfg = tmp_path / "cfg.json"
@@ -189,6 +203,7 @@ class TestSettingsContract:
         [
             (["approximate", "--target", "identity", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
             (["seq2seq-demo", "--count", "-1"], "count must be an integer >= 0, got -1"),
+            (["seq2seq-demo", "--f", "nope"], "unknown sequence function 'nope'"),
         ],
     )
     def test_flag_refused(self, capsys, argv, message):
@@ -277,11 +292,33 @@ class TestVerify:
 
     def test_eigenvalue_sandwich_reports_positive_margin(self, capsys):
         """The margin is taken over k >= 1; at k = 0 a_0 and its lower bound
-        are both exactly 1."""
+        are both exactly 1.  It is relative to a_k, so the smallest a_k
+        (about 5e-14 at m = 12, k = 10, lam = 1) does not set it: it is the
+        tightest (a_k - lower) / a_k over the check's grid."""
         code, out, _ = run_cli(capsys, ["verify", "--suite", "kernel", "--json"])
         assert code == 0
         (detail,) = [c["detail"] for c in json.loads(out)["checks"] if c["name"] == "eigenvalue sandwich and monotonicity"]
-        assert float(detail.rsplit("=", 1)[1]) > 0.0
+        label, figure = detail.rsplit("=", 1)
+        assert label == "min over k >= 1 of (a_k - lower) / a_k "
+        margins = []
+        for m in (8, 12):
+            for lam in (1.0, 10.0, 100.0):
+                for k in range(1, 11):
+                    a, v = ker.kernel_eigenvalue(m, k, lam), (m - 1) / 2.0 + k
+                    margins.append(1.0 - (lam / (v + math.hypot(lam, v))) ** k / a)
+        assert float(figure) > 0.0
+        assert abs(float(figure) - min(margins)) <= 1e-3 * min(margins)
+
+    def test_text_summary(self, capsys):
+        """Without --json, one "[PASS] suite: name -- detail" line per check
+        in run order, then the count line with the time to two decimals."""
+        code, out, _ = run_cli(capsys, ["verify", "--suite", "bounds"])
+        assert code == 0
+        *checks, last = out.rstrip("\n").split("\n")
+        names = [c["name"] for c in vfy.run_suite("bounds")["checks"]]
+        assert [line.split(" -- ")[0] for line in checks] == [f"[PASS] bounds: {name}" for name in names]
+        assert all(line.split(" -- ")[1] for line in checks)
+        assert re.fullmatch(rf"{len(names)}/{len(names)} checks passed in \d+\.\d\d s", last)
 
     def test_unknown_suite_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

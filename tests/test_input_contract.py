@@ -17,10 +17,18 @@ from vmfhead import attention as att
 from vmfhead import bounds as bnd
 from vmfhead import kernel as ker
 from vmfhead import prefix as pfx
-from vmfhead.errors import DimensionMismatch, DomainError, EncodingError
-from vmfhead.seq2seq import DigitConfig, SequenceSample, aggregate_R, build_seq2seq_transformer, sequence_mean
+from vmfhead.errors import DimensionMismatch, DomainError, EncodingError, PrecisionBudgetExceeded
+from vmfhead.seq2seq import (
+    DigitConfig,
+    SequenceSample,
+    aggregate_R,
+    build_seq2seq_transformer,
+    reference_seq2seq,
+    sequence_mean,
+)
 from vmfhead.seq2seq.encoding import decode_sequence, psi_strided, relaxed_decode
 from vmfhead.specialfn import bessel_ratio, log_bessel_i
+from vmfhead.verify import run_suite
 from vmfhead.sphere import (
     as_unit_vector,
     cap_area,
@@ -51,6 +59,22 @@ INF = math.inf
 
 def convolve(f):
     return ker.convolve_vmf(f, KERNEL, ANCHORS[0], 128, seed=0)
+
+
+def sequence_nan(elements):
+    return np.full_like(elements, np.nan)
+
+
+def sequence_inf(elements):
+    return np.where(elements > 0.5, np.inf, elements)
+
+
+def full_states_one_slot_wide():
+    """A small full-mode stack fed states one slot wider than its layout:
+    its first layer, a kernel layer, sees them first."""
+    stack = build_seq2seq_transformer(sequence_mean, 2, 0, CFG, n_points=64, mode="full")
+    states = stack.encode_inputs(SequenceSample(2, 0, np.full((2, 1), 0.3)))
+    return att.transformer_eval(stack.transformer, np.hstack([states, np.zeros((2, 1))]))
 
 
 def control_points(p_alpha=ANCHORS, p_beta=VALUES, lam=4.0):
@@ -188,11 +212,29 @@ CASES = {
     "project y NaN": lambda: att.project(np.full(9, np.nan), 3),
     "project y inf": lambda: att.project(np.array([0.0, 1.0, 0.0, np.inf]), 2),
     "project y -inf in the block": lambda: att.project(np.array([-np.inf, 0.0, 0.0]), 2),
+    "head params W_V NaN": lambda: att.AttentionHeadParams(d=2, H=np.eye(2), W_V=np.full((2, 2), np.nan)),
+    "prefix augmented string": lambda: att.PrefixTokens(d=2, tokens=np.zeros((1, 2)), M=-1.0, augmented="false"),
+    "artifact augmented string": lambda: att.import_prefix_artifact(artifact(augmented=lambda _: "false")),
+    "sequence elements wrong shape": lambda: SequenceSample(2, 1, np.zeros((2, 3))),
+    "seq2seq full f NaN": lambda: build_seq2seq_transformer(sequence_nan, 2, 0, CFG, n_points=64, mode="full"),
+    "seq2seq hybrid f inf": lambda: build_seq2seq_transformer(sequence_inf, 2, 0, CFG).evaluate(
+        SequenceSample(2, 0, np.array([[0.2], [0.9]]))
+    ),
+    "reference_seq2seq f NaN": lambda: reference_seq2seq(sequence_nan, SequenceSample(2, 0, np.zeros((2, 1))), CFG),
+    "run_suite unknown suite": lambda: run_suite("nope"),
 }
 
 ENCODING_CASES = {
     "relaxed_decode NaN": lambda: relaxed_decode(math.nan, 2, 0, CFG),
     "relaxed_decode above 1": lambda: relaxed_decode(1.5, 2, 0, CFG),
+    "decode_sequence above 1": lambda: decode_sequence(1.5, 2, 0, CFG),
+    "decode_sequence mantissa past the budget": lambda: decode_sequence(1.0, 2, 0, CFG),
+}
+
+BUDGET_CASES = {
+    "aggregate_R past the packing budget": lambda: aggregate_R(
+        SequenceSample(103, 0, np.zeros((103, 1))), DigitConfig(digits=40)
+    ),
 }
 
 MISMATCH_CASES = {
@@ -213,6 +255,18 @@ MISMATCH_CASES = {
     "convolve_vmf f empty output": lambda: convolve(lambda ys: ys[:, :0]),
     "convolve_vmf point dimension": lambda: ker.convolve_vmf(lambda ys: ys, KERNEL, [0.0, 1.0], 128, seed=0),
     "project block wider than y": lambda: att.project(np.zeros(3), 4),
+    "unit vector one entry": lambda: as_unit_vector([1.0]),
+    "control point anchors one column short": lambda: control_points(p_alpha=ANCHORS[:, :2]),
+    "head params H not d x d": lambda: att.AttentionHeadParams(d=2, H=np.eye(3), W_V=np.eye(2)),
+    "prefix tokens one column wide": lambda: att.PrefixTokens(d=2, tokens=np.zeros((1, 3)), M=-1.0, augmented=False),
+    "transformer layer function stage": lambda: att.TransformerLayer(params=PARAMS, prefix=PREFIX, mlp=(np.copy,)),
+    "batch points one column short": lambda: att.split_head_batch(control_points(), ANCHORS[:, :2]),
+    "partition locate_batch one column short": lambda: equal_area_partition(2, 8).locate_batch(ANCHORS[:, :2]),
+    "target output one column short": lambda: pfx.TargetFunction(2, "short", lambda p: p[:, :2], SPEC)(ANCHORS),
+    "core weights partition dimension": lambda: pfx.synthesize_core_weights(IDENTITY, equal_area_partition(3, 8), 4.0),
+    "sup_error_estimate approx one row": lambda: pfx.sup_error_estimate(IDENTITY, lambda p: p[:1], 10, 1),
+    "sup_error_estimate approx one column": lambda: pfx.sup_error_estimate(IDENTITY, lambda p: p[:, :1], 10, 1),
+    "transformer_eval full states one slot wide": full_states_one_slot_wide,
 }
 
 
@@ -225,25 +279,19 @@ EXEMPT = {
     "reg_inc_beta": "test_specialfn.py TestRegIncBeta::test_domain",
     "PrefixLengthBound": "a record returned by prefix_length_bound and normalized_head_parameters",
     "normalized_head_parameters": "test_bounds.py TestNormalizedHeadParameters::test_domain",
-    "OracleStage": "holds a stage function only the hybrid build makes; takes no array",
     "core_head": "its one query goes through as_unit_vector ('unit vector NaN')",
     "core_head_log": "its one query goes through as_unit_vector ('unit vector NaN')",
     "log_prefix_mass": "the batch check of split_head_batch ('batch row NaN', 'batch row non-unit')",
     "lift": "its point goes through as_unit_vector ('unit vector NaN')",
     "universal_control_points": "test_attention.py TestUniversalArtifact::test_non_universal_refused",
-    "TargetFunction": "built by make_target, whose m case is above",
     "target_names": "takes no argument",
-    "synthesize_core_weights": "lam through vmf_log_normalizer ('vmf_log_normalizer lambda inf')",
     "plan_for_accuracy": "test_prefix.py TestBoundDrivenMode::test_strict_mode_dimension_guard",
     "verify_denominator_constancy": "a validated ControlPoints, n_samples as in sup_error_estimate's case",
     "element_wise_extend": "a validated ControlPoints, M as in 'universal head M -inf'",
     "RAggregate": "an exact record built by aggregate_R; decode_sequence checks its shape",
-    "aggregate_R": "takes a SequenceSample and a DigitConfig, both with cases above",
     "psi_encode": "test_seq2seq.py TestPsi::test_domain",
-    "apply_sequence_function": "test_seq2seq.py TestFullModeBuild::test_refusals (wrongly shaped outputs)",
-    "reference_seq2seq": "takes a SequenceSample and a DigitConfig; f's output through apply_sequence_function",
+    "apply_sequence_function": "the 'f NaN' and 'f inf' cases above; test_seq2seq.py TestFullModeBuild::test_refusals",
     "Seq2SeqStack": "test_seq2seq.py TestStackAssembly::test_encode_shape_guard",
-    "run_suite": "takes a suite name only; an unknown one raises DomainError",
 }
 
 
@@ -257,7 +305,7 @@ def _names_in_cases() -> set:
             definitions[node.name] = node
         elif isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
             definitions[node.targets[0].id] = node.value
-    names, todo = set(), ["CASES", "ENCODING_CASES", "MISMATCH_CASES"]
+    names, todo = set(), ["CASES", "ENCODING_CASES", "MISMATCH_CASES", "BUDGET_CASES"]
     while todo:
         for node in ast.walk(definitions[todo.pop()]):
             name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
@@ -299,6 +347,12 @@ def test_rejected_with_dimension_mismatch(case):
         MISMATCH_CASES[case]()
 
 
+@pytest.mark.parametrize("case", sorted(BUDGET_CASES))
+def test_rejected_with_precision_budget_exceeded(case):
+    with pytest.raises(PrecisionBudgetExceeded):
+        BUDGET_CASES[case]()
+
+
 def test_valid_inputs_still_accepted():
     """Control case: the unedited inputs behind every rejection above pass."""
     cp = control_points()
@@ -306,7 +360,11 @@ def test_valid_inputs_still_accepted():
     assert att.split_head_batch(control_points(p_beta=np.ones((8, 1))), ANCHORS).shape == (8, 1)
     assert 0.0 < att.suppression_gap(cp, ANCHORS[0], -20.0, t_inputs=2) < 1.0
     prefix, params, m, lam = att.import_prefix_artifact(artifact())
-    assert (prefix.n_tokens, m, lam) == (8, 2, 4.0)
+    assert (prefix.n_tokens, m, lam, prefix.augmented) == (8, 2, 4.0, False)
+    assert att.import_prefix_artifact(artifact(augmented=lambda _: True))[0].augmented is True
+    assert att.PrefixTokens(d=2, tokens=np.zeros((1, 2)), M=-1.0, augmented=np.True_).augmented is True
+    elements = np.array([[0.25], [0.5]])
+    np.testing.assert_array_equal(reference_seq2seq(sequence_mean, SequenceSample(2, 0, elements), CFG), [[0.375], [0.375]])
     SequenceSample(1, 0, np.array([[0.0]]))
     assert np.all(np.isfinite(att.classical_head([[0.0, 1.0], [1.0, 0.0]], PREFIX, PARAMS)))
     assert np.all(np.isfinite(att.transformer_eval(STACK, [0.0, 1.0])))

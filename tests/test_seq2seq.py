@@ -560,7 +560,7 @@ def test_bank_layer_is_its_token_form(shape):
             norm = np.linalg.norm(X_i[attended][:, lay.z], axis=1)
             unit = X_i.copy()
             unit[attended, lay.z] /= norm[:, None]
-            rounding = math.expm1(2.0 * 2.0**-50 * (3.0 * layer.head.lam + 2.0 * _GAP))
+            rounding = math.expm1(2.0 * 2.0**-50 * (3.0 * layer.lam + 2.0 * _GAP))
             np.testing.assert_allclose(out[attended], classical_head(unit, layer.prefix, layer.params)[attended], rtol=0, atol=rounding)
             scaled = rounding + 350.0 * np.abs(1.0 - norm).max()
             np.testing.assert_allclose(out[attended], token[attended], rtol=0, atol=scaled)
@@ -572,8 +572,7 @@ def _bank_layer(n_points: int, lam: float, seed: int = 0) -> _KernelBankLayer:
     bank's values change from every anchor to the next."""
     anchors = equal_area_partition(1, n_points).centers()
     values = np.random.default_rng(seed).random((n_points, 2))
-    head = ControlPoints(1, lam, anchors, values)
-    return _KernelBankLayer(layout=_Layout(q=2), head=head, columns=np.arange(2), encoder=False)
+    return _KernelBankLayer(layout=_Layout(q=2), lam=lam, anchors=anchors, values=values, columns=np.arange(2), encoder=False)
 
 
 def _bank_states(layer: _KernelBankLayer, theta: np.ndarray) -> np.ndarray:
@@ -596,13 +595,14 @@ def _window_angles(n_points: int) -> np.ndarray:
 
 
 def _assert_window_is_dense_head(layer: _KernelBankLayer) -> None:
-    """The layer's output at _window_angles equals split_head_batch on its
-    head, each row's own column, within the logit-rounding bound
-    e^(2 delta) - 1, delta = 2^-50 (3 lam + 2 _GAP)."""
-    lay, lam = layer.layout, layer.head.lam
-    theta = _window_angles(layer.head.n_points)
+    """The layer's output at _window_angles equals split_head_batch on the
+    dense head over its anchors and values, each row's own column, within
+    the logit-rounding bound e^(2 delta) - 1, delta = 2^-50 (3 lam + 2 _GAP)."""
+    lay, lam = layer.layout, layer.lam
+    head = ControlPoints(1, lam, layer.anchors, layer.values)
+    theta = _window_angles(head.n_points)
     X = _bank_states(layer, theta)
-    dense = split_head_batch(layer.head, X[:, lay.z] / np.linalg.norm(X[:, lay.z], axis=1)[:, None])
+    dense = split_head_batch(head, X[:, lay.z] / np.linalg.norm(X[:, lay.z], axis=1)[:, None])
     expected = dense[np.arange(theta.size), np.arange(theta.size) % 2]
     rounding = math.expm1(2.0 * 2.0**-50 * (3.0 * lam + 2.0 * _GAP))
     np.testing.assert_allclose(layer.attend(X)[:, lay.val], expected, rtol=0, atol=rounding)
@@ -656,10 +656,9 @@ class TestCircleWindow:
         assert 2 * _window_half_width(n_points, lam) + 1 >= n_points
         _assert_window_is_dense_head(_bank_layer(n_points, lam, seed=2))
 
-    def test_largest_admitted_n_builds_no_block_index(self):
+    def test_largest_admitted_n_meets_reference(self):
         """At N = 2^20 and lam = 1.9e10 the (3, 0, 3) stack meets the
-        reference at 1e-2, and its heads never build the block index that
-        split_head_batch would build on first use."""
+        reference at 1e-2."""
         cfg = DigitConfig(digits=3)
         stack = build_seq2seq_transformer(sequence_mean, 3, 0, cfg, n_points=2**20, lam=1.9e10, mode="full")
         rng = np.random.default_rng(17)
@@ -667,8 +666,6 @@ class TestCircleWindow:
             s = SequenceSample(3, 0, rng.random((3, 1)))
             ref = np.stack(reference_seq2seq(sequence_mean, s, cfg))
             assert float(np.max(np.abs(stack.evaluate(s) - ref))) <= 1e-2
-        banks = [layer for i, layer in enumerate(stack.transformer.layers) if i != 1]
-        assert len(banks) == 4 and all("_blocks" not in vars(layer.head) for layer in banks)
 
 
 @pytest.mark.parametrize("shape", [(8, 0, 3), (2, 1, 4), (3, 2, 2), (1, 0, 8)], ids=lambda shape: "T{}-m{}-digits{}".format(*shape))
