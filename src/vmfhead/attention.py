@@ -285,7 +285,7 @@ def _pruning_pays(kept: float, n_points: int) -> bool:
     return _GATHER_COST * kept + _GROUP_COST < n_points
 
 
-def _softmax(logits: np.ndarray, values: np.ndarray, span: float | None = math.inf) -> tuple:
+def _softmax(logits: np.ndarray, values: np.ndarray, shift: bool = True) -> tuple:
     """(weighted value mean, row sum, shift) of the softmax rows of an
     (n, K) logit tile over (K, k + 1) value rows [v | 1], or over an
     (n, K, k + 1) stack of them, one per row: the one evaluator behind every
@@ -294,28 +294,25 @@ def _softmax(logits: np.ndarray, values: np.ndarray, span: float | None = math.i
     stack, each row's product is its own matrix product in a batched
     matmul, so no row's result depends on the other rows.
 
-    span None means the caller certifies that no shift is needed
-    (ControlPoints._zero_shift).  Otherwise each row is shifted by its max;
-    span bounds each row's max minus min, and the shifted logits are floored
-    at _LOGIT_FLOOR unless span shows that none can fall below it.  A
-    floored term weighs exactly 0: the floor's weight is taken off every
-    weight, which leaves each weight above 2^-955 (a shifted logit above
-    about -662) bit for bit as it was, so no floored weight reaches the
-    product, where its products with small values would be subnormal, and
-    a stack head whose other terms all sit below the floor passes its
-    inputs through exactly.
+    shift False means the caller certifies that no shift is needed
+    (ControlPoints._zero_shift).  Otherwise each row is shifted by its max
+    and the shifted logits are floored at _LOGIT_FLOOR.  A floored term
+    weighs exactly 0: the floor's weight is taken off every weight, which
+    leaves each weight above 2^-955 (a shifted logit above about -662) bit
+    for bit as it was, so no floored weight reaches the product, where its
+    products with small values would be subnormal, and a stack head whose
+    other terms all sit below the floor passes its inputs through exactly.
     """
-    floored = span is not None and span > -_LOGIT_FLOOR
-    shift = 0.0 if span is None else logits.max(axis=1)
-    if span is not None:
-        logits -= shift[:, None]
-    if floored:
+    row_max = 0.0
+    if shift:
+        row_max = logits.max(axis=1)
+        logits -= row_max[:, None]
         np.maximum(logits, _LOGIT_FLOOR, out=logits)
     np.exp(logits, out=logits)
-    if floored:
+    if shift:
         logits -= _FLOOR_WEIGHT
     acc = logits @ values if values.ndim == 2 else np.matmul(logits[:, None], values)[:, 0]
-    return acc[:, :-1] / acc[:, -1:], acc[:, -1], shift
+    return acc[:, :-1] / acc[:, -1:], acc[:, -1], row_max
 
 
 class _BlockIndex(NamedTuple):
@@ -419,7 +416,7 @@ def _softmax_rows(cp: ControlPoints, pts: np.ndarray, rows: np.ndarray, out: tup
     for start, stop in _tiles(rows.size, size):
         tile = rows[start:stop]
         logits = np.matmul(cp.lam * pts[tile], columns, out=buffer[: tile.size])
-        mean[tile], rowsum[tile], shift[tile] = _softmax(logits, values, None if cp._zero_shift else 2.0 * cp.lam)
+        mean[tile], rowsum[tile], shift[tile] = _softmax(logits, values, not cp._zero_shift)
 
 
 def _tiles(n: int, size: int):
@@ -722,10 +719,14 @@ def _enc_mat(a: np.ndarray):
 
 
 def _dec_mat(rows) -> np.ndarray:
-    """A finite 2-D array from artifact rows of decimal strings."""
+    """A finite 2-D array from artifact rows: a list of lists of decimal
+    strings, the form export_prefix_artifact writes.  A string row, or an
+    entry that is a JSON number, bool or null, is refused."""
+    if not (isinstance(rows, list) and all(isinstance(row, list) and all(type(v) is str for v in row) for row in rows)):
+        raise DomainError("artifact matrices must be lists of rows of decimal strings")
     try:
         a = np.array([[float(v) for v in row] for row in rows], dtype=np.float64)
-    except (TypeError, ValueError):
+    except ValueError:
         raise DomainError("artifact matrix has ragged rows or non-numeric entries") from None
     if a.ndim != 2 or not np.all(np.isfinite(a)):
         raise DomainError("artifact matrices must be 2-D and finite")
@@ -736,12 +737,13 @@ def export_prefix_artifact(
     prefix: PrefixTokens, params: AttentionHeadParams, m: int, lam: float
 ) -> str:
     """JSON artifact for a prefix + head pair; doubles are encoded as
-    repr strings so the round trip is bit-exact."""
+    repr strings so the round trip is bit-exact.  m and lam are checked as
+    import_prefix_artifact checks them."""
     payload = {
         "schema": "vmfhead-prefix-v1",
         "d": prefix.d,
-        "m": m,
-        "lambda": repr(float(lam)),
+        "m": _size(m, "m"),
+        "lambda": repr(_positive(lam, "lambda")),
         "M": repr(float(prefix.M)),
         "augmented": prefix.augmented,
         "tokens": _enc_mat(prefix.tokens),
@@ -753,7 +755,10 @@ def export_prefix_artifact(
 
 def import_prefix_artifact(text: str):
     """Inverse of export_prefix_artifact; returns (prefix, params, m, lam)."""
-    payload = json.loads(text)
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"prefix artifact is not JSON: {exc}") from None
     if not isinstance(payload, dict) or payload.get("schema") != "vmfhead-prefix-v1":
         raise DomainError("unrecognized prefix artifact schema")
     try:

@@ -5,7 +5,8 @@ Each setting comes from its flag, else from an optional JSON config file,
 else from its default, and reaches the library unconverted, so the scalar
 checks refuse what they refuse for any caller.  All randomness derives from
 one seed split per stage.  Exit codes:
-0 success, 2 usage/config error, 3 numeric failure, 4 verification failure.
+0 success, 1 stdout closed before the output was written (as by `| head`),
+2 usage/config error, 3 numeric failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .seq2seq import (
 )
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_CONFIG = 2
 EXIT_VERIFY = 4
 
@@ -294,7 +296,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a pipe closed early raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader left: point stdout at devnull so the interpreter's last
+        # flush raises nothing (the SIGPIPE note in Python's signal docs).
+        # An in-process stdout, as pytest's capture, has no descriptor.
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass
+        return EXIT_PIPE
     except (VmfheadError, ValueError, OSError) as exc:
         # Package errors carry their own exit code; bad files and values
         # (json.JSONDecodeError is a ValueError) are config errors.

@@ -1,18 +1,19 @@
 """Assembly of the T+2 attention-layer sequence-to-sequence stack.
 
 The stack operates on q = T(m+1) "virtual positions", one scalar
-coordinate each, in states of width 7 + 2q.  Each prefix token's one-hot
+coordinate each, in states of width 6 + 2q.  Each prefix token's one-hot
 tag addresses its position and is also its payload: the values restore
-the position's one-hot from it, and the constant from its row sum.
-Layer 1 applies the digit encoder to every coordinate (one shared bank of
-control points per position); its MLP stages apply the per-coordinate
-contraction weight 3^-p and the per-element positional weight
-3^-(i-1)(m+1).  Layer 2 sums the weighted values across positions with
-exactly uniform attention over inputs, producing the aggregate scalar at
-every position.  Layers 3..T+2 hold one decoder head per element: token
-groups are tagged to that element's positions, every other position
-attends to itself through a one-hot-keyed diagonal logit and passes its
-state through bit-exactly.
+the position's one-hot from it.  Layer 1 applies the digit encoder to
+every coordinate (one shared bank of control points per position); its
+MLP stages apply the per-coordinate contraction weight 3^-p and the
+per-element positional weight 3^-(i-1)(m+1).  Layer 2 sums the weighted
+values across positions with exactly uniform attention over inputs,
+producing the aggregate scalar at every position.  Layers 3..T+2 hold one
+decoder head per element, with token groups tagged to that element's
+positions.  The encoder and the decoders share one token form
+(_bank_layer_params): a one-hot-keyed diagonal logit suppresses an
+attended row's own input and lets every other position attend to itself
+and pass its state through bit-exactly.
 
 Two build modes share this skeleton.  "hybrid" keeps the attention wiring
 (the summation layer is the piece under test) but evaluates the digit
@@ -102,7 +103,7 @@ class _Layout:
 
     @property
     def d(self) -> int:
-        return 7 + 2 * self.q
+        return 6 + 2 * self.q
 
     @property
     def z(self) -> slice:  # sphere slot (S^1 embedding of the active scalar)
@@ -117,7 +118,7 @@ class _Layout:
         return 4
 
     @property
-    def tag(self) -> slice:  # token tag block (position addressing, and the one-hot and constant W_V restores)
+    def tag(self) -> slice:  # token tag block (position addressing, and the one-hot W_V restores)
         return slice(5, 5 + self.q)
 
     @property
@@ -129,12 +130,8 @@ class _Layout:
         return slice(5 + self.q, 5 + 2 * self.q)
 
     @property
-    def c1(self) -> int:  # state constant 1
-        return 5 + 2 * self.q
-
-    @property
     def val(self) -> int:  # state scalar value
-        return 6 + 2 * self.q
+        return 5 + 2 * self.q
 
 
 # ---------------------------------------------------------------------------
@@ -147,29 +144,27 @@ def _stage_scale_by_position(lay: _Layout, factors: np.ndarray):
     position, with the factor selected by the position one-hot.
 
     Gate algebra: ReLU(VAL - 1 + OH_q) equals VAL exactly when OH_q = 1 and
-    0 when OH_q = 0, because VAL stays in [0, 1).  One-hot and constant ride
-    along on nonnegative lanes.
+    0 when OH_q = 0, because VAL stays in [0, 1).  The one-hot rides along
+    on nonnegative lanes.
     """
     q, d = lay.q, lay.d
-    hidden = 2 * q + 1
+    hidden = 2 * q
     a1 = np.zeros((hidden, d))
     b1 = np.zeros(hidden)
     a1[:q, lay.val] = 1.0
     a1[:q, lay.oh] = np.eye(q)
     b1[:q] = -1.0
     a1[q : 2 * q, lay.oh] = np.eye(q)
-    a1[2 * q, lay.c1] = 1.0
     a2 = np.zeros((d, hidden))
     b2 = np.zeros(d)
     a2[lay.val, :q] = factors
     a2[lay.oh, q : 2 * q] = np.eye(q)
-    a2[lay.c1, 2 * q] = 1.0
     return [(a1, b1), (a2, b2)]
 
 
 def _stage_affine_recover(lay: _Layout):
     """Single affine map undoing the summation layer's one-hot mixing:
-    OH <- (OH - 1) / (e^_GAMMA - 1); VAL and C1 pass through."""
+    OH <- (OH - 1) / (e^_GAMMA - 1); VAL passes through."""
     d = lay.d
     a = np.zeros((d, d))
     b = np.zeros(d)
@@ -177,7 +172,6 @@ def _stage_affine_recover(lay: _Layout):
     a[lay.oh, lay.oh] = scale * np.eye(lay.q)
     b[lay.oh] = -scale
     a[lay.val, lay.val] = 1.0
-    a[lay.c1, lay.c1] = 1.0
     return [(a, b)]
 
 
@@ -185,20 +179,19 @@ def _stage_sphere_lookup(lay: _Layout):
     """Piecewise-linear ReLU realization of the circle embedding of VAL.
 
     Writes the two sphere-slot components of the inverse stereographic map
-    of VAL (exact at the knots, chordal in between) while passing VAL, the
-    one-hot, and the constant through.
+    of VAL (exact at the knots, chordal in between) while passing VAL and
+    the one-hot through.
     """
     q, d, knots = lay.q, lay.d, _LOOKUP_KNOTS
     ts = np.linspace(0.0, 1.0, knots + 1)
     comps = _stereographic_inverse(ts[:, None])  # (knots+1, 2)
-    hidden = knots + q + 2
+    hidden = knots + q + 1
     a1 = np.zeros((hidden, d))
     b1 = np.zeros(hidden)
     a1[:knots, lay.val] = 1.0
     b1[:knots] = -ts[:knots]
     a1[knots : knots + q, lay.oh] = np.eye(q)
-    a1[knots + q, lay.c1] = 1.0
-    a1[knots + q + 1, lay.val] = 1.0
+    a1[knots + q, lay.val] = 1.0
     a2 = np.zeros((d, hidden))
     b2 = np.zeros(d)
     for c in range(2):
@@ -208,8 +201,7 @@ def _stage_sphere_lookup(lay: _Layout):
         a2[lay.z.start + c, :knots] = w
         b2[lay.z.start + c] = vals[0]
     a2[lay.oh, knots : knots + q] = np.eye(q)
-    a2[lay.c1, knots + q] = 1.0
-    a2[lay.val, knots + q + 1] = 1.0
+    a2[lay.val, knots + q] = 1.0
     return [(a1, b1), (a2, b2)]
 
 
@@ -219,18 +211,17 @@ def _stage_sphere_lookup(lay: _Layout):
 
 
 def _carry_state(lay: _Layout, w: np.ndarray) -> np.ndarray:
-    """W_V entries copying the state's sphere slot, one-hot, constant and value."""
-    for i in [*range(lay.z.start, lay.z.stop), *range(lay.oh.start, lay.oh.stop), lay.c1, lay.val]:
+    """W_V entries copying the state's sphere slot, one-hot and value."""
+    for i in [*range(lay.z.start, lay.z.stop), *range(lay.oh.start, lay.oh.stop), lay.val]:
         w[i, i] = 1.0
     return w
 
 
 def _restore_payload(lay: _Layout, w: np.ndarray) -> np.ndarray:
-    """W_V entries adding a token's scalar, its tag as the one-hot and the
-    tag's row sum as the constant: one nonzero product each, so exact."""
+    """W_V entries adding a token's scalar and its tag as the one-hot: one
+    nonzero product each, so exact."""
     w[lay.val, lay.vb] = 1.0
     w[lay.oh, lay.tag] = np.eye(lay.q)
-    w[lay.c1, lay.tag] = 1.0
     return w
 
 
@@ -241,7 +232,7 @@ class _PassThroughLayer:
 
     Its token form (params, prefix, built on demand) is the paper's
     self-attending head: H holds the diagonal one-hot logit _GAP e_q e_q^T,
-    W_V carries the sphere slot, one-hot, constant and value, and the one
+    W_V carries the sphere slot, one-hot and value, and the one
     prefix token is all zero.
 
     Routing certificate.  A row at position q (one-hot e_q) has its own
@@ -278,17 +269,6 @@ class _PassThroughLayer:
         return out
 
 
-def _encoder_layer_params(lay: _Layout, lam: float) -> AttentionHeadParams:
-    """Layer-1 head: sphere-keyed kernel logits plus position tags; values
-    write the token's scalar and restore one-hot and constant from its tag."""
-    d = lay.d
-    h = np.zeros((d, d))
-    h[lay.z, lay.ka] = np.eye(2)
-    h[lay.oh, lay.tag] = (2.0 * lam + _GAP) * np.eye(lay.q)
-    h[lay.c1, lay.c1] = -(lam + _GAP)
-    return AttentionHeadParams(d=d, H=h, W_V=_restore_payload(lay, np.zeros((d, d))))
-
-
 def _summation_layer(lay: _Layout):
     """Layer-2 head: all input-input logits are exactly zero (uniform mix),
     tokens are tagged one per position with logit _GAMMA.  The value
@@ -301,7 +281,6 @@ def _summation_layer(lay: _Layout):
     w = np.zeros((d, d))
     w[lay.val, lay.val] = z_total
     w[lay.oh, lay.tag] = z_total * np.eye(lay.q)
-    w[lay.c1, lay.tag] = z_total / (math.exp(_GAMMA) + lay.q - 1.0)
     params = AttentionHeadParams(d=d, H=h, W_V=w)
     tokens = np.zeros((lay.q, d))
     tokens[:, lay.tag] = np.eye(lay.q)
@@ -309,13 +288,14 @@ def _summation_layer(lay: _Layout):
     return params, prefix
 
 
-def _decoder_layer_params(lay: _Layout, lam: float, elem_positions: list[int]) -> AttentionHeadParams:
-    """Layer-(2+i) head: positions of element i are steered to their token
-    groups; every other position self-attends and passes through."""
+def _bank_layer_params(lay: _Layout, lam: float, attended: np.ndarray) -> AttentionHeadParams:
+    """The head of a _KernelBankLayer (the encoder, or decoder i): the
+    positions where the (q,) bool mask attended holds are steered to their
+    token banks, each suppressing its own input; every other position
+    self-attends and passes through."""
     d = lay.d
     theta = lam + _GAP
-    self_logit = np.full(lay.q, theta)
-    self_logit[elem_positions] = -theta
+    self_logit = np.where(attended, -theta, theta)
     h = np.zeros((d, d))
     h[lay.z, lay.ka] = np.eye(2)
     h[lay.oh, lay.oh] = np.diag(self_logit)
@@ -372,21 +352,21 @@ class _KernelBankLayer:
     equal_area_partition(1, N), in order: anchor j at angle (j + 1/2) delta,
     delta = 2 pi / N, as build_seq2seq_transformer makes them.
 
-    Routing certificate.  Take a row at position q (one-hot e_q, constant
-    1) with sphere slot z, |z| <= 1.  In the token form its logits are
-    lam <z, a> + g for the tokens of q's own bank, g = 2 lam + _GAP in the
-    encoder and 2 lam + 2 _GAP in a decoder, so the row max is at least
-    lam + _GAP; at most lam for any other bank's token; and -(lam + _GAP)
-    (encoder) or 0 and -(lam + _GAP) (decoder) for the inputs.  At a
-    pass-through row the input's own logit lam + _GAP is the max, every
-    token's at most lam and every other input's 0.  Every term outside the
-    own bank (or outside the row's own input) thus sits at least _GAP = 900
-    below the row max, past the softmax's floor of 700, and weighs exactly
-    0 (attention._softmax); the 200 to spare cover one-hots off by up to
-    200 / (2 lam + 2 _GAP).  So an attended row's output is a split head
-    over the anchors at z, with values its bank's column, the one-hot e_q
-    and the constant 1, and nothing else; a pass-through row's output is
-    W_V x, which is x for the states the stack feeds it (zeros in the
+    Routing certificate (_bank_layer_params).  Take a row at position q
+    (one-hot e_q) with sphere slot z, |z| <= 1.  If q is attended, its
+    logits in the token form are lam <z, a> + 2 lam + 2 _GAP for the tokens
+    of q's own bank, so the row max is at least lam + 2 _GAP; at most lam
+    for any other bank's token; -(lam + _GAP) for the row's own input and 0
+    for every other input.  Every term outside the own bank thus sits at
+    least 2 _GAP = 1800 below the row max.  At a pass-through row the
+    input's own logit lam + _GAP is the max, every token's at most lam and
+    every other input's 0, so every other term sits at least _GAP = 900
+    below it.  Either way those terms lie past the softmax's floor of 700
+    and weigh exactly 0 (attention._softmax); the 200 to spare cover
+    one-hots off by up to 200 / (2 lam + 2 _GAP).  So an attended row's
+    output is the one-hot e_q and a split head over the anchors at z with
+    values its bank's column, and nothing else; a pass-through row's output
+    is W_V x, which is x for the states the stack feeds it (zeros in the
     token slots).
 
     Window certificate.  Within the split head, the row at angle theta of
@@ -413,7 +393,6 @@ class _KernelBankLayer:
     anchors: np.ndarray  # (N, 2) circle partition centres
     values: np.ndarray  # (N, k) value columns
     columns: np.ndarray  # (q,) value column of each position, -1: pass-through
-    encoder: bool
     mlp: tuple = ()
     half_width: int = field(init=False)
 
@@ -424,9 +403,7 @@ class _KernelBankLayer:
 
     @property
     def params(self) -> AttentionHeadParams:
-        if self.encoder:
-            return _encoder_layer_params(self.layout, self.lam)
-        return _decoder_layer_params(self.layout, self.lam, np.flatnonzero(self.columns >= 0).tolist())
+        return _bank_layer_params(self.layout, self.lam, self.columns >= 0)
 
     @property
     def prefix(self) -> PrefixTokens:
@@ -461,8 +438,7 @@ class _KernelBankLayer:
         out = X.copy()
         out[rows] = 0.0
         out[rows, lay.oh.start + position] = 1.0
-        out[rows, lay.c1] = 1.0
-        out[rows, lay.val] = _softmax(logits, values, 2.0 * lam)[0][:, 0]
+        out[rows, lay.val] = _softmax(logits, values)[0][:, 0]
         return out
 
 
@@ -537,7 +513,9 @@ class Seq2SeqStack:
 
     def encode_inputs(self, s: SequenceSample) -> np.ndarray:
         """SequenceSample -> (Q, d) state array (the explicit embedding
-        stage: scalar chart point or raw scalar, one-hot, constant)."""
+        stage: scalar chart point or raw scalar, and one-hot)."""
+        if not isinstance(s, SequenceSample):
+            raise DomainError(f"a sequence must be a SequenceSample, got {type(s).__name__}")
         if (s.t_len, s.m) != (self.t_len, self.m):
             raise DomainError("sample shape does not match the built stack")
         lay = self.layout
@@ -547,7 +525,6 @@ class Seq2SeqStack:
         else:
             states[:, lay.val] = s.flat()
         states[:, lay.oh] = np.eye(lay.q)
-        states[:, lay.c1] = 1.0
         return states
 
     def readout(self, outputs: np.ndarray) -> np.ndarray:
@@ -589,7 +566,7 @@ def build_seq2seq_transformer(
     2^(T(m+1) digits) of them), not once per anchor.  The encoder and each
     decoder share one (N, 2) anchor array and hold an (N, k) value array,
     k = 1 and m+1 (_KernelBankLayer): N (1 + T(m+1)) values in all, where
-    the token form holds 2 T(m+1) N tokens of width 7 + 2 T(m+1).
+    the token form holds 2 T(m+1) N tokens of width 6 + 2 T(m+1).
     """
     t_len, m = _size(t_len, "t_len"), _size(m, "m", 0)
     if mode not in ("hybrid", "full"):
@@ -628,7 +605,7 @@ def build_seq2seq_transformer(
         positional = np.array([3.0 * 3.0 ** (-(q0 // (m + 1)) * (m + 1)) for q0 in range(width)])
         # The encoder's banks are all psi: one column serves every position.
         encoder = _KernelBankLayer(
-            lay, lam, anchors, psi_values[:, None], columns=np.zeros(width, dtype=np.intp), encoder=True,
+            lay, lam, anchors, psi_values[:, None], columns=np.zeros(width, dtype=np.intp),
             mlp=tuple(_stage_scale_by_position(lay, contraction) + _stage_scale_by_position(lay, positional)),
         )
         lookup = _stage_sphere_lookup(lay)
@@ -637,7 +614,7 @@ def build_seq2seq_transformer(
             elem = slice(i0 * (m + 1), (i0 + 1) * (m + 1))
             columns = np.full(width, -1, dtype=np.intp)
             columns[elem] = np.arange(m + 1)
-            decoders.append(_KernelBankLayer(lay, lam, anchors, outputs[of_anchor, i0], columns, encoder=False))
+            decoders.append(_KernelBankLayer(lay, lam, anchors, outputs[of_anchor, i0], columns))
 
     sum_params, sum_prefix = _summation_layer(lay)
     summation = TransformerLayer(params=sum_params, prefix=sum_prefix, mlp=tuple(_stage_affine_recover(lay) + lookup))

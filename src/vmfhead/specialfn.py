@@ -100,8 +100,12 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
         raise DomainError(f"reg_inc_beta requires x in [0, 1], got {x}")
     # inline rather than _positive: each partition the benchmark builds
     # calls this 761 to 1,467 times
-    if not (0 < a < math.inf and 0 < b < math.inf):
-        raise DomainError(f"reg_inc_beta requires finite a, b > 0, got a={a}, b={b}")
+    try:
+        valid = 0 < a < math.inf and 0 < b < math.inf
+    except TypeError:  # a or b not a real, e.g. None or a string
+        valid = False
+    if not valid or isinstance(a, (bool, np.bool_)) or isinstance(b, (bool, np.bool_)):
+        raise DomainError(f"reg_inc_beta requires finite reals a, b > 0, got a={a!r}, b={b!r}")
     if x == 0.0:
         return 0.0
     if x == 1.0:

@@ -797,7 +797,7 @@ class TestTransformerEval:
         assert not any(a.flags.writeable for layer in (encoder, *decoders) for a in (layer.anchors, layer.values))
         assert encoder.prefix is not encoder.prefix and encoder.prefix.n_tokens == 4 * 1024
         att.transformer_eval(stack, X)
-        fields = {"layout", "lam", "anchors", "values", "columns", "encoder", "mlp", "half_width"}
+        fields = {"layout", "lam", "anchors", "values", "columns", "mlp", "half_width"}
         assert all(set(vars(layer)) == fields for layer in (encoder, *decoders))
         refs = [weakref.ref(encoder), weakref.ref(encoder.values)]
         del stack, encoder, decoders
@@ -878,7 +878,7 @@ class TestArtifactProperties:
     @given(_artifact(), st.data())
     def test_adversarial_entries_raise_domain_error(self, case, data):
         payload = json.loads(att.export_prefix_artifact(*case))
-        kind = data.draw(st.sampled_from(["entry", "scalar", "ragged", "empty", "integer"]))
+        kind = data.draw(st.sampled_from(["entry", "scalar", "ragged", "empty", "integer", "row as a string", "bool scalar"]))
         if kind == "entry":
             rows = payload[data.draw(st.sampled_from(["tokens", "H", "W_V"]))]
             row = rows[data.draw(st.integers(0, len(rows) - 1))]
@@ -890,6 +890,12 @@ class TestArtifactProperties:
             rows[data.draw(st.integers(0, len(rows) - 1))].pop()
         elif kind == "empty":
             payload["tokens"] = []
+        elif kind == "row as a string":
+            rows = payload[data.draw(st.sampled_from(["tokens", "H", "W_V"]))]
+            i = data.draw(st.integers(0, len(rows) - 1))
+            rows[i] = data.draw(st.sampled_from("019")) * len(rows[i])
+        elif kind == "bool scalar":
+            payload[data.draw(st.sampled_from(["M", "lambda"]))] = data.draw(st.booleans())
         else:
             key = data.draw(st.sampled_from(["d", "m"]))
             payload[key] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))

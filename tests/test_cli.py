@@ -480,3 +480,20 @@ class TestExitCodes:
 
             monkeypatch.setattr(cli, "_cmd_bounds", fail)
             assert run_cli(capsys, ["bounds"])[0] == 2
+
+    def test_closed_stdout_exits_1_quietly(self, capsys, monkeypatch):
+        """A reader that closes stdout early (`| head`) ends the command with
+        status 1 and no error line, not as a config error."""
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        code = cli.main(["seq2seq-demo", "--t", "2", "--m", "0", "--digits", "2", "--count", "3"])
+        monkeypatch.undo()
+        assert code == 1
+        assert capsys.readouterr().err == ""

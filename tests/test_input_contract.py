@@ -20,6 +20,7 @@ from vmfhead import prefix as pfx
 from vmfhead.errors import DimensionMismatch, DomainError, EncodingError, PrecisionBudgetExceeded
 from vmfhead.seq2seq import (
     DigitConfig,
+    Seq2SeqStack,
     SequenceSample,
     aggregate_R,
     build_seq2seq_transformer,
@@ -27,7 +28,7 @@ from vmfhead.seq2seq import (
     sequence_mean,
 )
 from vmfhead.seq2seq.encoding import decode_sequence, psi_strided, relaxed_decode
-from vmfhead.specialfn import bessel_ratio, log_bessel_i
+from vmfhead.specialfn import bessel_ratio, log_bessel_i, reg_inc_beta
 from vmfhead.verify import run_suite
 from vmfhead.sphere import (
     as_unit_vector,
@@ -90,6 +91,11 @@ def artifact(**changes):
     return json.dumps(payload)
 
 
+def export(m, lam):
+    prefix = att.assemble_prefix_tokens(control_points(), -20.0)
+    return att.export_prefix_artifact(prefix, att.build_universal_head(2, -20.0), m, lam)
+
+
 def without(key):
     payload = json.loads(artifact())
     del payload[key]
@@ -132,6 +138,12 @@ CASES = {
     "artifact m float": lambda: att.import_prefix_artifact(artifact(m=lambda _: 2.7)),
     "artifact m negative": lambda: att.import_prefix_artifact(artifact(m=lambda _: -3)),
     "artifact lambda negative": lambda: att.import_prefix_artifact(artifact(**{"lambda": lambda _: "-5.0"})),
+    "artifact H row a string": lambda: att.import_prefix_artifact(artifact(H=lambda rows: ["0" * len(rows[0])] + rows[1:])),
+    "artifact token entry a number": lambda: att.import_prefix_artifact(artifact(tokens=with_entry(0.5))),
+    "artifact lambda bool": lambda: att.import_prefix_artifact(artifact(**{"lambda": lambda _: True})),
+    "artifact not JSON": lambda: att.import_prefix_artifact(artifact()[:-1]),
+    "export lambda NaN": lambda: export(2, math.nan),
+    "export m zero": lambda: export(0, 4.0),
     "sequence NaN": lambda: SequenceSample(2, 1, np.array([[0.5, np.nan], [0.1, 0.2]])),
     "sequence t_len float": lambda: SequenceSample(2.0, 1, np.zeros((2, 2))),
     "sequence m bool": lambda: SequenceSample(1, True, np.zeros((1, 2))),
@@ -222,6 +234,12 @@ CASES = {
     ),
     "reference_seq2seq f NaN": lambda: reference_seq2seq(sequence_nan, SequenceSample(2, 0, np.zeros((2, 1))), CFG),
     "run_suite unknown suite": lambda: run_suite("nope"),
+    "Seq2SeqStack.evaluate list": lambda: Seq2SeqStack.evaluate(HYBRID, [[0.2], [0.9]]),
+    "Seq2SeqStack.stage_trace list": lambda: Seq2SeqStack.stage_trace(HYBRID, [[0.2], [0.9]]),
+    "Seq2SeqStack.encode_inputs array": lambda: Seq2SeqStack.encode_inputs(HYBRID, np.array([[0.2], [0.9]])),
+    "reg_inc_beta a string": lambda: reg_inc_beta(0.5, "1", 1.0),
+    "reg_inc_beta b None": lambda: reg_inc_beta(0.5, 1.0, None),
+    "reg_inc_beta a bool": lambda: reg_inc_beta(0.5, True, 1.0),
 }
 
 ENCODING_CASES = {
@@ -276,7 +294,6 @@ EXEMPT = {
     "check_finite_unit": "the unit check itself, reached by every NaN and non-unit case above",
     "Partition": "built only by equal_area_partition, whose size and locate_batch cases are above",
     "log_gamma": "test_specialfn.py TestLogGamma::test_domain",
-    "reg_inc_beta": "test_specialfn.py TestRegIncBeta::test_domain",
     "PrefixLengthBound": "a record returned by prefix_length_bound and normalized_head_parameters",
     "normalized_head_parameters": "test_bounds.py TestNormalizedHeadParameters::test_domain",
     "core_head": "its one query goes through as_unit_vector ('unit vector NaN')",
@@ -291,7 +308,6 @@ EXEMPT = {
     "RAggregate": "an exact record built by aggregate_R; decode_sequence checks its shape",
     "psi_encode": "test_seq2seq.py TestPsi::test_domain",
     "apply_sequence_function": "the 'f NaN' and 'f inf' cases above; test_seq2seq.py TestFullModeBuild::test_refusals",
-    "Seq2SeqStack": "test_seq2seq.py TestStackAssembly::test_encode_shape_guard",
 }
 
 

@@ -467,65 +467,45 @@ class TestFullModeBuild:
 
 
 # Regression pins, not oracles: SHA-256 over every layer's prefix tokens, H,
-# W_V and MLP weights (each array's shape and float64 bytes) of a full-mode
-# build of sequence_mean at (T, m, digits, N), in the layout of width 8 + 3q,
-# with q = T(m+1), that the state had when they were first recorded;
-# re-recorded when the partition centers were first normalised by
-# _row_norms.  They hold the build bit for bit through _wide_arrays, under
-# every BLAS kernel.
+# W_V and MLP weights (each array's shape and float64 bytes), as built, of a
+# full-mode build of sequence_mean at (T, m, digits, N), in the state layout
+# of width 6 + 2q, q = T(m+1).  They hold under every BLAS kernel.
 _FULL_BUILD_PINS = {
-    (2, 0, 2, 4096): "c2f73ed095628174b19f5ad26c61d3dbd85ac140a7e7a0ec40930ba6ba015e1c",
-    (2, 1, 2, 4094): "1388d6a928ee10025be534884010f2f773ab6dfe973836032ae0767d618ed3cf",
-    (3, 0, 3, 1026): "3ec5825c1a86edb585100865385185673ae76732c7d2a4fd362b6fbb9a9610c9",
-    (3, 1, 3, 2048): "9c96d0c15823dcddc4e35a23f9d4893bd2370d28eb079fbc9fd96c45064c3ef2",
-    (2, 0, 2, 262144): "15f59ca451445dccd3674436ed820f1a290c0f4741cfed1fa9393b770a21f913",
+    (2, 0, 2, 4096): "0284055c7991f95243db220ee42d064f7868609d5f4e651e1d4470128f650485",
+    (2, 1, 2, 4094): "f1f9266f373843bb472ecee102732d0c8ae4a91ecf2c1a41bca95aeb4a841598",
+    (3, 0, 3, 1026): "06865aad207c1205b7d6ac0318b5d0795cebb4f8fa5b2a30cc76abc2652819a6",
+    (3, 1, 3, 2048): "1de0472ce1bfecb4d0f57b07ae5b3cdaeafac8cb2dce5a8ddbf5a7430f08438a",
+    (2, 0, 2, 262144): "5fdb2d59125fb2d45de72d83b4f50bef4049103fa6a50ca75d04e75441de66d8",
 }
 
 
-def _wide_arrays(stack) -> list[np.ndarray]:
-    """A full-mode build's arrays in the pinned layout of width 8 + 3q.
-
-    That layout held two token slots after the tag block: `pay`, a copy of
-    the tag, and `pc`, its row sum, and W_V restored the state's one-hot and
-    constant from them.  The map puts those copies back into the tokens,
-    moves W_V's reads of the tag to them, and gives every other state axis
-    zero entries there.
-    """
-    lay = stack.layout
-    q, d = lay.q, lay.d
-    assert d == 7 + 2 * q
-    wide = np.r_[0 : 5 + q, 6 + 2 * q : 8 + 3 * q]  # narrow slot -> wide slot
-    pay, pc = np.arange(5 + q, 5 + 2 * q), 5 + 2 * q
-
-    def widen(a, axes):
-        out = np.zeros([8 + 3 * q if k in axes else n for k, n in enumerate(a.shape)])
-        out[np.ix_(*[wide if k in axes else np.arange(n) for k, n in enumerate(a.shape)])] = a
-        return out
-
+def _build_arrays(stack) -> list[np.ndarray]:
+    """Every layer's prefix tokens, H and W_V, then its MLP weights."""
     arrays = []
     for layer in stack.transformer.layers:
-        tokens = widen(layer.prefix.tokens, (1,))
-        tokens[:, pay] = layer.prefix.tokens[:, lay.tag]
-        tokens[:, pc] = layer.prefix.tokens[:, lay.tag].sum(axis=1)
-        w_v = layer.params.W_V.copy()
-        restored = w_v[:, lay.tag].copy()
-        w_v[:, lay.tag] = 0.0
-        w_v = widen(w_v, (0, 1))
-        w_v[np.ix_(wide[lay.oh], pay)] = restored[lay.oh]
-        assert np.all(restored[lay.c1] == restored[lay.c1, 0])
-        w_v[wide[lay.c1], pc] = restored[lay.c1, 0]
-        assert not np.delete(restored, [*range(lay.oh.start, lay.oh.stop), lay.c1], axis=0).any()
-        arrays += [tokens, widen(layer.params.H, (0, 1)), w_v]
+        arrays += [layer.prefix.tokens, layer.params.H, layer.params.W_V]
         for a, b in layer.mlp:
-            arrays += [widen(x, [k for k, n in enumerate(x.shape) if n == d]) for x in (a, b)]
+            arrays += [a, b]
     return arrays
+
+
+@pytest.mark.parametrize("q", range(1, 31))
+def test_layout_slots_cover_the_state_once(q):
+    """The state slots (sphere, key, value, tag, one-hot, VAL) tile
+    range(d), d = 6 + 2q, each index exactly once."""
+    lay = _Layout(q=q)
+    slots = [lay.z, lay.ka, slice(lay.vb, lay.vb + 1), lay.tag, lay.oh, slice(lay.val, lay.val + 1)]
+    covered = sorted(i for sl in slots for i in range(sl.start, sl.stop))
+    assert lay.d == 6 + 2 * q
+    assert covered == list(range(lay.d))
+    assert list(range(lay.tokens.start, lay.tokens.stop)) == [*range(lay.ka.start, lay.ka.stop), lay.vb, *range(lay.tag.start, lay.tag.stop)]
 
 
 @pytest.mark.parametrize("shape", sorted(_FULL_BUILD_PINS), ids=lambda shape: "T{}-m{}-digits{}-N{}".format(*shape))
 def test_full_build_pin(shape, digest):
     t_len, m, digits, n_points = shape
     stack = build_seq2seq_transformer(sequence_mean, t_len, m, DigitConfig(digits=digits), n_points=n_points, mode="full")
-    assert digest(_wide_arrays(stack)) == _FULL_BUILD_PINS[shape]
+    assert digest(_build_arrays(stack)) == _FULL_BUILD_PINS[shape]
 
 
 @pytest.mark.parametrize("shape", [(2, 1, 2, 4094), (3, 0, 3, 1026)], ids=lambda shape: "T{}-m{}-digits{}-N{}".format(*shape))
@@ -572,7 +552,7 @@ def _bank_layer(n_points: int, lam: float, seed: int = 0) -> _KernelBankLayer:
     bank's values change from every anchor to the next."""
     anchors = equal_area_partition(1, n_points).centers()
     values = np.random.default_rng(seed).random((n_points, 2))
-    return _KernelBankLayer(layout=_Layout(q=2), lam=lam, anchors=anchors, values=values, columns=np.arange(2), encoder=False)
+    return _KernelBankLayer(layout=_Layout(q=2), lam=lam, anchors=anchors, values=values, columns=np.arange(2))
 
 
 def _bank_states(layer: _KernelBankLayer, theta: np.ndarray) -> np.ndarray:
@@ -581,7 +561,6 @@ def _bank_states(layer: _KernelBankLayer, theta: np.ndarray) -> np.ndarray:
     X = np.zeros((theta.size, lay.d))
     X[:, lay.z] = np.column_stack([np.cos(theta), np.sin(theta)])
     X[np.arange(theta.size), lay.oh.start + np.arange(theta.size) % 2] = 1.0
-    X[:, lay.c1] = 1.0
     return X
 
 

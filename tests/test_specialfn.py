@@ -53,6 +53,13 @@ class TestRegIncBeta:
         with pytest.raises(DomainError):
             reg_inc_beta(0.5, -1.0, 1.0)
 
+    @pytest.mark.parametrize("a, b", [("1", 1.0), (None, 1.0), (True, 1.0), (1.0, np.True_), (1.0, False)])
+    def test_shape_parameters_refused_by_name(self, a, b):
+        """A shape parameter that is not a real, or is a bool, is refused
+        with a DomainError naming a and b, not a TypeError or x."""
+        with pytest.raises(DomainError, match="a, b"):
+            reg_inc_beta(0.5, a, b)
+
     def test_non_convergence_is_a_numeric_failure(self, monkeypatch):
         """A continued fraction cut off before it converges raises
         NumericalFailure (CLI exit 3), not a domain error."""
