@@ -40,7 +40,6 @@ __all__ = [
     "target_names",
     "synthesize_prefix",
     "synthesize_core_weights",
-    "plan_for_accuracy",
     "sup_error_estimate",
     "verify_denominator_constancy",
     "element_wise_extend",
@@ -203,33 +202,6 @@ def synthesize_core_weights(f: TargetFunction, part: Partition, lam: float) -> C
     weights = part.measures() / part.measures().sum()
     xi = c * weights[:, None] * f(centers)
     return ControlPoints(m=f.m, lam=lam, p_alpha=centers, p_beta=xi)
-
-
-def plan_for_accuracy(f: TargetFunction, epsilon: float, strict: bool = True) -> dict:
-    """Bound-driven synthesis plan: concentration and control-point count
-    sufficient for a requested accuracy, per the normalized-head bound.
-
-    Realistic plans are astronomically large (the count scales like
-    eps^(-2(m+1)) with an e^(2(m+1)lambda) prefactor), so the count is
-    reported as log10 and the plan is not executed.
-    """
-    from .bounds import normalized_head_parameters
-
-    lam, nb = normalized_head_parameters(epsilon, f.smoothness, f.m, strict=strict)
-    return {
-        "target": f.name,
-        "m": f.m,
-        "epsilon": epsilon,
-        "lambda": lam,
-        "log10_n": nb.log10_n,
-        "n": nb.n,
-        "smoothness": {
-            "L": f.smoothness.L,
-            "C_H": f.smoothness.C_H,
-            "C_R": f.smoothness.C_R,
-            "f_sup": f.smoothness.f_sup,
-        },
-    }
 
 
 def sup_error_estimate(f: TargetFunction, approx, n_samples: int, seed: int):

@@ -10,7 +10,9 @@ recursive partition of S^(m-1) inside each collar.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -89,14 +91,8 @@ def _colat_area(m: int, theta: float) -> float:
 
 
 def cap_colatitude(m: int, area: float) -> float:
-    """Inverse of the colatitude-cap area on [0, pi].
-
-    Newton's method with the closed-form derivative w_(m-1) sin^(m-1) theta
-    (2 on the circle), keeping a bracket [lo, hi] around the root and taking
-    a bisection step whenever an iterate would leave it.  It stops after a
-    Newton step below 1e-9 of theta: convergence is quadratic there, so the
-    error left is of the order of that step squared.
-    """
+    """Inverse of the colatitude-cap area on [0, pi], by _invert_colat_area
+    from the equator over the bracket [0, pi]."""
     m = _size(m, "m")
     w = _surface_area(m)
     area = _real(area, "cap area", 0.0, w * (1.0 + 1e-12), "[]")
@@ -104,8 +100,20 @@ def cap_colatitude(m: int, area: float) -> float:
         return 0.0
     if area >= w:
         return math.pi
+    return _invert_colat_area(m, area, 0.0, math.pi, 0.5 * math.pi)
+
+
+def _invert_colat_area(m: int, area: float, lo: float, hi: float, theta: float) -> float:
+    """The colatitude in the bracket [lo, hi] whose cap has the given area,
+    for an area strictly between 0 and w_m, starting from theta inside it.
+
+    Newton's method with the closed-form derivative w_(m-1) sin^(m-1) theta
+    (2 on the circle), narrowing the bracket around the root and taking a
+    bisection step whenever an iterate would leave it.  It stops after a
+    Newton step below 1e-9 of theta: convergence is quadratic there, so the
+    error left is of the order of that step squared.
+    """
     slope = 2.0 if m == 1 else _surface_area(m - 1)
-    lo, hi, theta = 0.0, math.pi, 0.5 * math.pi
     for _ in range(100):
         err = _colat_area(m, theta) - area
         if err == 0.0:
@@ -257,56 +265,70 @@ def _partition_recursive(m: int, n: int, built: dict):
     delta_i = v_r ** (1.0 / m)
     n_collars = max(1, round((math.pi - 2.0 * theta_c) / delta_i))
 
+    # The ideal collar boundaries and their cap areas, with both poles.
+    grid = [0.0, *(theta_c + i * (math.pi - 2.0 * theta_c) / n_collars for i in range(n_collars + 1)), math.pi]
+    areas = [0.0, *(_colat_area(m, theta) for theta in grid[1:-1]), w]
+
     # Ideal cell counts per collar, rounded half up with a running remainder
     # so the total is exact; the 1e-9 allowance keeps exact ties (such as two
     # collars of 30.5 cells) from being split by rounding noise in the areas.
-    ideal_areas = [_colat_area(m, theta_c + i * (math.pi - 2.0 * theta_c) / n_collars) for i in range(n_collars + 1)]
     counts = []
     remainder = 0.0
-    budget = n - 2
-    for i in range(n_collars):
-        ideal = (ideal_areas[i + 1] - ideal_areas[i]) / v_r
-        ni = math.floor(ideal + remainder + 0.5 + 1e-9)
-        ni = min(max(ni, 0), budget - sum(counts))
+    left = n - 2
+    for i in range(1, n_collars + 1):
+        ideal = (areas[i + 1] - areas[i]) / v_r
+        ni = min(max(math.floor(ideal + remainder + 0.5 + 1e-9), 0), left)
         remainder += ideal - ni
+        left -= ni
         counts.append(ni)
-    counts[-1] += budget - sum(counts)
+    counts[-1] += left
     counts = [c for c in counts if c > 0]
 
-    # Refit colatitude boundaries from cumulative counts: collar j then has
-    # area counts[j] * v_r exactly.
-    cum = [1]
-    for c in counts:
-        cum.append(cum[-1] + c)
+    # Refit colatitude boundaries from cumulative counts: the cap above
+    # collar j holds cum[j] cells, so collar j has area counts[j] * v_r
+    # exactly, and the last boundary caps all but the south pole's cell.
+    # Each boundary's Newton iteration starts at the linear interpolation
+    # between the two ideal grid points whose areas straddle its target.
+    cum = list(itertools.accumulate(counts, initial=1))
     boundaries = [0.0, theta_c]
-    for j in range(len(counts) - 1):
-        boundaries.append(cap_colatitude(m, v_r * cum[j + 1]))
-    south_colat = cap_colatitude(m, v_r * (n - 1))
-    boundaries.append(south_colat)
+    for cells in cum[1:]:
+        target = v_r * cells
+        k = bisect.bisect_right(areas, target)
+        lo, hi = grid[k - 1], grid[k]
+        start = lo + (target - areas[k - 1]) / (areas[k] - areas[k - 1]) * (hi - lo)
+        boundaries.append(_invert_colat_area(m, target, lo, hi, start))
     boundaries.append(math.pi)
 
-    centers = [pole]
-    radii = [np.array([theta_c])]
-    groups = [(0, 1, None)]
-    index = 1
-    for j, cj in enumerate(counts):
-        a, b = boundaries[1 + j], boundaries[2 + j]
+    # Each collar's mid colatitude, half-width and largest sine, repeated
+    # over its cells and multiplied into its sub-partition's centers and
+    # radii where they land in the result.  The sines and cosines are
+    # math's, not numpy's, whose SIMD kernels may round differently by CPU.
+    for cj in counts:
         if (m - 1, cj) not in built:
             built[m - 1, cj] = _partition_recursive(m - 1, cj, built)
-        sub_centers, sub_radii, sub_locator = built[m - 1, cj]
+    per_collar = []
+    for a, b in zip(boundaries[1:-2], boundaries[2:-1]):
         theta_mid = 0.5 * (a + b)
         sin_max = 1.0 if a <= math.pi / 2.0 <= b else max(math.sin(a), math.sin(b))
-        collar = np.empty((cj, m + 1))
-        collar[:, :-1] = math.sin(theta_mid) * sub_centers
-        collar[:, -1] = math.cos(theta_mid)
-        centers.append(collar)
-        radii.append(np.minimum(0.5 * (b - a) + sin_max * sub_radii, math.pi))
-        groups.append((index, cj, sub_locator))
-        index += cj
-    centers.append(-pole)
-    radii.append(np.array([math.pi - south_colat]))
-    groups.append((index, 1, None))
-    return np.vstack(centers), np.concatenate(radii), _ZonalLocator(np.array(boundaries), groups)
+        per_collar.append((math.sin(theta_mid), math.cos(theta_mid), 0.5 * (b - a), sin_max))
+    sin_mid, cos_mid, half, sin_max = np.array(per_collar).T
+    centers = np.empty((n, m + 1))
+    centers[0], centers[-1] = pole[0], -pole[0]
+    collars = centers[1:-1]
+    np.concatenate([built[m - 1, cj][0] for cj in counts], out=collars[:, :-1])
+    scale = np.repeat(sin_mid, counts)
+    for k in range(m):  # a column at a time: the broadcast (n, m) product is slower
+        collars[:, k] *= scale
+    collars[:, -1] = np.repeat(cos_mid, counts)
+    radii = np.empty(n)
+    radii[0], radii[-1] = theta_c, math.pi - boundaries[-2]
+    reach = radii[1:-1]
+    np.concatenate([built[m - 1, cj][1] for cj in counts], out=reach)
+    reach *= np.repeat(sin_max, counts)
+    reach += np.repeat(half, counts)
+    np.minimum(reach, math.pi, out=reach)
+    groups = [(0, 1, None), *((first, cj, built[m - 1, cj][2]) for first, cj in zip(cum, counts)), (n - 1, 1, None)]
+    return centers, radii, _ZonalLocator(np.array(boundaries), groups)
 
 
 def equal_area_partition(m: int, n: int) -> Partition:

@@ -16,6 +16,7 @@ from vmfhead.bounds import (
     normalized_head_parameters,
 )
 from vmfhead.errors import DomainError, OverflowWarning, PermissiveModeWarning
+from vmfhead.prefix import make_target
 from vmfhead.sphere import equal_area_partition
 
 UNIT = SmoothnessSpec(L=1.0, C_H=1.0, C_R=1.0, f_sup=1.0)
@@ -172,3 +173,13 @@ class TestNormalizedHeadParameters:
     def test_domain(self):
         with pytest.raises(DomainError):
             normalized_head_parameters(2.5, UNIT, 8)
+
+    def test_reports_log_scale_count(self):
+        lam, nb = normalized_head_parameters(0.5, make_target("identity", 8).smoothness, 8)
+        assert lam > 0
+        assert nb.log10_n > 20  # far beyond any runnable budget
+        assert nb.n == math.inf or nb.n > 1e20
+
+    def test_strict_mode_dimension_guard(self):
+        with pytest.raises(DomainError):
+            normalized_head_parameters(0.5, make_target("identity", 2).smoothness, 2)

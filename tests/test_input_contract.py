@@ -240,6 +240,9 @@ CASES = {
     "reg_inc_beta a string": lambda: reg_inc_beta(0.5, "1", 1.0),
     "reg_inc_beta b None": lambda: reg_inc_beta(0.5, 1.0, None),
     "reg_inc_beta a bool": lambda: reg_inc_beta(0.5, True, 1.0),
+    "reg_inc_beta x a string": lambda: reg_inc_beta("0.5", 2.0, 3.0),
+    "reg_inc_beta x bool": lambda: reg_inc_beta(True, 2.0, 3.0),
+    "reg_inc_beta x None": lambda: reg_inc_beta(None, 2.0, 3.0),
 }
 
 ENCODING_CASES = {
@@ -302,7 +305,6 @@ EXEMPT = {
     "lift": "its point goes through as_unit_vector ('unit vector NaN')",
     "universal_control_points": "test_attention.py TestUniversalArtifact::test_non_universal_refused",
     "target_names": "takes no argument",
-    "plan_for_accuracy": "test_prefix.py TestBoundDrivenMode::test_strict_mode_dimension_guard",
     "verify_denominator_constancy": "a validated ControlPoints, n_samples as in sup_error_estimate's case",
     "element_wise_extend": "a validated ControlPoints, M as in 'universal head M -inf'",
     "RAggregate": "an exact record built by aggregate_R; decode_sequence checks its shape",

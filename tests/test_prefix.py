@@ -247,17 +247,3 @@ class TestReports:
         r1, _ = pfx.run_approximation(f, 64, 8.0, 128, seed=16)
         r2, _ = pfx.run_approximation(f, 64, 8.0, 128, seed=16)
         assert (r1.sup_error, r1.mean_error) == (r2.sup_error, r2.mean_error)
-
-
-class TestBoundDrivenMode:
-    def test_plan_reports_log_scale_count(self):
-        f = pfx.make_target("identity", 8)
-        plan = pfx.plan_for_accuracy(f, 0.5)
-        assert plan["lambda"] > 0
-        assert plan["log10_n"] > 20  # far beyond any runnable budget
-        assert plan["n"] == math.inf or plan["n"] > 1e20
-
-    def test_strict_mode_dimension_guard(self):
-        f = pfx.make_target("identity", 2)
-        with pytest.raises(DomainError):
-            pfx.plan_for_accuracy(f, 0.5)

@@ -127,6 +127,29 @@ class TestEqualAreaPartition:
         assert part.n_cells == 2**20
         assert peak < 48 * 2**20
 
+    @pytest.mark.parametrize("m, n", [(2, 1024), (3, 500), (4, 2048)])
+    def test_collars_match_a_per_collar_assembly(self, m, n):
+        """The centers and radii equal, bit for bit, those assembled one
+        collar at a time from the outer locator's boundaries and a fresh
+        sub-partition per collar, then stacked and normalized."""
+        p = equal_area_partition(m, n)
+        bounds, groups = p._locator.boundaries, p._locator.groups
+        pole = np.eye(m + 1)[-1:]
+        centers, radii = [pole], [np.array([bounds[1]])]
+        for (_, count, _), lo, hi in zip(groups[1:-1], bounds[1:-2], bounds[2:-1]):
+            sub_centers, sub_radii, _ = sph._partition_recursive(m - 1, count, {})
+            mid = 0.5 * (lo + hi)
+            sin_max = 1.0 if lo <= math.pi / 2.0 <= hi else max(math.sin(lo), math.sin(hi))
+            collar = np.empty((count, m + 1))
+            collar[:, :-1] = math.sin(mid) * sub_centers
+            collar[:, -1] = math.cos(mid)
+            centers.append(collar)
+            radii.append(np.minimum(0.5 * (hi - lo) + sin_max * sub_radii, math.pi))
+        centers = np.vstack([*centers, -pole])
+        radii = np.concatenate([*radii, [math.pi - bounds[-2]]])
+        assert np.array_equal(p.centers(), centers / sph._row_norms(centers)[:, None])
+        assert np.array_equal(p.radii(), np.minimum(radii, sph._RADIUS_CAP))
+
     def test_domain(self):
         with pytest.raises(DomainError):
             equal_area_partition(2, 0)
@@ -166,6 +189,19 @@ class TestPartitionBuildsOnce:
         for a, b in zip((first.centers(), first.radii()), (second.centers(), second.radii())):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("n, most", [(65536, 750), (16384, 400)])
+    def test_cap_area_evaluations_bounded(self, monkeypatch, n, most):
+        """Each refit boundary starts its Newton iteration inside the ideal
+        grid interval that brackets it, so an S^2 build evaluates the cap
+        area about twice per boundary: at most 750 reg_inc_beta calls at
+        N = 65536 (227 boundaries) and 400 at N = 16384.  Starting every
+        boundary at the equator took 1,467 and 761."""
+        calls = []
+        inner = sph.reg_inc_beta
+        monkeypatch.setattr(sph, "reg_inc_beta", lambda *args: calls.append(args) or inner(*args))
+        equal_area_partition(2, n)
+        assert len(calls) <= most
+
     def test_repeated_collar_counts_share_one_build(self, builds):
         """S^8 with 2048 cells makes 53 builds, one per distinct (m', n');
         building every collar's sub-partition anew made 641."""
@@ -176,22 +212,54 @@ class TestPartitionBuildsOnce:
 # Regression pins, not oracles: SHA-256 of (centers, radii, measures), each
 # array's shape and float64 bytes, re-recorded when the centers were first
 # normalised by _row_norms, an elementwise fold that rounds alike under every
-# BLAS kernel.  They hold the construction bit for bit on any machine.
+# BLAS kernel, and again when each refit boundary's Newton iteration began
+# inside its bracketing ideal-grid interval, with the boundary oracle below
+# passing before and after.  They hold the construction bit for bit on any
+# machine.
 _PARTITION_PINS = {
-    (8, 2048): "73d48ac970cf424ddc99bf0d15dfb9fcf3628119cb0ea2e72d7dfb34e8e859b5",
-    (4, 2048): "b4c2e5eaf6a47c5048af8ac84c81e8c84c809c23c4535ec5926dfda837a5fddd",
-    (3, 500): "dd128ea4b2e4bfa9552c3bed8cc47951b83e8b2e1f63b63f724c3dd3f59cf318",
-    (8, 32): "227f618cd35a1f7753747554eda78fe8b82db38dbf9726bdcbb21bc55fb61847",
-    (2, 16384): "2010a7d24901acccb868e3c2f90c87e0fd8546f6003dffd10147ec597babba70",
-    (2, 65536): "00c7d775b0a7756754b60c27f64de21db2e3a87d6099f86aad898d3810af541b",
-    (2, 1024): "5286b9af2fe3dad34778558e1f5509d871832969249290a19b8d795cc7490760",
+    (8, 2048): "f030c975692067d1c60dc9f3aa2a665ef6d09b65a39a0f1544ca7c2aac095a1e",
+    (4, 2048): "df23b6f96eb9b59b3c2af78abcb87aea2a3a247a57d92ae5d0c967f6b1b8aec2",
+    (3, 500): "a7f9dd069c45b8824f807c1803bba549402c5a910e8c04b26dd1c011ccd6fc7e",
+    (8, 32): "291045f728b16dea29536ec4da257ac8a9b0c1d3028747b2f59eaafc364f3a24",
+    (2, 16384): "ada8c5d95d3f34ce5dc96b285865424519f08a33818b2ee2d653b5af3d97c776",
+    (2, 65536): "21a1c4a5120b6662ce9fd23dc5e12d815a5091f986f4a07daa5b53b649698c3b",
+    (2, 1024): "923db546897666171431b398da12109e2d4ee68062af483019893bcb0f6e086e",
 }
+_PIN_SIZES = pytest.mark.parametrize("size", sorted(_PARTITION_PINS), ids=lambda size: "S{}-N{}".format(*size))
 
 
-@pytest.mark.parametrize("size", sorted(_PARTITION_PINS), ids=lambda size: "S{}-N{}".format(*size))
+@_PIN_SIZES
 def test_partition_pin(size, digest):
     p = equal_area_partition(*size)
     assert digest([p.centers(), p.radii(), p.measures()]) == _PARTITION_PINS[size]
+
+
+def _exact_cap_area(m: int, theta: float):
+    """Exact area of the colatitude cap [0, theta] on S^m at 40 digits:
+    2 pi (1 - cos theta) on S^2, and w_(m-1) times the mpmath quadrature
+    of sin^(m-1) above it."""
+    t = mp.mpf(theta)
+    if m == 2:
+        return 2 * mp.pi * (1 - mp.cos(t))
+    w_rim = 2 * mp.pi ** (mp.mpf(m) / 2) / mp.gamma(mp.mpf(m) / 2)
+    return w_rim * mp.quad(lambda s: mp.sin(s) ** (m - 1), [0, t])
+
+
+@_PIN_SIZES
+def test_outer_boundaries_hold_their_cell_counts(size):
+    """Every outer colatitude boundary caps exactly the cells before it: the
+    boundary above group k of the outer locator, whose first cell index is
+    cum_k, has area v_r cum_k to 1e-13 relative (v_r = w_m / n), the polar
+    cap's one cell and the south cap's n - 1 included."""
+    m, n = size
+    loc = equal_area_partition(m, n)._locator
+    cum = [first for first, _, _ in loc.groups[1:]]
+    assert cum[0] == 1 and cum[-1] == n - 1
+    assert len(loc.boundaries) == len(cum) + 2
+    with mp.workdps(40):
+        v_r = 2 * mp.pi ** (mp.mpf(m + 1) / 2) / mp.gamma(mp.mpf(m + 1) / 2) / n
+        for theta, cells in zip(loc.boundaries[1:-1], cum):
+            assert abs(_exact_cap_area(m, theta) / (v_r * cells) - 1) <= 1e-13
 
 
 @functools.lru_cache(maxsize=None)
