@@ -376,6 +376,15 @@ def _block_index(cp: ControlPoints) -> _BlockIndex | None:
     return _BlockIndex(groups, order, np.append(starts, n), part.centers()[used], radii)
 
 
+def _aligned_empty(shape: tuple, order: str = "C") -> np.ndarray:
+    """np.empty(shape, order=order) of float64 whose data starts on a 64-byte
+    (cache-line) boundary."""
+    size = math.prod(shape)
+    raw = np.empty(size + 8)
+    skip = -raw.ctypes.data % 64 // 8
+    return raw[skip : skip + size].reshape(shape, order=order)
+
+
 def _softmax_rows(cp: ControlPoints, pts: np.ndarray, rows: np.ndarray, out: tuple, kept=None) -> None:
     """Write (weighted value mean, row sum, shift) of cp's softmax over the
     anchors kept (all N where kept is None), for the queries pts[rows],
@@ -400,19 +409,29 @@ def _softmax_rows(cp: ControlPoints, pts: np.ndarray, rows: np.ndarray, out: tup
     bits (TestHeadLayout).  The copy lives for the call only: held by the
     ControlPoints or its index, it would add (m+1) N doubles to every head
     kept alive.
+
+    The logit buffer, the [values | 1] rows and the column copy start on
+    64-byte boundaries (_aligned_empty).  Where np.empty put them, at the
+    16-byte offsets the heap state left, the same 6 x 16384 tile step (the
+    logit gemm, exp and value gemm) took about 10% longer than on a cache-line
+    boundary (numpy 2.4, OpenBLAS, x86-64), so a head's speed moved with
+    whatever earlier allocations left behind; the bits are the same.
     """
     mean, rowsum, shift = out
     anchors = cp.p_alpha if kept is None else np.take(cp.p_alpha, kept, axis=0)
     size = max(2, _TILE_BYTES // (8 * anchors.shape[0]))
-    columns = np.ascontiguousarray(anchors.T) if rows.size > 2 * size + 1 else anchors.T
+    columns = anchors.T
+    if rows.size > 2 * size + 1:
+        columns = _aligned_empty(columns.shape)
+        columns[...] = anchors.T
     # [values | 1], column-major: the value columns are copied in as long
     # runs, and the gemm reads this layout no slower than a row-major one
-    values = np.empty((anchors.shape[0], cp.p_beta.shape[1] + 1), order="F")
+    values = _aligned_empty((anchors.shape[0], cp.p_beta.shape[1] + 1), order="F")
     values[:, -1] = 1.0
     values[:, :-1] = cp.p_beta if kept is None else np.take(cp.p_beta, kept, axis=0)
     if rows.size == 1:
         rows = rows[[0, 0]]
-    buffer = np.empty((min(rows.size, size + 1), anchors.shape[0]))
+    buffer = _aligned_empty((min(rows.size, size + 1), anchors.shape[0]))
     for start, stop in _tiles(rows.size, size):
         tile = rows[start:stop]
         logits = np.matmul(cp.lam * pts[tile], columns, out=buffer[: tile.size])
@@ -638,7 +657,7 @@ def universal_head_batch(cp: ControlPoints, points, M: float) -> np.ndarray:
     """The (n, m+1) projected outputs of the universal classical head over
     cp's prefix tokens (assemble_prefix_tokens) at an (n, m+1) batch of
     unit vectors, each its own one-input sequence: split * S / (S + e^M),
-    S the prefix mass at x (suppression_gap), from one _head_softmax call.
+    S the prefix mass at x (log_prefix_mass), from one _head_softmax call.
     """
     M = _suppression(M)
     mean, rowsum, shift = _head_softmax(cp, points)
@@ -646,21 +665,6 @@ def universal_head_batch(cp: ControlPoints, points, M: float) -> np.ndarray:
     # 0, against an exact value below |mean| e^-709
     with np.errstate(over="ignore"):
         return mean / (1.0 + np.exp(M - shift - np.log(rowsum)))[:, None]
-
-
-def suppression_gap(cp: ControlPoints, x, M: float, t_inputs: int = 1) -> float:
-    """Exact relative gap between the universal classical head and the split
-    head at finite M.
-
-    The two heads share their numerator, so the projected classical output
-    equals split * S / (S + T e^M) with S the prefix mass at x; the relative
-    gap is T e^M / (S + T e^M).  Evaluated in log domain because at working
-    suppression levels the gap sits far below float subtraction resolution.
-    """
-    M = _suppression(M)
-    extra = M + math.log(_size(t_inputs, "t_inputs"))
-    log_mass = float(log_prefix_mass(cp, as_unit_vector(x)[None, :])[0])
-    return math.exp(extra - np.logaddexp(log_mass, extra))
 
 
 def default_suppression(lam: float, n_points: int, extra: float = 30.0) -> float:

@@ -91,12 +91,20 @@ def _log_beta_prefactor(a: float, b: float) -> float:
 def reg_inc_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta function I_x(a, b).
 
-    Evaluated via the standard continued fraction, switching to the
-    symmetry I_x(a,b) = 1 - I_{1-x}(b,a) where the fraction converges
-    faster.  Absolute error is well below 1e-10 on the domain.
+    Closed forms where the function is elementary (DLMF 8.17): for a = 1,
+    I_x(1, b) = 1 - (1-x)^b, as -expm1(b log1p(-x)); for an integer b up to
+    _BETACF_MAX_ITER, the finite sum of positive terms
+    I_x(a, b) = x^a sum_{j<b} (a)_j / j! (1-x)^j, each term the one before
+    times (a+j-1)/j (1-x), so none exceeds 1.  Against 40-digit values both
+    read within 1.5e-15 relative over x in [1e-12, 1 - 1e-6] for b up to 32
+    (tests/test_specialfn.py); every S^2 cap area and every equator-side cap
+    area of an even m takes one of them.  Any other (a, b) goes through the
+    standard continued fraction, switching to the symmetry
+    I_x(a,b) = 1 - I_{1-x}(b,a) where the fraction converges faster.
+    Absolute error is well below 1e-10 on the domain.
     """
     # inline rather than _real and _positive: each partition the benchmark
-    # builds calls this 357 to 790 times
+    # builds calls this 357 to 762 times
     try:
         valid = 0.0 <= x <= 1.0
     except TypeError:  # x not a real, e.g. None or a string
@@ -114,6 +122,15 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
+    if a == 1.0:
+        return -math.expm1(b * math.log1p(-x))
+    if b <= _BETACF_MAX_ITER and b == int(b):
+        y = 1.0 - x
+        term = total = x**a
+        for j in range(1, int(b)):
+            term *= (a + j - 1) / j * y
+            total += term
+        return total
     log_front = _log_beta_prefactor(a, b) + a * math.log(x) + b * math.log1p(-x)
     front = math.exp(log_front)
     if x < (a + 1.0) / (a + b + 2.0):

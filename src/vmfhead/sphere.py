@@ -38,7 +38,7 @@ def check_finite_unit(points: np.ndarray) -> np.ndarray:
     """Refuse a point, or a batch with coordinates on the last axis, unless
     every point is finite with unit norm (a NaN or inf norm fails the
     tolerance comparison); returns the array unchanged."""
-    dev = np.abs(np.linalg.norm(points, axis=-1) - 1.0).max(initial=0.0)
+    dev = np.abs(_row_norms(points) - 1.0).max(initial=0.0)
     if not dev <= _UNIT_TOL:
         raise DegenerateInput("points must be finite unit vectors")
     return points
@@ -347,20 +347,20 @@ def equal_area_partition(m: int, n: int) -> Partition:
 
 
 def _row_norms(g: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of g, rounded as np.linalg.norm(g, axis=1)
-    rounds them.
+    """Euclidean norms of g along its last axis, whatever its leading shape,
+    rounded as np.linalg.norm(g, axis=-1) rounds them.
 
     numpy sums a row of fewer than 8 squares left to right, which a fold
-    over the columns repeats without an (n, k) temporary of squares; from 8
-    columns on it sums pairwise, so those widths keep numpy's norm.  Neither
-    path calls BLAS, so the bits are the same under every BLAS kernel, which
-    the partition centers rely on (equal_area_partition).
+    over the columns repeats without a temporary of squares the size of g;
+    from 8 columns on it sums pairwise, so those widths keep numpy's norm.
+    Neither path calls BLAS, so the bits are the same under every BLAS
+    kernel, which the partition centers rely on (equal_area_partition).
     """
-    if g.shape[1] >= 8:
-        return np.linalg.norm(g, axis=1)
-    s = g[:, 0] * g[:, 0]
-    for j in range(1, g.shape[1]):
-        s += g[:, j] * g[:, j]
+    if g.shape[-1] >= 8:
+        return np.linalg.norm(g, axis=-1)
+    s = np.multiply(g[..., 0], g[..., 0], out=np.empty(g.shape[:-1]))
+    for j in range(1, g.shape[-1]):
+        s += g[..., j] * g[..., j]
     return np.sqrt(s, out=s)
 
 

@@ -62,3 +62,17 @@ def relaxed_decode_oracle(u: float, width: int, digits: int) -> list[Fraction]:
         mantissa, d = divmod(mantissa, 3)
         ternary.insert(0, d)
     return [sum(Fraction(int(ternary[q + j * width] == 2), 2 ** (j + 1)) for j in range(digits)) for q in range(width)]
+
+
+def suppression_gap(cp, x, M: float, t_inputs: int = 1) -> float:
+    """Exact relative gap T e^M / (S + T e^M) between the universal classical
+    head over T inputs and the split head at finite M, S = sum_k
+    exp(lam <x, p_alpha_k>) the prefix mass at x: the two heads share their
+    numerator, so the projected classical output is split * S / (S + T e^M).
+    Summed in log domain, because at working suppression levels the gap sits
+    far below float subtraction resolution."""
+    logits = cp.lam * (cp.p_alpha @ np.asarray(x, dtype=np.float64))
+    peak = float(logits.max())
+    log_mass = peak + math.log(float(np.exp(logits - peak).sum()))
+    extra = M + math.log(t_inputs)
+    return math.exp(extra - np.logaddexp(log_mass, extra))

@@ -11,7 +11,7 @@ import math
 import time
 
 import numpy as np
-from oracles import langevin
+from oracles import langevin, suppression_gap
 
 from vmfhead import attention as att
 from vmfhead import bounds as bnd
@@ -148,8 +148,8 @@ def test_08_classical_equals_split():
         s = att.split_head(cp, x)
         worst = max(worst, float(np.linalg.norm(out - s) / np.linalg.norm(s)))
     assert worst <= 1e-10, worst
-    gap0 = max(att.suppression_gap(cp, x, M) for x in xs)
-    gap1 = max(att.suppression_gap(cp, x, M - math.log(10.0)) for x in xs)
+    gap0 = max(suppression_gap(cp, x, M) for x in xs)
+    gap1 = max(suppression_gap(cp, x, M - math.log(10.0)) for x in xs)
     assert gap0 > 0.0 and gap0 / gap1 >= 9.0, (gap0, gap1)
     _report(8, f"classical = split (max rel dev {worst:.2e}; gap ratio {gap0 / gap1:.2f})")
 

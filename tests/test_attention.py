@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import suppression_gap
 from vmfhead import attention as att
 from vmfhead import prefix as pfx
 from vmfhead.errors import DimensionMismatch, DomainError
@@ -470,6 +471,36 @@ class TestQueryGroups:
         assert indexes[1].groups.n_cells == indexes[1].radii.size == 312
 
 
+@pytest.mark.parametrize("case", ["dense", "pruned", "one query"])
+def test_tiles_start_on_cache_lines(sharp_head, monkeypatch, case):
+    """Every tile _softmax_rows hands to _softmax, its logits and its
+    [values | 1] rows, starts on a 64-byte boundary: on a dense head in
+    multi-tile calls, on the sharp head's pruned groups, and for a lone
+    query on both heads."""
+    wide = smooth_cp(2, equal_area_partition(2, 16384).centers(), 32.0)
+    assert wide._blocks is None and sharp_head._blocks is not None
+    tiles = []
+    softmax = att._softmax
+
+    def spy(logits, values, shift=True):
+        tiles.append((logits.ctypes.data % 64, values.ctypes.data % 64, values.shape[0]))
+        return softmax(logits, values, shift)
+
+    monkeypatch.setattr(att, "_softmax", spy)
+    if case == "dense":
+        att.split_head_batch(wide, uniform_sphere_sample(2, 600, 197))
+        assert len(tiles) > 2
+    elif case == "pruned":
+        att.split_head_batch(sharp_head, uniform_sphere_sample(2, 256, 198))
+        assert any(anchors < sharp_head.n_points for _, _, anchors in tiles)
+    else:
+        x = uniform_sphere_sample(2, 1, 199)[0]
+        att.split_head(wide, x)
+        att.split_head(sharp_head, x)
+        assert len(tiles) == 2
+    assert tiles and all(logits == values == 0 for logits, values, _ in tiles)
+
+
 class TestLiftProject:
     def test_round_trip(self):
         x = uniform_sphere_sample(3, 1, seed=12)[0]
@@ -552,7 +583,7 @@ class TestClassicalHead:
         prefix = att.assemble_prefix_tokens(cp, M, augmented)
         x = uniform_sphere_sample(m, 1, seed + 1)[0]
         out = att.project(att.classical_head([att.lift(x, augmented)], prefix, params)[0], m + 1)
-        expected = att.split_head(cp, x) * (1.0 - att.suppression_gap(cp, x, M))
+        expected = att.split_head(cp, x) * (1.0 - suppression_gap(cp, x, M))
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=0)
 
     def test_prefix_permutation(self):
@@ -621,7 +652,7 @@ class TestClassicalHead:
             out = att.project(att.classical_head([att.lift(x)], prefix, params)[0], m + 1)
             s = att.split_head(cp, x)
             measured = float(np.linalg.norm(out - s) / np.linalg.norm(s))
-            np.testing.assert_allclose(measured, att.suppression_gap(cp, x, M), rtol=1e-6)
+            np.testing.assert_allclose(measured, suppression_gap(cp, x, M), rtol=1e-6)
 
     def test_dimension_mismatch(self):
         cp = random_cp(2, 4, 1.0, seed=30)

@@ -153,11 +153,12 @@ CASES = {
     "seq2seq t_len float": lambda: build_seq2seq_transformer(sequence_mean, 2.0, 0, DigitConfig(digits=2)),
     "seq2seq m float": lambda: build_seq2seq_transformer(sequence_mean, 2, 0.0, DigitConfig(digits=2)),
     "seq2seq t_len bool": lambda: build_seq2seq_transformer(sequence_mean, True, 0, DigitConfig(digits=2)),
-    "suppression_gap no inputs": lambda: att.suppression_gap(control_points(), ANCHORS[0], -20.0, t_inputs=0),
-    "suppression_gap M NaN": lambda: att.suppression_gap(control_points(), ANCHORS[0], np.nan),
-    "suppression_gap M zero": lambda: att.suppression_gap(control_points(), ANCHORS[0], 0.0),
-    "suppression_gap M positive": lambda: att.suppression_gap(control_points(), ANCHORS[0], 3.0),
-    "suppression_gap M -inf": lambda: att.suppression_gap(control_points(), ANCHORS[0], -np.inf),
+    # The suppression gap's M (oracles.suppression_gap): universal_head_batch
+    # is the library call that applies the gap factor S / (S + e^M).
+    "suppression_gap M NaN": lambda: att.universal_head_batch(control_points(), ANCHORS, np.nan),
+    "suppression_gap M zero": lambda: att.universal_head_batch(control_points(), ANCHORS, 0.0),
+    "suppression_gap M positive": lambda: att.universal_head_batch(control_points(), ANCHORS, 3.0),
+    "suppression_gap M -inf": lambda: att.universal_head_batch(control_points(), ANCHORS, -np.inf),
     "partition locate_batch NaN row": lambda: equal_area_partition(2, 8).locate_batch(np.vstack([ANCHORS[:2], NAN_POINT])),
     "partition N float": lambda: equal_area_partition(2, 2.5),
     "partition N integral float": lambda: equal_area_partition(2, 16.0),
@@ -201,7 +202,6 @@ CASES = {
     "phi m float": lambda: bnd.phi(8.5),
     "covering_bounds m float": lambda: bnd.covering_bounds(8.5, 0.3),
     "universal head M -inf": lambda: att.build_universal_head(2, -INF),
-    "suppression_gap t_inputs float": lambda: att.suppression_gap(control_points(), ANCHORS[0], -5.0, t_inputs=1.5),
     "make_target m float": lambda: pfx.make_target("identity", 2.0),
     "sup_error_estimate n_samples float": lambda: pfx.sup_error_estimate(IDENTITY, np.copy, 10.0, 1),
     "psi_strided stride float": lambda: psi_strided(0.5, CFG, 1.5),
@@ -209,7 +209,7 @@ CASES = {
     "suppression M string": lambda: att.PrefixTokens(d=2, tokens=np.zeros((1, 2)), M="x", augmented=False),
     "universal head M None": lambda: att.build_universal_head(2, None),
     "universal_head_batch M list": lambda: att.universal_head_batch(control_points(), ANCHORS, [-1.0]),
-    "suppression_gap M string": lambda: att.suppression_gap(control_points(), ANCHORS[0], "-5"),
+    "suppression_gap M string": lambda: att.universal_head_batch(control_points(), ANCHORS, "-5"),
     "smoothness f_sup bool": lambda: bnd.SmoothnessSpec(1, 1, 1, True),
     "smoothness f_sup string": lambda: bnd.SmoothnessSpec(1, 1, 1, "1"),
     "log_bessel_i order bool": lambda: log_bessel_i(True, 2.0),
@@ -376,7 +376,7 @@ def test_valid_inputs_still_accepted():
     cp = control_points()
     assert np.all(np.isfinite(att.split_head_batch(cp, ANCHORS)))
     assert att.split_head_batch(control_points(p_beta=np.ones((8, 1))), ANCHORS).shape == (8, 1)
-    assert 0.0 < att.suppression_gap(cp, ANCHORS[0], -20.0, t_inputs=2) < 1.0
+    assert np.array_equal(att.universal_head_batch(cp, ANCHORS, -20.0), att.universal_head_batch(cp, ANCHORS, np.float64(-20.0)))
     prefix, params, m, lam = att.import_prefix_artifact(artifact())
     assert (prefix.n_tokens, m, lam, prefix.augmented) == (8, 2, 4.0, False)
     assert att.import_prefix_artifact(artifact(augmented=lambda _: True))[0].augmented is True
@@ -418,7 +418,6 @@ def test_valid_inputs_still_accepted():
     assert bnd.prefix_length_bound(4, 0.1, SPEC, i8) == bnd.prefix_length_bound(4.0, 0.1, SPEC, 8)
     assert bnd.phi(i8) == bnd.phi(8) and bnd.covering_bounds(i8, 0.3) == bnd.covering_bounds(8, 0.3)
     assert att.build_universal_head(i2, -5.0).d == 9
-    assert att.suppression_gap(cp, ANCHORS[0], -5.0, t_inputs=i2) == att.suppression_gap(cp, ANCHORS[0], -5.0, t_inputs=2)
     assert pfx.make_target("identity", i2).m == 2
     assert pfx.sup_error_estimate(IDENTITY, np.copy, np.int64(10), 1) == (0.0, 0.0)
     assert psi_strided(0.5, CFG, np.int64(3)) == psi_strided(0.5, CFG, 3)

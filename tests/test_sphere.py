@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vmfhead.specialfn as spf
 import vmfhead.sphere as sph
 from vmfhead.errors import DomainError
 from vmfhead.sphere import (
@@ -209,21 +210,36 @@ class TestPartitionBuildsOnce:
         assert len(builds) == 53
 
 
+def test_s2_build_runs_no_continued_fraction(monkeypatch):
+    """Every cap area on S^2 is elementary: the pole form I_x(1, 1/2) and the
+    equator form I_x(1/2, 1) both take reg_inc_beta's closed forms, so an
+    S^2 build never enters the continued fraction.  An S^3 build, whose cap
+    areas have half-integer shape parameters, does: the spy sees its calls."""
+    calls = []
+    inner = spf._betacf
+    monkeypatch.setattr(spf, "_betacf", lambda *args: calls.append(args) or inner(*args))
+    equal_area_partition(2, 65536)
+    assert calls == []
+    equal_area_partition(3, 500)
+    assert calls
+
+
 # Regression pins, not oracles: SHA-256 of (centers, radii, measures), each
 # array's shape and float64 bytes, re-recorded when the centers were first
 # normalised by _row_norms, an elementwise fold that rounds alike under every
-# BLAS kernel, and again when each refit boundary's Newton iteration began
-# inside its bracketing ideal-grid interval, with the boundary oracle below
-# passing before and after.  They hold the construction bit for bit on any
-# machine.
+# BLAS kernel, again when each refit boundary's Newton iteration began
+# inside its bracketing ideal-grid interval, and again when reg_inc_beta took
+# its closed forms for a = 1 and integer b (centers and radii moved by at
+# most 2.3e-15), with the boundary oracle below passing before and after
+# each time.  They hold the construction bit for bit on any machine.
 _PARTITION_PINS = {
-    (8, 2048): "f030c975692067d1c60dc9f3aa2a665ef6d09b65a39a0f1544ca7c2aac095a1e",
-    (4, 2048): "df23b6f96eb9b59b3c2af78abcb87aea2a3a247a57d92ae5d0c967f6b1b8aec2",
-    (3, 500): "a7f9dd069c45b8824f807c1803bba549402c5a910e8c04b26dd1c011ccd6fc7e",
-    (8, 32): "291045f728b16dea29536ec4da257ac8a9b0c1d3028747b2f59eaafc364f3a24",
-    (2, 16384): "ada8c5d95d3f34ce5dc96b285865424519f08a33818b2ee2d653b5af3d97c776",
-    (2, 65536): "21a1c4a5120b6662ce9fd23dc5e12d815a5091f986f4a07daa5b53b649698c3b",
-    (2, 1024): "923db546897666171431b398da12109e2d4ee68062af483019893bcb0f6e086e",
+    (8, 2048): "54957a07d2a3801a22d5fbd5286a1feba33e38a3ada3f9e9eddf609b34712ce8",
+    (4, 2048): "461116f55447ae22d6d9169023478070c98eac5a8342ff079ceb3a9af10934ca",
+    (3, 500): "24d93d0ff1358bb8949bf4c62b18bc3d5463b97bf26c21532a754504e26b0fe0",
+    (8, 32): "edbb3c24c4162fff71a702bf7274d7252e507411924d6b4838d0d0375281758a",
+    (2, 16384): "d2974e2bdc8a7a16379b0b0e92ced5bcaa5b9f358edf875ce8aea447ee283611",
+    (2, 65536): "3301c72e8c4bcde1dc95f2abd279461340077553c2317c3f6e37ff0651cd2660",
+    (2, 1024): "138dc5f022daa1a34d560bc97dfc1ae1232f85c93aa8ba31dc72b0f38ea4815c",
 }
 _PIN_SIZES = pytest.mark.parametrize("size", sorted(_PARTITION_PINS), ids=lambda size: "S{}-N{}".format(*size))
 
@@ -342,6 +358,16 @@ class TestBandedLocate:
         pts = np.vstack([uniform_sphere_sample(p.m, 4096, 188), _on_band_boundaries(p, 2, seed=189)])
         perm = np.random.default_rng(190).permutation(pts.shape[0])
         assert np.array_equal(p.locate_batch(pts[perm]), p.locate_batch(pts)[perm])
+
+
+@pytest.mark.parametrize("shape", [(3,), (2,), (5, 4, 3), (0, 3), (6, 7), (2, 3, 8), (9,)])
+def test_row_norms_round_as_numpy_at_any_leading_shape(shape):
+    """_row_norms, behind check_finite_unit for one point and for batches,
+    gives np.linalg.norm(g, axis=-1) bit for bit along the last axis of any
+    shape, on both sides of numpy's pairwise-sum block of 8."""
+    g = np.random.default_rng(200).standard_normal(shape)
+    assert np.array_equal(sph._row_norms(g), np.linalg.norm(g, axis=-1))
+    assert sph._row_norms(g).shape == shape[:-1]
 
 
 class TestUniformSampling:
