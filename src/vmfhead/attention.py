@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, _positive, _real, _size
+from .errors import DegenerateInput, DimensionMismatch, DomainError, _flag, _positive, _real, _reals, _size
 from .sphere import (
     Partition,
     _colat_area,
@@ -85,8 +85,8 @@ class ControlPoints:
     def __post_init__(self):
         object.__setattr__(self, "m", _size(self.m, "m"))
         object.__setattr__(self, "lam", _positive(self.lam, "lam"))
-        pa = np.ascontiguousarray(self.p_alpha, dtype=np.float64)
-        pb = np.ascontiguousarray(self.p_beta, dtype=np.float64)
+        pa = np.ascontiguousarray(_reals(self.p_alpha, "p_alpha", None, error=DegenerateInput))
+        pb = np.ascontiguousarray(_reals(self.p_beta, "p_beta"))
         if pa.ndim != 2 or pa.shape[0] < 1:
             raise DomainError("control points must be a nonempty (N, m+1) array")
         if pa.shape[1] != self.m + 1:
@@ -94,8 +94,6 @@ class ControlPoints:
         if pb.ndim != 2 or pb.shape[0] != pa.shape[0] or pb.shape[1] < 1:
             raise DimensionMismatch("p_beta must be an (N, k) array, k >= 1, with p_alpha's N rows")
         check_finite_unit(pa)
-        if not np.all(np.isfinite(pb)):
-            raise DomainError("p_beta must be finite")
         pa.setflags(write=False)
         pb.setflags(write=False)
         object.__setattr__(self, "p_alpha", pa)
@@ -133,16 +131,12 @@ class AttentionHeadParams:
 
     def __post_init__(self):
         object.__setattr__(self, "d", _size(self.d, "d"))
-        H = np.asarray(self.H, dtype=np.float64)
-        W = np.asarray(self.W_V, dtype=np.float64)
-        if H.shape != (self.d, self.d) or W.shape != (self.d, self.d):
-            raise DimensionMismatch("H and W_V must be d x d")
-        if not (np.all(np.isfinite(H)) and np.all(np.isfinite(W))):
-            raise DomainError("H and W_V must be finite")
-        H.setflags(write=False)
-        W.setflags(write=False)
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "W_V", W)
+        for name in ("H", "W_V"):
+            a = _reals(getattr(self, name), name)
+            if a.shape != (self.d, self.d):
+                raise DimensionMismatch("H and W_V must be d x d")
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
 
 @dataclass(frozen=True)
@@ -156,15 +150,11 @@ class PrefixTokens:
 
     def __post_init__(self):
         object.__setattr__(self, "d", _size(self.d, "d"))
-        t = np.asarray(self.tokens, dtype=np.float64)
+        t = _reals(self.tokens, "tokens")
         if t.ndim != 2 or t.shape[0] < 1 or t.shape[1] != self.d:
             raise DimensionMismatch("tokens must be a nonempty (N, d) array")
-        if not np.all(np.isfinite(t)):
-            raise DomainError("tokens must be finite")
         object.__setattr__(self, "M", _suppression(self.M))
-        if not isinstance(self.augmented, (bool, np.bool_)):
-            raise DomainError(f"augmented must be a bool, got {self.augmented!r}")
-        object.__setattr__(self, "augmented", bool(self.augmented))
+        object.__setattr__(self, "augmented", _flag(self.augmented, "augmented"))
         t.setflags(write=False)
         object.__setattr__(self, "tokens", t)
 
@@ -190,8 +180,8 @@ class TransformerLayer:
                 a, b = stage
             except (TypeError, ValueError):
                 raise DimensionMismatch("an MLP stage must be an affine pair (A, b)") from None
-            a = np.asarray(a)
-            if a.ndim != 2 or a.shape[1] != width or np.asarray(b).shape != (a.shape[0],):
+            a, b = _reals(a, "MLP stage A"), _reals(b, "MLP stage b")
+            if a.ndim != 2 or a.shape[1] != width or b.shape != (a.shape[0],):
                 raise DimensionMismatch("MLP stage shapes do not chain")
             width = a.shape[0]
         if width != self.params.d:
@@ -471,7 +461,7 @@ def _head_softmax(cp: ControlPoints, points) -> tuple:
     lone query joins the group after it (or, last, the one before), so no
     group is a single row.
     """
-    pts = np.asarray(points, dtype=np.float64)
+    pts = _reals(points, "points", None, error=DegenerateInput)
     if pts.ndim != 2 or pts.shape[1] != cp.m + 1:
         raise DimensionMismatch("points must have shape (n, m+1)")
     check_finite_unit(pts)
@@ -542,11 +532,9 @@ def log_prefix_mass(cp: ControlPoints, points: np.ndarray) -> np.ndarray:
 
 def _as_inputs(inputs) -> np.ndarray:
     """A (T, d) array of finite input states, one state possibly a vector."""
-    X = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    X = np.atleast_2d(_reals(inputs, "input states"))
     if X.ndim != 2:
         raise DimensionMismatch("inputs must be a (T, d) array or one state vector")
-    if not np.isfinite(X).all():
-        raise DomainError("input states must be finite")
     return X
 
 
@@ -574,23 +562,19 @@ def lift(x, augmented: bool = False) -> np.ndarray:
     Layout (x, 0, 0) of width 3(m+1); the augmented variant appends a
     constant-1 slot that carries the input-input suppression logit.
     """
-    xv = as_unit_vector(x)
+    xv, augmented = as_unit_vector(x), _flag(augmented, "augmented")
     b = xv.size
-    out = np.zeros(3 * b + (1 if augmented else 0))
-    out[:b] = xv
-    if augmented:
-        out[-1] = 1.0
+    out = np.zeros(3 * b + augmented)
+    out[:b], out[3 * b :] = xv, 1.0
     return out
 
 
 def project(y, block: int) -> np.ndarray:
     """Read the first block, of width block = m+1, back out of a head-space
     vector; a non-finite y, or a block wider than y, is refused."""
-    y = np.asarray(y, dtype=np.float64)
+    y = _reals(y, "y")
     if y.ndim != 1 or _size(block, "block") > y.size:
         raise DimensionMismatch("project expects a single vector at least one block wide")
-    if not np.isfinite(y).all():
-        raise DomainError("project expects a finite vector")
     return y[:block].copy()
 
 
@@ -609,9 +593,9 @@ def build_universal_head(m: int, M: float, augmented: bool = False) -> Attention
     slot so that the input-input logit is M for every input pair, not
     M <x_i, x_j>.
     """
-    M = _suppression(M)
+    M, augmented = _suppression(M), _flag(augmented, "augmented")
     b = _size(m, "m") + 1
-    d = 3 * b + (1 if augmented else 0)
+    d = 3 * b + augmented
     H = np.zeros((d, d))
     W = np.zeros((d, d))
     eye = np.eye(b)
@@ -626,14 +610,14 @@ def build_universal_head(m: int, M: float, augmented: bool = False) -> Attention
 
 def assemble_prefix_tokens(cp: ControlPoints, M: float, augmented: bool = False) -> PrefixTokens:
     """Tokens (0, lam * p_alpha, p_beta[, 0]) matching the universal head."""
-    b = cp.m + 1
+    b, augmented = cp.m + 1, _flag(augmented, "augmented")
     if cp.p_beta.shape[1] != b:
         raise DimensionMismatch("the universal head takes values of width m+1")
-    d = 3 * b + (1 if augmented else 0)
+    d = 3 * b + augmented
     tokens = np.zeros((cp.n_points, d))
     tokens[:, b : 2 * b] = cp.lam * cp.p_alpha
     tokens[:, 2 * b : 3 * b] = cp.p_beta
-    return PrefixTokens(d=d, tokens=tokens, M=float(M), augmented=augmented)
+    return PrefixTokens(d=d, tokens=tokens, M=M, augmented=augmented)
 
 
 def universal_control_points(prefix: PrefixTokens, params: AttentionHeadParams, m: int, lam: float) -> ControlPoints:
@@ -723,18 +707,15 @@ def _enc_mat(a: np.ndarray):
 
 
 def _dec_mat(rows) -> np.ndarray:
-    """A finite 2-D array from artifact rows: a list of lists of decimal
-    strings, the form export_prefix_artifact writes.  A string row, or an
-    entry that is a JSON number, bool or null, is refused."""
-    if not (isinstance(rows, list) and all(isinstance(row, list) and all(type(v) is str for v in row) for row in rows)):
-        raise DomainError("artifact matrices must be lists of rows of decimal strings")
+    """A finite 2-D array from artifact rows: a nonempty list of lists of
+    decimal strings, the form export_prefix_artifact writes.  A string row,
+    or an entry that is a JSON number, bool or null, is refused."""
+    if not (isinstance(rows, list) and rows and all(type(r) is list and all(type(v) is str for v in r) for r in rows)):
+        raise DomainError("artifact matrices must be nonempty lists of rows of decimal strings")
     try:
-        a = np.array([[float(v) for v in row] for row in rows], dtype=np.float64)
+        return _reals([[float(v) for v in row] for row in rows], "artifact matrix")
     except ValueError:
-        raise DomainError("artifact matrix has ragged rows or non-numeric entries") from None
-    if a.ndim != 2 or not np.all(np.isfinite(a)):
-        raise DomainError("artifact matrices must be 2-D and finite")
-    return a
+        raise DomainError("artifact matrix has non-numeric entries") from None
 
 
 def export_prefix_artifact(

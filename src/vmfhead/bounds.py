@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import DomainError, OverflowWarning, PermissiveModeWarning, _positive, _real, _size
+from .errors import DomainError, OverflowWarning, PermissiveModeWarning, _flag, _positive, _real, _size
 from .kernel import vmf_log_normalizer
 from .sphere import cap_area, surface_area
 
@@ -61,8 +61,8 @@ class PrefixLengthBound:
 
 
 def _check_dimension(m: int, strict: bool) -> int:
-    """m as a size >= 2; below 8 refused in strict mode, warned otherwise."""
-    m = _size(m, "m", 2)
+    """m as a size >= 2; below 8 refused if strict (a bool), warned otherwise."""
+    m, strict = _size(m, "m", 2), _flag(strict, "strict")
     if m < 8:
         if strict:
             raise DomainError(f"strict mode requires m >= 8 (covering constants), got {m}")

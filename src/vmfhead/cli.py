@@ -159,7 +159,7 @@ def _cmd_seq2seq_demo(args) -> int:
     # Only the sizes given: build_seq2seq_transformer owns the defaults.
     sizes = {key: value for key, value in (("n_points", args.n), ("lam", args.lam)) if value is not None}
     stack = build_seq2seq_transformer(f, t_len, m, cfg, mode=args.mode, **sizes)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_size(args.seed, "seed", 0))
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["sample", "stage", "position", "values"])
     for idx in range(count):

@@ -1,10 +1,12 @@
 """Exception types shared across the package; exit_code is the CLI exit
 status: 2 for usage errors (bad arguments, inputs or sizes), 3 for numeric
-failures.  _size and _real state the scalar-argument contract once."""
+failures.  _size, _real, _reals and _flag state the argument contracts once."""
 
 import math
 import numbers
 import operator
+
+import numpy as np
 
 
 class VmfheadError(Exception):
@@ -85,6 +87,35 @@ def _real(value, name: str, low: float = -math.inf, high: float = math.inf, ends
     else:
         interval = f"in {ends[0]}{low:g}, {high:g}{ends[1]}"
     raise DomainError(f"{name} must be finite and {interval}, got {value!r}")
+
+
+def _reals(value, name: str, low: float | None = -math.inf, high: float = math.inf, error=DomainError) -> np.ndarray:
+    """Python or numpy ints and floats, or nested lists of them, as a float64
+    array of the same values (the same array where it is one).  Bool, string,
+    complex, object and ragged input, and values not finite or outside [low,
+    high] (both finite or both infinite; low None: no value check), raise `error`."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # ragged
+        array = np.asarray(None)
+    if array.dtype.kind not in "iuf":
+        raise error(f"{name} must be real numbers, got {value!r:.80}")
+    array = array.astype(np.float64, copy=False)
+    if low is None:
+        return array
+    if low == -high == -math.inf:
+        if np.isfinite(array).all():  # one pass, faster than min and max on small arrays
+            return array
+    elif not array.size or low <= array.min() and array.max() <= high:  # refuses NaN and +-inf too
+        return array
+    raise error(f"{name} must be finite in [{low:g}, {high:g}], got values from {array.min()} to {array.max()}")
+
+
+def _flag(value, name: str) -> bool:
+    """A Python or numpy bool as a bool; anything else is refused with DomainError."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise DomainError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
 
 
 def _positive(value, name: str) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NumericalFailure, _positive, _size
+from .errors import DimensionMismatch, NumericalFailure, _positive, _reals, _size
 from .sphere import _row_norms, as_unit_vector, surface_area
 from .specialfn import _ratio_product, log_bessel_i
 
@@ -62,13 +62,10 @@ class VmfKernel:
 
 
 def kernel_log_eval(kern: VmfKernel, t) -> np.ndarray | float:
-    """ln K(t) = ln c + lambda * t for t in [-1, 1]; any other t, NaN
-    included, is refused with DomainError."""
-    tt = np.asarray(t, dtype=np.float64)
-    if not np.all((tt >= -1.0) & (tt <= 1.0)):
-        raise DomainError("kernel argument must lie in [-1, 1]")
-    out = kern.log_normalizer + kern.lam * tt
-    return float(out) if np.isscalar(t) or tt.ndim == 0 else out
+    """ln K(t) = ln c + lambda * t for real t in [-1, 1]; any other t (NaN,
+    a bool, a string) is refused with DomainError."""
+    out = kern.log_normalizer + kern.lam * _reals(t, "kernel argument t", -1.0, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 @functools.cache
@@ -190,24 +187,22 @@ def convolve_vmf(f, kern: VmfKernel, x, n_samples: int, seed: int):
     and the ddof=1 standard deviation are taken along its contiguous rows,
     so numpy sums each component pairwise.
 
-    Raises DomainError for fewer than 100 samples or non-finite values of f;
-    DimensionMismatch for a point whose dimension is not m+1 or an output of
-    f of any other shape, k = 0 included.
+    Raises DomainError for < 100 samples, a seed that is not an integer >= 0
+    or f values that are not finite reals; DimensionMismatch for a point not
+    of dimension m+1 or an output of f of any other shape, k = 0 included.
     """
     n_samples = _size(n_samples, "n_samples", 100)
     xv = as_unit_vector(x)
     if xv.size != kern.m + 1:
         raise DimensionMismatch("point dimension does not match kernel dimension")
-    ys = _vmf_sample(kern, xv, n_samples, seed)
-    fy = np.asarray(f(ys), dtype=np.float64)
+    ys = _vmf_sample(kern, xv, n_samples, _size(seed, "seed", 0))
+    fy = _reals(f(ys), "f values")
     if fy.ndim == 1:
         fy = fy[:, None]
     if fy.ndim != 2 or fy.shape[0] != n_samples or fy.shape[1] == 0:
         raise DimensionMismatch(
             f"f must return an ({n_samples},) or ({n_samples}, k) array with k >= 1, got shape {fy.shape}"
         )
-    if not np.all(np.isfinite(fy)):
-        raise DomainError("f returned a non-finite value")
     vals = fy.T.copy()
     # vals.mean(axis=1) and vals.std(axis=1, ddof=1), the second in place.
     est = vals.sum(axis=1) / n_samples

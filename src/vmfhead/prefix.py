@@ -28,7 +28,7 @@ from .attention import (
     split_head_batch,
 )
 from .bounds import SmoothnessSpec
-from .errors import DimensionMismatch, DomainError, _positive, _real, _size
+from .errors import DimensionMismatch, DomainError, _positive, _real, _reals, _size
 from .kernel import vmf_log_normalizer
 from .sphere import Partition, equal_area_partition, uniform_sphere_sample
 
@@ -60,8 +60,8 @@ class TargetFunction:
     smoothness: SmoothnessSpec
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        out = np.asarray(self.eval_batch(pts), dtype=np.float64)
+        pts = np.atleast_2d(_reals(points, "points"))
+        out = _reals(self.eval_batch(pts), f"target {self.name!r} output")
         if out.shape != (pts.shape[0], self.m + 1):
             raise DimensionMismatch("target returned a wrongly shaped batch")
         return out
@@ -84,9 +84,11 @@ class ApproximationReport:
     wall_time_ms: float
 
     def __post_init__(self):
-        for name in ("sup_error", "mean_error"):
+        for name in ("sup_error", "mean_error", "wall_time_ms"):
             object.__setattr__(self, name, _real(getattr(self, name), name, 0.0, ends="[)"))
-        object.__setattr__(self, "samples", _size(self.samples, "samples"))
+        for name, least in (("m", 1), ("n_points", 1), ("samples", 1), ("seed", 0)):
+            object.__setattr__(self, name, _size(getattr(self, name), name, least))
+        object.__setattr__(self, "lam", _positive(self.lam, "lam"))
 
     def row(self) -> dict:
         """The fields keyed by REPORT_COLUMNS, in order: the one form of a
@@ -207,15 +209,15 @@ def synthesize_core_weights(f: TargetFunction, part: Partition, lam: float) -> C
 def sup_error_estimate(f: TargetFunction, approx, n_samples: int, seed: int):
     """(sup, mean) of ||f(x) - approx(x)||_2 over uniform samples.
 
-    approx takes an (n, m+1) batch and returns an (n, m+1) batch; any other
-    shape is refused with DimensionMismatch.  The sample stream is nested:
-    a larger n_samples extends the same sequence, so the sup estimate can
-    only grow with more samples.  Both values are lower bounds on the true
-    sup norm.  approx is called once, on the whole batch.
+    approx maps the (n, m+1) batch to an (n, m+1) batch of finite reals, else
+    DomainError (DimensionMismatch for a shape).  The seed is an integer >= 0
+    and the sample stream is nested: a larger n_samples extends the same
+    sequence, so the sup estimate can only grow.  Both values are lower bounds
+    on the true sup norm.  approx is called once, on the whole batch.
     """
     pts = uniform_sphere_sample(f.m, _size(n_samples, "n_samples"), seed)
-    exact, approximated = f(pts), approx(pts)
-    if np.shape(approximated) != pts.shape:
+    exact, approximated = f(pts), _reals(approx(pts), "approx values")
+    if approximated.shape != pts.shape:
         raise DimensionMismatch("approx must return an (n, m+1) batch")
     errs = np.linalg.norm(exact - approximated, axis=1)
     return float(errs.max()), float(errs.mean())

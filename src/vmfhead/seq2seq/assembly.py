@@ -374,8 +374,8 @@ class _KernelBankLayer:
     than w = half_width (_window_half_width) cells from k is farther than
     reach from z: its logit sits more than tau_N below the row max, and all
     of them together carry under 2^-53 of the row sum.  So the row is
-    evaluated over the 2w + 1 anchors k - w, ..., k + w (mod N), or over all
-    N anchors, each once, where 2w + 1 >= N: 31 anchors at N = 4096 and
+    evaluated over the min(2w + 1, N) anchors from k - min(w, N // 2) on
+    (mod N), each once, in one path: 31 anchors at N = 4096 and
     lam = 2e5, 29 at N = 2^20 and lam = 1.9e10.  No index is built and no
     dense (rows, N) tile either; each row's logits and its own value column
     go to attention._softmax as one (n, K, 2) stack.
@@ -425,12 +425,10 @@ class _KernelBankLayer:
         if not np.all((norm > 0.0) & (norm < math.inf)):
             raise DegenerateInput("an attended state's sphere slot must be finite and nonzero")
         z /= norm[:, None]
-        n, lam, w = self.anchors.shape[0], self.lam, self.half_width
-        if 2 * w + 1 < n:
-            cell = np.floor(np.arctan2(z[:, 1], z[:, 0]) / (2.0 * math.pi / n)).astype(np.intp)
-            window = (cell[:, None] + np.arange(-w, w + 1)) % n
-        else:
-            window = np.broadcast_to(np.arange(n), (rows.size, n))
+        n, lam = self.anchors.shape[0], self.lam
+        size = min(2 * self.half_width + 1, n)
+        cell = np.floor(np.arctan2(z[:, 1], z[:, 0]) / (2.0 * math.pi / n)).astype(np.intp)
+        window = (cell[:, None] + np.arange(-(size // 2), size - size // 2)) % n
         logits = np.matmul(self.anchors[window], lam * z[:, :, None])[:, :, 0]
         values = np.empty((*window.shape, 2))
         values[:, :, 0] = self.values[window, column[:, None]]
@@ -569,6 +567,7 @@ def build_seq2seq_transformer(
     the token form holds 2 T(m+1) N tokens of width 6 + 2 T(m+1).
     """
     t_len, m = _size(t_len, "t_len"), _size(m, "m", 0)
+    n_points, lam = _size(n_points, "n_points"), _positive(lam, "lam")
     if mode not in ("hybrid", "full"):
         raise DomainError(f"mode must be 'hybrid' or 'full', got {mode!r}")
     width = t_len * (m + 1)
@@ -589,7 +588,6 @@ def build_seq2seq_transformer(
         encoder, lookup = _PassThroughLayer(lay, mlp=(_psi_oracle(lay, cfg),)), []
         decoders = [_PassThroughLayer(lay, mlp=(decoder,)) for decoder in _decoder_oracles(lay, f, t_len, m, cfg)]
     else:
-        n_points, lam = _size(n_points, "n_points"), _positive(lam, "lam")
         # One partition of S^1 serves every head: its centers are the anchors.
         # psi is taken once per bit level, relaxed_decode once per rounded
         # mantissa and f once per decoded sequence, then gathered back.

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..errors import DomainError, EncodingError, PrecisionBudgetExceeded, _size
+from ..errors import DomainError, EncodingError, PrecisionBudgetExceeded, _real, _reals, _size
 
 __all__ = [
     "DigitConfig",
@@ -73,11 +73,9 @@ class SequenceSample:
     def __post_init__(self):
         object.__setattr__(self, "t_len", _size(self.t_len, "t_len"))
         object.__setattr__(self, "m", _size(self.m, "m", 0))
-        e = np.asarray(self.elements, dtype=np.float64)
+        e = _reals(self.elements, "coordinates", 0.0, 1.0)
         if e.shape != (self.t_len, self.m + 1):
             raise DomainError("elements must have shape (T, m+1)")
-        if not np.all((e >= 0.0) & (e <= 1.0)):
-            raise DomainError("coordinates must lie in [0, 1]")
         e.setflags(write=False)
         object.__setattr__(self, "elements", e)
 
@@ -108,10 +106,7 @@ def _bits(x, digits: int) -> np.ndarray:
     digits of x, the terminating expansion at ties; x = 1 is truncated to
     all ones (the largest value the budget can hold).
     """
-    x = np.asarray(x, dtype=np.float64)
-    inside = (x >= 0.0) & (x <= 1.0)
-    if not inside.all():
-        raise DomainError(f"psi domain is [0, 1], got {x[~inside].flat[0]}")
+    x = _reals(x, "psi argument", 0.0, 1.0)
     scale = 2**digits
     return np.minimum((x * scale).astype(np.int64), scale - 1)
 
@@ -198,8 +193,8 @@ def psi_strided(x: float, cfg: DigitConfig, stride: int) -> Fraction:
     The exact value of the per-coordinate encoder the aggregation uses, at
     stride T(m+1); stride 1 recovers psi_encode.
     """
-    stride = _size(stride, "stride")
-    mantissa = _encode(_bits(float(x), cfg.digits)[None], cfg.digits, stride)
+    x, stride = _real(x, "psi argument", 0.0, 1.0, "[]"), _size(stride, "stride")
+    mantissa = _encode(_bits(x, cfg.digits)[None], cfg.digits, stride)
     return Fraction(int(mantissa), 3 ** (cfg.digits * stride))
 
 
@@ -234,11 +229,11 @@ def decode_sequence(r, t_len: int, m: int, cfg: DigitConfig) -> SequenceSample:
             raise EncodingError("aggregate shape does not match the declared (T, m, digits)")
         mantissa = r.mantissa
     else:
-        r = float(r)
-        if not (0.0 <= r <= 1.0):
-            raise EncodingError(f"aggregate values live in [0, 1], got {r}")
+        r = _reals(r, "aggregate value", 0.0, 1.0, EncodingError)
+        if r.ndim:
+            raise EncodingError(f"decode_sequence takes one aggregate value, got shape {r.shape}")
         _check_float_budget(total)
-        mantissa = round(r * 3**total)
+        mantissa = round(float(r) * 3**total)
     elements = _decode(mantissa, cfg.digits, width, strict=True)
     return SequenceSample(t_len=t_len, m=m, elements=elements.reshape(t_len, m + 1))
 
@@ -255,10 +250,7 @@ def relaxed_decode(u, t_len: int, m: int, cfg: DigitConfig) -> np.ndarray:
     digits only while 3^(T(m+1) digits) < 2^52.  A NaN or a u outside
     [0, 1] raises EncodingError, as in decode_sequence.
     """
-    u = np.asarray(u, dtype=np.float64)
-    inside = (u >= 0.0) & (u <= 1.0)
-    if not inside.all():
-        raise EncodingError(f"aggregate values live in [0, 1], got {u[~inside].flat[0]}")
+    u = _reals(u, "aggregate values", 0.0, 1.0, EncodingError)
     t_len, m = _size(t_len, "t_len"), _size(m, "m", 0)
     width = t_len * (m + 1)
     _check_float_budget(width * cfg.digits)
@@ -267,11 +259,11 @@ def relaxed_decode(u, t_len: int, m: int, cfg: DigitConfig) -> np.ndarray:
 
 
 def apply_sequence_function(f, elements: np.ndarray) -> np.ndarray:
-    """f(elements) as a float array, refused unless it is finite and has
-    the (T, m+1) shape of its input."""
-    out = np.asarray(f(elements), dtype=np.float64)
-    if out.shape != elements.shape or not np.isfinite(out).all():
-        raise DomainError("sequence function returned a wrongly shaped or non-finite output")
+    """f(elements) as a float array, refused unless it holds finite reals
+    in the (T, m+1) shape of its input."""
+    out = _reals(f(elements), "sequence function output")
+    if out.shape != elements.shape:
+        raise DomainError("sequence function returned a wrongly shaped output")
     return out
 
 

@@ -107,7 +107,7 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     # builds calls this 357 to 762 times
     try:
         valid = 0.0 <= x <= 1.0
-    except TypeError:  # x not a real, e.g. None or a string
+    except (TypeError, ValueError):  # x not a real, e.g. None, a string or an array
         valid = False
     if not valid or isinstance(x, (bool, np.bool_)):
         raise DomainError(f"reg_inc_beta requires a real x in [0, 1], got {x!r}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch, _real, _size
+from .errors import DegenerateInput, DimensionMismatch, _real, _reals, _size
 from .specialfn import log_gamma, reg_inc_beta
 
 __all__ = [
@@ -35,9 +35,10 @@ _UNIT_TOL = 1e-12
 
 
 def check_finite_unit(points: np.ndarray) -> np.ndarray:
-    """Refuse a point, or a batch with coordinates on the last axis, unless
-    every point is finite with unit norm (a NaN or inf norm fails the
-    tolerance comparison); returns the array unchanged."""
+    """Refuse (DegenerateInput) a point, or a batch with coordinates on the
+    last axis, unless it holds reals and every point is finite with unit norm
+    (a NaN or inf norm fails the tolerance comparison); returns it as float64."""
+    points = _reals(points, "points", None, error=DegenerateInput)
     dev = np.abs(_row_norms(points) - 1.0).max(initial=0.0)
     if not dev <= _UNIT_TOL:
         raise DegenerateInput("points must be finite unit vectors")
@@ -46,7 +47,7 @@ def check_finite_unit(points: np.ndarray) -> np.ndarray:
 
 def as_unit_vector(x) -> np.ndarray:
     """Coerce an array-like to a validated unit vector."""
-    c = np.asarray(x, dtype=np.float64)
+    c = _reals(x, "unit vector", None, error=DegenerateInput)
     if c.ndim != 1 or c.size < 2:
         raise DimensionMismatch("expected a single vector of length >= 2")
     return check_finite_unit(c)
@@ -175,7 +176,7 @@ class Partition:
 
     def locate_batch(self, points) -> np.ndarray:
         """Cell indices for an (n, m+1) array of unit vectors."""
-        pts = np.asarray(points, dtype=np.float64)
+        pts = _reals(points, "points", None, error=DegenerateInput)
         if pts.ndim != 2 or pts.shape[1] != self.m + 1:
             raise DimensionMismatch("points must have shape (n, m+1)")
         return self._locator.locate_batch(check_finite_unit(pts))
@@ -370,11 +371,11 @@ def uniform_sphere_sample(m: int, count: int, seed: int) -> np.ndarray:
     Gaussian normalization: each row of ``default_rng(seed).standard_normal``
     is divided in place by its norm, and the points equal
     ``g / np.linalg.norm(g, axis=1, keepdims=True)`` bit for bit.
-    Deterministic given the seed, and the first k rows of a count-n draw
-    equal the full count-k draw, so sample sets nest.
+    Deterministic given the seed, an integer >= 0 (not None, a bool or a
+    float), and sample sets nest: a count-n draw starts with the count-k draw.
     """
     m, count = _size(m, "m"), _size(count, "count")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_size(seed, "seed", 0))
     g = rng.standard_normal((count, m + 1))
     norms = _row_norms(g)
     # A row of exact zeros has probability zero; regenerate defensively.

@@ -1,9 +1,12 @@
 """One input contract: NaN, infinite, non-unit and ragged inputs are refused
 with a typed error at every entry point, and so are sizes that are not
-integers and reals that are not finite or lie outside their interval."""
+integers, reals that are not finite or lie outside their interval, real
+arrays of another dtype, flags that are not bools and seeds that are not
+integers >= 0."""
 
 import ast
 import importlib
+import inspect
 import json
 import math
 import pkgutil
@@ -17,7 +20,7 @@ from vmfhead import attention as att
 from vmfhead import bounds as bnd
 from vmfhead import kernel as ker
 from vmfhead import prefix as pfx
-from vmfhead.errors import DimensionMismatch, DomainError, EncodingError, PrecisionBudgetExceeded
+from vmfhead.errors import DegenerateInput, DimensionMismatch, DomainError, EncodingError, PrecisionBudgetExceeded
 from vmfhead.seq2seq import (
     DigitConfig,
     Seq2SeqStack,
@@ -27,13 +30,14 @@ from vmfhead.seq2seq import (
     reference_seq2seq,
     sequence_mean,
 )
-from vmfhead.seq2seq.encoding import decode_sequence, psi_strided, relaxed_decode
-from vmfhead.specialfn import bessel_ratio, log_bessel_i, reg_inc_beta
+from vmfhead.seq2seq.encoding import apply_sequence_function, decode_sequence, psi_encode, psi_strided, relaxed_decode
+from vmfhead.specialfn import bessel_ratio, log_bessel_i, log_gamma, reg_inc_beta
 from vmfhead.verify import run_suite
 from vmfhead.sphere import (
     as_unit_vector,
     cap_area,
     cap_colatitude,
+    check_finite_unit,
     equal_area_partition,
     surface_area,
     uniform_sphere_sample,
@@ -221,6 +225,8 @@ CASES = {
     "covering_bounds delta string": lambda: bnd.covering_bounds(8, "0.3"),
     "report sup_error NaN": lambda: pfx.ApproximationReport("x", 2, 1.0, 4, math.nan, 0.0, 10, 0, 1.0),
     "report mean_error NaN": lambda: pfx.ApproximationReport("x", 2, 1.0, 4, 0.1, math.nan, 10, 0, 1.0),
+    "report m float": lambda: pfx.ApproximationReport("x", 2.5, 1.0, 4, 0.1, 0.0, 10, 0, 1.0),
+    "report N bool": lambda: pfx.ApproximationReport("x", 2, 1.0, True, 0.1, 0.0, 10, 0, 1.0),
     "project y NaN": lambda: att.project(np.full(9, np.nan), 3),
     "project y inf": lambda: att.project(np.array([0.0, 1.0, 0.0, np.inf]), 2),
     "project y -inf in the block": lambda: att.project(np.array([-np.inf, 0.0, 0.0]), 2),
@@ -250,6 +256,8 @@ ENCODING_CASES = {
     "relaxed_decode above 1": lambda: relaxed_decode(1.5, 2, 0, CFG),
     "decode_sequence above 1": lambda: decode_sequence(1.5, 2, 0, CFG),
     "decode_sequence mantissa past the budget": lambda: decode_sequence(1.0, 2, 0, CFG),
+    "decode_sequence None": lambda: decode_sequence(None, 2, 0, CFG),
+    "decode_sequence one-element array": lambda: decode_sequence(np.array([0.5]), 2, 0, CFG),
 }
 
 BUDGET_CASES = {
@@ -291,25 +299,148 @@ MISMATCH_CASES = {
 }
 
 
+ARTIFACT_PREFIX, ARTIFACT_PARAMS = att.import_prefix_artifact(artifact())[:2]
+
+
+def as_strings(value):
+    """value with each number written as a string: "4.0", or nested lists."""
+    return np.asarray(value).astype(str).tolist()
+
+
+def as_bools(value):
+    """value as bools, one True per row, at its largest entry: a unit vector
+    stays a unit vector, and a scalar becomes True."""
+    a = np.asarray(value)
+    return np.eye(a.shape[-1], dtype=bool)[a.argmax(axis=-1)].tolist() if a.ndim else True
+
+
+# The wrong kinds of value each kind of argument is refused for.
+WRONG_KINDS = {
+    "real": {"string": as_strings, "bool": as_bools},
+    "flag": {"string": lambda _: "true", "None": lambda _: None, "1": lambda _: 1},
+    "seed": {"1.5": lambda _: 1.5, "-1": lambda _: -1, "True": lambda _: True, "None": lambda _: None},
+}
+
+# Every real (array or scalar), flag and seed argument of a public callable,
+# and the values a public callable checks on its caller's behalf: "callable
+# argument" -> (kind, a call taking the value, a valid value, the typed error
+# a value of the wrong kind raises).  test_every_argument_kind_has_a_row
+# derives the arguments and their kinds from the signatures.
+KINDS = {
+    "ControlPoints lam": ("real", lambda v: control_points(lam=v), 4.0, DomainError),
+    "ControlPoints p_alpha": ("real", lambda v: control_points(p_alpha=v), ANCHORS, DegenerateInput),
+    "ControlPoints p_beta": ("real", lambda v: control_points(p_beta=v), VALUES, DomainError),
+    "AttentionHeadParams H": ("real", lambda v: att.AttentionHeadParams(d=2, H=v, W_V=np.eye(2)), np.eye(2), DomainError),
+    "AttentionHeadParams W_V": ("real", lambda v: att.AttentionHeadParams(d=2, H=np.eye(2), W_V=v), np.eye(2), DomainError),
+    "PrefixTokens tokens": ("real", lambda v: att.PrefixTokens(d=2, tokens=v, M=-1.0, augmented=False), np.ones((1, 2)), DomainError),
+    "PrefixTokens M": ("real", lambda v: att.PrefixTokens(d=2, tokens=np.ones((1, 2)), M=v, augmented=False), -1.0, DomainError),
+    "PrefixTokens augmented": ("flag", lambda v: att.PrefixTokens(d=2, tokens=np.ones((1, 2)), M=-1.0, augmented=v), False, DomainError),
+    "TransformerLayer mlp": (
+        "real", lambda v: att.TransformerLayer(params=PARAMS, prefix=PREFIX, mlp=((v, np.zeros(2)),)), np.eye(2), DomainError
+    ),
+    "core_head x": ("real", lambda v: att.core_head(control_points(), v), ANCHORS[0], DegenerateInput),
+    "core_head_log x": ("real", lambda v: att.core_head_log(control_points(), v), ANCHORS[0], DegenerateInput),
+    "split_head x": ("real", lambda v: att.split_head(control_points(), v), ANCHORS[0], DegenerateInput),
+    "split_head_batch points": ("real", lambda v: att.split_head_batch(control_points(), v), ANCHORS, DegenerateInput),
+    "log_prefix_mass points": ("real", lambda v: att.log_prefix_mass(control_points(), v), ANCHORS, DegenerateInput),
+    "universal_head_batch points": ("real", lambda v: att.universal_head_batch(control_points(), v, -20.0), ANCHORS, DegenerateInput),
+    "universal_head_batch M": ("real", lambda v: att.universal_head_batch(control_points(), ANCHORS, v), -20.0, DomainError),
+    "classical_head inputs": ("real", lambda v: att.classical_head(v, PREFIX, PARAMS), [[0.0, 1.0], [1.0, 0.0]], DomainError),
+    "lift x": ("real", lambda v: att.lift(v), ANCHORS[0], DegenerateInput),
+    "lift augmented": ("flag", lambda v: att.lift(ANCHORS[0], v), True, DomainError),
+    "project y": ("real", lambda v: att.project(v, 2), np.arange(4.0), DomainError),
+    "build_universal_head M": ("real", lambda v: att.build_universal_head(2, v), -1.0, DomainError),
+    "build_universal_head augmented": ("flag", lambda v: att.build_universal_head(2, -1.0, v), True, DomainError),
+    "assemble_prefix_tokens M": ("real", lambda v: att.assemble_prefix_tokens(control_points(), v), -20.0, DomainError),
+    "assemble_prefix_tokens augmented": ("flag", lambda v: att.assemble_prefix_tokens(control_points(), -20.0, v), True, DomainError),
+    "universal_control_points lam": ("real", lambda v: att.universal_control_points(ARTIFACT_PREFIX, ARTIFACT_PARAMS, 2, v), 4.0, DomainError),
+    "default_suppression lam": ("real", lambda v: att.default_suppression(v, 4), 4.0, DomainError),
+    "default_suppression extra": ("real", lambda v: att.default_suppression(4.0, 4, v), 30.0, DomainError),
+    "transformer_eval inputs": ("real", lambda v: att.transformer_eval(STACK, v), [0.0, 1.0], DomainError),
+    "export_prefix_artifact lam": ("real", lambda v: export(2, v), 4.0, DomainError),
+    "check_finite_unit points": ("real", check_finite_unit, ANCHORS, DegenerateInput),
+    "cap_area delta": ("real", lambda v: cap_area(2, v), 0.3, DomainError),
+    "cap_colatitude area": ("real", lambda v: cap_colatitude(2, v), 1.0, DomainError),
+    "Partition.locate_batch points": ("real", equal_area_partition(2, 8).locate_batch, ANCHORS, DegenerateInput),
+    "uniform_sphere_sample seed": ("seed", lambda v: uniform_sphere_sample(2, 3, v), 1, DomainError),
+    "VmfKernel lam": ("real", lambda v: ker.VmfKernel(2, v), 4.0, DomainError),
+    "vmf_log_normalizer lam": ("real", lambda v: ker.vmf_log_normalizer(2, v), 4.0, DomainError),
+    "kernel_norm lam": ("real", lambda v: ker.kernel_norm(2, v), 4.0, DomainError),
+    "kernel_eigenvalue lam": ("real", lambda v: ker.kernel_eigenvalue(2, 1, v), 4.0, DomainError),
+    "kernel_log_eval t": ("real", lambda v: ker.kernel_log_eval(KERNEL, v), [-1.0, 0.5], DomainError),
+    "convolve_vmf x": ("real", lambda v: ker.convolve_vmf(np.copy, KERNEL, v, 128, seed=0), ANCHORS[0], DegenerateInput),
+    "convolve_vmf seed": ("seed", lambda v: ker.convolve_vmf(np.copy, KERNEL, ANCHORS[0], 128, v), 0, DomainError),
+    "convolve_vmf f values": ("real", lambda v: convolve(lambda ys: v), np.ones(128), DomainError),
+    "log_gamma x": ("real", log_gamma, 2.5, DomainError),
+    "log_bessel_i nu": ("real", lambda v: log_bessel_i(v, 2.0), 0.5, DomainError),
+    "log_bessel_i lam": ("real", lambda v: log_bessel_i(0.5, v), 2.0, DomainError),
+    "bessel_ratio nu": ("real", lambda v: bessel_ratio(v, 2.0), 0.5, DomainError),
+    "bessel_ratio lam": ("real", lambda v: bessel_ratio(0.5, v), 2.0, DomainError),
+    "reg_inc_beta x": ("real", lambda v: reg_inc_beta(v, 2.0, 3.0), 0.5, DomainError),
+    "reg_inc_beta a": ("real", lambda v: reg_inc_beta(0.5, v, 3.0), 2.0, DomainError),
+    "reg_inc_beta b": ("real", lambda v: reg_inc_beta(0.5, 2.0, v), 3.0, DomainError),
+    "SmoothnessSpec L": ("real", lambda v: bnd.SmoothnessSpec(v, 1, 1, 1), 1.0, DomainError),
+    "SmoothnessSpec C_H": ("real", lambda v: bnd.SmoothnessSpec(1, v, 1, 1), 1.0, DomainError),
+    "SmoothnessSpec C_R": ("real", lambda v: bnd.SmoothnessSpec(1, 1, v, 1), 1.0, DomainError),
+    "SmoothnessSpec f_sup": ("real", lambda v: bnd.SmoothnessSpec(1, 1, 1, v), 1.0, DomainError),
+    "lambda_for_accuracy sigma": ("real", lambda v: bnd.lambda_for_accuracy(v, SPEC, 8), 0.5, DomainError),
+    "lambda_for_accuracy strict": ("flag", lambda v: bnd.lambda_for_accuracy(0.1, SPEC, 8, strict=v), True, DomainError),
+    "prefix_length_bound lam": ("real", lambda v: bnd.prefix_length_bound(v, 0.1, SPEC, 8), 4.0, DomainError),
+    "prefix_length_bound epsilon": ("real", lambda v: bnd.prefix_length_bound(4.0, v, SPEC, 8), 0.1, DomainError),
+    "prefix_length_bound strict": ("flag", lambda v: bnd.prefix_length_bound(4.0, 0.1, SPEC, 8, strict=v), True, DomainError),
+    "covering_bounds delta": ("real", lambda v: bnd.covering_bounds(8, v), 0.3, DomainError),
+    "normalized_head_parameters epsilon": ("real", lambda v: bnd.normalized_head_parameters(v, SPEC, 8), 0.5, DomainError),
+    "normalized_head_parameters strict": ("flag", lambda v: bnd.normalized_head_parameters(0.5, SPEC, 8, strict=v), True, DomainError),
+    "TargetFunction.__call__ points": ("real", IDENTITY, ANCHORS, DomainError),
+    "TargetFunction.__call__ output": ("real", lambda v: pfx.TargetFunction(2, "v", lambda p: v, SPEC)(ANCHORS), VALUES, DomainError),
+    "ApproximationReport lam": ("real", lambda v: pfx.ApproximationReport("x", 2, v, 4, 0.1, 0.0, 10, 0, 1.0), 1.0, DomainError),
+    "ApproximationReport sup_error": ("real", lambda v: pfx.ApproximationReport("x", 2, 1.0, 4, v, 0.0, 10, 0, 1.0), 0.1, DomainError),
+    "ApproximationReport mean_error": ("real", lambda v: pfx.ApproximationReport("x", 2, 1.0, 4, 0.1, v, 10, 0, 1.0), 0.0, DomainError),
+    "ApproximationReport seed": ("seed", lambda v: pfx.ApproximationReport("x", 2, 1.0, 4, 0.1, 0.0, 10, v, 1.0), 0, DomainError),
+    "ApproximationReport wall_time_ms": ("real", lambda v: pfx.ApproximationReport("x", 2, 1.0, 4, 0.1, 0.0, 10, 0, v), 1.0, DomainError),
+    "synthesize_prefix lam": ("real", lambda v: pfx.synthesize_prefix(IDENTITY, 8, v), 4.0, DomainError),
+    "synthesize_core_weights lam": (
+        "real", lambda v: pfx.synthesize_core_weights(IDENTITY, equal_area_partition(2, 8), v), 4.0, DomainError
+    ),
+    "sup_error_estimate seed": ("seed", lambda v: pfx.sup_error_estimate(IDENTITY, np.copy, 10, v), 1, DomainError),
+    "sup_error_estimate approx values": (
+        "real", lambda v: pfx.sup_error_estimate(IDENTITY, lambda p: v, 2, 1), np.zeros((2, 3)), DomainError
+    ),
+    "verify_denominator_constancy seed": ("seed", lambda v: pfx.verify_denominator_constancy(control_points(), 10, v), 1, DomainError),
+    "element_wise_extend M": ("real", lambda v: pfx.element_wise_extend(control_points(), v), -20.0, DomainError),
+    "SequenceSample elements": ("real", lambda v: SequenceSample(2, 0, v), [[0.25], [0.5]], DomainError),
+    "psi_encode x": ("real", lambda v: psi_encode(v, CFG), [0.25, 1.0], DomainError),
+    "psi_strided x": ("real", lambda v: psi_strided(v, CFG, 2), 0.5, DomainError),
+    "decode_sequence r": ("real", lambda v: decode_sequence(v, 2, 0, CFG), 8 / 81, EncodingError),
+    "relaxed_decode u": ("real", lambda v: relaxed_decode(v, 2, 0, CFG), [0.5, 0.25], EncodingError),
+    "apply_sequence_function elements": ("real", lambda v: apply_sequence_function(np.copy, v), np.full((2, 1), 0.5), DomainError),
+    "apply_sequence_function f values": (
+        "real", lambda v: apply_sequence_function(lambda e: v, np.zeros((2, 1))), np.ones((2, 1)), DomainError
+    ),
+    "build_seq2seq_transformer lam": ("real", lambda v: build_seq2seq_transformer(sequence_mean, 2, 0, CFG, lam=v), 2e5, DomainError),
+}
+
+# Real, flag and seed arguments (by their kind in the signature) that KINDS
+# has no row for, each with why.
+KIND_EXEMPT = {
+    "PrefixLengthBound n": "a record the bounds return; n is +inf past the float range by design",
+    "PrefixLengthBound log10_n": "a record the bounds return, exact in log10",
+    "RAggregate value": "a record aggregate_R returns; decode_sequence reads its integer mantissa, never value",
+    "sequence_mean elements": "the demonstration sequence function, called on SequenceSample elements; "
+    "apply_sequence_function checks what it returns ('apply_sequence_function f values')",
+}
+
+# Arguments that take a callable, never a number.
+CALLABLE_ARGUMENTS = {"f", "approx"}
+
+
 # Public callables that no case above names, each with where its input
 # contract is held or why it has none.
 EXEMPT = {
-    "check_finite_unit": "the unit check itself, reached by every NaN and non-unit case above",
     "Partition": "built only by equal_area_partition, whose size and locate_batch cases are above",
-    "log_gamma": "test_specialfn.py TestLogGamma::test_domain",
     "PrefixLengthBound": "a record returned by prefix_length_bound and normalized_head_parameters",
-    "normalized_head_parameters": "test_bounds.py TestNormalizedHeadParameters::test_domain",
-    "core_head": "its one query goes through as_unit_vector ('unit vector NaN')",
-    "core_head_log": "its one query goes through as_unit_vector ('unit vector NaN')",
-    "log_prefix_mass": "the batch check of split_head_batch ('batch row NaN', 'batch row non-unit')",
-    "lift": "its point goes through as_unit_vector ('unit vector NaN')",
-    "universal_control_points": "test_attention.py TestUniversalArtifact::test_non_universal_refused",
     "target_names": "takes no argument",
-    "verify_denominator_constancy": "a validated ControlPoints, n_samples as in sup_error_estimate's case",
-    "element_wise_extend": "a validated ControlPoints, M as in 'universal head M -inf'",
     "RAggregate": "an exact record built by aggregate_R; decode_sequence checks its shape",
-    "psi_encode": "test_seq2seq.py TestPsi::test_domain",
-    "apply_sequence_function": "the 'f NaN' and 'f inf' cases above; test_seq2seq.py TestFullModeBuild::test_refusals",
 }
 
 
@@ -323,7 +454,7 @@ def _names_in_cases() -> set:
             definitions[node.name] = node
         elif isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
             definitions[node.targets[0].id] = node.value
-    names, todo = set(), ["CASES", "ENCODING_CASES", "MISMATCH_CASES", "BUDGET_CASES"]
+    names, todo = set(), ["CASES", "ENCODING_CASES", "MISMATCH_CASES", "BUDGET_CASES", "KINDS"]
     while todo:
         for node in ast.walk(definitions[todo.pop()]):
             name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
@@ -334,17 +465,83 @@ def _names_in_cases() -> set:
     return names
 
 
-def _public_callables() -> set:
+def _public_callables() -> dict:
     modules = (importlib.import_module(info.name) for info in pkgutil.walk_packages(vmfhead.__path__, "vmfhead."))
-    return {name for module in modules for name in getattr(module, "__all__", ()) if callable(getattr(module, name))}
+    return {
+        name: getattr(module, name)
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if callable(getattr(module, name))
+    }
+
+
+def _argument_kinds() -> dict:
+    """"callable argument" -> its kind, for every real, flag and seed
+    argument of a public callable, read from the signature: seed by name,
+    flag by a bool annotation, real by a float or array annotation or by
+    none (the arguments that take an array or a scalar); callables, sizes
+    and the private fields of a class built only internally are left out."""
+    kinds = {}
+    for name, obj in _public_callables().items():
+        for arg, param in inspect.signature(obj).parameters.items():
+            note = param.annotation
+            if arg == "seed":
+                kinds[f"{name} {arg}"] = "seed"
+            elif note == "bool":
+                kinds[f"{name} {arg}"] = "flag"
+            elif arg.startswith("_") or arg in CALLABLE_ARGUMENTS:
+                continue
+            elif note is inspect.Parameter.empty or "float" in note or "ndarray" in note:
+                kinds[f"{name} {arg}"] = "real"
+    return kinds
 
 
 def test_every_public_callable_has_a_case_or_an_exemption():
     """A public name added without a case or an exemption fails here, and
     so does an exemption left behind by a case or a deleted name."""
-    public, named = _public_callables(), _names_in_cases()
+    public, named = set(_public_callables()), _names_in_cases()
     assert sorted(public - named - EXEMPT.keys()) == []
     assert sorted(EXEMPT.keys() - (public - named)) == []
+
+
+def test_every_argument_kind_has_a_row():
+    """A real, flag or seed argument added to a public callable without a
+    KINDS row of its kind fails here, and so do a row whose kind is not the
+    signature's, an exemption left behind, and a row of a callable that is
+    gone.  Rows may also name a public class's method ("Class.method arg")
+    or a value that a callable checks for its caller ("f values")."""
+    kinds, public = _argument_kinds(), _public_callables()
+    assert sorted(kinds.keys() - KINDS.keys() - KIND_EXEMPT.keys()) == []
+    assert sorted(KIND_EXEMPT.keys() - kinds.keys()) == []
+    shared = kinds.keys() & KINDS.keys()
+    assert {row: KINDS[row][0] for row in shared} == {row: kinds[row] for row in shared}
+    for row in KINDS:
+        owner, _, method = row.split()[0].partition(".")
+        assert owner in public and (not method or hasattr(public[owner], method)), row
+
+
+KIND_CASES = {
+    f"{row} {label}": (call, wrong(valid), error)
+    for row, (kind, call, valid, error) in KINDS.items()
+    for label, wrong in WRONG_KINDS[kind].items()
+}
+
+
+@pytest.mark.parametrize("case", sorted(KIND_CASES))
+def test_wrong_kind_refused(case):
+    """Each wrong kind of value is refused with the site's typed error, not
+    accepted and not left to a TypeError or ValueError of numpy's."""
+    call, value, error = KIND_CASES[case]
+    with pytest.raises(error):
+        call(value)
+
+
+@pytest.mark.parametrize("row", sorted(KINDS))
+def test_kind_row_accepts_its_valid_value(row):
+    """Control case: each row's call with its valid value goes through, so
+    the refusals above come from the value's kind alone."""
+    _, call, valid, _ = KINDS[row]
+    call(valid)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -102,10 +102,12 @@ class TestEigenvalues:
 
     @pytest.mark.parametrize("m, k, lam", [(2, 5, 32.0), (3, 10, 300.0), (8, 20, 1e3), (17, 7, 2e4)])
     def test_one_recurrence_matches_ratio_loop(self, m, k, lam):
-        """The product read off one recurrence against the product of k
-        separate bessel_ratio recurrences, which it replaced."""
-        ref = math.prod(bessel_ratio((m - 1) / 2.0 + j, lam) for j in range(k))
-        assert abs(kernel_eigenvalue(m, k, lam) - ref) <= 1e-15 * ref
+        """The product read off one recurrence, which replaced a product of k
+        separate ratio recurrences, against mpmath's ratio at 50 digits."""
+        nu = (m - 1) / 2.0
+        with mp.workdps(50):
+            ref = mp.besseli(nu + k, lam) / mp.besseli(nu, lam)
+            assert abs(kernel_eigenvalue(m, k, lam) - ref) <= 1e-15 * ref
 
     @pytest.mark.parametrize("m", [2, 3, 8, 16, 25, 41, 61])
     def test_across_the_large_argument_switch(self, m):

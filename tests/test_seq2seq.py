@@ -98,12 +98,13 @@ class TestPsi:
 
     @pytest.mark.parametrize("stride", [1, 2, 3, 4, 8])
     def test_float_path_equals_rounded_fraction(self, stride):
-        """The float digit map is float(psi_strided) bit for bit at every
-        dyadic input of every digit budget from 1 to 12."""
+        """The float digit map is the exact strided digit map (the oracle's
+        aggregate of x and stride - 1 zeros) rounded once, bit for bit, at
+        every dyadic input of every digit budget from 1 to 12."""
         for digits in range(1, 13):
-            cfg = DigitConfig(digits=digits)
             xs = np.arange(2**digits + 1) / 2**digits
-            assert _psi(_bits(xs, digits), digits, stride).tolist() == [float(psi_strided(x, cfg, stride)) for x in xs]
+            exact = [float(aggregate_oracle([x] + [0.0] * (stride - 1), digits)) for x in xs]
+            assert _psi(_bits(xs, digits), digits, stride).tolist() == exact
 
     @pytest.mark.parametrize("total", [1, 4, 12, 24, 32])
     def test_mantissa_is_the_clipped_rounding(self, total):
@@ -169,7 +170,8 @@ class TestAggregation:
 
     def test_weights_match_direct_sum(self):
         """The packed digits realize 3 sum_i 3^(-(i-1)(m+1)) sum_p 3^(-p)
-        psi(x_ip) with the width-strided digit map."""
+        psi(x_ip) with the width-strided digit map, taken exactly from the
+        oracle as the aggregate of x_ip and width - 1 zeros."""
         cfg = DigitConfig(digits=3)
         rng = np.random.default_rng(4)
         for t_len, m in ((1, 0), (2, 1), (3, 0)):
@@ -179,9 +181,8 @@ class TestAggregation:
             direct = 0.0
             for i in range(t_len):
                 for p in range(m + 1):
-                    direct += 3.0 * 3.0 ** (-i * (m + 1)) * 3.0 ** (-(p + 1)) * float(
-                        psi_strided(e[i, p], cfg, width)
-                    )
+                    psi = aggregate_oracle([e[i, p]] + [0.0] * (width - 1), cfg.digits)
+                    direct += 3.0 * 3.0 ** (-i * (m + 1)) * 3.0 ** (-(p + 1)) * float(psi)
             np.testing.assert_allclose(aggregate_R(s, cfg).value, direct, rtol=1e-12)
 
 
