@@ -356,7 +356,7 @@ def _block_index(cp: ControlPoints) -> _BlockIndex | None:
         cells = max(1, round(w / _colat_area(cp.m, width)))
         width *= 2.0
     part = equal_area_partition(cp.m, n_blocks)
-    cell = part.locate_batch(cp.p_alpha)
+    cell = part._locator.locate_batch(cp.p_alpha)  # checked unit by ControlPoints
     order = np.argsort(cell, kind="stable")
     used, starts = np.unique(cell[order], return_index=True)
     dots = np.einsum("ij,ij->i", cp.p_alpha, part.centers()[cell])
@@ -471,7 +471,7 @@ def _head_softmax(cp: ControlPoints, points) -> tuple:
     if blocks is None or not n:
         _softmax_rows(cp, pts, np.arange(n), out)
         return out
-    cell = blocks.groups.locate_batch(pts)
+    cell = blocks.groups._locator.locate_batch(pts)  # checked unit above
     by_cell = np.argsort(cell, kind="stable")
     for start, stop in _tiles(n, max(2, _TILE_BYTES // (8 * blocks.radii.size))):
         tile = by_cell[start:stop]

@@ -22,13 +22,13 @@ those stages only self-attend: each evaluates its certified form W_V x,
 builds its token form on demand and holds no arrays (_PassThroughLayer).
 "full" synthesizes the encoder and decoder heads as kernel prefixes over
 the circle, embedding scalars into S^1 by the inverse stereographic map;
-each such head holds its anchors once, its banks as value columns, and
-builds its token form on demand (_KernelBankLayer).  The anchors are the
-centres of N equal arcs, so a row's softmax mass lies in the window of
-2w + 1 anchors around the arc that holds it, w = ceil(reach / delta) + 1
-for delta = 2 pi / N and reach = arccos(cos(delta / 2) - tau_N / lam):
-the anchors past it carry under 2^-53 of the row sum.  Each row is
-evaluated over its window, found from its angle by arithmetic, so the
+each such head holds lam and its banks as value columns, and builds its
+token form on demand (_KernelBankLayer).  Its anchors are the centres of
+N equal arcs, so a row's softmax mass lies in the window of 2w + 1
+anchors around the arc that holds it, w = ceil(reach / delta) + 1 for
+delta = 2 pi / N and reach = arccos(cos(delta / 2) - tau_N / lam): the
+anchors past it carry under 2^-53 of the row sum.  Each row is evaluated
+over its window, its logits taken from its angle by arithmetic, so the
 cost of a sequence does not grow with N (31 anchors a row at N = 4096
 and lam = 2e5, 29 at N = 2^20 and lam = 1.9e10).
 """
@@ -336,21 +336,18 @@ def _window_half_width(n_points: int, lam: float) -> int:
 
 @dataclass(frozen=True)
 class _KernelBankLayer:
-    """A full-mode encoder or decoder head that holds its anchors once.
+    """A full-mode encoder or decoder head whose anchors are arithmetic.
 
     The paper's head attends over one bank of (lam anchor, value, tag)
     prefix tokens per position it serves (_kernel_tokens), and the encoder's
-    banks are identical.  This layer holds the concentration lam, the (N, 2)
-    anchors (one array, shared by every layer of a stack) and an (N, k)
-    array of values, one column per distinct bank, both read-only: column
+    banks are identical.  The anchors are the N centres of the circle
+    partition, equal_area_partition(1, N): anchor j at angle (j + 1/2)
+    delta, delta = 2 pi / N.  This layer holds the concentration lam and a
+    read-only (N, k) array of values, one column per distinct bank: column
     columns[q] serves position q, and a position whose entry is -1 passes
     through.  half_width, the window's w, is derived once from N and lam.
     prefix and params build the token form on demand, for export, pins and
     classical_head.
-
-    Precondition: the anchors are the N centres of the circle partition,
-    equal_area_partition(1, N), in order: anchor j at angle (j + 1/2) delta,
-    delta = 2 pi / N, as build_seq2seq_transformer makes them.
 
     Routing certificate (_bank_layer_params).  Take a row at position q
     (one-hot e_q) with sphere slot z, |z| <= 1.  If q is attended, its
@@ -381,25 +378,27 @@ class _KernelBankLayer:
     go to attention._softmax as one (n, K, 2) stack.
 
     attend evaluates exactly that, each attended row on its own over its
-    window at z / |z|, the other rows copied; a NaN, infinite or zero
-    sphere slot on an attended row is refused with DegenerateInput.
-    Normalising z, which the circle lookup leaves up to about 1e-7 short of
-    unit norm, scales the head's effective lam by 1 / |z| against the token
-    form's; the two agree to rounding otherwise.
+    window, the other rows copied; a NaN, infinite or zero sphere slot on
+    an attended row is refused with DegenerateInput.  With t = theta / delta
+    and k = floor(t), anchor k + j's logit less lam at z / |z| is
+    lam (cos((t - k - j - 1/2) delta) - 1) = -2 lam sin^2((t - k - j - 1/2) pi / N),
+    this haversine form exact to a few ulps of its size, at most about
+    tau_N in the window, where lam <z, a> and lam cos(...) round at
+    lam 2^-53 (2e-6 at lam = 1.9e10).  z / |z|, which the circle lookup
+    leaves up to 1e-7 short of unit norm, scales the effective lam by
+    1 / |z| against the token form's; the two agree to rounding otherwise.
     """
 
     layout: _Layout
     lam: float
-    anchors: np.ndarray  # (N, 2) circle partition centres
     values: np.ndarray  # (N, k) value columns
     columns: np.ndarray  # (q,) value column of each position, -1: pass-through
     mlp: tuple = ()
     half_width: int = field(init=False)
 
     def __post_init__(self):
-        self.anchors.setflags(write=False)
         self.values.setflags(write=False)
-        object.__setattr__(self, "half_width", _window_half_width(self.anchors.shape[0], self.lam))
+        object.__setattr__(self, "half_width", _window_half_width(self.values.shape[0], self.lam))
 
     @property
     def params(self) -> AttentionHeadParams:
@@ -408,7 +407,7 @@ class _KernelBankLayer:
     @property
     def prefix(self) -> PrefixTokens:
         banks = {q0: self.values[:, c] for q0, c in enumerate(self.columns.tolist()) if c >= 0}
-        return _kernel_tokens(self.layout, self.anchors, banks, self.lam)
+        return _kernel_tokens(self.layout, equal_area_partition(1, self.values.shape[0]).centers(), banks, self.lam)
 
     def attend(self, X: np.ndarray) -> np.ndarray:
         """The (Q, d) outputs of the head at the (Q, d) states X (see the
@@ -421,15 +420,15 @@ class _KernelBankLayer:
         rows = (column >= 0).nonzero()[0]
         position, column = position[rows], column[rows]
         z = X.take(rows, axis=0)[:, lay.z]
-        norm = np.hypot(z[:, 0], z[:, 1])
-        if not np.all((norm > 0.0) & (norm < math.inf)):
+        if not np.all(np.isfinite(z).all(axis=1) & z.any(axis=1)):
             raise DegenerateInput("an attended state's sphere slot must be finite and nonzero")
-        z /= norm[:, None]
-        n, lam = self.anchors.shape[0], self.lam
+        n = self.values.shape[0]
         size = min(2 * self.half_width + 1, n)
-        cell = np.floor(np.arctan2(z[:, 1], z[:, 0]) / (2.0 * math.pi / n)).astype(np.intp)
-        window = (cell[:, None] + np.arange(-(size // 2), size - size // 2)) % n
-        logits = np.matmul(self.anchors[window], lam * z[:, :, None])[:, :, 0]
+        t = np.arctan2(z[:, 1], z[:, 0]) * (n / (2.0 * math.pi))
+        cell = np.floor(t)
+        offset = np.arange(-(size // 2), size - size // 2)
+        logits = -2.0 * self.lam * np.sin(((t - cell)[:, None] - (offset + 0.5)) * (math.pi / n)) ** 2
+        window = (cell.astype(np.intp)[:, None] + offset) % n
         values = np.empty((*window.shape, 2))
         values[:, :, 0] = self.values[window, column[:, None]]
         values[:, :, 1] = 1.0
@@ -556,15 +555,15 @@ def build_seq2seq_transformer(
     hybrid mode the digit encoder and the per-element decoders run as exact
     oracle stages around real attention layers; the T decoders share one
     decode of the aggregate, so f is called once per evaluated sequence.
-    In full mode they are synthesized kernel prefixes over the circle
-    (budget-driven N and lambda), capped to small instances.  Their values
-    at the N anchors come from array passes over the anchors' chart points:
-    psi at each of the 2^digits bit levels, one decode of the distinct
-    rounded mantissas, and f once per distinct decoded sequence (at most
-    2^(T(m+1) digits) of them), not once per anchor.  The encoder and each
-    decoder share one (N, 2) anchor array and hold an (N, k) value array,
-    k = 1 and m+1 (_KernelBankLayer): N (1 + T(m+1)) values in all, where
-    the token form holds 2 T(m+1) N tokens of width 6 + 2 T(m+1).
+    In full mode they are synthesized kernel prefixes over the circle, N =
+    n_points anchors at lam (fixed defaults 4096 and 2e5), capped to small
+    instances.  Their values at the N anchors come from array passes over
+    the anchors' chart points: psi at each of the 2^digits bit levels, one
+    decode of the distinct rounded mantissas, and f once per distinct
+    decoded sequence (at most 2^(T(m+1) digits) of them), not once per
+    anchor.  The encoder and each decoder hold an (N, k) value array, k = 1
+    and m+1, and no anchors (_KernelBankLayer): N (1 + T(m+1)) values in
+    all, where the token form holds 2 T(m+1) N tokens of width 6 + 2 T(m+1).
     """
     t_len, m = _size(t_len, "t_len"), _size(m, "m", 0)
     n_points, lam = _size(n_points, "n_points"), _positive(lam, "lam")
@@ -603,7 +602,7 @@ def build_seq2seq_transformer(
         positional = np.array([3.0 * 3.0 ** (-(q0 // (m + 1)) * (m + 1)) for q0 in range(width)])
         # The encoder's banks are all psi: one column serves every position.
         encoder = _KernelBankLayer(
-            lay, lam, anchors, psi_values[:, None], columns=np.zeros(width, dtype=np.intp),
+            lay, lam, psi_values[:, None], columns=np.zeros(width, dtype=np.intp),
             mlp=tuple(_stage_scale_by_position(lay, contraction) + _stage_scale_by_position(lay, positional)),
         )
         lookup = _stage_sphere_lookup(lay)
@@ -612,7 +611,7 @@ def build_seq2seq_transformer(
             elem = slice(i0 * (m + 1), (i0 + 1) * (m + 1))
             columns = np.full(width, -1, dtype=np.intp)
             columns[elem] = np.arange(m + 1)
-            decoders.append(_KernelBankLayer(lay, lam, anchors, outputs[of_anchor, i0], columns))
+            decoders.append(_KernelBankLayer(lay, lam, outputs[of_anchor, i0], columns))
 
     sum_params, sum_prefix = _summation_layer(lay)
     summation = TransformerLayer(params=sum_params, prefix=sum_prefix, mlp=tuple(_stage_affine_recover(lay) + lookup))

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 
 from vmfhead.errors import DomainError
@@ -76,3 +77,23 @@ def suppression_gap(cp, x, M: float, t_inputs: int = 1) -> float:
     log_mass = peak + math.log(float(np.exp(logits - peak).sum()))
     extra = M + math.log(t_inputs)
     return math.exp(extra - np.logaddexp(log_mass, extra))
+
+
+def circle_head_oracle(z, values, lam: float, span: int) -> float:
+    """The split head over the N anchors of the circle at the exact angles
+    (j + 1/2) 2 pi / N, anchor j carrying values[j], at the angle of the
+    point z, in 50-digit arithmetic: sum_j e^(lam (cos(theta - phi_j) - 1)) v_j
+    over sum_j e^(lam (cos(theta - phi_j) - 1)), summed over the 2 span + 1
+    anchors nearest theta (all N where they cover the circle)."""
+    n = len(values)
+    with mp.workdps(50):
+        theta = mp.atan2(mp.mpf(float(z[1])), mp.mpf(float(z[0])))
+        delta = 2 * mp.pi / n
+        k = int(mp.floor(theta / delta))
+        nearest = range(k - span, k + span + 1) if 2 * span + 1 < n else range(n)
+        num = den = mp.mpf(0)
+        for j in nearest:
+            weight = mp.exp(lam * (mp.cos(theta - (j + mp.mpf(0.5)) * delta) - 1))
+            num += weight * float(values[j % n])
+            den += weight
+        return float(num / den)

@@ -430,6 +430,29 @@ class TestQueryGroups:
         np.testing.assert_allclose(means, expected, rtol=0, atol=1e-12)
         np.testing.assert_allclose(att.log_prefix_mass(sharp_head, pts), log_mass, rtol=1e-12, atol=1e-12)
 
+    def test_one_unit_check_per_call(self, sharp_head, monkeypatch):
+        """split_head_batch checks its queries once, on the first call too:
+        the block index places the anchors ControlPoints checked, and the
+        query grouping the queries checked on entry, without checking them
+        again."""
+        import vmfhead.sphere as sph
+
+        cp = att.ControlPoints(2, sharp_head.lam, sharp_head.p_alpha, sharp_head.p_beta)
+        calls = []
+        check = sph.check_finite_unit
+
+        def spy(points):
+            calls.append(len(points))
+            return check(points)
+
+        for module in (att, sph):
+            monkeypatch.setattr(module, "check_finite_unit", spy)
+        pts = uniform_sphere_sample(2, 1024, 185)
+        for _ in range(2):
+            calls.clear()
+            att.split_head_batch(cp, pts)
+            assert calls == [1024]
+
     @pytest.mark.parametrize("n", [64, 400])
     def test_one_cell_batch(self, sharp_head, n):
         """n queries within 1e-3 rad of one group cell's center, so all in
@@ -800,8 +823,8 @@ class TestTransformerEval:
         [
             (_universal_stack, 0.0),
             (lambda: _sequence_stack("hybrid"), 0.0),
-            # A full-mode encoder and decoders hold their anchors once and
-            # evaluate them at the normalised sphere slot z.  The lookup
+            # A full-mode encoder and decoders take each row's logits from
+            # its angle, that of the normalised sphere slot z.  The lookup
             # leaves 1 - |z| <= (1/2048)^2 / 2; only logits within 700 of a
             # row's max weigh and the values lie in [0, 1], so each such
             # layer moves by at most 350 (1 - |z|) against its token form
@@ -816,19 +839,18 @@ class TestTransformerEval:
         np.testing.assert_allclose(out, chain_of_heads(stack, X), rtol=0, atol=atol)
 
     def test_full_mode_layers_hold_their_anchors_once(self):
-        # A full-mode stack holds its anchors once: every kernel layer
-        # shares one read-only anchor array and holds a read-only (N, k)
-        # value array, builds its tokens anew on each request, caches none,
-        # and frees its arrays with itself.
+        # A full-mode stack holds no anchors: every kernel layer holds a
+        # read-only (N, k) value array, takes its anchors from arithmetic,
+        # builds its tokens anew on each request, caches none, and frees
+        # its arrays with itself.
         stack, X = _sequence_stack("full", n_points=1024, lam=2.0e4)
         encoder, _, *decoders = stack.layers
         assert [layer.values.shape for layer in (encoder, *decoders)] == [(1024, 1), (1024, 2), (1024, 2)]
-        assert all(layer.anchors is encoder.anchors for layer in decoders)
         assert all(layer.lam == 2.0e4 for layer in (encoder, *decoders))
-        assert not any(a.flags.writeable for layer in (encoder, *decoders) for a in (layer.anchors, layer.values))
+        assert not any(layer.values.flags.writeable for layer in (encoder, *decoders))
         assert encoder.prefix is not encoder.prefix and encoder.prefix.n_tokens == 4 * 1024
         att.transformer_eval(stack, X)
-        fields = {"layout", "lam", "anchors", "values", "columns", "mlp", "half_width"}
+        fields = {"layout", "lam", "values", "columns", "mlp", "half_width"}
         assert all(set(vars(layer)) == fields for layer in (encoder, *decoders))
         refs = [weakref.ref(encoder), weakref.ref(encoder.values)]
         del stack, encoder, decoders

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import aggregate_oracle, relaxed_decode_oracle
+from oracles import aggregate_oracle, circle_head_oracle, relaxed_decode_oracle
 
 from vmfhead.attention import ControlPoints, TransformerStack, classical_head, split_head_batch, transformer_eval
 from vmfhead.errors import DegenerateInput, DomainError, EncodingError, InstanceTooLarge, PrecisionBudgetExceeded
@@ -551,9 +551,8 @@ def _bank_layer(n_points: int, lam: float, seed: int = 0) -> _KernelBankLayer:
     """A two-position kernel layer over the circle partition's N centres,
     each position taking its own column of uniform random values, so the
     bank's values change from every anchor to the next."""
-    anchors = equal_area_partition(1, n_points).centers()
     values = np.random.default_rng(seed).random((n_points, 2))
-    return _KernelBankLayer(layout=_Layout(q=2), lam=lam, anchors=anchors, values=values, columns=np.arange(2))
+    return _KernelBankLayer(layout=_Layout(q=2), lam=lam, values=values, columns=np.arange(2))
 
 
 def _bank_states(layer: _KernelBankLayer, theta: np.ndarray) -> np.ndarray:
@@ -579,7 +578,7 @@ def _assert_window_is_dense_head(layer: _KernelBankLayer) -> None:
     dense head over its anchors and values, each row's own column, within
     the logit-rounding bound e^(2 delta) - 1, delta = 2^-50 (3 lam + 2 _GAP)."""
     lay, lam = layer.layout, layer.lam
-    head = ControlPoints(1, lam, layer.anchors, layer.values)
+    head = ControlPoints(1, lam, equal_area_partition(1, layer.values.shape[0]).centers(), layer.values)
     theta = _window_angles(head.n_points)
     X = _bank_states(layer, theta)
     dense = split_head_batch(head, X[:, lay.z] / np.linalg.norm(X[:, lay.z], axis=1)[:, None])
@@ -605,6 +604,42 @@ class TestCircleWindow:
         half-width is off by 1e-7 to 3e-7 at lam = 2e3 and N >= 1026,
         against a bound of 1.4e-11."""
         _assert_window_is_dense_head(_bank_layer(n_points, lam))
+
+    @pytest.mark.parametrize("n_points, lam", [(1026, 2.0e3), (4096, 2.0e5), (2**20, 1.9e10)])
+    def test_window_meets_50_digit_oracle(self, n_points, lam):
+        """Against circle_head_oracle, summed over three anchors more on each
+        side than the window, within
+
+            e^(2 eps) - 1 + lam (w + 1) delta 2^-50 + (4w + 5) 2^-53,
+            eps = lam ((w + 2) delta)^2 2^-50 + 2^-53,
+
+        for half-width w and delta = 2 pi / N, values in [0, 1]:
+        - The row's angle is off by at most 2^-49: atan2 within one ulp,
+          2^-51 below pi, and the scale to cells, theta N / 2 pi, rounds
+          three times, within 3 pi 2^-53 in all.  The mean's derivative in
+          the angle is a covariance under the weights of a value in [0, 1]
+          and lam sin(theta - phi), at most lam (w + 1) delta in size over
+          the window, so at most half that.
+        - Each logit is off by at most eps more: its offset t - k - j - 1/2
+          rounds within (w + 1) 2^-53 cells, where the logit's slope is at
+          most lam (w + 1) delta^2 per cell; the product, sine, square and
+          scale round within about 10 2^-53 of the logit, at most
+          lam ((w + 1) delta)^2 / 2; and its exp within 2^-53.  Weights
+          each off by a factor within e^(+-eps) move the mean by at most
+          e^(2 eps) - 1.
+        - The 2w + 1 terms' sums round within 2w + 1 units of 2^-53 each,
+          the division within one more, and the anchors left out carry
+          under 2^-53 of the row sum (the window certificate).
+        That is 1.5e-9 at N = 2^20, lam = 1.9e10, where the layer is off by
+        about 6e-12.  Logits taken as lam <z / |z|, a> round at lam 2^-53
+        and are off by 5e-7 there; lam cos(theta - phi) by 4e-7."""
+        layer = _bank_layer(n_points, lam, seed=3)
+        lay, w, delta = layer.layout, layer.half_width, 2.0 * math.pi / n_points
+        X = _bank_states(layer, _window_angles(n_points))
+        expected = [circle_head_oracle(z, layer.values[:, i % 2], lam, w + 3) for i, z in enumerate(X[:, lay.z])]
+        eps = lam * ((w + 2) * delta) ** 2 * 2.0**-50 + 2.0**-53
+        bound = math.expm1(2.0 * eps) + lam * (w + 1) * delta * 2.0**-50 + (4 * w + 5) * 2.0**-53
+        np.testing.assert_allclose(layer.attend(X)[:, lay.val], expected, rtol=0, atol=bound)
 
     @pytest.mark.parametrize("n_points, lam", [(4096, 2.0e5), (1026, 2.0e3), (64, 20.0)])
     def test_row_alone_equals_batch(self, n_points, lam):
