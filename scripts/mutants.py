@@ -66,6 +66,38 @@ MUTANTS = [
         "only where w is 2",
     },
     {
+        # the window then counts k - w, ..., k + w where 2w + 1 >= N, some
+        # anchors twice: off by about 1e-2 at N = 16, lam = 1
+        "name": "covering window of 2w + 1 anchors, not min(2w + 1, N)",
+        "file": _ASSEMBLY,
+        "old": "size = min(2 * self.half_width + 1, n)",
+        "new": "size = 2 * self.half_width + 1",
+        "tests": ["tests/test_seq2seq.py::TestCircleWindow::test_covering_window_uses_each_anchor_once"],
+    },
+    {
+        # lam = 50 3^qD blurs each coordinate over many digit gaps
+        "name": "full-mode default lam 50 3^qD, not 50 9^qD",
+        "file": _ASSEMBLY,
+        "old": "_FULL_LAM * 9.0**total",
+        "new": "_FULL_LAM * 3.0**total",
+        "tests": ["tests/test_seq2seq.py::test_every_admitted_full_shape_meets_its_contract"],
+    },
+    {
+        # qD = 10 at explicit sizes is then built
+        "name": "full-mode digit cap qD <= 10",
+        "file": _ASSEMBLY,
+        "old": "_FULL_DIGITS = 9",
+        "new": "_FULL_DIGITS = 10",
+        "tests": ["tests/test_seq2seq.py::TestStackAssembly::test_full_mode_caps"],
+    },
+    {
+        "name": "the input-contract table without its psi_encode row",
+        "file": "tests/test_input_contract.py",
+        "old": '    "psi_encode x": ("real", lambda v: psi_encode(v, CFG), [0.25, 1.0], DomainError),\n',
+        "new": "",
+        "tests": ["tests/test_input_contract.py::test_every_argument_kind_has_a_row"],
+    },
+    {
         "name": "change-of-variables weight (1 - t^2)^((m - 1)/2) in verify",
         "file": "src/vmfhead/verify.py",
         "old": "(1 - t * t) ** ((m - 2) / 2)",

@@ -273,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=int, default=4, help="binary digits per coordinate")
     p.add_argument("--mode", default="hybrid", choices=["hybrid", "full"])
     p.add_argument("--f", default="sequence-mean", help="sequence function (sequence-mean, identity)")
-    p.add_argument("--n", type=int, help="control points per head (full mode; default the library's)")
-    p.add_argument("--lam", type=float, help="concentration (full mode; default the library's)")
+    p.add_argument("--n", type=int, help="control points per head (full mode; default 2 pi sqrt(lam) up to a power of two)")
+    p.add_argument("--lam", type=float, help="concentration (full mode; default 50 9^(T(m+1) digits))")
     p.add_argument("--count", type=int, default=3, help="number of sampled sequences")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_seq2seq_demo)

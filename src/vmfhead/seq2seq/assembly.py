@@ -30,7 +30,10 @@ delta = 2 pi / N and reach = arccos(cos(delta / 2) - tau_N / lam): the
 anchors past it carry under 2^-53 of the row sum.  Each row is evaluated
 over its window, its logits taken from its angle by arithmetic, so the
 cost of a sequence does not grow with N (31 anchors a row at N = 4096
-and lam = 2e5, 29 at N = 2^20 and lam = 1.9e10).
+and lam = 2e5, 29 at N = 2^20 and lam = 1.9e10).  Unless given, N and
+lam come from the shape: lam = 50 9^qD for the qD = T(m+1) digits
+ternary digits of the aggregate, and N = 2 pi sqrt(lam) rounded up to a
+power of two; full mode admits qD <= 9 (build_seq2seq_transformer).
 """
 
 from __future__ import annotations
@@ -68,6 +71,8 @@ __all__ = ["Seq2SeqStack", "build_seq2seq_transformer"]
 _GAP = 900.0  # logit margin that underflows exp() entirely in doubles
 _GAMMA = 4.0  # the summation layer's one-hot logit
 _LOOKUP_KNOTS = 2048  # knots of the full-mode circle-embedding MLP
+_FULL_LAM = 50.0  # full mode's default lam per 9^qD (build_seq2seq_transformer)
+_FULL_DIGITS = 9  # full mode's cap on qD, whose default N is then at most 2^20
 _UNIT_ROUNDOFF = 2.0**-53
 
 
@@ -545,8 +550,8 @@ def build_seq2seq_transformer(
     t_len: int,
     m: int,
     cfg: DigitConfig,
-    n_points: int = 4096,
-    lam: float = 2.0e5,
+    n_points: int | None = None,
+    lam: float | None = None,
     mode: str = "hybrid",
 ) -> Seq2SeqStack:
     """Build the T+2 attention-layer stack realizing a sequence function.
@@ -556,28 +561,50 @@ def build_seq2seq_transformer(
     oracle stages around real attention layers; the T decoders share one
     decode of the aggregate, so f is called once per evaluated sequence.
     In full mode they are synthesized kernel prefixes over the circle, N =
-    n_points anchors at lam (fixed defaults 4096 and 2e5), capped to small
-    instances.  Their values at the N anchors come from array passes over
-    the anchors' chart points: psi at each of the 2^digits bit levels, one
-    decode of the distinct rounded mantissas, and f once per distinct
-    decoded sequence (at most 2^(T(m+1) digits) of them), not once per
-    anchor.  The encoder and each decoder hold an (N, k) value array, k = 1
-    and m+1, and no anchors (_KernelBankLayer): N (1 + T(m+1)) values in
-    all, where the token form holds 2 T(m+1) N tokens of width 6 + 2 T(m+1).
+    n_points anchors at concentration lam.  Their values at the N anchors
+    come from array passes over the anchors' chart points: psi at each of
+    the 2^digits bit levels, one decode of the distinct rounded mantissas,
+    and f once per distinct decoded sequence (at most 2^(T(m+1) digits) of
+    them), not once per anchor.  The encoder and each decoder hold an
+    (N, k) value array, k = 1 and m+1, and no anchors (_KernelBankLayer):
+    N (1 + T(m+1)) values in all, where the token form holds 2 T(m+1) N
+    tokens of width 6 + 2 T(m+1).
+
+    Full-mode sizes come from the shape.  With qD = T(m+1) digits, the
+    aggregate's ternary digits, a missing lam is 50 9^qD, so the kernel's
+    width lam^-1/2 = 3^-qD / sqrt(50) is about a seventh of one digit gap;
+    a missing N is 2 pi sqrt(lam) rounded up to a power of two, so the
+    anchors lie at most lam^-1/2 apart.  Full mode refuses qD > 9 whatever
+    sizes are passed (qD = 9 derives N = 2^20), and a derived N above 2^20,
+    which only an explicit lam above the rule's asks for, with
+    InstanceTooLarge.  Contract: at the default sizes every output is
+    within 1e-2 of reference_seq2seq when each input coordinate lies at
+    least 2 delta = 4 lam^-1/2 from every digit jump j / 2^digits; the
+    excluded set has measure at most 4 delta (2^digits - 1) per coordinate.
+    Explicit sizes below the rule carry no stated contract.  Hybrid mode
+    derives no sizes, but refuses invalid ones it is given.
     """
     t_len, m = _size(t_len, "t_len"), _size(m, "m", 0)
-    n_points, lam = _size(n_points, "n_points"), _positive(lam, "lam")
+    n_points = None if n_points is None else _size(n_points, "n_points")
+    lam = None if lam is None else _positive(lam, "lam")
     if mode not in ("hybrid", "full"):
         raise DomainError(f"mode must be 'hybrid' or 'full', got {mode!r}")
     width = t_len * (m + 1)
+    total = width * cfg.digits
     lay = _Layout(q=width)
-    if mode == "full" and (t_len > 3 or m > 1 or cfg.digits > 3):
-        raise InstanceTooLarge("full mode is capped to T <= 3, m <= 1, digits <= 3")
-    if mode == "hybrid" and _summation_error_bound(width) >= 0.5 * 3.0 ** -(width * cfg.digits):
+    if mode == "full":
+        if total > _FULL_DIGITS:
+            raise InstanceTooLarge(f"full mode admits T(m+1) digits <= {_FULL_DIGITS} ternary digits, got {total}")
+        lam = _FULL_LAM * 9.0**total if lam is None else lam
+        if n_points is None:
+            n_points = 1 << (math.ceil(2.0 * math.pi * math.sqrt(lam)) - 1).bit_length()
+            if n_points > 2**20:
+                raise InstanceTooLarge(f"lam = {lam!r} asks for N = 2^{n_points.bit_length() - 1} > 2^20 anchors")
+    if mode == "hybrid" and _summation_error_bound(width) >= 0.5 * 3.0**-total:
         # The decoder rounds the aggregate to the nearest ternary mantissa,
         # so the summation error must stay under half a digit gap.
         raise InstanceTooLarge(
-            f"hybrid mode: {width * cfg.digits} ternary digits leave a half digit gap below "
+            f"hybrid mode: {total} ternary digits leave a half digit gap below "
             "the summation layer's rounding error"
         )
 
@@ -593,7 +620,7 @@ def build_seq2seq_transformer(
         anchors = equal_area_partition(1, n_points).centers()
         chart = np.where(1.0 - anchors[:, 1] < 1e-12, 1.0, np.clip(_stereographic(anchors)[:, 0], 0.0, 1.0))
         psi_values = _psi(np.arange(2**cfg.digits), cfg.digits, width)[_bits(chart, cfg.digits)]
-        _, first, level = np.unique(_mantissa(chart, width * cfg.digits), return_index=True, return_inverse=True)
+        _, first, level = np.unique(_mantissa(chart, total), return_index=True, return_inverse=True)
         decoded = relaxed_decode(chart[first], t_len, m, cfg).reshape(first.size, width)
         sequences, of_mantissa = np.unique(decoded, axis=0, return_inverse=True)
         outputs = np.array([apply_sequence_function(f, e.reshape(t_len, m + 1)) for e in sequences])

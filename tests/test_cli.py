@@ -340,11 +340,29 @@ class TestSeq2SeqDemo:
 
     def test_full_mode_sizes_default_to_the_library(self, capsys):
         """Without --n and --lam, full mode builds at build_seq2seq_transformer's
-        own defaults, N = 4096 and lam = 2e5."""
+        own sizes for its shape: at (2, 0, 2), qD = 4 ternary digits,
+        lam = 50 9^4 = 328050 and N = 4096."""
         argv = ["seq2seq-demo", "--t", "2", "--m", "0", "--digits", "2", "--mode", "full", "--count", "2"]
         code, out, _ = run_cli(capsys, argv)
         assert code == 0
-        assert (0, out) == run_cli(capsys, argv + ["--n", "4096", "--lam", "200000"])[:2]
+        assert (0, out) == run_cli(capsys, argv + ["--n", "4096", "--lam", "328050"])[:2]
+
+    def test_full_mode_meets_the_reference(self, capsys):
+        """At the derived sizes each full-mode output row is within 1e-2 of
+        its reference row; at the former fixed N = 4096 and lam = 2e5, a
+        (2, 0, 3) stack missed on most inputs."""
+        argv = ["seq2seq-demo", "--t", "2", "--m", "0", "--digits", "3", "--mode", "full", "--count", "3"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        rows = {}
+        for line in out.strip().split("\n")[1:]:
+            sample, stage, position, values = line.split(",")
+            rows[sample, stage, position] = np.array(values.split(), dtype=float)
+        outputs = [key for key in rows if key[1] == "output"]
+        assert len(outputs) == 3 * 2
+        for sample, _, position in outputs:
+            reference = rows[sample, "reference", position]
+            assert np.abs(rows[sample, "output", position] - reference).max() <= 1e-2
 
 
 class TestArtifactCommands:
