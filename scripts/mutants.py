@@ -91,6 +91,38 @@ MUTANTS = [
         "tests": ["tests/test_seq2seq.py::TestStackAssembly::test_full_mode_caps"],
     },
     {
+        "name": "full-mode N cap on a derived N only, so an explicit N past 2^20 builds",
+        "file": _ASSEMBLY,
+        "old": "\n        if n_points > 2**20:\n            raise InstanceTooLarge(",
+        "new": "\n            if n_points > 2**20:\n                raise InstanceTooLarge(",
+        "tests": ["tests/test_seq2seq.py::TestStackAssembly::test_full_mode_caps"],
+    },
+    {
+        # the decoders' index then follows f's distinct outputs: the same
+        # values at every anchor, so every pin and trace is unchanged
+        "name": "each decoder indexes its own distinct outputs, so f reaches its index",
+        "file": _ASSEMBLY,
+        "old": "decoders.append(_KernelBankLayer(lay, lam, outputs[:, i0], sequence, columns))",
+        "new": "decoders.append(_KernelBankLayer(lay, lam, *(lambda t, i: (t, i[sequence]))"
+        "(*np.unique(outputs[:, i0], axis=0, return_inverse=True)), columns))",
+        "tests": ["tests/test_seq2seq.py::test_f_enters_only_the_decoder_tables"],
+    },
+    {
+        # admits (q, digits) = (3, 10), (5, 6), (6, 5), (10, 3) and (29, 1)
+        "name": "hybrid cap at a whole digit gap, not half of one",
+        "file": _ASSEMBLY,
+        "old": "0.5 * 3.0**-total",
+        "new": "3.0**-total",
+        "tests": ["tests/test_seq2seq.py::TestStageTraceAndDigitCap::test_hybrid_refuses_digits_past_summation_error"],
+    },
+    {
+        "name": "unit-norm tolerance 1e-6, not 1e-12",
+        "file": "src/vmfhead/sphere.py",
+        "old": "_UNIT_TOL = 1e-12",
+        "new": "_UNIT_TOL = 1e-6",
+        "tests": ["tests/test_sphere.py::test_unit_check_tolerance"],
+    },
+    {
         "name": "the input-contract table without its psi_encode row",
         "file": "tests/test_input_contract.py",
         "old": '    "psi_encode x": ("real", lambda v: psi_encode(v, CFG), [0.25, 1.0], DomainError),\n',

@@ -22,8 +22,10 @@ those stages only self-attend: each evaluates its certified form W_V x,
 builds its token form on demand and holds no arrays (_PassThroughLayer).
 "full" synthesizes the encoder and decoder heads as kernel prefixes over
 the circle, embedding scalars into S^1 by the inverse stereographic map;
-each such head holds lam and its banks as value columns, and builds its
-token form on demand (_KernelBankLayer).  Its anchors are the centres of
+each such head holds lam, a small table of its banks' distinct values and
+an (N,) index of small ints into it, and builds its token form on demand
+(_KernelBankLayer).  f enters the decoders' tables and nothing else, so
+every other array is the same for any f.  The anchors are the centres of
 N equal arcs, so a row's softmax mass lies in the window of 2w + 1
 anchors around the arc that holds it, w = ceil(reach / delta) + 1 for
 delta = 2 pi / N and reach = arccos(cos(delta / 2) - tau_N / lam): the
@@ -63,7 +65,6 @@ from .encoding import (
     _mantissa,
     _psi,
     apply_sequence_function,
-    relaxed_decode,
 )
 
 __all__ = ["Seq2SeqStack", "build_seq2seq_transformer"]
@@ -347,12 +348,17 @@ class _KernelBankLayer:
     prefix tokens per position it serves (_kernel_tokens), and the encoder's
     banks are identical.  The anchors are the N centres of the circle
     partition, equal_area_partition(1, N): anchor j at angle (j + 1/2)
-    delta, delta = 2 pi / N.  This layer holds the concentration lam and a
-    read-only (N, k) array of values, one column per distinct bank: column
-    columns[q] serves position q, and a position whose entry is -1 passes
-    through.  half_width, the window's w, is derived once from N and lam.
-    prefix and params build the token form on demand, for export, pins and
-    classical_head.
+    delta, delta = 2 pi / N.  A bank's values take few distinct values, so
+    this layer holds the concentration lam, a read-only (L, k) table of
+    them and a read-only (N,) index of small unsigned ints: anchor j's
+    value in column c is table[index[j], c].  Column columns[q] serves
+    position q, and a position whose entry is -1 passes through.  The
+    encoder's table is psi at the 2^digits bit levels and its index each
+    anchor's bit level; decoder i's table is f's element i over the
+    distinct decoded sequences, and the decoders share one index, each
+    anchor's sequence.  half_width, the window's w, is derived once from N
+    and lam.  prefix and params build the token form on demand, for
+    export, pins and classical_head.
 
     Routing certificate (_bank_layer_params).  Take a row at position q
     (one-hot e_q) with sphere slot z, |z| <= 1.  If q is attended, its
@@ -378,9 +384,9 @@ class _KernelBankLayer:
     of them together carry under 2^-53 of the row sum.  So the row is
     evaluated over the min(2w + 1, N) anchors from k - min(w, N // 2) on
     (mod N), each once, in one path: 31 anchors at N = 4096 and
-    lam = 2e5, 29 at N = 2^20 and lam = 1.9e10.  No index is built and no
-    dense (rows, N) tile either; each row's logits and its own value column
-    go to attention._softmax as one (n, K, 2) stack.
+    lam = 2e5, 29 at N = 2^20 and lam = 1.9e10.  No dense (rows, N) tile
+    is built; each row's logits and its window's values go to
+    attention._softmax as one (n, K, 2) stack.
 
     attend evaluates exactly that, each attended row on its own over its
     window, the other rows copied; a NaN, infinite or zero sphere slot on
@@ -396,14 +402,16 @@ class _KernelBankLayer:
 
     layout: _Layout
     lam: float
-    values: np.ndarray  # (N, k) value columns
-    columns: np.ndarray  # (q,) value column of each position, -1: pass-through
+    table: np.ndarray  # (L, k) distinct values, one column per bank
+    index: np.ndarray  # (N,) table row of each anchor
+    columns: np.ndarray  # (q,) table column of each position, -1: pass-through
     mlp: tuple = ()
     half_width: int = field(init=False)
 
     def __post_init__(self):
-        self.values.setflags(write=False)
-        object.__setattr__(self, "half_width", _window_half_width(self.values.shape[0], self.lam))
+        self.table.setflags(write=False)
+        self.index.setflags(write=False)
+        object.__setattr__(self, "half_width", _window_half_width(self.index.size, self.lam))
 
     @property
     def params(self) -> AttentionHeadParams:
@@ -411,8 +419,9 @@ class _KernelBankLayer:
 
     @property
     def prefix(self) -> PrefixTokens:
-        banks = {q0: self.values[:, c] for q0, c in enumerate(self.columns.tolist()) if c >= 0}
-        return _kernel_tokens(self.layout, equal_area_partition(1, self.values.shape[0]).centers(), banks, self.lam)
+        values = self.table[self.index]
+        banks = {q0: values[:, c] for q0, c in enumerate(self.columns.tolist()) if c >= 0}
+        return _kernel_tokens(self.layout, equal_area_partition(1, self.index.size).centers(), banks, self.lam)
 
     def attend(self, X: np.ndarray) -> np.ndarray:
         """The (Q, d) outputs of the head at the (Q, d) states X (see the
@@ -427,7 +436,7 @@ class _KernelBankLayer:
         z = X.take(rows, axis=0)[:, lay.z]
         if not np.all(np.isfinite(z).all(axis=1) & z.any(axis=1)):
             raise DegenerateInput("an attended state's sphere slot must be finite and nonzero")
-        n = self.values.shape[0]
+        n = self.index.size
         size = min(2 * self.half_width + 1, n)
         t = np.arctan2(z[:, 1], z[:, 0]) * (n / (2.0 * math.pi))
         cell = np.floor(t)
@@ -435,7 +444,7 @@ class _KernelBankLayer:
         logits = -2.0 * self.lam * np.sin(((t - cell)[:, None] - (offset + 0.5)) * (math.pi / n)) ** 2
         window = (cell.astype(np.intp)[:, None] + offset) % n
         values = np.empty((*window.shape, 2))
-        values[:, :, 0] = self.values[window, column[:, None]]
+        values[:, :, 0] = self.table[self.index[window], column[:, None]]
         values[:, :, 1] = 1.0
         out = X.copy()
         out[rows] = 0.0
@@ -561,22 +570,26 @@ def build_seq2seq_transformer(
     oracle stages around real attention layers; the T decoders share one
     decode of the aggregate, so f is called once per evaluated sequence.
     In full mode they are synthesized kernel prefixes over the circle, N =
-    n_points anchors at concentration lam.  Their values at the N anchors
-    come from array passes over the anchors' chart points: psi at each of
-    the 2^digits bit levels, one decode of the distinct rounded mantissas,
-    and f once per distinct decoded sequence (at most 2^(T(m+1) digits) of
-    them), not once per anchor.  The encoder and each decoder hold an
-    (N, k) value array, k = 1 and m+1, and no anchors (_KernelBankLayer):
-    N (1 + T(m+1)) values in all, where the token form holds 2 T(m+1) N
-    tokens of width 6 + 2 T(m+1).
+    n_points anchors at concentration lam.  Anchor j, at angle
+    (j + 1/2) 2 pi / N, has a chart point whose bit level picks its psi and
+    whose rounded mantissa picks its decoded sequence.  The mantissas hit
+    are counted over all 3^qD, each is decoded once, and f runs once per
+    distinct decoded sequence (at most 2^qD of them), not once per anchor.
+    The encoder holds psi at the 2^digits bit levels and an (N,) index of
+    each anchor's level; decoder i holds f's element i per sequence, and
+    the decoders share one (N,) index of each anchor's sequence
+    (_KernelBankLayer).  So f enters the decoders' value tables only, and
+    the stack holds two (N,) indexes of one or two bytes an anchor (3.4 MiB
+    at (3, 0, 3), N = 2^20), where the token form holds 2 T(m+1) N tokens
+    of width 6 + 2 T(m+1).
 
     Full-mode sizes come from the shape.  With qD = T(m+1) digits, the
     aggregate's ternary digits, a missing lam is 50 9^qD, so the kernel's
     width lam^-1/2 = 3^-qD / sqrt(50) is about a seventh of one digit gap;
     a missing N is 2 pi sqrt(lam) rounded up to a power of two, so the
     anchors lie at most lam^-1/2 apart.  Full mode refuses qD > 9 whatever
-    sizes are passed (qD = 9 derives N = 2^20), and a derived N above 2^20,
-    which only an explicit lam above the rule's asks for, with
+    sizes are passed (qD = 9 derives N = 2^20), and any N above 2^20, given
+    or derived (which only an explicit lam above the rule's asks for), with
     InstanceTooLarge.  Contract: at the default sizes every output is
     within 1e-2 of reference_seq2seq when each input coordinate lies at
     least 2 delta = 4 lam^-1/2 from every digit jump j / 2^digits; the
@@ -598,8 +611,8 @@ def build_seq2seq_transformer(
         lam = _FULL_LAM * 9.0**total if lam is None else lam
         if n_points is None:
             n_points = 1 << (math.ceil(2.0 * math.pi * math.sqrt(lam)) - 1).bit_length()
-            if n_points > 2**20:
-                raise InstanceTooLarge(f"lam = {lam!r} asks for N = 2^{n_points.bit_length() - 1} > 2^20 anchors")
+        if n_points > 2**20:
+            raise InstanceTooLarge(f"full mode admits N <= 2^20 anchors, got N = {n_points} at lam = {lam!r}")
     if mode == "hybrid" and _summation_error_bound(width) >= 0.5 * 3.0**-total:
         # The decoder rounds the aggregate to the nearest ternary mantissa,
         # so the summation error must stay under half a digit gap.
@@ -614,31 +627,36 @@ def build_seq2seq_transformer(
         encoder, lookup = _PassThroughLayer(lay, mlp=(_psi_oracle(lay, cfg),)), []
         decoders = [_PassThroughLayer(lay, mlp=(decoder,)) for decoder in _decoder_oracles(lay, f, t_len, m, cfg)]
     else:
-        # One partition of S^1 serves every head: its centers are the anchors.
-        # psi is taken once per bit level, relaxed_decode once per rounded
-        # mantissa and f once per decoded sequence, then gathered back.
-        anchors = equal_area_partition(1, n_points).centers()
+        # Anchor j sits at angle (j + 1/2) 2 pi / N; its chart point fixes its
+        # bit level (psi) and its rounded mantissa, which decodes to its
+        # sequence (f).  The hit mantissas are counted over all 3^qD, each
+        # decoded once, and f runs once per distinct sequence: f enters the
+        # decoder tables only, and every other array is the same for any f.
+        angle = (np.arange(n_points) + 0.5) * (2.0 * math.pi / n_points)
+        anchors = np.column_stack([np.cos(angle), np.sin(angle)])
         chart = np.where(1.0 - anchors[:, 1] < 1e-12, 1.0, np.clip(_stereographic(anchors)[:, 0], 0.0, 1.0))
-        psi_values = _psi(np.arange(2**cfg.digits), cfg.digits, width)[_bits(chart, cfg.digits)]
-        _, first, level = np.unique(_mantissa(chart, total), return_index=True, return_inverse=True)
-        decoded = relaxed_decode(chart[first], t_len, m, cfg).reshape(first.size, width)
-        sequences, of_mantissa = np.unique(decoded, axis=0, return_inverse=True)
+        level = _bits(chart, cfg.digits).astype(np.min_scalar_type(2**cfg.digits - 1))
+        mantissa = _mantissa(chart, total).astype(np.intp)
+        hit = np.bincount(mantissa, minlength=3**total).nonzero()[0]
+        sequences, of_hit = np.unique(_decode(hit, cfg.digits, width, strict=False), axis=0, return_inverse=True)
         outputs = np.array([apply_sequence_function(f, e.reshape(t_len, m + 1)) for e in sequences])
-        of_anchor = of_mantissa[level]  # each anchor's row of outputs
+        of_mantissa = np.zeros(3**total, dtype=np.min_scalar_type(len(sequences) - 1))
+        of_mantissa[hit] = of_hit.reshape(-1)
+        sequence = of_mantissa[mantissa]  # each anchor's row of outputs, shared by the decoders
         contraction = np.array([3.0 ** (-(q0 % (m + 1)) - 1) for q0 in range(width)])
         positional = np.array([3.0 * 3.0 ** (-(q0 // (m + 1)) * (m + 1)) for q0 in range(width)])
         # The encoder's banks are all psi: one column serves every position.
         encoder = _KernelBankLayer(
-            lay, lam, psi_values[:, None], columns=np.zeros(width, dtype=np.intp),
+            lay, lam, _psi(np.arange(2**cfg.digits), cfg.digits, width)[:, None], level,
+            columns=np.zeros(width, dtype=np.intp),
             mlp=tuple(_stage_scale_by_position(lay, contraction) + _stage_scale_by_position(lay, positional)),
         )
         lookup = _stage_sphere_lookup(lay)
         decoders = []
         for i0 in range(t_len):
-            elem = slice(i0 * (m + 1), (i0 + 1) * (m + 1))
             columns = np.full(width, -1, dtype=np.intp)
-            columns[elem] = np.arange(m + 1)
-            decoders.append(_KernelBankLayer(lay, lam, outputs[of_anchor, i0], columns))
+            columns[i0 * (m + 1) : (i0 + 1) * (m + 1)] = np.arange(m + 1)
+            decoders.append(_KernelBankLayer(lay, lam, outputs[:, i0], sequence, columns))
 
     sum_params, sum_prefix = _summation_layer(lay)
     summation = TransformerLayer(params=sum_params, prefix=sum_prefix, mlp=tuple(_stage_affine_recover(lay) + lookup))

@@ -38,7 +38,6 @@ __all__ = [
     "psi_strided",
     "aggregate_R",
     "decode_sequence",
-    "relaxed_decode",
     "apply_sequence_function",
     "reference_seq2seq",
     "sequence_mean",
@@ -236,26 +235,6 @@ def decode_sequence(r, t_len: int, m: int, cfg: DigitConfig) -> SequenceSample:
         mantissa = round(float(r) * 3**total)
     elements = _decode(mantissa, cfg.digits, width, strict=True)
     return SequenceSample(t_len=t_len, m=m, elements=elements.reshape(t_len, m + 1))
-
-
-def relaxed_decode(u, t_len: int, m: int, cfg: DigitConfig) -> np.ndarray:
-    """(..., T, m+1) coordinates decoded from each scalar of u in [0, 1].
-
-    Each scalar is rounded to the nearest integer mantissa first, so every
-    exact aggregate value sits in the interior of its decoding plateau
-    (otherwise values with an all-zero digit tail would be jump points,
-    decoding differently from one side).  Digits are read 2 -> 1, else 0;
-    the in-between digit 1 only occurs off the valid aggregate set.  On
-    valid aggregates this agrees with decode_sequence.  The float holds the
-    digits only while 3^(T(m+1) digits) < 2^52.  A NaN or a u outside
-    [0, 1] raises EncodingError, as in decode_sequence.
-    """
-    u = _reals(u, "aggregate values", 0.0, 1.0, EncodingError)
-    t_len, m = _size(t_len, "t_len"), _size(m, "m", 0)
-    width = t_len * (m + 1)
-    _check_float_budget(width * cfg.digits)
-    coordinates = _decode(_mantissa(u, width * cfg.digits).astype(np.int64), cfg.digits, width, strict=False)
-    return coordinates.reshape(*u.shape, t_len, m + 1)
 
 
 def apply_sequence_function(f, elements: np.ndarray) -> np.ndarray:

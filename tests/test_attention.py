@@ -839,21 +839,28 @@ class TestTransformerEval:
         np.testing.assert_allclose(out, chain_of_heads(stack, X), rtol=0, atol=atol)
 
     def test_full_mode_layers_hold_their_anchors_once(self):
-        # A full-mode stack holds no anchors: every kernel layer holds a
-        # read-only (N, k) value array, takes its anchors from arithmetic,
+        # A full-mode stack holds no anchors and no per-anchor values: every
+        # kernel layer holds a read-only table of its distinct values and a
+        # read-only (N,) index of small unsigned ints into it (the encoder's
+        # 2^digits bit levels; one index shared by the decoders, each
+        # anchor's decoded sequence), takes its anchors from arithmetic,
         # builds its tokens anew on each request, caches none, and frees
         # its arrays with itself.
         stack, X = _sequence_stack("full", n_points=1024, lam=2.0e4)
         encoder, _, *decoders = stack.layers
-        assert [layer.values.shape for layer in (encoder, *decoders)] == [(1024, 1), (1024, 2), (1024, 2)]
-        assert all(layer.lam == 2.0e4 for layer in (encoder, *decoders))
-        assert not any(layer.values.flags.writeable for layer in (encoder, *decoders))
+        assert encoder.table.shape == (4, 1)
+        assert all(layer.index is decoders[0].index and layer.table.shape[1] == 2 for layer in decoders)
+        assert 1 < decoders[0].table.shape[0] <= 2**8
+        for layer in (encoder, *decoders):
+            assert layer.index.shape == (1024,) and layer.index.dtype == np.uint8
+            assert layer.lam == 2.0e4
+            assert not (layer.table.flags.writeable or layer.index.flags.writeable)
         assert encoder.prefix is not encoder.prefix and encoder.prefix.n_tokens == 4 * 1024
         att.transformer_eval(stack, X)
-        fields = {"layout", "lam", "values", "columns", "mlp", "half_width"}
+        fields = {"layout", "lam", "table", "index", "columns", "mlp", "half_width"}
         assert all(set(vars(layer)) == fields for layer in (encoder, *decoders))
-        refs = [weakref.ref(encoder), weakref.ref(encoder.values)]
-        del stack, encoder, decoders
+        refs = [weakref.ref(encoder), weakref.ref(encoder.index), weakref.ref(decoders[0].index), weakref.ref(decoders[0].table)]
+        del stack, encoder, decoders, layer
         gc.collect()
         assert all(r() is None for r in refs)
 

@@ -30,7 +30,7 @@ from vmfhead.seq2seq import (
     reference_seq2seq,
     sequence_mean,
 )
-from vmfhead.seq2seq.encoding import apply_sequence_function, decode_sequence, psi_encode, psi_strided, relaxed_decode
+from vmfhead.seq2seq.encoding import apply_sequence_function, decode_sequence, psi_encode, psi_strided
 from vmfhead.specialfn import bessel_ratio, log_bessel_i, log_gamma, reg_inc_beta
 from vmfhead.verify import run_suite
 from vmfhead.sphere import (
@@ -252,8 +252,6 @@ CASES = {
 }
 
 ENCODING_CASES = {
-    "relaxed_decode NaN": lambda: relaxed_decode(math.nan, 2, 0, CFG),
-    "relaxed_decode above 1": lambda: relaxed_decode(1.5, 2, 0, CFG),
     "decode_sequence above 1": lambda: decode_sequence(1.5, 2, 0, CFG),
     "decode_sequence mantissa past the budget": lambda: decode_sequence(1.0, 2, 0, CFG),
     "decode_sequence None": lambda: decode_sequence(None, 2, 0, CFG),
@@ -412,7 +410,6 @@ KINDS = {
     "psi_encode x": ("real", lambda v: psi_encode(v, CFG), [0.25, 1.0], DomainError),
     "psi_strided x": ("real", lambda v: psi_strided(v, CFG, 2), 0.5, DomainError),
     "decode_sequence r": ("real", lambda v: decode_sequence(v, 2, 0, CFG), 8 / 81, EncodingError),
-    "relaxed_decode u": ("real", lambda v: relaxed_decode(v, 2, 0, CFG), [0.5, 0.25], EncodingError),
     "apply_sequence_function elements": ("real", lambda v: apply_sequence_function(np.copy, v), np.full((2, 1), 0.5), DomainError),
     "apply_sequence_function f values": (
         "real", lambda v: apply_sequence_function(lambda e: v, np.zeros((2, 1))), np.ones((2, 1)), DomainError
@@ -620,4 +617,3 @@ def test_valid_inputs_still_accepted():
     assert psi_strided(0.5, CFG, np.int64(3)) == psi_strided(0.5, CFG, 3)
     r = aggregate_R(sample, CFG).value
     assert np.array_equal(decode_sequence(r, i2, np.int64(0), CFG).elements, sample.elements)
-    assert np.array_equal(relaxed_decode(np.float64(0.5), i2, 0, CFG), relaxed_decode(0.5, 2, 0, CFG))

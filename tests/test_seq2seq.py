@@ -35,7 +35,7 @@ from vmfhead.seq2seq.assembly import (
     _summation_error_bound,
     _window_half_width,
 )
-from vmfhead.seq2seq.encoding import _bits, _mantissa, _psi, relaxed_decode
+from vmfhead.seq2seq.encoding import _bits, _decode, _mantissa, _psi
 
 
 def seq_mean(elements):
@@ -68,22 +68,6 @@ class TestPsi:
         assert np.all(np.diff(vals) >= 0.0)
         for i in (0, 1, 2500, 5000, 7777, 10_000):
             assert psi_encode(float(xs[i]), cfg) == vals[i]
-
-    def test_relaxed_decode_float_budget(self):
-        """relaxed_decode refuses past 3^total >= 2^52, where at T=2, m=1
-        and 12 digits (48 ternary digits) it used to decode every seeded
-        aggregate wrong, and decodes valid aggregates at the largest
-        full-mode shape (18 digits) as decode_sequence does."""
-        cfg = DigitConfig(digits=12)
-        rng = np.random.default_rng(16)
-        for _ in range(20):
-            r = aggregate_R(SequenceSample(2, 1, rng.random((2, 2))), cfg).value
-            with pytest.raises(PrecisionBudgetExceeded):
-                relaxed_decode(r, 2, 1, cfg)
-        cfg = DigitConfig(digits=3)
-        for _ in range(20):
-            agg = aggregate_R(SequenceSample(3, 1, rng.random((3, 2))), cfg)
-            np.testing.assert_array_equal(relaxed_decode(agg.value, 3, 1, cfg), decode_sequence(agg, 3, 1, cfg).elements)
 
     def test_domain(self):
         cfg = DigitConfig(digits=4)
@@ -244,17 +228,25 @@ class TestCodecOnArrays:
     @settings(max_examples=40)
     @given(st.integers(1, 4), st.integers(0, 2), st.data())
     def test_relaxed_decode(self, t_len, m, data):
-        """Every float budget the decoder admits (3^total < 2^52), at
-        arbitrary scalars and at exact mantissas, where a digit 1 reads 0."""
+        """The relaxed decode _decode(_mantissa(u), strict=False), the
+        full-mode build's path from a chart point u to its sequence, at
+        every float budget of up to 32 ternary digits (3^total < 2^52): the
+        oracle's coordinates at arbitrary scalars and at exact mantissas,
+        where a digit 1 reads 0, and decode_sequence's at the float view of
+        a valid aggregate."""
         width = t_len * (m + 1)
         digits = data.draw(st.integers(1, 32 // width))
         total = width * digits
         mantissas = st.integers(0, 3**total - 1).map(lambda k: k / 3**total)
         us = data.draw(st.lists(st.one_of(st.floats(0.0, 1.0), mantissas), min_size=1, max_size=16))
-        got = relaxed_decode(np.array(us), t_len, m, DigitConfig(digits))
-        assert got.shape == (len(us), t_len, m + 1)
-        for u, row in zip(us, got.reshape(len(us), width).tolist()):
+        got = _decode(_mantissa(np.array(us), total).astype(np.int64), digits, width, strict=False)
+        assert got.shape == (len(us), width)
+        for u, row in zip(us, got.tolist()):
             assert row == [float(c) for c in relaxed_decode_oracle(u, width, digits)]
+        xs = data.draw(st.lists(st.floats(0.0, 1.0), min_size=width, max_size=width))
+        agg = aggregate_R(SequenceSample(t_len, m, np.reshape(xs, (t_len, m + 1))), DigitConfig(digits))
+        exact = decode_sequence(agg, t_len, m, DigitConfig(digits)).flat()
+        assert _decode(int(_mantissa(agg.value, total)), digits, width, strict=False).tolist() == exact.tolist()
 
 
 class TestReference:
@@ -366,9 +358,9 @@ class TestStackAssembly:
 
     def test_full_mode_caps(self):
         """Full mode refuses qD = T(m+1) digits > 9 at the default sizes and
-        at explicit ones, and a derived N above 2^20, which only an
-        explicit lam above the rule's asks for; an explicit N at that lam
-        builds."""
+        at explicit ones, and N above 2^20, derived (which only an explicit
+        lam above the rule's asks for) or explicit; an explicit N at that
+        lam builds."""
         for t_len, m, digits in [(2, 1, 3), (3, 1, 2), (3, 1, 3), (10, 0, 1), (1, 0, 10)]:
             for sizes in [{}, {"n_points": 64, "lam": 2.0e5}]:
                 with pytest.raises(InstanceTooLarge):
@@ -376,6 +368,10 @@ class TestStackAssembly:
         cfg = DigitConfig(digits=1)
         with pytest.raises(InstanceTooLarge):
             build_seq2seq_transformer(seq_mean, 1, 0, cfg, lam=1.0e13, mode="full")
+        with pytest.raises(InstanceTooLarge):
+            build_seq2seq_transformer(seq_mean, 1, 0, cfg, n_points=2**20 + 1, mode="full")
+        with pytest.raises(InstanceTooLarge):
+            build_seq2seq_transformer(seq_mean, 1, 0, cfg, n_points=2**21, mode="full")
         build_seq2seq_transformer(seq_mean, 1, 0, cfg, n_points=64, lam=1.0e13, mode="full")
 
     @pytest.mark.parametrize("sizes", [{"n_points": 0}, {"n_points": 64.0}, {"lam": 0.0}, {"lam": math.nan}], ids=str)
@@ -413,13 +409,25 @@ class TestStageTraceAndDigitCap:
                 assert rec["attention"].shape == rec["after_mlp"].shape == (6, stack.layout.d)
             np.testing.assert_array_equal(trace["encoded"], stack.encode_inputs(s))
 
-    @pytest.mark.parametrize("t_len, digits", [(2, 16), (8, 4)])
+    @pytest.mark.parametrize("t_len, digits", [(2, 16), (8, 4), (3, 10), (5, 6), (6, 5), (10, 3), (29, 1)])
     def test_hybrid_refuses_digits_past_summation_error(self, t_len, digits):
         # 32 ternary digits: the half digit gap 3^-32/2 is below the
         # summation layer's rounding error, and evaluation used to decode a
-        # ternary digit 1 on some inputs.
+        # ternary digit 1 on some inputs.  The last five (q, digits) are
+        # those a whole digit gap in place of the half would admit.
         with pytest.raises(InstanceTooLarge):
             build_seq2seq_transformer(seq_mean, t_len, 0, DigitConfig(digits=digits), mode="hybrid")
+
+    @pytest.mark.parametrize("t_len, m, digits", [(3, 0, 9), (5, 0, 5), (28, 0, 1), (14, 1, 1)])
+    def test_hybrid_admits_the_shapes_next_to_the_cap(self, t_len, m, digits):
+        """The largest digit budgets the half-gap cap admits at q = 3, 5 and
+        28 positions decode every seeded input exactly."""
+        cfg = DigitConfig(digits=digits)
+        stack = build_seq2seq_transformer(seq_identity, t_len, m, cfg, mode="hybrid")
+        rng = np.random.default_rng([t_len, m, digits])
+        for _ in range(20):
+            s = SequenceSample(t_len, m, rng.random((t_len, m + 1)))
+            np.testing.assert_array_equal(stack.evaluate(s), np.stack(reference_seq2seq(seq_identity, s, cfg)))
 
     def test_hybrid_admits_thirty_digits_at_two_positions(self):
         cfg = DigitConfig(digits=15)
@@ -456,29 +464,31 @@ class TestFullModeBuild:
         with pytest.raises(DomainError):
             build_seq2seq_transformer(f, 2, 1, DigitConfig(digits=2), n_points=n_points, lam=lam, mode="full")
 
-    def test_one_partition_and_one_f_call_per_decoded_sequence(self, monkeypatch):
-        """One partition serves every head, and f receives each distinct
-        decoded sequence of the anchors' chart points exactly once."""
-        import vmfhead.seq2seq.assembly as asm
+    def test_no_partition_and_one_f_call_per_decoded_sequence(self, monkeypatch):
+        """The build makes no partition, and f receives each distinct
+        decoded sequence of the chart points of the anchors' angles
+        (j + 1/2) 2 pi / N exactly once."""
+        import vmfhead.sphere as sph
 
         partitions = []
-        monkeypatch.setattr(asm, "equal_area_partition", lambda *a: partitions.append(a) or equal_area_partition(*a))
+        monkeypatch.setattr(sph, "_partition_circle", lambda n: partitions.append(n))
         calls = []
 
         def counted_mean(elements):
             calls.append(elements.tobytes())
             return seq_mean(elements)
 
-        cfg = DigitConfig(digits=2)
-        build_seq2seq_transformer(counted_mean, 2, 1, cfg, n_points=64, mode="full")
-        assert partitions == [(1, 64)]
+        stack = build_seq2seq_transformer(counted_mean, 2, 1, DigitConfig(digits=2), n_points=64, mode="full")
+        assert partitions == []
         chart = []
-        for x, y in equal_area_partition(1, 64).centers():
+        for j in range(64):
+            x, y = math.cos((j + 0.5) * math.pi / 32), math.sin((j + 0.5) * math.pi / 32)
             chart.append(1.0 if 1.0 - y < 1e-12 else min(max(x / (1.0 - y), 0.0), 1.0))
-        decoded = {relaxed_decode(u, 2, 1, cfg).tobytes() for u in chart}
+        decoded = {np.array(relaxed_decode_oracle(u, 4, 2), dtype=np.float64).reshape(2, 2).tobytes() for u in chart}
         assert len(calls) == len(set(calls))
         assert set(calls) == decoded
         assert 1 < len(decoded) < 64
+        assert all(layer.table.shape[0] == len(decoded) for layer in stack.transformer.layers[2:])
 
 
 # Regression pins, not oracles: SHA-256 over every layer's prefix tokens, H,
@@ -541,7 +551,7 @@ def _full_shape_error(t_len: int, m: int, digits: int) -> float:
     checks the sizes against the rule."""
     cfg, total = DigitConfig(digits=digits), t_len * (m + 1) * digits
     stack = build_seq2seq_transformer(np.copy, t_len, m, cfg, mode="full")
-    lam, n_points = stack.transformer.layers[0].lam, stack.transformer.layers[0].values.shape[0]
+    lam, n_points = stack.transformer.layers[0].lam, stack.transformer.layers[0].index.size
     assert lam == 50.0 * 9.0**total
     assert n_points & (n_points - 1) == 0 and n_points / 2 < 2.0 * math.pi * math.sqrt(lam) <= n_points
     gap, jumps = 4.0 / math.sqrt(lam), np.arange(1, 2**digits) / 2**digits
@@ -571,6 +581,100 @@ def test_every_admitted_full_shape_meets_its_contract():
     assert len(_ADMITTED_FULL_SHAPES) == 44
     errors = {shape: _full_shape_error(*shape) for shape in _ADMITTED_FULL_SHAPES}
     assert {shape: e for shape, e in errors.items() if e > 1e-2} == {}
+
+
+def _seq_reversed_squares(elements):
+    return elements[::-1] ** 2
+
+
+def _seq_complement(elements):
+    return 1.0 - elements
+
+
+@pytest.mark.parametrize(
+    "shape, sizes",
+    [
+        ((2, 0, 2), {}),
+        ((2, 1, 1), {}),
+        ((1, 1, 1), {}),
+        ((3, 0, 3), {}),
+        ((2, 0, 2), {"n_points": 4096, "lam": 2.0e5}),
+        ((2, 1, 2), {"n_points": 4094}),
+        ((3, 0, 3), {"n_points": 1026}),
+    ],
+    ids=str,
+)
+def test_f_enters_only_the_decoder_tables(shape, sizes):
+    """The paper's claim for full mode: one frozen model, and f only in its
+    prefix.  Builds with different f hold the same H, W_V and MLP arrays,
+    the same summation prefix, encoder table and index, and per decoder
+    the same index (one object, shared by the decoders), columns, lam and
+    half-width; only the decoder tables differ, and where N is small
+    enough to build them, the decoder token forms differ only in the value
+    slot."""
+    t_len, m, digits = shape
+    stacks = [
+        build_seq2seq_transformer(f, t_len, m, DigitConfig(digits=digits), mode="full", **sizes)
+        for f in (sequence_mean, _seq_reversed_squares, _seq_complement)
+    ]
+    first, *others = [stack.transformer.layers for stack in stacks]
+    for layers in [first, *others]:
+        decoders = layers[2:]
+        assert len(decoders) == t_len and all(layer.index is decoders[0].index for layer in decoders)
+    lay = stacks[0].layout
+    for layers in others:
+        tables_differ = False
+        for i, (a, b) in enumerate(zip(first, layers)):
+            assert np.array_equal(a.params.H, b.params.H) and np.array_equal(a.params.W_V, b.params.W_V)
+            assert len(a.mlp) == len(b.mlp)
+            for (a_weights, a_bias), (b_weights, b_bias) in zip(a.mlp, b.mlp):
+                assert np.array_equal(a_weights, b_weights) and np.array_equal(a_bias, b_bias)
+            if i == 1:
+                assert np.array_equal(a.prefix.tokens, b.prefix.tokens) and a.prefix.M == b.prefix.M
+                continue
+            assert np.array_equal(a.index, b.index) and np.array_equal(a.columns, b.columns)
+            assert (a.lam, a.half_width) == (b.lam, b.half_width)
+            if i == 0:
+                assert np.array_equal(a.table, b.table)
+                continue
+            tables_differ |= not np.array_equal(a.table, b.table)
+            if a.index.size <= 4096:
+                ta, tb = a.prefix.tokens, b.prefix.tokens
+                others_slots = np.arange(lay.d) != lay.vb
+                assert np.array_equal(ta[:, others_slots], tb[:, others_slots]) and a.prefix.M == b.prefix.M
+                assert not np.array_equal(ta[:, lay.vb], tb[:, lay.vb])
+        assert tables_differ
+
+
+def _held_mib(stack) -> float:
+    """MiB of the arrays a stack's layers hold (not the token forms they
+    build on demand), each array's base counted once."""
+    bases = {}
+
+    def walk(value):
+        if isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            bases[id(value)] = value.nbytes
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                walk(item)
+        elif dataclasses.is_dataclass(value):
+            for item in vars(value).values():
+                walk(item)
+
+    for layer in stack.transformer.layers:
+        walk(layer)
+    return sum(bases.values()) / 2**20
+
+
+def test_full_layers_hold_no_per_anchor_values():
+    """A (3, 0, 3) stack at its default N = 2^20 holds its values as tables
+    of at most 2^9 rows and two (N,) indexes of small ints: about 3.4 MiB,
+    down from 32.4 MiB as one (N, k) value array per layer."""
+    stack = build_seq2seq_transformer(sequence_mean, 3, 0, DigitConfig(digits=3), mode="full")
+    assert _held_mib(stack) < 8.0
+    assert stack.transformer.layers[0].index.size == 2**20
 
 
 @pytest.mark.parametrize("shape", [(2, 1, 2, 4094), (3, 0, 3, 1026)], ids=lambda shape: "T{}-m{}-digits{}-N{}".format(*shape))
@@ -614,9 +718,10 @@ def test_bank_layer_is_its_token_form(shape):
 def _bank_layer(n_points: int, lam: float, seed: int = 0) -> _KernelBankLayer:
     """A two-position kernel layer over the circle partition's N centres,
     each position taking its own column of uniform random values, so the
-    bank's values change from every anchor to the next."""
-    values = np.random.default_rng(seed).random((n_points, 2))
-    return _KernelBankLayer(layout=_Layout(q=2), lam=lam, values=values, columns=np.arange(2))
+    bank's values change from every anchor to the next: the table holds
+    one row per anchor."""
+    table = np.random.default_rng(seed).random((n_points, 2))
+    return _KernelBankLayer(layout=_Layout(q=2), lam=lam, table=table, index=np.arange(n_points), columns=np.arange(2))
 
 
 def _bank_states(layer: _KernelBankLayer, theta: np.ndarray) -> np.ndarray:
@@ -642,7 +747,7 @@ def _assert_window_is_dense_head(layer: _KernelBankLayer) -> None:
     dense head over its anchors and values, each row's own column, within
     the logit-rounding bound e^(2 delta) - 1, delta = 2^-50 (3 lam + 2 _GAP)."""
     lay, lam = layer.layout, layer.lam
-    head = ControlPoints(1, lam, equal_area_partition(1, layer.values.shape[0]).centers(), layer.values)
+    head = ControlPoints(1, lam, equal_area_partition(1, layer.index.size).centers(), layer.table[layer.index])
     theta = _window_angles(head.n_points)
     X = _bank_states(layer, theta)
     dense = split_head_batch(head, X[:, lay.z] / np.linalg.norm(X[:, lay.z], axis=1)[:, None])
@@ -700,7 +805,7 @@ class TestCircleWindow:
         layer = _bank_layer(n_points, lam, seed=3)
         lay, w, delta = layer.layout, layer.half_width, 2.0 * math.pi / n_points
         X = _bank_states(layer, _window_angles(n_points))
-        expected = [circle_head_oracle(z, layer.values[:, i % 2], lam, w + 3) for i, z in enumerate(X[:, lay.z])]
+        expected = [circle_head_oracle(z, layer.table[layer.index, i % 2], lam, w + 3) for i, z in enumerate(X[:, lay.z])]
         eps = lam * ((w + 2) * delta) ** 2 * 2.0**-50 + 2.0**-53
         bound = math.expm1(2.0 * eps) + lam * (w + 1) * delta * 2.0**-50 + (4 * w + 5) * 2.0**-53
         np.testing.assert_allclose(layer.attend(X)[:, lay.val], expected, rtol=0, atol=bound)

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 import vmfhead.specialfn as spf
 import vmfhead.sphere as sph
-from vmfhead.errors import DomainError
+from vmfhead.errors import DegenerateInput, DomainError
 from vmfhead.sphere import (
     Partition,
     cap_area,
     cap_colatitude,
+    check_finite_unit,
     equal_area_partition,
     surface_area,
     uniform_sphere_sample,
@@ -358,6 +359,27 @@ class TestBandedLocate:
         pts = np.vstack([uniform_sphere_sample(p.m, 4096, 188), _on_band_boundaries(p, 2, seed=189)])
         perm = np.random.default_rng(190).permutation(pts.shape[0])
         assert np.array_equal(p.locate_batch(pts[perm]), p.locate_batch(pts)[perm])
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_unit_check_tolerance(m):
+    """check_finite_unit, and split_head_batch through it, refuse points
+    1e-9 off the unit sphere (outward and inward) with DegenerateInput and
+    accept points 1e-13 off: the tolerance on |norm - 1| is 1e-12."""
+    from vmfhead.attention import ControlPoints, split_head_batch
+
+    unit = uniform_sphere_sample(m, 8, 205)
+    head = ControlPoints(m, 4.0, equal_area_partition(m, 16).centers(), np.ones((16, 1)))
+    for off in (1e-9, -1e-9):
+        for point in unit * (1.0 + off):
+            with pytest.raises(DegenerateInput):
+                check_finite_unit(point[None])
+            with pytest.raises(DegenerateInput):
+                split_head_batch(head, point[None])
+    for off in (1e-13, -1e-13):
+        near = unit * (1.0 + off)
+        assert np.array_equal(check_finite_unit(near), near)
+        assert np.array_equal(split_head_batch(head, near), np.ones((8, 1)))
 
 
 @pytest.mark.parametrize("shape", [(3,), (2,), (5, 4, 3), (0, 3), (6, 7), (2, 3, 8), (9,)])
