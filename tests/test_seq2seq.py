@@ -69,6 +69,28 @@ class TestPsi:
         for i in (0, 1, 2500, 5000, 7777, 10_000):
             assert psi_encode(float(xs[i]), cfg) == vals[i]
 
+    def test_relaxed_decode_float_budget(self):
+        """The float view of 3^total >= 2^52 is refused, where at T=2, m=1
+        and 12 digits (48 ternary digits) a relaxed decode used to decode
+        every seeded aggregate wrong: decode_sequence raises
+        PrecisionBudgetExceeded, and the full mode, whose build decodes
+        with _decode(_mantissa(u), strict=False), refuses the shape.  At
+        18 ternary digits that relaxed decode reads valid aggregates as
+        decode_sequence does."""
+        cfg = DigitConfig(digits=12)
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            r = aggregate_R(SequenceSample(2, 1, rng.random((2, 2))), cfg).value
+            with pytest.raises(PrecisionBudgetExceeded):
+                decode_sequence(r, 2, 1, cfg)
+        with pytest.raises(InstanceTooLarge):
+            build_seq2seq_transformer(seq_mean, 2, 1, cfg, mode="full")
+        cfg = DigitConfig(digits=3)
+        for _ in range(20):
+            agg = aggregate_R(SequenceSample(3, 1, rng.random((3, 2))), cfg)
+            got = _decode(_mantissa(agg.value, 18).astype(np.int64), 3, 6, strict=False)
+            np.testing.assert_array_equal(got, decode_sequence(agg, 3, 1, cfg).flat())
+
     def test_domain(self):
         cfg = DigitConfig(digits=4)
         with pytest.raises(DomainError):
