@@ -48,6 +48,36 @@ MUTANTS = [
         "tests": [_ORACLE, "tests/test_seq2seq.py::test_bank_layer_is_its_token_form"],
     },
     {
+        # the build's chart and the token form then put anchor j at j delta,
+        # where attend's logits still take it at (j + 1/2) delta
+        "name": "full-mode anchor helper at j delta, the half-cell offset dropped",
+        "file": _ASSEMBLY,
+        "old": "(np.arange(n_points) + 0.5)",
+        "new": "np.arange(n_points)",
+        "tests": ["tests/test_seq2seq.py::test_bank_layer_is_its_token_form"],
+    },
+    {
+        # both modes share the weights, so the test that compares them
+        # does not see it; the aggregate a third of R decodes wrongly
+        "name": "encoder weights 3^-(q+1), not 3^-q",
+        "file": _ASSEMBLY,
+        "old": "3.0 ** (-q0)",
+        "new": "3.0 ** (-q0 - 1)",
+        "tests": [
+            "tests/test_seq2seq.py::TestStackAssembly::test_hybrid_matches_reference",
+            "tests/test_seq2seq.py::TestCircleWindow::test_largest_admitted_n_meets_reference",
+        ],
+    },
+    {
+        # 7.6e-6 off the chart at t = 1/512, against the chord bound 1.2e-7
+        # of 2048 knots; the 44-shape contract gate still passes
+        "name": "circle lookup with 256 knots, not 2048",
+        "file": _ASSEMBLY,
+        "old": "_LOOKUP_KNOTS = 2048",
+        "new": "_LOOKUP_KNOTS = 256",
+        "tests": ["tests/test_seq2seq.py::TestStereographic::test_circle_lookup_meets_its_chord_bound"],
+    },
+    {
         # 7 of the 15 agreement cases fail, at lam = 2e3 and N >= 1026
         "name": "half the certified window half-width",
         "file": _ASSEMBLY,

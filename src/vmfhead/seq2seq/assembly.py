@@ -4,14 +4,13 @@ The stack operates on q = T(m+1) "virtual positions", one scalar
 coordinate each, in states of width 6 + 2q.  Each prefix token's one-hot
 tag addresses its position and is also its payload: the values restore
 the position's one-hot from it.  Layer 1 applies the digit encoder to
-every coordinate (one shared bank of control points per position); its
-MLP stages apply the per-coordinate contraction weight 3^-p and the
-per-element positional weight 3^-(i-1)(m+1).  Layer 2 sums the weighted
-values across positions with exactly uniform attention over inputs,
-producing the aggregate scalar at every position.  Layers 3..T+2 hold one
-decoder head per element, with token groups tagged to that element's
-positions.  The encoder and the decoders share one token form
-(_bank_layer_params): a one-hot-keyed diagonal logit suppresses an
+every coordinate and weights position p's psi by 3^-p, so the positions'
+ternary digits interleave in the aggregate (_position_weights).  Layer 2
+sums the weighted values across positions with exactly uniform attention
+over inputs, producing the aggregate scalar at every position.  Layers
+3..T+2 hold one decoder head per element, with token groups tagged to
+that element's positions.  The encoder and the decoders share one token
+form (_bank_layer_params): a one-hot-keyed diagonal logit suppresses an
 attended row's own input and lets every other position attend to itself
 and pass its state through bit-exactly.
 
@@ -56,7 +55,6 @@ from ..attention import (
     transformer_eval,
 )
 from ..errors import DegenerateInput, DimensionMismatch, DomainError, InstanceTooLarge, _positive, _size
-from ..sphere import equal_area_partition
 from .encoding import (
     DigitConfig,
     SequenceSample,
@@ -84,6 +82,12 @@ def _summation_error_bound(q: int) -> float:
     the weighted sum, 2q for the row sum of 2q terms, 1 for their quotient
     and 1 for the decoder's rescale, with one to spare."""
     return (3 * q + 13) * _UNIT_ROUNDOFF
+
+
+def _position_weights(q: int) -> np.ndarray:
+    """The encoder's weight 3^-p of each of the q positions p: the weighted
+    psi of both modes, hybrid's oracle stage and full mode's encoder table."""
+    return np.array([3.0 ** (-q0) for q0 in range(q)])
 
 
 def _stereographic(x: np.ndarray) -> np.ndarray:
@@ -141,31 +145,8 @@ class _Layout:
 
 
 # ---------------------------------------------------------------------------
-# MLP stage builders (exact ReLU gating and piecewise-linear lookups)
+# MLP stage builders (an exact affine recover and a piecewise-linear lookup)
 # ---------------------------------------------------------------------------
-
-
-def _stage_scale_by_position(lay: _Layout, factors: np.ndarray):
-    """Two affine maps with a ReLU between: VAL <- factor[q] * VAL at each
-    position, with the factor selected by the position one-hot.
-
-    Gate algebra: ReLU(VAL - 1 + OH_q) equals VAL exactly when OH_q = 1 and
-    0 when OH_q = 0, because VAL stays in [0, 1).  The one-hot rides along
-    on nonnegative lanes.
-    """
-    q, d = lay.q, lay.d
-    hidden = 2 * q
-    a1 = np.zeros((hidden, d))
-    b1 = np.zeros(hidden)
-    a1[:q, lay.val] = 1.0
-    a1[:q, lay.oh] = np.eye(q)
-    b1[:q] = -1.0
-    a1[q : 2 * q, lay.oh] = np.eye(q)
-    a2 = np.zeros((d, hidden))
-    b2 = np.zeros(d)
-    a2[lay.val, :q] = factors
-    a2[lay.oh, q : 2 * q] = np.eye(q)
-    return [(a1, b1), (a2, b2)]
 
 
 def _stage_affine_recover(lay: _Layout):
@@ -309,20 +290,11 @@ def _bank_layer_params(lay: _Layout, lam: float, attended: np.ndarray) -> Attent
     return AttentionHeadParams(d=d, H=h, W_V=_restore_payload(lay, _carry_state(lay, np.zeros((d, d)))))
 
 
-def _kernel_tokens(lay: _Layout, anchors: np.ndarray, value_bank: dict[int, np.ndarray], lam: float) -> PrefixTokens:
-    """One bank of (anchor, value) tokens per virtual position in value_bank,
-    tagged with that position (encoder: every position with the digit-map
-    values; decoder: the element's positions with their coordinate's
-    decoder outputs): the token form of a _KernelBankLayer."""
-    n = anchors.shape[0]
-    qs = sorted(value_bank)
-    tokens = np.zeros((len(qs) * n, lay.d))
-    for idx, q0 in enumerate(qs):
-        rows = slice(idx * n, (idx + 1) * n)
-        tokens[rows, lay.ka] = lam * anchors
-        tokens[rows, lay.vb] = value_bank[q0]
-        tokens[rows, lay.tag.start + q0] = 1.0
-    return PrefixTokens(d=lay.d, tokens=tokens, M=-(lam + _GAP), augmented=False)
+def _circle_anchors(n_points: int) -> np.ndarray:
+    """The (N, 2) anchors of a full-mode head: the centres (j + 1/2) delta
+    of N equal arcs of the circle, delta = 2 pi / N."""
+    angle = (np.arange(n_points) + 0.5) * (2.0 * math.pi / n_points)
+    return np.column_stack([np.cos(angle), np.sin(angle)])
 
 
 def _window_half_width(n_points: int, lam: float) -> int:
@@ -345,20 +317,20 @@ class _KernelBankLayer:
     """A full-mode encoder or decoder head whose anchors are arithmetic.
 
     The paper's head attends over one bank of (lam anchor, value, tag)
-    prefix tokens per position it serves (_kernel_tokens), and the encoder's
-    banks are identical.  The anchors are the N centres of the circle
-    partition, equal_area_partition(1, N): anchor j at angle (j + 1/2)
-    delta, delta = 2 pi / N.  A bank's values take few distinct values, so
-    this layer holds the concentration lam, a read-only (L, k) table of
-    them and a read-only (N,) index of small unsigned ints: anchor j's
-    value in column c is table[index[j], c].  Column columns[q] serves
-    position q, and a position whose entry is -1 passes through.  The
-    encoder's table is psi at the 2^digits bit levels and its index each
-    anchor's bit level; decoder i's table is f's element i over the
-    distinct decoded sequences, and the decoders share one index, each
-    anchor's sequence.  half_width, the window's w, is derived once from N
-    and lam.  prefix and params build the token form on demand, for
-    export, pins and classical_head.
+    prefix tokens per position it serves.  The anchors are the centres of
+    N equal arcs of the circle (_circle_anchors): anchor j at angle
+    (j + 1/2) delta, delta = 2 pi / N.  A bank's values take few distinct
+    values, so this layer holds the concentration lam, a read-only (L, k)
+    table of them and a read-only (N,) index of small unsigned ints:
+    anchor j's value in column c is table[index[j], c].  Column columns[q]
+    serves position q, and a position whose entry is -1 passes through.
+    The encoder's table is the weighted psi 3^-q at the 2^digits bit
+    levels, column q for position q, the values hybrid's encoder stage
+    writes, and its index each anchor's bit level; it has no MLP.  Decoder
+    i's table is f's element i over the distinct decoded sequences, and the
+    decoders share one index, each anchor's sequence.  half_width, the
+    window's w, is derived once from N and lam.  prefix and params build
+    the token form on demand, for export, pins and classical_head.
 
     Routing certificate (_bank_layer_params).  Take a row at position q
     (one-hot e_q) with sphere slot z, |z| <= 1.  If q is attended, its
@@ -419,9 +391,13 @@ class _KernelBankLayer:
 
     @property
     def prefix(self) -> PrefixTokens:
-        values = self.table[self.index]
-        banks = {q0: values[:, c] for q0, c in enumerate(self.columns.tolist()) if c >= 0}
-        return _kernel_tokens(self.layout, equal_area_partition(1, self.index.size).centers(), banks, self.lam)
+        lay, n = self.layout, self.index.size
+        served = (self.columns >= 0).nonzero()[0]
+        tokens = np.zeros((served.size, n, lay.d))
+        tokens[:, :, lay.ka] = self.lam * _circle_anchors(n)
+        tokens[:, :, lay.vb] = self.table[self.index, self.columns[served][:, None]]
+        tokens[np.arange(served.size), :, lay.tag.start + served] = 1.0
+        return PrefixTokens(d=lay.d, tokens=tokens.reshape(-1, lay.d), M=-(self.lam + _GAP), augmented=False)
 
     def attend(self, X: np.ndarray) -> np.ndarray:
         """The (Q, d) outputs of the head at the (Q, d) states X (see the
@@ -460,8 +436,8 @@ class _KernelBankLayer:
 
 def _psi_oracle(lay: _Layout, cfg: DigitConfig):
     """The encoder stage: each state's psi, weighted by 3^-q for the
-    position q its one-hot holds."""
-    weights = np.array([3.0 ** (-q0) for q0 in range(lay.q)])
+    position q its one-hot holds (_position_weights)."""
+    weights = _position_weights(lay.q)
 
     def fn(states):
         out = states.copy()
@@ -575,13 +551,13 @@ def build_seq2seq_transformer(
     whose rounded mantissa picks its decoded sequence.  The mantissas hit
     are counted over all 3^qD, each is decoded once, and f runs once per
     distinct decoded sequence (at most 2^qD of them), not once per anchor.
-    The encoder holds psi at the 2^digits bit levels and an (N,) index of
-    each anchor's level; decoder i holds f's element i per sequence, and
-    the decoders share one (N,) index of each anchor's sequence
-    (_KernelBankLayer).  So f enters the decoders' value tables only, and
-    the stack holds two (N,) indexes of one or two bytes an anchor (3.4 MiB
-    at (3, 0, 3), N = 2^20), where the token form holds 2 T(m+1) N tokens
-    of width 6 + 2 T(m+1).
+    The encoder holds the weighted psi 3^-q at the 2^digits bit levels, one
+    column per position q, and an (N,) index of each anchor's level;
+    decoder i holds f's element i per sequence, and the decoders share one
+    (N,) index of each anchor's sequence (_KernelBankLayer).  So f enters
+    the decoders' value tables only, and the stack holds two (N,) indexes
+    of one or two bytes an anchor (3.4 MiB at (3, 0, 3), N = 2^20), where
+    the token form holds 2 T(m+1) N tokens of width 6 + 2 T(m+1).
 
     Full-mode sizes come from the shape.  With qD = T(m+1) digits, the
     aggregate's ternary digits, a missing lam is 50 9^qD, so the kernel's
@@ -622,8 +598,8 @@ def build_seq2seq_transformer(
         )
 
     if mode == "hybrid":
-        # The oracle folds the contraction and positional weights into its
-        # exact per-position output.
+        # The oracle writes each state's weighted psi, the value the full
+        # encoder's table holds for its bit level and position.
         encoder, lookup = _PassThroughLayer(lay, mlp=(_psi_oracle(lay, cfg),)), []
         decoders = [_PassThroughLayer(lay, mlp=(decoder,)) for decoder in _decoder_oracles(lay, f, t_len, m, cfg)]
     else:
@@ -632,8 +608,7 @@ def build_seq2seq_transformer(
         # sequence (f).  The hit mantissas are counted over all 3^qD, each
         # decoded once, and f runs once per distinct sequence: f enters the
         # decoder tables only, and every other array is the same for any f.
-        angle = (np.arange(n_points) + 0.5) * (2.0 * math.pi / n_points)
-        anchors = np.column_stack([np.cos(angle), np.sin(angle)])
+        anchors = _circle_anchors(n_points)
         chart = np.where(1.0 - anchors[:, 1] < 1e-12, 1.0, np.clip(_stereographic(anchors)[:, 0], 0.0, 1.0))
         level = _bits(chart, cfg.digits).astype(np.min_scalar_type(2**cfg.digits - 1))
         mantissa = _mantissa(chart, total).astype(np.intp)
@@ -643,14 +618,9 @@ def build_seq2seq_transformer(
         of_mantissa = np.zeros(3**total, dtype=np.min_scalar_type(len(sequences) - 1))
         of_mantissa[hit] = of_hit.reshape(-1)
         sequence = of_mantissa[mantissa]  # each anchor's row of outputs, shared by the decoders
-        contraction = np.array([3.0 ** (-(q0 % (m + 1)) - 1) for q0 in range(width)])
-        positional = np.array([3.0 * 3.0 ** (-(q0 // (m + 1)) * (m + 1)) for q0 in range(width)])
-        # The encoder's banks are all psi: one column serves every position.
-        encoder = _KernelBankLayer(
-            lay, lam, _psi(np.arange(2**cfg.digits), cfg.digits, width)[:, None], level,
-            columns=np.zeros(width, dtype=np.intp),
-            mlp=tuple(_stage_scale_by_position(lay, contraction) + _stage_scale_by_position(lay, positional)),
-        )
+        # The encoder's column q is psi 3^-q at each bit level.
+        psi = _psi(np.arange(2**cfg.digits), cfg.digits, width)[:, None] * _position_weights(width)
+        encoder = _KernelBankLayer(lay, lam, psi, level, columns=np.arange(width))
         lookup = _stage_sphere_lookup(lay)
         decoders = []
         for i0 in range(t_len):

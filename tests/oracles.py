@@ -97,3 +97,16 @@ def circle_head_oracle(z, values, lam: float, span: int) -> float:
             num += weight * float(values[j % n])
             den += weight
         return float(num / den)
+
+
+def circle_chart_error_oracle(ts, points) -> np.ndarray:
+    """|points[i] - g(ts[i])| per component, in 50-digit arithmetic, for the
+    inverse stereographic map of the circle, g(t) = (2t, t^2 - 1) / (t^2 + 1),
+    at the float chart points ts and the (n, 2) float circle points."""
+    out = np.empty((len(ts), 2))
+    with mp.workdps(50):
+        for i, (t, (x, y)) in enumerate(zip(np.asarray(ts).tolist(), np.asarray(points).tolist())):
+            t = mp.mpf(t)
+            s = t * t + 1
+            out[i] = float(abs(x - 2 * t / s)), float(abs(y - (t * t - 1) / s))
+    return out

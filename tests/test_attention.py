@@ -842,13 +842,15 @@ class TestTransformerEval:
         # A full-mode stack holds no anchors and no per-anchor values: every
         # kernel layer holds a read-only table of its distinct values and a
         # read-only (N,) index of small unsigned ints into it (the encoder's
-        # 2^digits bit levels; one index shared by the decoders, each
-        # anchor's decoded sequence), takes its anchors from arithmetic,
-        # builds its tokens anew on each request, caches none, and frees
-        # its arrays with itself.
+        # 2^digits bit levels, one weighted-psi column per position and no
+        # MLP; one index shared by the decoders, each anchor's decoded
+        # sequence), takes its anchors from arithmetic, builds its tokens
+        # anew on each request, caches none, and frees its arrays with
+        # itself.
         stack, X = _sequence_stack("full", n_points=1024, lam=2.0e4)
         encoder, _, *decoders = stack.layers
-        assert encoder.table.shape == (4, 1)
+        assert encoder.table.shape == (4, 4) and encoder.mlp == ()
+        assert np.array_equal(encoder.columns, np.arange(4))
         assert all(layer.index is decoders[0].index and layer.table.shape[1] == 2 for layer in decoders)
         assert 1 < decoders[0].table.shape[0] <= 2**8
         for layer in (encoder, *decoders):

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import aggregate_oracle, circle_head_oracle, relaxed_decode_oracle
+from oracles import aggregate_oracle, circle_chart_error_oracle, circle_head_oracle, relaxed_decode_oracle
 
-from vmfhead.attention import ControlPoints, TransformerStack, classical_head, split_head_batch, transformer_eval
+from vmfhead.attention import ControlPoints, TransformerStack, _apply_mlp, classical_head, split_head_batch, transformer_eval
 from vmfhead.errors import DegenerateInput, DomainError, EncodingError, InstanceTooLarge, PrecisionBudgetExceeded
 from vmfhead.sphere import equal_area_partition
 from vmfhead.seq2seq import (
@@ -30,6 +30,7 @@ from vmfhead.seq2seq.assembly import (
     _GAP,
     _KernelBankLayer,
     _Layout,
+    _stage_sphere_lookup,
     _stereographic,
     _stereographic_inverse,
     _summation_error_bound,
@@ -487,13 +488,14 @@ class TestFullModeBuild:
             build_seq2seq_transformer(f, 2, 1, DigitConfig(digits=2), n_points=n_points, lam=lam, mode="full")
 
     def test_no_partition_and_one_f_call_per_decoded_sequence(self, monkeypatch):
-        """The build makes no partition, and f receives each distinct
-        decoded sequence of the chart points of the anchors' angles
-        (j + 1/2) 2 pi / N exactly once."""
+        """Neither the build nor a bank layer's token form makes a partition,
+        and f receives each distinct decoded sequence of the chart points of
+        the anchors' angles (j + 1/2) 2 pi / N exactly once."""
         import vmfhead.sphere as sph
 
         partitions = []
-        monkeypatch.setattr(sph, "_partition_circle", lambda n: partitions.append(n))
+        partition_circle = sph._partition_circle
+        monkeypatch.setattr(sph, "_partition_circle", lambda n: partitions.append(n) or partition_circle(n))
         calls = []
 
         def counted_mean(elements):
@@ -511,6 +513,9 @@ class TestFullModeBuild:
         assert set(calls) == decoded
         assert 1 < len(decoded) < 64
         assert all(layer.table.shape[0] == len(decoded) for layer in stack.transformer.layers[2:])
+        encoder, _, *decoders = stack.transformer.layers
+        assert all(layer.prefix.n_tokens == layer.index.size * (layer.columns >= 0).sum() for layer in (encoder, *decoders))
+        assert partitions == []
 
 
 # Regression pins, not oracles: SHA-256 over every layer's prefix tokens, H,
@@ -520,11 +525,11 @@ class TestFullModeBuild:
 # BLAS kernel.  (3, 1, 3) has qD = 18 ternary digits, past full mode's cap,
 # and is refused.
 _FULL_BUILD_PINS = {
-    (2, 0, 2, 4096): "257b49ba6bb6d5e98d9f1c4b18cae1525ff0648c1dd99c2dc3264534baaa7091",
-    (2, 1, 2, 4094): "2fe6cad61c2d9013533cc8a675303334a4ac01cee70e11098d5d885685523696",
-    (3, 0, 3, 1026): "310273940a03d10650cc156fa2293e37ed53bd17b1af7523d217d8ae51a74c3b",
+    (2, 0, 2, 4096): "e817823441b517b13f0b8f0dd42f7c6a14440fc0db935c0d193f5fa66da690c6",
+    (2, 1, 2, 4094): "12f0d955cc34eecfbeaf8cc03e196185efb495d8d0b7b16ab67030ca69985961",
+    (3, 0, 3, 1026): "f1048383c46754265dd8b8b537d6b62883560d45ecd8f3187ae419fa9e700155",
     (3, 1, 3, 2048): InstanceTooLarge,
-    (2, 0, 2, 262144): "613034e690318c15abf70f8d87c78ab2e95460000dea2c2d421d91da21bec13c",
+    (2, 0, 2, 262144): "8e2d5dd6e548c28b9aa011385fe8ccd76651618fc94f8eef4416ec6817be8359",
 }
 
 
@@ -666,6 +671,26 @@ def test_f_enters_only_the_decoder_tables(shape, sizes):
                 assert np.array_equal(ta[:, others_slots], tb[:, others_slots]) and a.prefix.M == b.prefix.M
                 assert not np.array_equal(ta[:, lay.vb], tb[:, lay.vb])
         assert tables_differ
+
+
+@pytest.mark.parametrize("shape", [(1, 0, 9), (2, 0, 2), (2, 1, 1), (3, 0, 3), (9, 0, 1)], ids=str)
+def test_both_modes_weight_psi_alike(shape):
+    """Full mode's encoder table and hybrid mode's encoder stage hold one
+    weighted psi: table[b, q] equals, bit for bit, the stage's output for a
+    state at position q whose value has bit level b."""
+    t_len, m, digits = shape
+    cfg = DigitConfig(digits=digits)
+    full = build_seq2seq_transformer(seq_mean, t_len, m, cfg, n_points=64, lam=2.0e5, mode="full")
+    hybrid = build_seq2seq_transformer(seq_mean, t_len, m, cfg, mode="hybrid")
+    lay = hybrid.layout
+    level, position = np.divmod(np.arange(2**digits * lay.q), lay.q)
+    X = np.zeros((level.size, lay.d))
+    X[:, lay.val] = (level + 0.5) / 2**digits
+    X[np.arange(level.size), lay.oh.start + position] = 1.0
+    (stage,) = hybrid.transformer.layers[0].mlp
+    table = full.transformer.layers[0].table
+    assert table.shape == (2**digits, lay.q)
+    assert np.array_equal(stage(X)[:, lay.val], table[level, position])
 
 
 def _held_mib(stack) -> float:
@@ -948,3 +973,34 @@ class TestStereographic:
         p = _stereographic_inverse(y)
         assert np.all(np.abs(np.linalg.norm(p, axis=1) - 1.0) <= 1e-12)
         np.testing.assert_allclose(_stereographic(p), y, atol=1e-10)
+
+    def test_circle_lookup_meets_its_chord_bound(self):
+        """The summation layer's circle lookup (_stage_sphere_lookup) against
+        g(t) = (2t, t^2 - 1) / (t^2 + 1) in 50-digit arithmetic, at four
+        points per interval between its knots, the knots included.
+
+        In exact arithmetic the lookup joins the values of g at knots
+        h = 1/2048 apart by chords, each off by at most h^2/8 max |g''| =
+        h^2/2 on [0, 1]: |g''| peaks at 4, the second component's at t = 0
+        (the first's is 3/2 + sqrt 2, at t = sqrt 2 - 1).  The rounding
+        allowance is (n + 8) u (|b| + sum_k |w_k|), u = 2^-53, for the output
+        b + sum_k w_k ReLU(t - t_k) over the stage's n hidden lanes:
+        - every hidden lane is exact: t_k is a multiple of 2^-11, so
+          t - t_k >= 0 is a multiple of ulp(t) no larger than t, and a
+          negative lane is 0 after the ReLU either way;
+        - the sum over n lanes and its bias round within (n + 1) u times the
+          sum of the terms' sizes;
+        - the knot values (within 4 u of g), the slopes built from them and
+          the slope changes w_k move the interpolant by at most 7 u times
+          that sum more.
+        That is under 1e-12 at n = 2052.  The worst error is 1.19209e-7,
+        5e-14 under h^2/2, at t = 1/4096; with 256 knots it is 7.6e-6."""
+        lay = _Layout(q=1)
+        ts = np.linspace(0.0, 1.0, 4 * 2048 + 1)
+        X = np.zeros((ts.size, lay.d))
+        X[:, lay.val], X[:, lay.oh] = ts, 1.0
+        stage = _stage_sphere_lookup(lay)
+        errors = circle_chart_error_oracle(ts, _apply_mlp(X, stage)[:, lay.z])
+        weights, bias = stage[1][0][lay.z], stage[1][1][lay.z]
+        allowance = (weights.shape[1] + 8) * 2.0**-53 * (np.abs(bias) + np.abs(weights).sum(axis=1))
+        assert np.all(errors.max(axis=0) <= 0.5 / 2048**2 + allowance)
